@@ -1,8 +1,9 @@
 # Tier-1 gate for the psk module. `make check` is what CI and reviewers
 # run before merging: vet, build, the full test suite under the race
-# detector (the parallel search engine must stay deterministic), and a
+# detector (the parallel search engine must stay deterministic), a
 # single-iteration pass over every benchmark so the evaluation harness
-# cannot silently rot.
+# cannot silently rot, and vet + test of the bench/ module (its own Go
+# module, so the root `./...` patterns never compile it).
 
 GO ?= go
 
@@ -29,9 +30,9 @@ FUZZTIME ?= 30s
 # genuinely improves; never lower it to admit a regression.
 COVERAGE_FLOOR ?= 85.0
 
-.PHONY: check vet build test race bench bench-json bench-scale bench-incr bench-frontier bench-serve bench-compare fuzz-smoke cover serve-smoke
+.PHONY: check vet build test race bench bench-module bench-json bench-scale bench-incr bench-frontier bench-serve bench-compare fuzz-smoke cover serve-smoke
 
-check: vet build race bench
+check: vet build race bench bench-module
 
 vet:
 	$(GO) vet ./...
@@ -51,24 +52,28 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# bench-json snapshots the roll-up benchmark (ns/op and allocs/op per
-# variant) into BENCH_rollup.json, the committed record of the roll-up
-# layer's win over the row-scanning engine, the policy benchmark
-# into BENCH_policy.json, the record of what composing properties
-# costs the search relative to the built-in single-property target,
-# and the telemetry benchmarks into BENCH_obs.json, the record that a
-# disabled recorder costs the search at most ~2% (nil-receiver fast
+# bench-json snapshots the policy benchmark (ns/op and allocs/op per
+# variant) into BENCH_policy.json, the record of what composing
+# properties costs the search relative to the built-in single-property
+# target, the telemetry benchmarks into BENCH_obs.json, the record that
+# a disabled recorder costs the search at most ~2% (nil-receiver fast
 # path), an attached one stays in the same ballpark, and the full live
-# observatory (recorder + sampler + HTTP server) tracks the bare search.
+# observatory (recorder + sampler + HTTP server) tracks the bare search,
+# and the worker-pool benchmark into BENCH_parallel.json.
 bench-json: bench-incr
-	$(GO) test -run '^$$' -bench '^BenchmarkRollup$$' -benchmem -benchtime 10x . \
-		| $(GO) run ./cmd/benchjson > BENCH_rollup.json
 	$(GO) test -run '^$$' -bench '^BenchmarkPolicy$$' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson > BENCH_policy.json
 	$(GO) test -run '^$$' -bench '^BenchmarkObs(Overhead|Live)$$' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson > BENCH_obs.json
 	$(GO) test -run '^$$' -bench '^BenchmarkParallelSearch$$' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson > BENCH_parallel.json
+
+# bench-module compiles, vets and tests the end-to-end benchmark module
+# under bench/, which imports this module's packages: an API change
+# here that would break bench/run.sh fails the gate instead.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # bench-incr snapshots the streaming benchmark — warm (incremental
 # Apply+Republish) vs cold (full Samarati re-search) per delta batch on

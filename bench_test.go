@@ -542,14 +542,11 @@ func BenchmarkIncognitoVsSamarati(b *testing.B) {
 	b.Run("Samarati", func(b *testing.B) { benchSearch(b, im, cfg) })
 }
 
-// BenchmarkParallelSearch measures the node-evaluation engine against
-// the pre-engine baseline on the Adult workload. Baseline disables the
-// generalized-column cache and the single-pass suppression (the
-// original per-node cost); WorkersN runs the engine with an N-goroutine
-// pool. Results are identical across all variants — only the cost
-// moves. Note that on a single-CPU host the WorkersN variants cannot
-// beat Workers1; the engine's speedup there comes from the cache, and
-// the worker pool pays off once GOMAXPROCS > 1.
+// BenchmarkParallelSearch measures the node-evaluation engine on the
+// Adult workload; WorkersN runs it with an N-goroutine pool. Results
+// are identical across all variants — only the cost moves. Note that on
+// a single-CPU host the WorkersN variants cannot beat Workers1; the
+// worker pool pays off once GOMAXPROCS > 1.
 func BenchmarkParallelSearch(b *testing.B) {
 	src, err := dataset.Generate(30000, 2006)
 	if err != nil {
@@ -576,7 +573,6 @@ func BenchmarkParallelSearch(b *testing.B) {
 		name string
 		mut  func(*search.Config)
 	}{
-		{"Baseline", func(c *search.Config) { c.DisableCache = true }},
 		{"Workers1", func(c *search.Config) { c.Workers = 1 }},
 		{"Workers2", func(c *search.Config) { c.Workers = 2 }},
 		{"Workers4", func(c *search.Config) { c.Workers = 4 }},
@@ -601,79 +597,6 @@ func BenchmarkParallelSearch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRollup measures the group-statistics roll-up store against
-// the PR 1 engine (DisableRollup) on the Adult workload: with the
-// store, every lattice node after the first is verdicted by merging an
-// already-evaluated descendant's groups instead of re-scanning the
-// sample's rows, so complete searches (Exhaustive, Incognito) — which
-// evaluate many ancestors of the bottom — see the largest win. Results
-// are byte-identical across all variants (rollup_test.go).
-func BenchmarkRollup(b *testing.B) {
-	src, err := dataset.Generate(30000, 2006)
-	if err != nil {
-		b.Fatal(err)
-	}
-	im, err := src.Sample(1000, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs, err := dataset.Hierarchies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := search.Config{
-		QIs:           dataset.QIs(),
-		Confidential:  dataset.Confidential(),
-		Hierarchies:   hs,
-		K:             3,
-		P:             2,
-		MaxSuppress:   10,
-		UseConditions: true,
-	}
-	variants := []struct {
-		name string
-		mut  func(*search.Config)
-	}{
-		{"Rollup", func(c *search.Config) {}},
-		{"DisableRollup", func(c *search.Config) { c.DisableRollup = true }},
-	}
-	for _, v := range variants {
-		cfg := base
-		v.mut(&cfg)
-		b.Run(fmt.Sprintf("Exhaustive/%s", v.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := search.Exhaustive(im, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Minimal) == 0 {
-					b.Fatal("found nothing")
-				}
-			}
-		})
-	}
-	for _, v := range variants {
-		cfg := base
-		v.mut(&cfg)
-		b.Run(fmt.Sprintf("Incognito/%s", v.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := search.Incognito(im, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Minimal) == 0 {
-					b.Fatal("found nothing")
-				}
-			}
-		})
-	}
-	for _, v := range variants {
-		cfg := base
-		v.mut(&cfg)
-		b.Run(fmt.Sprintf("Samarati/%s", v.name), func(b *testing.B) { benchSearch(b, im, cfg) })
 	}
 }
 

@@ -511,8 +511,8 @@ func TestBenchJSON(t *testing.T) {
 	in := `goos: linux
 goarch: amd64
 pkg: psk
-BenchmarkRollup/Exhaustive/Rollup-8         	      10	   7065294 ns/op	  123456 B/op	    1234 allocs/op
-BenchmarkRollup/Exhaustive/DisableRollup    	      10	  13623264 ns/op	  654321 B/op	    4321 allocs/op
+BenchmarkParallelSearch/Exhaustive/Workers1-8	      10	   7065294 ns/op	  123456 B/op	    1234 allocs/op
+BenchmarkParallelSearch/Exhaustive/Workers2  	      10	  13623264 ns/op	  654321 B/op	    4321 allocs/op
 PASS
 ok  	psk	1.773s
 `
@@ -527,16 +527,16 @@ ok  	psk	1.773s
 	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := got["BenchmarkRollup/Exhaustive/Rollup"]
+	r, ok := got["BenchmarkParallelSearch/Exhaustive/Workers1"]
 	if !ok {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %v", out.String())
 	}
 	if r.Ns != 7065294 || r.Allocs != 1234 {
-		t.Errorf("Rollup metrics = %+v", r)
+		t.Errorf("Workers1 metrics = %+v", r)
 	}
-	d := got["BenchmarkRollup/Exhaustive/DisableRollup"]
+	d := got["BenchmarkParallelSearch/Exhaustive/Workers2"]
 	if d.Ns != 13623264 || d.Allocs != 4321 {
-		t.Errorf("DisableRollup metrics = %+v", d)
+		t.Errorf("Workers2 metrics = %+v", d)
 	}
 	if err := BenchJSON(strings.NewReader("PASS\n"), &out); err == nil {
 		t.Error("empty bench output accepted")

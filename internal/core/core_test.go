@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"psk/internal/hierarchy"
 	"psk/internal/table"
 )
 
@@ -191,6 +192,53 @@ func TestPKValidation(t *testing.T) {
 	}
 	if _, err := Sensitivity(tbl, patientQIs, nil); err == nil {
 		t.Error("Sensitivity with no confidential attributes accepted")
+	}
+}
+
+// heightZero is a hierarchy with no generalization steps, so an
+// ExtendedConfig's default MaxLevel (Height - 1) resolves to -1.
+type heightZero struct{ hierarchy.Hierarchy }
+
+func (heightZero) Height() int { return 0 }
+
+// TestTableCheckValidation pins the argument validation of the
+// table-based checks the unit tests above do not already cover.
+func TestTableCheckValidation(t *testing.T) {
+	tbl := table3(t)
+	for _, c := range []struct{ p, k int }{{0, 3}, {4, 3}} {
+		if _, err := CheckWithBounds(tbl, patientQIs, patientConf, c.p, c.k, Bounds{}); err == nil {
+			t.Errorf("CheckWithBounds(p=%d,k=%d) accepted", c.p, c.k)
+		}
+	}
+	for _, alpha := range []float64{0, 1.5} {
+		if _, err := CheckPAlpha(tbl, patientQIs, patientConf, 2, 3, alpha); err == nil {
+			t.Errorf("CheckPAlpha alpha=%g accepted", alpha)
+		}
+	}
+	if _, err := CheckPAlpha(tbl, patientQIs, nil, 2, 3, 0.5); err == nil {
+		t.Error("CheckPAlpha with no confidential attributes accepted")
+	}
+	if _, err := IsDistinctLDiverse(tbl, patientQIs, "Illness", 0); err == nil {
+		t.Error("distinct l=0 accepted")
+	}
+	if _, err := IsEntropyLDiverse(tbl, patientQIs, "Illness", 0); err == nil {
+		t.Error("entropy l=0 accepted")
+	}
+	if _, err := TCloseness(tbl, patientQIs, "Nope"); err == nil {
+		t.Error("TCloseness over a missing attribute accepted")
+	}
+
+	ill := similarityTable(t, []string{"Flu", "HIV", "Diabetes"})
+	flat := ExtendedConfig{Hierarchy: heightZero{illnessHierarchy(t)}, MaxLevel: -1}
+	if _, err := CheckExtended(ill, []string{"Zip"}, "Illness", 1, 2, flat); err == nil {
+		t.Error("CheckExtended with a negative MaxLevel accepted")
+	}
+	if _, err := ExtendedSensitivity(ill, []string{"Zip"}, "Illness", flat); err == nil {
+		t.Error("ExtendedSensitivity with a negative MaxLevel accepted")
+	}
+	high := ExtendedConfig{Hierarchy: illnessHierarchy(t), MaxLevel: 9}
+	if _, err := ExtendedSensitivity(ill, []string{"Zip"}, "Illness", high); err == nil {
+		t.Error("ExtendedSensitivity with MaxLevel beyond the height accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"psk/internal/table"
 )
@@ -13,8 +14,7 @@ import (
 // library's users — and the benchmark harness — reference points for
 // how the models relate: distinct l-diversity with l = p is exactly
 // p-sensitivity for a single confidential attribute. Each function is a
-// thin wrapper over the statistics path; the group scans live in
-// policy.go.
+// thin wrapper over the matching policy or group scan in policy.go.
 
 // IsDistinctLDiverse reports whether every QI-group contains at least l
 // distinct values of the confidential attribute. For one confidential
@@ -24,11 +24,12 @@ func IsDistinctLDiverse(t *table.Table, qis []string, confidential string, l int
 	if l < 1 {
 		return false, fmt.Errorf("core: l must be >= 1, got %d", l)
 	}
-	s, err := t.GroupStats(qis, []string{confidential}, 1)
+	v, err := NewStatsView(t, qis, []string{confidential}, 1)
 	if err != nil {
 		return false, err
 	}
-	return DistinctLDiverseStats(s, 0, l)
+	res, err := DistinctLDiversityPolicy{Attr: confidential, L: l}.Evaluate(v)
+	return res.Satisfied, err
 }
 
 // IsEntropyLDiverse reports whether every QI-group's confidential value
@@ -37,11 +38,12 @@ func IsEntropyLDiverse(t *table.Table, qis []string, confidential string, l int)
 	if l < 1 {
 		return false, fmt.Errorf("core: l must be >= 1, got %d", l)
 	}
-	s, err := t.GroupStats(qis, []string{confidential}, 1)
+	v, err := NewStatsView(t, qis, []string{confidential}, 1)
 	if err != nil {
 		return false, err
 	}
-	return EntropyLDiverseStats(s, 0, l)
+	res, err := EntropyLDiversityPolicy{Attr: confidential, L: l}.Evaluate(v)
+	return res.Satisfied, err
 }
 
 // TCloseness computes the maximum over QI-groups of the variational
@@ -53,7 +55,8 @@ func TCloseness(t *table.Table, qis []string, confidential string) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	return TClosenessStats(s, 0)
+	worst, _ := tclosenessScan(s, 0, math.Inf(1))
+	return worst, nil
 }
 
 // CheckPAlpha tests (p, alpha)-sensitive k-anonymity, the frequency-
@@ -77,5 +80,6 @@ func CheckPAlpha(t *table.Table, qis, confidential []string, p, k int, alpha flo
 	if err != nil {
 		return false, err
 	}
-	return CheckPAlphaStats(s, p, k, alpha)
+	res, err := PAlphaPolicy{P: p, K: k, Alpha: alpha}.Evaluate(StatsView{Stats: s})
+	return res.Satisfied, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"psk/internal/hierarchy"
 	"psk/internal/table"
@@ -75,7 +76,7 @@ func ConfLevelMaps(t *table.Table, confidential string, h hierarchy.Hierarchy, m
 // p-sensitive k-anonymity for the given confidential attribute: it is
 // k-anonymous, and every QI-group keeps at least p distinct labels at
 // every hierarchy level from 0 through MaxLevel. It is a thin wrapper
-// over the statistics path (CheckExtendedStats).
+// over ExtendedPolicy.
 func CheckExtended(t *table.Table, qis []string, confidential string, p, k int, cfg ExtendedConfig) (bool, error) {
 	if err := validatePK(p, k); err != nil {
 		return false, err
@@ -95,11 +96,12 @@ func CheckExtended(t *table.Table, qis []string, confidential string, p, k int, 
 	if err != nil {
 		return false, fmt.Errorf("core: extended check: %w", err)
 	}
-	s, err := t.GroupStats(qis, []string{confidential}, 1)
+	v, err := NewStatsView(t, qis, []string{confidential}, 1)
 	if err != nil {
 		return false, err
 	}
-	return CheckExtendedStats(s, 0, p, k, maxLevel, levelMaps)
+	res, err := ExtendedPolicy{Attr: confidential, P: p, K: k, MaxLevel: maxLevel, LevelMaps: levelMaps}.Evaluate(v)
+	return res.Satisfied, err
 }
 
 // ExtendedSensitivity computes the largest p for which CheckExtended
@@ -114,6 +116,9 @@ func ExtendedSensitivity(t *table.Table, qis []string, confidential string, cfg 
 		return 0, nil
 	}
 	maxLevel := cfg.maxLevel()
+	if maxLevel < 0 {
+		return 0, fmt.Errorf("core: extended sensitivity requires MaxLevel >= 0, got %d", maxLevel)
+	}
 	levelMaps, err := ConfLevelMaps(t, confidential, cfg.Hierarchy, maxLevel)
 	if err != nil {
 		return 0, fmt.Errorf("core: extended sensitivity: %w", err)
@@ -122,5 +127,18 @@ func ExtendedSensitivity(t *table.Table, qis []string, confidential string, cfg 
 	if err != nil {
 		return 0, err
 	}
-	return ExtendedSensitivityStats(s, 0, maxLevel, levelMaps)
+	min := -1
+	seen := make(map[int]struct{})
+	for i := range s.Groups {
+		for lvl := 0; lvl <= maxLevel; lvl++ {
+			n, err := levelCategories(s.Groups[i].Hists[0], levelMaps[lvl], lvl, math.MaxInt, seen)
+			if err != nil {
+				return 0, err
+			}
+			if min == -1 || n < min {
+				min = n
+			}
+		}
+	}
+	return min, nil
 }

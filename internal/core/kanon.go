@@ -12,7 +12,8 @@
 //
 // Every property is implemented once, as a Policy over group statistics
 // (policy.go); the table-based checks below and in the sibling files
-// are wrappers that build the statistics and evaluate the stats path.
+// are wrappers that build the statistics and evaluate the matching
+// policy or group scan.
 package core
 
 import (
@@ -35,7 +36,7 @@ func IsKAnonymous(t *table.Table, qis []string, k int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return IsKAnonymousStats(s, k)
+	return firstBelowK(s, k) == -1, nil
 }
 
 // MinGroupSize returns the size of the smallest QI-group — the largest k

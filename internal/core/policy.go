@@ -56,8 +56,8 @@ func NewStatsView(t *table.Table, qis, conf []string, workers int) (StatsView, e
 func (v StatsView) index(attr string) (int, error) {
 	for i, n := range v.Conf {
 		if n == attr {
-			if err := validateConfIdx(v.Stats, i); err != nil {
-				return 0, err
+			if i >= v.Stats.NumConf {
+				return 0, fmt.Errorf("core: confidential index %d out of range (stats cover %d)", i, v.Stats.NumConf)
 			}
 			return i, nil
 		}
@@ -484,8 +484,8 @@ func attrSuffix(attrs []string) string {
 }
 
 // The group scans below are the only verdict loops in the package: the
-// policies above and the exported *Stats functions in statscheck.go
-// both delegate here, and the table-based checks wrap those.
+// policies above delegate here, and the table-based checks wrap the
+// policies or call the scans directly.
 
 // firstBelowK returns the index of the first group smaller than k, or
 // -1 when every group is large enough.
@@ -645,25 +645,35 @@ func firstAlphaViolation(s *table.GroupStats, idxs []int, p int, alpha float64) 
 func firstExtendedViolation(s *table.GroupStats, confIdx, p, maxLevel int, levelMaps []*table.CodeMap) (int, error) {
 	seen := make(map[int]struct{}, p)
 	for i := range s.Groups {
-		h := s.Groups[i].Hists[confIdx]
 		for lvl := 0; lvl <= maxLevel; lvl++ {
-			clear(seen)
-			for _, e := range h {
-				code, ok := levelMaps[lvl].Map(e.Code)
-				if !ok {
-					return -1, fmt.Errorf("core: extended stats check: code %d has no level-%d translation", e.Code, lvl)
-				}
-				seen[code] = struct{}{}
-				// DistinctAtLeast-style early exit: the level is satisfied
-				// as soon as the p-th category appears.
-				if len(seen) >= p {
-					break
-				}
+			// DistinctAtLeast-style early exit: the level is satisfied as
+			// soon as the p-th category appears.
+			n, err := levelCategories(s.Groups[i].Hists[confIdx], levelMaps[lvl], lvl, p, seen)
+			if err != nil {
+				return -1, err
 			}
-			if len(seen) < p {
+			if n < p {
 				return i, nil
 			}
 		}
 	}
 	return -1, nil
+}
+
+// levelCategories counts the distinct level-lvl categories the
+// histogram's codes map to through m, stopping once limit are found.
+// seen is caller-owned scratch, cleared on entry.
+func levelCategories(h table.CodeHist, m *table.CodeMap, lvl, limit int, seen map[int]struct{}) (int, error) {
+	clear(seen)
+	for _, e := range h {
+		code, ok := m.Map(e.Code)
+		if !ok {
+			return 0, fmt.Errorf("core: extended check: code %d has no level-%d translation", e.Code, lvl)
+		}
+		seen[code] = struct{}{}
+		if len(seen) >= limit {
+			break
+		}
+	}
+	return len(seen), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -15,6 +16,35 @@ import (
 // on GroupBy/DistinctInRows (a data path that never touches the code
 // histograms), and against the legacy table-based wrappers — the
 // regression net that keeps one-implementation-per-property honest.
+
+var statIllnesses = []string{"Colon Cancer", "Lung Cancer", "Stomach Cancer", "Flu", "HIV", "Diabetes"}
+
+// randomStatsTable builds an n-row table with two QI columns and two
+// confidential columns (Illness drawn from the extended-check fixture's
+// domain so the same table serves the hierarchy tests).
+func randomStatsTable(t testing.TB, rng *rand.Rand, n int) *table.Table {
+	t.Helper()
+	sch := table.MustSchema(
+		table.Field{Name: "Zip", Type: table.String},
+		table.Field{Name: "Sex", Type: table.String},
+		table.Field{Name: "Illness", Type: table.String},
+		table.Field{Name: "Income", Type: table.Int},
+	)
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{
+			fmt.Sprintf("4%d", rng.Intn(4)),
+			[]string{"M", "F"}[rng.Intn(2)],
+			statIllnesses[rng.Intn(len(statIllnesses))],
+			fmt.Sprintf("%d", 10*rng.Intn(4)),
+		}
+	}
+	tbl, err := table.FromText(sch, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
 
 // rowOracle precomputes, from raw rows, everything the per-property
 // oracles need: group row sets in first-appearance order (the same
@@ -124,7 +154,9 @@ func mustEval(t *testing.T, p Policy, v StatsView) Result {
 // TestPoliciesMatchRowOracles: every policy must agree — verdict and
 // first violating (group, attribute) — with an independent row-scanning
 // oracle, and with its legacy table-based wrapper, on randomized tables
-// at several worker counts.
+// at several worker counts. The table-based measurements (Sensitivity,
+// AttributeDisclosures, ExtendedSensitivity) are pinned to the oracles
+// directly.
 func TestPoliciesMatchRowOracles(t *testing.T) {
 	qis := []string{"Zip", "Sex"}
 	conf := []string{"Illness", "Income"}
@@ -151,8 +183,34 @@ func TestPoliciesMatchRowOracles(t *testing.T) {
 			}
 		}
 
+		// Sensitivity: the smallest distinct count over (group,
+		// attribute) pairs; attribute disclosures: the pairs below p.
+		wantSens := -1
+		for g := range o.sizes {
+			for a := range conf {
+				if d := o.distinct(g, a); wantSens == -1 || d < wantSens {
+					wantSens = d
+				}
+			}
+		}
+		if sens, err := Sensitivity(tbl, qis, conf); err != nil || sens != wantSens {
+			t.Errorf("seed %d: Sensitivity = %d, %v; oracle %d", seed, sens, err, wantSens)
+		}
+
 		// p-sensitivity and p-sensitive k-anonymity.
 		for _, p := range []int{1, 2, 3} {
+			wantDisc := 0
+			for g := range o.sizes {
+				for a := range conf {
+					if o.distinct(g, a) < p {
+						wantDisc++
+					}
+				}
+			}
+			if disc, err := AttributeDisclosures(tbl, qis, conf, p); err != nil || disc != wantDisc {
+				t.Errorf("seed %d: AttributeDisclosures(%d) = %d, %v; oracle %d", seed, p, disc, err, wantDisc)
+			}
+
 			res := mustEval(t, PSensitivityPolicy{P: p}, v)
 			wantG, wantA := o.firstLowDistinct([]int{0, 1}, p)
 			if res.Satisfied != (wantG == -1) || res.Group != wantG || res.Attr != wantA {
@@ -295,18 +353,45 @@ func TestPoliciesMatchRowOracles(t *testing.T) {
 			}
 		}
 
-		// Extended p-sensitivity against the table-based wrapper, using
-		// the similarity-attack hierarchy over Illness.
+		// Extended p-sensitivity against a hierarchy-walking oracle over
+		// the similarity-attack hierarchy on Illness: each group's ground
+		// values are generalized label by label at levels 0 and 1.
 		h := illnessHierarchy(t)
-		levelMaps, err := ConfLevelMaps(tbl, "Illness", h, 1)
+		cfg := ExtendedConfig{Hierarchy: h, MaxLevel: 1}
+		wantExt := -1
+		for g := range o.sizes {
+			for lvl := 0; lvl <= cfg.MaxLevel; lvl++ {
+				labels := make(map[string]bool)
+				for val := range o.counts[g][0] {
+					label, err := h.Generalize(val, lvl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					labels[label] = true
+				}
+				if wantExt == -1 || len(labels) < wantExt {
+					wantExt = len(labels)
+				}
+			}
+		}
+		if ext, err := ExtendedSensitivity(tbl, qis, "Illness", cfg); err != nil || ext != wantExt {
+			t.Errorf("seed %d: ExtendedSensitivity = %d, %v; oracle %d", seed, ext, err, wantExt)
+		}
+		levelMaps, err := ConfLevelMaps(tbl, "Illness", h, cfg.MaxLevel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{1, 2} {
-			res := mustEval(t, ExtendedPolicy{Attr: "Illness", P: p, K: 2, MaxLevel: 1, LevelMaps: levelMaps}, v)
-			legacy, err := CheckExtended(tbl, qis, "Illness", p, 2, ExtendedConfig{Hierarchy: h, MaxLevel: 1})
-			if err != nil || legacy != res.Satisfied {
-				t.Errorf("seed %d: CheckExtended(p=%d) = %v, %v; policy %v", seed, p, legacy, err, res.Satisfied)
+		for _, k := range []int{2, 3} {
+			for p := 1; p <= k; p++ {
+				want := o.firstBelowK(k) == -1 && wantExt >= p
+				res := mustEval(t, ExtendedPolicy{Attr: "Illness", P: p, K: k, MaxLevel: cfg.MaxLevel, LevelMaps: levelMaps}, v)
+				if res.Satisfied != want {
+					t.Errorf("seed %d: extended-%d-sensitive-%d-anonymity = %v, oracle %v", seed, p, k, res.Satisfied, want)
+				}
+				legacy, err := CheckExtended(tbl, qis, "Illness", p, k, cfg)
+				if err != nil || legacy != want {
+					t.Errorf("seed %d: CheckExtended(p=%d,k=%d) = %v, %v; oracle %v", seed, p, k, legacy, err, want)
+				}
 			}
 		}
 	}

@@ -106,8 +106,8 @@ func validatePK(p, k int) error {
 
 // CheckBasic is the paper's Algorithm 1: test k-anonymity, then require
 // at least p distinct values per (QI-group, confidential attribute)
-// pair, stopping at the first violation. It is a thin wrapper over the
-// statistics path (CheckBasicStats).
+// pair, stopping at the first violation. It is a thin wrapper over
+// PSensitiveKAnonymityPolicy.
 func CheckBasic(t *table.Table, qis, confidential []string, p, k int) (bool, error) {
 	if err := validatePK(p, k); err != nil {
 		return false, err
@@ -119,7 +119,8 @@ func CheckBasic(t *table.Table, qis, confidential []string, p, k int) (bool, err
 	if err != nil {
 		return false, err
 	}
-	return CheckBasicStats(s, p, k)
+	res, err := PSensitiveKAnonymityPolicy{P: p, K: k}.Evaluate(StatsView{Stats: s})
+	return res.Satisfied, err
 }
 
 // Check is the paper's Algorithm 2: evaluate the two necessary
@@ -137,8 +138,8 @@ func Check(t *table.Table, qis, confidential []string, p, k int) (Result, error)
 // CheckWithBounds is Algorithm 2 with externally supplied bounds. The
 // typical caller computed them once on the initial microdata; Theorems 1
 // and 2 guarantee they remain valid for every masked microdata derived
-// by generalization and suppression. It is a thin wrapper over the
-// statistics path (CheckStatsWithBounds).
+// by generalization and suppression. It is a thin wrapper over
+// PSensitiveKAnonymityPolicy wrapped with WithBounds.
 func CheckWithBounds(t *table.Table, qis, confidential []string, p, k int, bounds Bounds) (Result, error) {
 	if err := validatePK(p, k); err != nil {
 		return Result{}, err
@@ -147,7 +148,10 @@ func CheckWithBounds(t *table.Table, qis, confidential []string, p, k int, bound
 	if err != nil {
 		return Result{}, err
 	}
-	return CheckStatsWithBounds(s, p, k, bounds)
+	// The conditions gate on the p being checked, which prevails over
+	// whatever p the bounds were computed for.
+	bounds.P = p
+	return WithBounds(PSensitiveKAnonymityPolicy{P: p, K: k}, bounds).Evaluate(StatsView{Stats: s})
 }
 
 // Sensitivity computes the largest p for which the table (with its
@@ -165,7 +169,15 @@ func Sensitivity(t *table.Table, qis, confidential []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return SensitivityStats(s)
+	min := -1
+	for i := range s.Groups {
+		for _, h := range s.Groups[i].Hists {
+			if d := h.Distinct(); min == -1 || d < min {
+				min = d
+			}
+		}
+	}
+	return min, nil
 }
 
 // AttributeDisclosures counts the (QI-group, confidential attribute)
@@ -184,5 +196,13 @@ func AttributeDisclosures(t *table.Table, qis, confidential []string, p int) (in
 	if err != nil {
 		return 0, err
 	}
-	return AttributeDisclosuresStats(s, p)
+	count := 0
+	for i := range s.Groups {
+		for _, h := range s.Groups[i].Hists {
+			if h.Distinct() < p {
+				count++
+			}
+		}
+	}
+	return count, nil
 }

@@ -79,26 +79,6 @@ func (m *Masker) Apply(t *table.Table, node lattice.Node) (*table.Table, error) 
 	return out, nil
 }
 
-// ViolatingTuples counts the tuples whose QI-group has fewer than k
-// members — the number of tuples that would need suppression for the
-// table to become k-anonymous (the parenthesized counts of Figure 3).
-func (m *Masker) ViolatingTuples(t *table.Table, k int) (int, error) {
-	if k < 1 {
-		return 0, fmt.Errorf("generalize: k must be >= 1, got %d", k)
-	}
-	groups, err := t.GroupBy(m.qis...)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, g := range groups {
-		if g.Size() < k {
-			n += g.Size()
-		}
-	}
-	return n, nil
-}
-
 // Suppress removes every tuple whose QI-group has fewer than k members
 // and returns the masked table together with the number of suppressed
 // tuples. Suppressing all remaining violators always yields a
@@ -128,10 +108,9 @@ func (m *Masker) Suppress(t *table.Table, k int) (*table.Table, int, error) {
 
 // SuppressWithin enforces a suppression budget and suppresses in one
 // group-by pass: it counts the tuples in sub-k groups and, when the
-// count is within budget, removes them. ok is false (with a nil table)
-// when more than budget tuples would need suppression. Equivalent to
-// ViolatingTuples followed by Suppress, but grouping the table once
-// instead of twice — the per-node hot path of the lattice searches.
+// count is within budget, removes them exactly as Suppress would. ok is
+// false (with a nil table and the sub-k count) when more than budget
+// tuples would need suppression.
 func (m *Masker) SuppressWithin(t *table.Table, k, budget int) (*table.Table, int, bool, error) {
 	if k < 1 {
 		return nil, 0, false, fmt.Errorf("generalize: k must be >= 1, got %d", k)

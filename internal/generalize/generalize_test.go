@@ -51,6 +51,18 @@ func figure3Masker(t *testing.T) *Masker {
 	return m
 }
 
+// violatingTuples counts the tuples whose QI-group has fewer than k
+// members — the number suppression must remove for the table to become
+// k-anonymous (the parenthesized counts of Figure 3).
+func violatingTuples(t *testing.T, tbl *table.Table, k int) int {
+	t.Helper()
+	s, err := tbl.GroupStats([]string{"Sex", "ZipCode"}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.TuplesBelow(k)
+}
+
 // NewSexFlat builds the paper's Sex hierarchy (M/F -> Person).
 func NewSexFlat() *hierarchy.Flat {
 	f := hierarchy.NewFlat("Sex")
@@ -153,11 +165,7 @@ func TestFigure3ViolationCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Apply(%v): %v", c.node, err)
 		}
-		n, err := m.ViolatingTuples(g, 3)
-		if err != nil {
-			t.Fatalf("ViolatingTuples: %v", err)
-		}
-		if n != c.want {
+		if n := violatingTuples(t, g, 3); n != c.want {
 			t.Errorf("violations at %v = %d, want %d", c.node, n, c.want)
 		}
 	}
@@ -178,8 +186,7 @@ func TestSuppress(t *testing.T) {
 		t.Errorf("remaining rows = %d, want 3", mm.NumRows())
 	}
 	// Result is 3-anonymous.
-	n, _ := m.ViolatingTuples(mm, 3)
-	if n != 0 {
+	if n := violatingTuples(t, mm, 3); n != 0 {
 		t.Errorf("masked table still has %d violating tuples", n)
 	}
 	// The surviving group is the 410** males.
@@ -218,8 +225,7 @@ func TestMaskPipeline(t *testing.T) {
 	if suppressed != 2 {
 		t.Errorf("suppressed = %d, want 2", suppressed)
 	}
-	n, _ := m.ViolatingTuples(mm, 3)
-	if n != 0 {
+	if violatingTuples(t, mm, 3) != 0 {
 		t.Error("Mask output not k-anonymous")
 	}
 	if _, _, err := m.Mask(tbl, lattice.Node{9, 9}, 3); err == nil {
@@ -230,9 +236,6 @@ func TestMaskPipeline(t *testing.T) {
 func TestKValidation(t *testing.T) {
 	m := figure3Masker(t)
 	tbl := figure3Table(t)
-	if _, err := m.ViolatingTuples(tbl, 0); err == nil {
-		t.Error("k=0 accepted by ViolatingTuples")
-	}
 	if _, _, err := m.Suppress(tbl, 0); err == nil {
 		t.Error("k=0 accepted by Suppress")
 	}
@@ -261,17 +264,13 @@ func TestViolationMonotonicityAcrossLattice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Apply(%v): %v", node, err)
 		}
-		n, err := m.ViolatingTuples(g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viol[node.Key()] = n
+		viol[node.Key()] = violatingTuples(t, g, 3)
 
 		mm, _, err := m.Mask(tbl, node, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if left, _ := m.ViolatingTuples(mm, 3); left != 0 {
+		if left := violatingTuples(t, mm, 3); left != 0 {
 			t.Errorf("Mask at %v left %d violators", node, left)
 		}
 	}
@@ -317,8 +316,7 @@ func TestSuppressCells(t *testing.T) {
 	}
 	// With only 2 masked rows the "*" group is itself undersized for
 	// k=3: local suppression trades row loss for that residual group.
-	n, _ := m.ViolatingTuples(out, 3)
-	if n != 2 {
+	if n := violatingTuples(t, out, 3); n != 2 {
 		t.Errorf("residual violators = %d, want 2 (the * group)", n)
 	}
 }
@@ -355,8 +353,7 @@ func TestSuppressCellsReachesK(t *testing.T) {
 	if err != nil || suppressed != 3 {
 		t.Fatalf("suppressed = %d, %v; want 3", suppressed, err)
 	}
-	n, _ := m.ViolatingTuples(out, 3)
-	if n != 0 {
+	if n := violatingTuples(t, out, 3); n != 0 {
 		t.Errorf("residual violators = %d, want 0", n)
 	}
 }

@@ -82,21 +82,17 @@ type Phase uint8
 // Pipeline phases.
 const (
 	// PhaseGroupBy is the base group-by: a full row scan building group
-	// statistics (at most once per search with the roll-up store on).
+	// statistics (at most once per search, at the lattice bottom).
 	PhaseGroupBy Phase = iota
 	// PhaseRollup is the statistics merge deriving a node's groups from
 	// an already-evaluated descendant's (plus the level-map assembly).
 	PhaseRollup
 	// PhaseSuppress is the suppression step: counting violating tuples
-	// against the budget and removing sub-k groups (on rows or on
-	// statistics).
+	// against the budget and removing sub-k groups, on statistics.
 	PhaseSuppress
 	// PhasePolicy is the policy verdict: the detailed group scan of
 	// Algorithm 1/2 or any composed policy.
 	PhasePolicy
-	// PhaseGeneralize is per-node column work on the row path:
-	// assembling the generalized table from cached columns.
-	PhaseGeneralize
 	// PhaseMaterialize is the masked-table build for a node the
 	// statistics already proved satisfying.
 	PhaseMaterialize
@@ -124,8 +120,6 @@ func (p Phase) String() string {
 		return "suppress"
 	case PhasePolicy:
 		return "policy-scan"
-	case PhaseGeneralize:
-		return "generalize"
 	case PhaseMaterialize:
 		return "materialize"
 	case PhaseSearch:

@@ -27,8 +27,7 @@ type Budget struct {
 	// MaxCacheBytes caps the estimated memory (table.MemBytes) held by
 	// the generalized-column cache. Checked between node evaluations;
 	// the search stops before evaluating the next node once the cache
-	// exceeds the cap. Zero means unlimited. Ignored with DisableCache
-	// (there is no cache to measure).
+	// exceeds the cap. Zero means unlimited.
 	MaxCacheBytes int64
 }
 

@@ -73,19 +73,7 @@ type Config struct {
 	// same hierarchies as this config; it is ignored when its Source is
 	// not the searched table (Incognito's subset evaluators and the
 	// incremental session keep passing their own caches explicitly).
-	// Ignored with DisableCache.
 	Cache *generalize.Cache
-	// DisableCache turns off the per-level generalized-column cache and
-	// the single-pass suppression, restoring the pre-engine per-node
-	// evaluation cost (re-generalize every QI column per node, group
-	// twice for the suppression budget). Results are identical either
-	// way; the flag exists for ablation benchmarks. It also disables
-	// the roll-up store, which is built on the cache's level maps.
-	DisableCache bool
-	// DisableRollup turns off the group-statistics roll-up store and
-	// restores PR 1's per-node row scan. Results are identical either
-	// way; the flag exists for the BenchmarkRollup ablation.
-	DisableRollup bool
 	// Recorder, when non-nil, collects telemetry for the search: per-node
 	// verdicts and latencies, phase wall times, cache and roll-up
 	// counters, per-policy evaluation stats and worker utilization. The
@@ -215,11 +203,13 @@ func (c Config) effectivePolicy(bounds core.Bounds) core.Policy {
 	return p
 }
 
-// Stats counts the work a search performed; the ablation benches use it
-// to quantify how much the necessary conditions prune.
+// Stats counts the work a search performed; the E10 conditions
+// experiment uses it to quantify how much the necessary conditions
+// prune.
 type Stats struct {
-	// NodesEvaluated is the number of lattice nodes whose masked
-	// microdata was materialized.
+	// NodesEvaluated is the number of lattice nodes whose group
+	// statistics were checked against the suppression budget and the
+	// policy. Only satisfying nodes materialize masked microdata.
 	NodesEvaluated int
 	// PrunedCondition1 counts Condition 1 rejections. For the built-in
 	// property it is 0 or 1 — the condition is a property of the dataset,
@@ -233,8 +223,7 @@ type Stats struct {
 	GroupScans int
 	// SuppressedRows totals the tuples suppression removed at evaluated
 	// nodes that passed the budget gate (nodes rejected for exceeding
-	// MaxSuppress contribute nothing). Identical across the cached,
-	// ablation and statistics evaluation paths.
+	// MaxSuppress contribute nothing).
 	SuppressedRows int
 }
 

@@ -43,21 +43,21 @@ type evaluator struct {
 	// histograms for (cfg.effectiveConf).
 	policy core.Policy
 	conf   []string
-	// rollups, when non-nil, holds each evaluated node's pre-suppression
-	// group statistics so ancestor nodes are checked by merging groups
+	// rollups holds each evaluated node's pre-suppression group
+	// statistics so ancestor nodes are checked by merging groups
 	// (rollup.go) instead of re-scanning rows. It is per-search state:
 	// Incognito's subset searches each get their own store (their nodes
 	// index different QI subsets) while sharing one column cache.
 	rollups *rollupStore
-	// noMaterialize tells the stats path the caller never reads
-	// outcome.masked (Incognito's non-final subsets only consume the
-	// verdict), so satisfying nodes skip building the masked table.
+	// noMaterialize tells evalNode the caller never reads outcome.masked
+	// (Incognito's non-final subsets only consume the verdict), so
+	// satisfying nodes skip building the masked table.
 	noMaterialize bool
-	// keepStats tells both evaluation paths to retain the
-	// post-suppression group statistics and the policy verdict of
-	// satisfying nodes on the outcome (outcome.post / outcome.res). The
-	// frontier scan sets it so nodes can be scored from O(groups)
-	// statistics without materializing anything.
+	// keepStats tells evalNode to retain the post-suppression group
+	// statistics and the policy verdict of satisfying nodes on the
+	// outcome (outcome.post / outcome.res). The frontier scan sets it so
+	// nodes can be scored from O(groups) statistics without
+	// materializing anything.
 	keepStats bool
 	// rec and tracer are the telemetry sinks (Config.Recorder/Tracer);
 	// both are nil-safe, so the hot path calls them unguarded and the
@@ -84,28 +84,23 @@ func newEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache
 // strategies that build several evaluators per call and need them to
 // draw on one shared budget (Incognito's subset passes).
 func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, bounds core.Bounds, lim *limiter) *evaluator {
-	if cache == nil && !cfg.DisableCache {
+	if cache == nil {
 		if cfg.Cache != nil && cfg.Cache.Source() == im {
 			cache = cfg.Cache
 		} else {
 			cache = m.NewCache(im)
 		}
 	}
-	e := &evaluator{
+	cache.Observe(cfg.Recorder)
+	lim.attachMem(cache.Bytes)
+	return &evaluator{
 		im: im, m: m, cache: cache, qis: cfg.QIs, cfg: cfg, bounds: bounds,
-		policy: core.Observe(cfg.effectivePolicy(bounds), cfg.Recorder),
-		conf:   cfg.effectiveConf(),
-		rec:    cfg.Recorder, tracer: cfg.Tracer,
+		policy:  core.Observe(cfg.effectivePolicy(bounds), cfg.Recorder),
+		conf:    cfg.effectiveConf(),
+		rollups: newRollupStore(),
+		rec:     cfg.Recorder, tracer: cfg.Tracer,
 		lim: lim,
 	}
-	if cache != nil {
-		cache.Observe(cfg.Recorder)
-		e.lim.attachMem(cache.Bytes)
-	}
-	if cache != nil && !cfg.DisableRollup {
-		e.rollups = newRollupStore()
-	}
-	return e
 }
 
 // outcome is the result of evaluating one lattice node.
@@ -127,121 +122,14 @@ type outcome struct {
 	res  core.Result
 }
 
-// evalNode runs the property check at one node. The bounds are reused
-// across nodes per Theorems 1 and 2. With a roll-up store the verdict
-// comes from group statistics (evalNodeStats); the row-scanning path
-// below remains for the cache and roll-up ablations.
+// evalNode runs the property check at one node on group statistics:
+// the node's pre-suppression stats come from the roll-up store (rows are
+// scanned at most once per search, at the lattice bottom), suppression
+// is replayed on the statistics, and the policy verdict runs on
+// histograms. The bounds are reused across nodes per Theorems 1 and 2.
+// The masked table is only materialized for satisfying nodes, through
+// the ApplyQIs + SuppressWithin pipeline that defines a release.
 func (e *evaluator) evalNode(node lattice.Node) outcome {
-	if e.rollups != nil {
-		return e.evalNodeStats(node)
-	}
-	var o outcome
-	o.evaluated = true
-
-	var g *table.Table
-	var err error
-	genStart := e.rec.Start()
-	if e.cache != nil {
-		g, err = e.cache.ApplyQIs(e.qis, node)
-	} else {
-		g, err = e.m.Apply(e.im, node)
-	}
-	e.rec.PhaseEnd(obs.PhaseGeneralize, genStart)
-	if err != nil {
-		o.err = err
-		return o
-	}
-
-	o.stats.NodesEvaluated++
-
-	// Suppression step: count violators, enforce the threshold, remove.
-	var mm *table.Table
-	var suppressed int
-	supStart := e.rec.Start()
-	if e.cache != nil {
-		var within bool
-		mm, suppressed, within, err = e.m.SuppressWithin(g, e.cfg.K, e.cfg.MaxSuppress)
-		e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
-		if err != nil {
-			o.err = err
-			return o
-		}
-		if !within {
-			return o
-		}
-	} else {
-		// Pre-engine two-pass path, kept for the cache ablation.
-		violating, verr := e.m.ViolatingTuples(g, e.cfg.K)
-		if verr != nil {
-			e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
-			o.err = verr
-			return o
-		}
-		if violating > e.cfg.MaxSuppress {
-			e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
-			return o
-		}
-		mm, suppressed, err = e.m.Suppress(g, e.cfg.K)
-		e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
-		if err != nil {
-			o.err = err
-			return o
-		}
-	}
-	o.stats.SuppressedRows += suppressed
-	// Note: when the budget admits suppressing every tuple, the empty
-	// release vacuously satisfies the property; the paper's Table 4
-	// relies on this (TS = 10 makes the bottom node 3-minimal).
-
-	gbStart := e.rec.Start()
-	ps, err := mm.GroupStats(e.qis, e.conf, 1)
-	e.rec.PhaseEnd(obs.PhaseGroupBy, gbStart)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	polStart := e.rec.Start()
-	res, err := e.policy.Evaluate(core.StatsView{Stats: ps, Conf: e.conf})
-	e.rec.PhaseEnd(obs.PhasePolicy, polStart)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	if e.verdict(res, &o) {
-		o.ok, o.masked, o.suppressed = true, mm, suppressed
-		if e.keepStats {
-			o.post, o.res = ps, res
-		}
-	}
-	return o
-}
-
-// verdict folds a policy result into the outcome's stats counters and
-// reports whether the node satisfies the policy. The counter mapping
-// mirrors Algorithm 3: bounds rejections are prunes that skipped the
-// detailed scan; everything else — satisfied or a real violation —
-// paid for one.
-func (e *evaluator) verdict(res core.Result, o *outcome) bool {
-	switch res.Reason {
-	case core.FailedCondition1:
-		o.stats.PrunedCondition1++
-	case core.FailedCondition2:
-		o.stats.PrunedCondition2++
-	default:
-		o.stats.GroupScans++
-	}
-	return res.Satisfied
-}
-
-// evalNodeStats is evalNode on group statistics: the node's
-// pre-suppression stats come from the roll-up store (rows are scanned
-// at most once per search, at the lattice bottom), suppression is
-// replayed on the statistics, and the verdict functions of core run on
-// histograms. The masked table is only materialized for satisfying
-// nodes, through the identical ApplyQIs + SuppressWithin pipeline the
-// direct path uses, so results — tables, suppression counts and Stats
-// deltas — are byte-identical to the direct path, branch for branch.
-func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 	var o outcome
 	o.evaluated = true
 
@@ -265,13 +153,9 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 	post := s.SuppressBelow(e.cfg.K)
 	e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
 	o.stats.SuppressedRows += violating
-	accept := func() {
-		if e.noMaterialize {
-			o.ok, o.suppressed = true, violating
-			return
-		}
-		e.materialize(node, &o)
-	}
+	// Note: when the budget admits suppressing every tuple, the empty
+	// release vacuously satisfies the property; the paper's Table 4
+	// relies on this (TS = 10 makes the bottom node 3-minimal).
 
 	polStart := e.rec.Start()
 	res, err := e.policy.Evaluate(core.StatsView{Stats: post, Conf: e.conf})
@@ -280,17 +164,40 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 		o.err = err
 		return o
 	}
-	if e.verdict(res, &o) {
-		accept()
-		if o.ok && e.keepStats {
-			o.post, o.res = post, res
-		}
+	if !e.verdict(res, &o) {
+		return o
+	}
+	if e.noMaterialize {
+		o.ok, o.suppressed = true, violating
+	} else {
+		e.materialize(node, &o)
+	}
+	if o.ok && e.keepStats {
+		o.post, o.res = post, res
 	}
 	return o
 }
 
+// verdict folds a policy result into the outcome's stats counters and
+// reports whether the node satisfies the policy. The counter mapping
+// mirrors Algorithm 3: bounds rejections are prunes that skipped the
+// detailed scan; everything else — satisfied or a real violation —
+// paid for one.
+func (e *evaluator) verdict(res core.Result, o *outcome) bool {
+	switch res.Reason {
+	case core.FailedCondition1:
+		o.stats.PrunedCondition1++
+	case core.FailedCondition2:
+		o.stats.PrunedCondition2++
+	default:
+		o.stats.GroupScans++
+	}
+	return res.Satisfied
+}
+
 // materialize builds the masked table for a node the statistics proved
-// satisfying, through the same pipeline the direct path runs.
+// satisfying: generalize from the column cache, then suppress the
+// sub-k groups.
 func (e *evaluator) materialize(node lattice.Node, o *outcome) {
 	defer e.rec.PhaseEnd(obs.PhaseMaterialize, e.rec.Start())
 	g, err := e.cache.ApplyQIs(e.qis, node)
@@ -305,7 +212,7 @@ func (e *evaluator) materialize(node lattice.Node, o *outcome) {
 	}
 	if !within {
 		// Unreachable when the statistics are exact; surfacing it as an
-		// error beats silently disagreeing with the direct path.
+		// error beats silently releasing a table the verdict never saw.
 		o.err = fmt.Errorf("search: rollup stats admitted node %v but suppression exceeds the budget", node)
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"psk/internal/core"
-	"psk/internal/generalize"
 	"psk/internal/lattice"
 	"psk/internal/obs"
 	"psk/internal/table"
@@ -93,10 +92,7 @@ func Incognito(im *table.Table, cfg Config) (IncognitoResult, error) {
 	// independent of which QI subset a node ranges over, so the level-l
 	// generalization of an attribute computed for one subset is reused by
 	// every later subset that includes the attribute.
-	var sharedCache *generalize.Cache
-	if !cfg.DisableCache {
-		sharedCache = m.NewCache(im)
-	}
+	sharedCache := m.NewCache(im)
 
 	// Enumerate masks grouped by popcount.
 	masks := make([][]uint32, mAttrs+1)
@@ -105,64 +101,60 @@ func Incognito(im *table.Table, cfg Config) (IncognitoResult, error) {
 		masks[pc] = append(masks[pc], mask)
 	}
 
-	// With the roll-up store on, frequency sets roll up across QI
-	// subsets too — the classic Incognito formulation: the base-level
-	// statistics over the full QI set are computed once, and every
-	// subset lattice's bottom is a projection of them, so no subset
-	// search ever re-scans rows. Projections chain by descending subset
-	// size — each mask projects from a one-attribute-larger superset
-	// with the fewest groups — so most merge a few hundred groups
-	// instead of the full base-level group set.
-	var projStats map[uint32]*table.GroupStats
-	if sharedCache != nil && !cfg.DisableRollup {
-		conf := cfg.effectiveConf()
-		w := cfg.Workers
-		if w < 1 {
-			w = 1
-		}
-		gbStart := cfg.Recorder.Start()
-		baseStats, err := im.GroupStats(qis, conf, w)
-		cfg.Recorder.PhaseEnd(obs.PhaseGroupBy, gbStart)
-		if err != nil {
-			return IncognitoResult{}, err
-		}
-		fullMask := uint32(1<<mAttrs) - 1
-		projStats = make(map[uint32]*table.GroupStats, fullMask)
-		projStats[fullMask] = baseStats
-		for size := mAttrs - 1; size >= 1; size-- {
-			for _, mask := range masks[size] {
-				var parent *table.GroupStats
-				var parentMask uint32
-				for i := 0; i < mAttrs; i++ {
-					if mask&(1<<uint(i)) != 0 {
-						continue
-					}
-					if ps := projStats[mask|1<<uint(i)]; parent == nil || ps.NumGroups() < parent.NumGroups() {
-						parent, parentMask = ps, mask|1<<uint(i)
-					}
+	// Frequency sets roll up across QI subsets too — the classic
+	// Incognito formulation: the base-level statistics over the full QI
+	// set are computed once, and every subset lattice's bottom is a
+	// projection of them, so no subset search ever re-scans rows.
+	// Projections chain by descending subset size — each mask projects
+	// from a one-attribute-larger superset with the fewest groups — so
+	// most merge a few hundred groups instead of the full base-level
+	// group set.
+	w := cfg.Workers
+	if w < 1 {
+		w = 1
+	}
+	gbStart := cfg.Recorder.Start()
+	baseStats, err := im.GroupStats(qis, cfg.effectiveConf(), w)
+	cfg.Recorder.PhaseEnd(obs.PhaseGroupBy, gbStart)
+	if err != nil {
+		return IncognitoResult{}, err
+	}
+	fullMask := uint32(1<<mAttrs) - 1
+	projStats := make(map[uint32]*table.GroupStats, fullMask)
+	projStats[fullMask] = baseStats
+	for size := mAttrs - 1; size >= 1; size-- {
+		for _, mask := range masks[size] {
+			var parent *table.GroupStats
+			var parentMask uint32
+			for i := 0; i < mAttrs; i++ {
+				if mask&(1<<uint(i)) != 0 {
+					continue
 				}
-				// keep holds the positions of mask's attributes among the
-				// parent's key columns (the parent mask's set bits,
-				// ascending).
-				keep := make([]int, 0, size)
-				col := 0
-				for i := 0; i < mAttrs; i++ {
-					if parentMask&(1<<uint(i)) == 0 {
-						continue
-					}
-					if mask&(1<<uint(i)) != 0 {
-						keep = append(keep, col)
-					}
-					col++
+				if ps := projStats[mask|1<<uint(i)]; parent == nil || ps.NumGroups() < parent.NumGroups() {
+					parent, parentMask = ps, mask|1<<uint(i)
 				}
-				projStart := cfg.Recorder.Start()
-				proj, err := parent.Project(keep)
-				cfg.Recorder.PhaseEnd(obs.PhaseRollup, projStart)
-				if err != nil {
-					return IncognitoResult{}, err
-				}
-				projStats[mask] = proj
 			}
+			// keep holds the positions of mask's attributes among the
+			// parent's key columns (the parent mask's set bits,
+			// ascending).
+			keep := make([]int, 0, size)
+			col := 0
+			for i := 0; i < mAttrs; i++ {
+				if parentMask&(1<<uint(i)) == 0 {
+					continue
+				}
+				if mask&(1<<uint(i)) != 0 {
+					keep = append(keep, col)
+				}
+				col++
+			}
+			projStart := cfg.Recorder.Start()
+			proj, err := parent.Project(keep)
+			cfg.Recorder.PhaseEnd(obs.PhaseRollup, projStart)
+			if err != nil {
+				return IncognitoResult{}, err
+			}
+			projStats[mask] = proj
 		}
 	}
 
@@ -195,14 +187,12 @@ subsets:
 			subEval := newLimitedEvaluator(im, subMasker, sharedCache, subCfg, bounds, lim)
 			// Only the final full-QI pass reads masked tables from the
 			// outcomes; smaller subsets exist purely to prune, so their
-			// stats-path evaluations stop at the verdict.
+			// evaluations stop at the verdict.
 			subEval.noMaterialize = size < mAttrs
 			if size == mAttrs {
 				fullEval = subEval
 			}
-			if s := projStats[mask]; s != nil && subEval.rollups != nil {
-				subEval.rollups.seed(make(lattice.Node, size), s)
-			}
+			subEval.rollups.seed(make(lattice.Node, size), projStats[mask])
 
 			sat := make(map[string]bool)
 			satisfied[mask] = sat
@@ -274,9 +264,7 @@ subsets:
 			// trip mid-strategy still yields a valid (possibly empty)
 			// partial frontier.
 			fullEval = newLimitedEvaluator(im, m, sharedCache, cfg, bounds, lim)
-			if s := projStats[uint32(1<<mAttrs)-1]; s != nil && fullEval.rollups != nil {
-				fullEval.rollups.seed(make(lattice.Node, mAttrs), s)
-			}
+			fullEval.rollups.seed(make(lattice.Node, mAttrs), baseStats)
 		}
 		// Incognito assumes monotonicity (the subset property), so the
 		// frontier scan may cut dominated up-sets.

@@ -142,10 +142,9 @@ type Incremental struct {
 // into a ledger, its base statistics are scanned once, and every later
 // batch is absorbed in O(batch) time. The fallback strategy serves the
 // initial publication and any republish the repair ascent cannot
-// settle. The cache and roll-up ablations are rejected: repair derives
-// every ancestor's statistics from the maintained base statistics by
-// roll-up, and with the store disabled the engine would rescan the
-// ledger — retired rows included.
+// settle. Repair derives every ancestor's statistics from the
+// maintained base statistics by roll-up, so the ledger — retired rows
+// included — is never rescanned.
 func OpenIncremental(im *table.Table, cfg Config, fallback Strategy) (*Incremental, error) {
 	m, err := cfg.validate()
 	if err != nil {
@@ -153,9 +152,6 @@ func OpenIncremental(im *table.Table, cfg Config, fallback Strategy) (*Increment
 	}
 	if fallback >= numStrategies {
 		return nil, fmt.Errorf("search: unknown fallback strategy %d", fallback)
-	}
-	if cfg.DisableCache || cfg.DisableRollup {
-		return nil, fmt.Errorf("search: incremental sessions require the column cache and roll-up store")
 	}
 	s := &Incremental{
 		cfg:      cfg,

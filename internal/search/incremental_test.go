@@ -508,26 +508,16 @@ func TestIncrementalNotFoundClearsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestOpenIncrementalValidation: ablation flags and unknown strategies
-// are rejected at open, not at first use.
+// TestOpenIncrementalValidation: invalid configurations and unknown
+// strategies are rejected at open, not at first use.
 func TestOpenIncrementalValidation(t *testing.T) {
 	im := figure3Table(t)
 	base := incrConfig(t, 3, 1, 2, 1)
 
-	cfg := base
-	cfg.DisableCache = true
-	if _, err := OpenIncremental(im, cfg, StrategySamarati); err == nil {
-		t.Fatal("DisableCache accepted")
-	}
-	cfg = base
-	cfg.DisableRollup = true
-	if _, err := OpenIncremental(im, cfg, StrategySamarati); err == nil {
-		t.Fatal("DisableRollup accepted")
-	}
 	if _, err := OpenIncremental(im, base, numStrategies); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	cfg = base
+	cfg := base
 	cfg.K = 1
 	if _, err := OpenIncremental(im, cfg, StrategySamarati); err == nil {
 		t.Fatal("k = 1 accepted")

@@ -10,8 +10,8 @@ import (
 // The parallel engine promises results byte-identical to the serial
 // scan at every worker count: same found nodes, same masked microdata,
 // same stats totals. These tests exercise that promise across every
-// strategy, worker counts beyond GOMAXPROCS, and both cache modes; run
-// them with -race to also exercise the synchronization.
+// strategy and worker counts beyond GOMAXPROCS; run them with -race to
+// also exercise the synchronization.
 
 func fmtMasked(t *table.Table) string {
 	if t == nil {
@@ -121,45 +121,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 						t.Errorf("%s w=%d: Incognito diverged", name, w)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestCacheAblationMatches: DisableCache restores the pre-engine
-// evaluation path; found nodes, masked tables and stats must not move.
-func TestCacheAblationMatches(t *testing.T) {
-	tbl := figure3Table(t)
-	for _, p := range []int{1, 2} {
-		for ts := 0; ts <= 10; ts += 3 {
-			cached := kOnlyConfig(t, ts)
-			cached.P = p
-			plain := cached
-			plain.DisableCache = true
-
-			a, err := Exhaustive(tbl, cached)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Exhaustive(tbl, plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStats(a.Stats, b.Stats) || fmtMinimal(a.Minimal) != fmtMinimal(b.Minimal) {
-				t.Errorf("p=%d TS=%d: cache changed the Exhaustive outcome", p, ts)
-			}
-
-			sa, err := Samarati(tbl, cached)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := Samarati(tbl, plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sa.Found != sb.Found || !sameStats(sa.Stats, sb.Stats) ||
-				fmtMasked(sa.Masked) != fmtMasked(sb.Masked) {
-				t.Errorf("p=%d TS=%d: cache changed the Samarati outcome", p, ts)
 			}
 		}
 	}

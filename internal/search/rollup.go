@@ -161,21 +161,19 @@ func (e *evaluator) computeStats(node lattice.Node) (*table.GroupStats, error) {
 	if src != nil {
 		rollStart := e.rec.Start()
 		maps, err := e.levelMaps(src.node, node)
+		var rolled *table.GroupStats
 		if err == nil {
-			rolled, rerr := src.stats.Rollup(maps)
-			if rerr == nil {
-				e.rec.PhaseEnd(obs.PhaseRollup, rollStart)
-				e.rec.RollupMerge()
-				return rolled, nil
-			}
-			err = rerr
+			rolled, err = src.stats.Rollup(maps)
 		}
 		e.rec.PhaseEnd(obs.PhaseRollup, rollStart)
+		if err == nil {
+			e.rec.RollupMerge()
+			return rolled, nil
+		}
 		// A roll-up can only fail when a hierarchy is not a nested
-		// refinement (level maps are then not functional). The direct
-		// scan still defines the node's statistics, so fall back rather
-		// than failing a search the direct path would complete.
-		_ = err
+		// refinement (level maps are then not functional). A row scan of
+		// the node's generalized table still defines its statistics, so
+		// fall back to one below rather than failing the search.
 	}
 	e.rollups.rowScans.Add(1)
 	e.rec.RollupRowScan()

@@ -717,8 +717,9 @@ func BenchmarkDisclosureDecay(b *testing.B) {
 // target (Legacy), the same target expressed as a composite policy
 // (Composite — must cost the same, since the verdict path is shared),
 // and a strictly stronger conjunction adding 0.5-closeness (Strict —
-// the search the single-property path cannot express). Snapshotted to
-// BENCH_policy.json by `make bench-json`.
+// the search the single-property path cannot express). The policy
+// layer's repeated-sample figures come from the bench/ frontier
+// workload (core.policy_ms, traced).
 func BenchmarkPolicy(b *testing.B) {
 	src, err := dataset.Generate(30000, 2006)
 	if err != nil {
@@ -790,10 +791,10 @@ func BenchmarkPolicy(b *testing.B) {
 // (Packed) and the retained per-row reference kernel (Rowwise), whose
 // ratio is the packed substrate's win. Samarati runs the whole search
 // at ~100k and ~1M rows. Every sub-benchmark reports ns/row and
-// allocs/row, the two numbers that must stay flat as rows grow;
-// `make bench-scale` snapshots them into BENCH_scale.json and the CI
-// bench-regression job compares against it. Under -short (the `make
-// check` smoke run) only the ~100k tier runs.
+// allocs/row, the two numbers that must stay flat as rows grow.
+// Under -short (the `make check` smoke run) only the ~100k tier runs.
+// The repeated-sample base-scan figures come from the bench/ frontier
+// and republish workloads (search.base-group-by_ms).
 func BenchmarkScale(b *testing.B) {
 	factors := []int{2, 20, 205}
 	if testing.Short() {
@@ -886,8 +887,8 @@ func benchPerRow(b *testing.B, rows int, fn func() error) {
 // ledger followed by a full Samarati re-search of the live snapshot,
 // the O(rows) pipeline a batch publisher would re-run. SpeedupPin
 // fails the benchmark if the warm path is not at least 10x faster per
-// batch at 0.1% churn. `make bench-incr` snapshots everything into
-// BENCH_incr.json and `make bench-compare` gates regressions on it.
+// batch at 0.1% churn, and `make check` runs it. The repeated-sample
+// per-batch figures come from the bench/ republish workload.
 func BenchmarkIncremental(b *testing.B) {
 	factor := 20
 	if testing.Short() {
@@ -1083,8 +1084,8 @@ func applyToLedger(led *table.Ledger, batch stream.Batch) error {
 // scanning loss oracles. The AllocsPin sub-benchmark is the acceptance
 // gate for the O(groups) claim: one MeasureStats call on the ~1M-row
 // base statistics must allocate proportionally to the group count, far
-// below the row count. `make bench-frontier` snapshots everything into
-// BENCH_frontier.json and `make bench-compare` gates regressions on it.
+// below the row count, and `make check` runs it. The repeated-sample
+// frontier figures come from the bench/ frontier workload.
 func BenchmarkFrontier(b *testing.B) {
 	factors := []int{2, 20}
 	if testing.Short() {
@@ -1187,8 +1188,9 @@ func BenchmarkFrontier(b *testing.B) {
 // search on the Adult workload: Off is the plain run (nil recorder —
 // the engine's zero-clock-read fast path), On attaches a fresh
 // recorder each iteration. The budget is at most 2% on the disabled
-// path, which BENCH_obs.json (`make bench-json`) records; On stays
-// cheap too because the counters are contention-free atomics.
+// path; On stays cheap too because the counters are contention-free
+// atomics. The bench/ workloads report the attached recorder's cost
+// over repeated samples as bench.trace_overhead_pct.
 func BenchmarkObsOverhead(b *testing.B) {
 	src, err := dataset.Generate(30000, 2006)
 	if err != nil {
@@ -1252,8 +1254,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // running 1ms sampler and the HTTP debug server (nothing scraping it) —
 // the standing cost of having /metrics and /progress answerable while a
 // search is in flight. The handlers only read atomics, so Live must
-// track Off closely; BENCH_obs.json records both and `make
-// bench-compare` gates regressions.
+// track Off closely.
 func BenchmarkObsLive(b *testing.B) {
 	src, err := dataset.Generate(30000, 2006)
 	if err != nil {

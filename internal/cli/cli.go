@@ -15,6 +15,7 @@ import (
 
 	"psk"
 	"psk/internal/config"
+	"psk/internal/core"
 	"psk/internal/dataset"
 	"psk/internal/stream"
 	"psk/internal/table"
@@ -43,32 +44,16 @@ func registerPolicyFlags(fs *flag.FlagSet) *policyFlags {
 	return pf
 }
 
-func (pf *policyFlags) active() bool { return pf.ldiv > 0 || pf.tclose >= 0 || pf.alpha > 0 }
-
-// compose builds the composite target policy, or nil when no policy
-// flag is active.
+// compose builds the composite target policy (core.Composite), or nil
+// when no policy flag is active. A negative -tclose is the flag's "off";
+// any other out-of-range value is an input error.
 func (pf *policyFlags) compose(confs []string, p, k int) (psk.Policy, error) {
-	if !pf.active() {
-		return nil, nil
+	var t *float64
+	if pf.tclose >= 0 {
+		t = &pf.tclose
 	}
-	if len(confs) == 0 {
-		return nil, fmt.Errorf("-ldiv/-tclose/-alpha require confidential attributes")
-	}
-	var parts []psk.Policy
-	if pf.alpha > 0 {
-		parts = append(parts, psk.PAlphaSensitivity(p, k, pf.alpha, confs))
-	} else {
-		parts = append(parts, psk.PSensitiveKAnonymity(p, k, confs))
-	}
-	for _, attr := range confs {
-		if pf.ldiv > 0 {
-			parts = append(parts, psk.DistinctLDiversity(attr, pf.ldiv))
-		}
-		if pf.tclose >= 0 {
-			parts = append(parts, psk.TClose(attr, pf.tclose))
-		}
-	}
-	return psk.AllOf(parts...), nil
+	pol, err := core.Composite(confs, p, k, pf.ldiv, t, pf.alpha)
+	return pol, inputErr(err)
 }
 
 // Anon implements pskanon: anonymize a CSV per a JSON job description.
@@ -348,8 +333,9 @@ func Check(args []string, stdout, stderr io.Writer) error {
 	if len(qis) == 0 {
 		return fmt.Errorf("-qi is required (or use -sql)")
 	}
-	if pf.active() && len(confs) == 0 {
-		return fmt.Errorf("-ldiv/-tclose/-alpha require -conf")
+	pol, err := pf.compose(confs, *p, *k)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(stdout, "rows: %d\n", data.NumRows())
@@ -423,10 +409,6 @@ func Check(args []string, stdout, stderr io.Writer) error {
 
 	// Composite policy verdict: report and exit non-zero on violation,
 	// so scripts can gate a release on `pskcheck && publish`.
-	pol, err := pf.compose(confs, *p, *k)
-	if err != nil {
-		return err
-	}
 	if pol == nil && of.active() {
 		// No policy flags, but telemetry was requested: time the
 		// built-in target so -stats/-metrics-json report a per-policy

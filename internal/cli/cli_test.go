@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -502,43 +501,5 @@ func TestAnonPolicyFlags(t *testing.T) {
 	err = Anon([]string{"-in", csvPath, "-job", jobPath, "-ldiv", "6"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "distinct-6-diversity") {
 		t.Errorf("impossible composite err = %v", err)
-	}
-}
-
-// TestBenchJSON pins the bench-output-to-JSON conversion `make
-// bench-json` relies on.
-func TestBenchJSON(t *testing.T) {
-	in := `goos: linux
-goarch: amd64
-pkg: psk
-BenchmarkParallelSearch/Exhaustive/Workers1-8	      10	   7065294 ns/op	  123456 B/op	    1234 allocs/op
-BenchmarkParallelSearch/Exhaustive/Workers2  	      10	  13623264 ns/op	  654321 B/op	    4321 allocs/op
-PASS
-ok  	psk	1.773s
-`
-	var out strings.Builder
-	if err := BenchJSON(strings.NewReader(in), &out); err != nil {
-		t.Fatal(err)
-	}
-	var got map[string]struct {
-		Ns     float64 `json:"ns_per_op"`
-		Allocs float64 `json:"allocs_per_op"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := got["BenchmarkParallelSearch/Exhaustive/Workers1"]
-	if !ok {
-		t.Fatalf("GOMAXPROCS suffix not stripped: %v", out.String())
-	}
-	if r.Ns != 7065294 || r.Allocs != 1234 {
-		t.Errorf("Workers1 metrics = %+v", r)
-	}
-	d := got["BenchmarkParallelSearch/Exhaustive/Workers2"]
-	if d.Ns != 13623264 || d.Allocs != 4321 {
-		t.Errorf("Workers2 metrics = %+v", d)
-	}
-	if err := BenchJSON(strings.NewReader("PASS\n"), &out); err == nil {
-		t.Error("empty bench output accepted")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"psk/internal/obs"
 	"psk/internal/search"
 	"psk/internal/serve"
 )
@@ -63,7 +64,7 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	if err != nil {
 		return inputErr(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout, IdleTimeout: obs.IdleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "pskserve: listening on http://%s (POST /v1/jobs; /metrics /progress /healthz /debug/pprof)\n",

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,6 +52,147 @@ func TestExitCodeAgreement(t *testing.T) {
 	// Unknown exit codes are internal failures, never silent successes.
 	if got := serve.HTTPStatus(-1); got != http.StatusInternalServerError {
 		t.Errorf("HTTPStatus(-1) = %d, want 500", got)
+	}
+}
+
+// TestPolicyParamsAreInputErrors: an out-of-range ldiv / tclose / alpha
+// parameter, or one without confidential attributes, is rejected by the
+// input layer of both surfaces — exit 2 from pskanon and pskcheck, 400
+// at submit from the service — before any verdict is attempted.
+func TestPolicyParamsAreInputErrors(t *testing.T) {
+	csvPath, jobPath, _ := writeFixtures(t)
+	job, err := config.Parse([]byte(jobJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Options{})
+	hs := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer hs.Close()
+
+	negT := -0.5
+	cases := []struct {
+		name   string
+		flags  []string // nil: the CLI cannot spell it (a negative -tclose means off)
+		noConf bool
+		ldiv   int
+		tclose *float64
+		alpha  float64
+	}{
+		{name: "alpha above 1", flags: []string{"-alpha", "1.5"}, alpha: 1.5},
+		{name: "negative alpha", flags: []string{"-alpha", "-0.5"}, alpha: -0.5},
+		{name: "negative l", flags: []string{"-ldiv", "-1"}, ldiv: -1},
+		{name: "negative t", tclose: &negT},
+		{name: "l without conf", flags: []string{"-ldiv", "2"}, noConf: true, ldiv: 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc := &smokeClient{t: t, base: hs.URL, c: hs.Client()}
+			if c.flags != nil {
+				var out, errw strings.Builder
+				if !c.noConf {
+					err := Anon(append([]string{"-in", csvPath, "-job", jobPath}, c.flags...), &out, &errw)
+					if ExitCode(err) != ExitInputError {
+						t.Errorf("pskanon: exit %d (%v), want %d", ExitCode(err), err, ExitInputError)
+					}
+				}
+				args := []string{"-in", csvPath, "-qi", "Age,ZipCode,Sex", "-k", "2"}
+				if !c.noConf {
+					args = append(args, "-conf", "Illness")
+				}
+				err := Check(append(args, c.flags...), &out, &errw)
+				if ExitCode(err) != ExitInputError {
+					t.Errorf("pskcheck: exit %d (%v), want %d", ExitCode(err), err, ExitInputError)
+				}
+			}
+			conf := []string{"Illness"}
+			if c.noConf {
+				conf = nil
+			}
+			check := serve.JobRequest{Kind: serve.KindCheck, CSV: patientsCSV,
+				QIs: []string{"Age", "ZipCode", "Sex"}, Conf: conf, K: 2,
+				LDiv: c.ldiv, TClose: c.tclose, Alpha: c.alpha}
+			if status, raw := sc.do("POST", "/v1/jobs", check); status != http.StatusBadRequest {
+				t.Errorf("service check: got %d, want 400: %s", status, raw)
+			}
+			if c.noConf {
+				return
+			}
+			anon := serve.JobRequest{Kind: serve.KindAnonymize, CSV: patientsCSV, Job: job,
+				LDiv: c.ldiv, TClose: c.tclose, Alpha: c.alpha}
+			if status, raw := sc.do("POST", "/v1/jobs", anon); status != http.StatusBadRequest {
+				t.Errorf("service anonymize: got %d, want 400: %s", status, raw)
+			}
+		})
+	}
+	sc := &smokeClient{t: t, base: hs.URL, c: hs.Client()}
+	if n := sc.counters()["searches"]; n != 0 {
+		t.Errorf("rejected requests reached the engine: searches = %d", n)
+	}
+}
+
+// TestSlowHeaderClientDisconnected: a client that never finishes its
+// request line is disconnected after obs.ReadHeaderTimeout by both
+// listeners, pskserve's and the live observatory's, instead of holding
+// a connection and its goroutine for as long as it likes.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	listeners := []struct {
+		name  string
+		start func(t *testing.T) (addr string)
+	}{
+		{"pskserve", func(t *testing.T) string {
+			stderr := newObsAddrWriter()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				done <- ServeContext(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1"}, io.Discard, stderr)
+			}()
+			t.Cleanup(func() {
+				cancel()
+				<-done
+			})
+			select {
+			case addr := <-stderr.addrC:
+				return addr
+			case err := <-done:
+				t.Fatalf("ServeContext finished before announcing: %v\nstderr: %s", err, stderr.String())
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no listen address announced\nstderr: %s", stderr.String())
+			}
+			return ""
+		}},
+		{"observatory", func(t *testing.T) string {
+			srv, err := obs.NewServer("127.0.0.1:0", obs.NewRecorder(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			return srv.Addr()
+		}},
+	}
+	for _, l := range listeners {
+		t.Run(l.name, func(t *testing.T) {
+			t.Parallel()
+			conn, err := net.Dial("tcp", l.start(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("GET /heal")); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if err := conn.SetReadDeadline(start.Add(obs.ReadHeaderTimeout + 5*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			// The server may answer 400 before it closes; only a read
+			// that outlives the timeout means the connection was kept.
+			_, err = io.ReadAll(conn)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("connection still open %v after a partial request line", time.Since(start).Round(time.Second))
+			}
+		})
 	}
 }
 

@@ -108,7 +108,43 @@ func Parse(raw []byte) (*Job, error) {
 			return nil, fmt.Errorf("config: quasi-identifier %q has no hierarchy", qi)
 		}
 	}
+	if err := job.checkWidthLevels(); err != nil {
+		return nil, err
+	}
 	return &job, nil
+}
+
+// checkWidthLevels bounds what the job's width levels expand to. An
+// interval level with a width becomes one interval per width between
+// min and max, so a few bytes of job JSON could otherwise ask for
+// billions of labels, or loop past int64 overflow. Together the width
+// levels may expand to at most hierarchy.MaxTreeValues intervals, the
+// cap on one tree's ground domain, and width, min and max must lie
+// within ±2^61.
+func (j *Job) checkWidthLevels() error {
+	const bound = 1 << 61
+	var total int64
+	for attr, spec := range j.Hierarchies {
+		if spec.Type != "interval" {
+			continue
+		}
+		for i, ls := range spec.Levels {
+			if ls.Width <= 0 {
+				continue
+			}
+			if ls.Width > bound || ls.Min < -bound || ls.Max > bound {
+				return fmt.Errorf("config: %s: interval level %d: width, min and max must lie within ±2^61", attr, i+1)
+			}
+			if ls.Max > ls.Min {
+				total += (ls.Max-ls.Min)/ls.Width + 1
+			}
+			if total > hierarchy.MaxTreeValues {
+				return fmt.Errorf("config: %s: interval level %d: the job's width levels expand to more than %d intervals",
+					attr, i+1, hierarchy.MaxTreeValues)
+			}
+		}
+	}
+	return nil
 }
 
 // Schema builds the table schema for a CSV with the given header,

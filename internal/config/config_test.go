@@ -94,6 +94,12 @@ func TestParseValidation(t *testing.T) {
 		`{"quasiIdentifiers": ["A"], "k": 3, "p": 2, "hierarchies": {"A": {"type":"flat"}}}`,
 		`{"quasiIdentifiers": ["A"], "confidential": ["S"], "k": 3, "p": 2, "maxSuppress": -1, "hierarchies": {"A": {"type":"flat"}}}`,
 		`{"quasiIdentifiers": ["A"], "confidential": ["S"], "k": 3, "p": 2, "hierarchies": {}}`,
+		// Width levels that would expand to billions of intervals, or past
+		// int64 overflow, are rejected before anything is built.
+		`{"quasiIdentifiers": ["A"], "k": 3, "p": 1, "hierarchies": {"A": {"type":"interval", "levels": [{"width": 1, "min": 0, "max": 1099511627776}]}}}`,
+		`{"quasiIdentifiers": ["A"], "k": 3, "p": 1, "hierarchies": {"A": {"type":"interval", "levels": [{"width": 10, "min": 0, "max": 9223372036854775807}]}}}`,
+		`{"quasiIdentifiers": ["A"], "k": 3, "p": 1, "hierarchies": {"A": {"type":"interval", "levels": [{"width": 9223372036854775807, "max": 10}]}}}`,
+		`{"quasiIdentifiers": ["A"], "k": 3, "p": 1, "hierarchies": {"A": {"type":"interval", "levels": [{"width": 1, "max": 600000}, {"width": 1, "max": 600000}]}}}`,
 	}
 	for i, c := range cases {
 		if _, err := Parse([]byte(c)); err == nil {

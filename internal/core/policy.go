@@ -384,6 +384,45 @@ func (p ExtendedPolicy) Evaluate(v StatsView) (Result, error) {
 	return satisfied(v), nil
 }
 
+// Composite builds the target policy the ldiv / tclose / alpha
+// extensions of the tools and the service select: p-sensitive
+// k-anonymity over confs, or (p, alpha)-sensitive k-anonymity when
+// alpha is non-zero, conjoined with distinct l-diversity (ldiv > 0) and
+// t-closeness (t non-nil) on every confidential attribute. It returns
+// nil when ldiv is 0, t is nil and alpha is 0. An out-of-range
+// parameter — ldiv < 0, t < 0, alpha outside (0, 1] — or an extension
+// without confidential attributes is an error, so callers reject it as
+// input before any verdict is attempted.
+func Composite(confs []string, p, k, ldiv int, t *float64, alpha float64) (Policy, error) {
+	switch {
+	case ldiv < 0:
+		return nil, fmt.Errorf("core: l must be >= 0 (0 = off), got %d", ldiv)
+	case t != nil && !(*t >= 0):
+		return nil, fmt.Errorf("core: t must be >= 0, got %g", *t)
+	case alpha != 0 && !(alpha > 0 && alpha <= 1):
+		return nil, fmt.Errorf("core: alpha must be in (0, 1] (0 = off), got %g", alpha)
+	case ldiv == 0 && t == nil && alpha == 0:
+		return nil, nil
+	case len(confs) == 0:
+		return nil, fmt.Errorf("core: ldiv/tclose/alpha require confidential attributes")
+	}
+	var parts []Policy
+	if alpha != 0 {
+		parts = append(parts, PAlphaPolicy{P: p, K: k, Alpha: alpha, Attrs: confs})
+	} else {
+		parts = append(parts, PSensitiveKAnonymityPolicy{P: p, K: k, Attrs: confs})
+	}
+	for _, attr := range confs {
+		if ldiv > 0 {
+			parts = append(parts, DistinctLDiversityPolicy{Attr: attr, L: ldiv})
+		}
+		if t != nil {
+			parts = append(parts, TClosenessPolicy{Attr: attr, T: *t})
+		}
+	}
+	return All(parts...), nil
+}
+
 // All conjoins policies: the composite is satisfied when every member
 // is, and an unsatisfied member's Result (the first, in argument order)
 // is the composite's. All() with no members is trivially satisfied.

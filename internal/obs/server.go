@@ -48,6 +48,18 @@ type Server struct {
 	scrapedOnce sync.Once
 }
 
+// Connection timeouts of the module's HTTP listeners: the observatory's
+// and pskserve's. A client that has not sent its request headers within
+// ReadHeaderTimeout, or leaves a keep-alive connection idle for
+// IdleTimeout, is disconnected, so slow or abandoned clients cannot
+// hold connections and their goroutines forever. There is deliberately
+// no write timeout: /debug/pprof/profile streams for as long as its
+// seconds parameter asks.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // NewHandler builds the observatory's endpoints over rec without
 // binding a listener; mount the returned Server on an external mux
 // (it implements http.Handler, routing /metrics, /progress, /healthz
@@ -91,7 +103,7 @@ func NewServer(addr string, rec *Recorder, sampler *Sampler) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return s, nil
 }

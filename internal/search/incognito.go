@@ -32,7 +32,7 @@ func BottomUp(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	if err != nil {
 		return ExhaustiveResult{}, err
 	}
-	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 && !bounds.Feasible() {
+	if !bounds.Feasible() {
 		res.Stats.PrunedCondition1 = 1
 		span.End()
 		res.Report = cfg.Recorder.Snapshot()

@@ -64,7 +64,7 @@ func Incognito(im *table.Table, cfg Config) (IncognitoResult, error) {
 	if err != nil {
 		return IncognitoResult{}, err
 	}
-	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 && !bounds.Feasible() {
+	if !bounds.Feasible() {
 		res.Stats.PrunedCondition1 = 1
 		span.End()
 		res.Report = cfg.Recorder.Snapshot()

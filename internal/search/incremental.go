@@ -391,7 +391,7 @@ func (s *Incremental) Republish() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if s.cfg.Policy == nil && s.cfg.UseConditions && s.cfg.P >= 2 && !bounds.Feasible() {
+	if !bounds.Feasible() {
 		// Condition 1 on the current data: no masking of any node can
 		// satisfy, exactly as the batch strategies report before touching
 		// the lattice.

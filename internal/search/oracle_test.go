@@ -45,7 +45,7 @@ func newRowScanOracle(t testing.TB, im *table.Table, cfg Config) rowScanOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 && !bounds.Feasible() {
+	if !bounds.Feasible() {
 		t.Fatalf("oracle fixture fails Condition 1; no node is ever evaluated")
 	}
 	policy := cfg.effectivePolicy(bounds)

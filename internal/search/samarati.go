@@ -48,7 +48,7 @@ func Samarati(im *table.Table, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 && !bounds.Feasible() {
+	if !bounds.Feasible() {
 		// First necessary condition: no masked microdata derived from im
 		// can be p-sensitive. Checked before touching the lattice.
 		res.Stats.PrunedCondition1 = 1

@@ -214,39 +214,115 @@ func TestPSensitiveSearch(t *testing.T) {
 	}
 }
 
-// TestCondition1ShortCircuit: an infeasible p must be rejected before
-// the lattice is touched.
+// TestCondition1ShortCircuit: an infeasible p is rejected before the
+// lattice is touched by every entry point, the session's Republish
+// included, but only when the built-in property runs with the
+// conditions on. With the conditions off, or with a custom Policy, the
+// same data is judged node by node and PrunedCondition1 stays 0.
 func TestCondition1ShortCircuit(t *testing.T) {
-	tbl := figure3Table(t)
-	cfg := kOnlyConfig(t, 10)
-	cfg.P = 4 // Illness has only 3 distinct values
-	cfg.K = 4
-	res, err := Samarati(tbl, cfg)
+	// Retiring every Asthma row leaves Illness with 2 distinct values,
+	// so no masking of the 7 live rows is 3-sensitive; a suppression
+	// threshold of 2 rules out the vacuous empty release.
+	asthma := []int{2, 5, 8}
+	led := table.NewLedger(figure3Table(t))
+	for _, id := range asthma {
+		if err := led.Retire(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infeasible, err := led.Snapshot()
 	if err != nil {
-		t.Fatalf("Samarati: %v", err)
-	}
-	if res.Found {
-		t.Error("infeasible p reported as found")
-	}
-	if res.Stats.PrunedCondition1 != 1 {
-		t.Errorf("PrunedCondition1 = %d, want 1", res.Stats.PrunedCondition1)
-	}
-	if res.Stats.NodesEvaluated != 0 {
-		t.Errorf("NodesEvaluated = %d, want 0 (condition 1 fires first)", res.Stats.NodesEvaluated)
+		t.Fatal(err)
 	}
 
-	_, reason, err := FindAnonymous(tbl, cfg)
-	if err != nil || reason != core.FailedCondition1 {
+	exhaustive := func(run func(*table.Table, Config) (ExhaustiveResult, error)) func(*testing.T, Config) (bool, Stats) {
+		return func(t *testing.T, cfg Config) (bool, Stats) {
+			res, err := run(infeasible, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(res.Minimal) > 0, res.Stats
+		}
+	}
+	entries := []struct {
+		name string
+		run  func(*testing.T, Config) (found bool, stats Stats)
+	}{
+		{"Samarati", func(t *testing.T, cfg Config) (bool, Stats) {
+			res, err := Samarati(infeasible, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Found, res.Stats
+		}},
+		{"Exhaustive", exhaustive(Exhaustive)},
+		{"AllMinimal", exhaustive(AllMinimal)},
+		{"BottomUp", exhaustive(BottomUp)},
+		{"Incognito", func(t *testing.T, cfg Config) (bool, Stats) {
+			res, err := Incognito(infeasible, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(res.Minimal) > 0, res.Stats
+		}},
+		{"Republish", func(t *testing.T, cfg Config) (bool, Stats) {
+			// The session publishes while all three illnesses are live;
+			// the retires then make the next republish infeasible.
+			s, err := OpenIncremental(figure3Table(t), cfg, StrategySamarati)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := s.Republish(); err != nil || !res.Found {
+				t.Fatalf("initial publish: %+v, %v", res, err)
+			}
+			if err := s.Apply(nil, asthma); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Republish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Found, res.Stats
+		}},
+	}
+	modes := []struct {
+		name   string
+		edit   func(*Config)
+		pruned int
+	}{
+		{"conditions on", func(*Config) {}, 1},
+		{"conditions off", func(cfg *Config) { cfg.UseConditions = false }, 0},
+		{"custom policy", func(cfg *Config) {
+			cfg.Policy = core.PSensitiveKAnonymityPolicy{P: cfg.P, K: cfg.K, Attrs: cfg.Confidential}
+		}, 0},
+	}
+	for _, e := range entries {
+		for _, m := range modes {
+			t.Run(e.name+"/"+m.name, func(t *testing.T) {
+				cfg := kOnlyConfig(t, 2)
+				cfg.P, cfg.K = 3, 4
+				m.edit(&cfg)
+				found, stats := e.run(t, cfg)
+				if found {
+					t.Error("infeasible p reported as found")
+				}
+				if stats.PrunedCondition1 != m.pruned {
+					t.Errorf("PrunedCondition1 = %d, want %d", stats.PrunedCondition1, m.pruned)
+				}
+				if m.pruned == 1 && stats.NodesEvaluated != 0 {
+					t.Errorf("NodesEvaluated = %d, want 0 (condition 1 fires first)", stats.NodesEvaluated)
+				}
+				if m.pruned == 0 && stats.NodesEvaluated == 0 {
+					t.Error("no node evaluated without the condition 1 short circuit")
+				}
+			})
+		}
+	}
+
+	cfg := kOnlyConfig(t, 2)
+	cfg.P, cfg.K = 3, 4
+	if _, reason, err := FindAnonymous(infeasible, cfg); err != nil || reason != core.FailedCondition1 {
 		t.Errorf("FindAnonymous reason = %v, %v; want FailedCondition1", reason, err)
-	}
-
-	ex, err := Exhaustive(tbl, cfg)
-	if err != nil || len(ex.Minimal) != 0 || ex.Stats.PrunedCondition1 != 1 {
-		t.Errorf("Exhaustive infeasible: %+v, %v", ex.Stats, err)
-	}
-	bu, err := BottomUp(tbl, cfg)
-	if err != nil || len(bu.Minimal) != 0 || bu.Stats.PrunedCondition1 != 1 {
-		t.Errorf("BottomUp infeasible: %+v, %v", bu.Stats, err)
 	}
 }
 

@@ -19,11 +19,10 @@ import (
 // result-cache-hit (an identical resubmission served straight from the
 // LRU without ever queueing), and coalesced (a burst of identical
 // in-flight requests collapsing onto a single underlying search).
-// `make bench-serve` snapshots it into BENCH_serve.json and
-// bench-compare gates regressions at SERVE_TOLERANCE. The numbers are
-// service latencies — HTTP round trips and poll intervals included —
-// so the interesting signal is the ratio between the regimes, not the
-// absolute ns/op.
+// The numbers are service latencies — HTTP round trips and poll
+// intervals included — so the interesting signal is the ratio between
+// the regimes, not the absolute ns/op. The repeated-sample service
+// figures come from the bench/ service workload.
 func BenchmarkServe(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		env := newBenchEnv(b)

@@ -239,17 +239,20 @@ func (s *Server) prepare(r *JobRequest) (Key, runFunc, *sharedData, error) {
 // prepareCheck builds a check run: one group-statistics pass, then the
 // target policy's verdict — the service twin of pskcheck.
 func prepareCheck(r *JobRequest) (runFunc, error) {
-	tbl, err := table.ReadCSV(strings.NewReader(r.CSV), nil)
+	pol, err := core.Composite(r.Conf, r.P, r.K, r.LDiv, r.TClose, r.Alpha)
 	if err != nil {
 		return nil, inputError{err}
 	}
-	pol := composePolicy(r.Conf, r.P, r.K, r.LDiv, r.TClose, r.Alpha)
 	if pol == nil {
 		if r.P <= 1 || len(r.Conf) == 0 {
 			pol = core.KAnonymityPolicy{K: r.K}
 		} else {
 			pol = core.PSensitiveKAnonymityPolicy{P: r.P, K: r.K, Attrs: r.Conf}
 		}
+	}
+	tbl, err := table.ReadCSV(strings.NewReader(r.CSV), nil)
+	if err != nil {
+		return nil, inputError{err}
 	}
 	qis, confs := r.QIs, r.Conf
 	return func(ctx context.Context, rec *obs.Recorder) (*JobResult, search.StopReason, error) {
@@ -292,11 +295,14 @@ func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, worker
 			return nil, nil, inputErrf("hierarchy %q: file-based specs are not accepted over the service (inline the chains)", attr)
 		}
 	}
+	pol, err := core.Composite(job.Confidential, job.P, job.K, r.LDiv, r.TClose, r.Alpha)
+	if err != nil {
+		return nil, nil, inputError{err}
+	}
 	sd, err := s.sharedDataset(key, r.CSV, job)
 	if err != nil {
 		return nil, nil, err
 	}
-	pol := composePolicy(job.Confidential, job.P, job.K, r.LDiv, r.TClose, r.Alpha)
 	kind, algorithm, includeMasked := r.Kind, r.Algorithm, r.IncludeMasked
 	run := func(ctx context.Context, rec *obs.Recorder) (*JobResult, search.StopReason, error) {
 		cfg := search.Config{

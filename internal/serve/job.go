@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"psk/internal/config"
-	"psk/internal/core"
 	"psk/internal/search"
 )
 
@@ -278,15 +277,6 @@ func (r *JobRequest) validate() error {
 			r.ID = "Name"
 		}
 	}
-	if (r.LDiv > 0 || r.TClose != nil || r.Alpha > 0) && r.Kind != KindAttack {
-		confs := r.Conf
-		if r.Kind != KindCheck {
-			confs = r.Job.Confidential
-		}
-		if len(confs) == 0 {
-			return inputErrf("ldiv/tclose/alpha require confidential attributes")
-		}
-	}
 	return nil
 }
 
@@ -342,28 +332,4 @@ func clampBudget(req BudgetRequest, cap search.Budget) search.Budget {
 		eff.MaxCacheBytes = cap.MaxCacheBytes
 	}
 	return eff
-}
-
-// composePolicy builds the composite target policy the ldiv / tclose /
-// alpha extensions select, or nil when none is active — the server-side
-// twin of the CLI's policy flags.
-func composePolicy(confs []string, p, k, ldiv int, tclose *float64, alpha float64) core.Policy {
-	if ldiv <= 0 && tclose == nil && alpha <= 0 {
-		return nil
-	}
-	var parts []core.Policy
-	if alpha > 0 {
-		parts = append(parts, core.PAlphaPolicy{P: p, K: k, Alpha: alpha, Attrs: confs})
-	} else {
-		parts = append(parts, core.PSensitiveKAnonymityPolicy{P: p, K: k, Attrs: confs})
-	}
-	for _, attr := range confs {
-		if ldiv > 0 {
-			parts = append(parts, core.DistinctLDiversityPolicy{Attr: attr, L: ldiv})
-		}
-		if tclose != nil {
-			parts = append(parts, core.TClosenessPolicy{Attr: attr, T: *tclose})
-		}
-	}
-	return core.All(parts...)
 }

@@ -240,6 +240,13 @@ func TestSubmitInputErrors(t *testing.T) {
 			return r
 		}(t)},
 		{"attack without external", JobRequest{Kind: KindAttack, CSV: patientsCSV, QIs: []string{"Sex"}}},
+		{"interval level too wide", func(t *testing.T) JobRequest {
+			r := anonRequest(t)
+			age := r.Job.Hierarchies["Age"]
+			age.Levels[0].Width, age.Levels[0].Max = 1, 1<<40
+			r.Job.Hierarchies["Age"] = age
+			return r
+		}(t)},
 	}
 	for _, c := range cases {
 		status, _, payload := doJSON(t, "POST", ts.URL+"/v1/jobs", c.req)

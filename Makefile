@@ -1,5 +1,5 @@
 # Tier-1 gate for the psk module. `make check` is what CI and reviewers
-# run before merging: vet, build, the full test suite under the race
+# run before merging: gofmt, vet, build, the full test suite under the race
 # detector (the parallel search engine must stay deterministic), a
 # single-iteration pass over every benchmark so the evaluation harness
 # cannot silently rot and its assertions (BenchmarkIncremental's
@@ -20,9 +20,14 @@ FUZZTIME ?= 30s
 # genuinely improves; never lower it to admit a regression.
 COVERAGE_FLOOR ?= 85.0
 
-.PHONY: check vet build test race bench bench-module fuzz-smoke cover serve-smoke
+.PHONY: check fmt vet build test race bench bench-module fuzz-smoke cover serve-smoke
 
-check: vet build race bench bench-module
+check: fmt vet build race bench bench-module
+
+# fmt fails when any Go file in the module tree, bench/ included, is not
+# gofmt-clean; `gofmt -l .` names the offenders.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

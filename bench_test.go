@@ -281,7 +281,7 @@ func BenchmarkSearchStrategies(b *testing.B) {
 	})
 	b.Run("BottomUp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := search.BottomUp(im, cfg)
+			res, err := search.Run(im, cfg, search.StrategyBottomUp)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func BenchmarkSearchStrategies(b *testing.B) {
 	})
 	b.Run("Exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := search.Exhaustive(im, cfg)
+			res, err := search.Run(im, cfg, search.StrategyExhaustive)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func BenchmarkGroupBy(b *testing.B) {
 func benchSearch(b *testing.B, im *table.Table, cfg search.Config) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := search.Samarati(im, cfg)
+		res, err := search.Run(im, cfg, search.StrategySamarati)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func BenchmarkAllMinimal(b *testing.B) {
 	})
 	b.Run("Exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := search.Exhaustive(im, cfg)
+			res, err := search.Run(im, cfg, search.StrategyExhaustive)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -517,7 +517,7 @@ func BenchmarkIncognitoVsSamarati(b *testing.B) {
 	}
 	b.Run("Incognito", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := search.Incognito(im, cfg)
+			res, err := search.Run(im, cfg, search.StrategyIncognito)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -530,7 +530,7 @@ func BenchmarkIncognitoVsSamarati(b *testing.B) {
 		c := cfg
 		c.Workers = 4
 		for i := 0; i < b.N; i++ {
-			res, err := search.Incognito(im, c)
+			res, err := search.Run(im, c, search.StrategyIncognito)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -588,7 +588,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 		v.mut(&cfg)
 		b.Run(fmt.Sprintf("Exhaustive/%s", v.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := search.Exhaustive(im, cfg)
+				res, err := search.Run(im, cfg, search.StrategyExhaustive)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -641,29 +641,6 @@ func BenchmarkMaskingMethods(b *testing.B) {
 			b.Fatalf("rows = %d", len(res.Rows))
 		}
 	}
-}
-
-// BenchmarkGroupByStrategies compares the hash-based group-by with the
-// sort-based alternative (DESIGN.md ablation 4).
-func BenchmarkGroupByStrategies(b *testing.B) {
-	im, err := dataset.Generate(10000, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := im.GroupBy(dataset.QIs()...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := im.GroupBySorted(dataset.QIs()...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkEarlyExitVsFullScan compares the early-exit property check
@@ -771,7 +748,7 @@ func BenchmarkPolicy(b *testing.B) {
 		v.mut(&cfg)
 		b.Run(fmt.Sprintf("Incognito/%s", v.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := search.Incognito(im, cfg)
+				res, err := search.Run(im, cfg, search.StrategyIncognito)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -847,7 +824,7 @@ func BenchmarkScale(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("Samarati/x%d", factor), func(b *testing.B) {
 			benchPerRow(b, rows, func() error {
-				res, err := search.Samarati(im, cfg)
+				res, err := search.Run(im, cfg, search.StrategySamarati)
 				if err == nil && !res.Found {
 					return fmt.Errorf("found nothing")
 				}
@@ -989,7 +966,7 @@ func BenchmarkIncremental(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := search.Samarati(snap, cfg)
+				res, err := search.Run(snap, cfg, search.StrategySamarati)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1042,7 +1019,7 @@ func BenchmarkIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := search.Samarati(snap, cfg)
+		res, err := search.Run(snap, cfg, search.StrategySamarati)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1232,11 +1209,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 	}
 	exhaustive := func(cfg search.Config) (int, error) {
-		res, err := search.Exhaustive(im, cfg)
+		res, err := search.Run(im, cfg, search.StrategyExhaustive)
 		return len(res.Minimal), err
 	}
 	incognito := func(cfg search.Config) (int, error) {
-		res, err := search.Incognito(im, cfg)
+		res, err := search.Run(im, cfg, search.StrategyIncognito)
 		return len(res.Minimal), err
 	}
 	for _, v := range []struct {
@@ -1278,7 +1255,7 @@ func BenchmarkObsLive(b *testing.B) {
 		UseConditions: true,
 	}
 	run := func(cfg search.Config) {
-		res, err := search.Samarati(im, cfg)
+		res, err := search.Run(im, cfg, search.StrategySamarati)
 		if err != nil {
 			b.Fatal(err)
 		}

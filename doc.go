@@ -18,8 +18,9 @@
 //     reusable across maskings per Theorems 1-2);
 //   - Anonymize: full-domain generalization with suppression, searching
 //     the generalization lattice for a p-k-minimal node with Samarati's
-//     binary search (Algorithm 3), a bottom-up breadth-first scan, or an
-//     exhaustive enumeration of all minimal nodes;
+//     binary search (Algorithm 3), a bottom-up breadth-first scan, an
+//     exhaustive enumeration of all minimal nodes, predictive tagging
+//     (AllMinimal) or Incognito's subset pruning (Config.Algorithm);
 //   - Mondrian: a multidimensional partitioning baseline with the same
 //     k and p guarantees;
 //   - hierarchy construction (interval, tree, prefix, flat), CSV input/

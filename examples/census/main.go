@@ -65,7 +65,7 @@ func main() {
 		}
 		fmt.Printf("%-24s: node %s  suppressed %d  precision %.3f  DM %d  (%v)\n",
 			alg.name, res.Node, res.Suppressed, rep.Precision, rep.Discernibility, elapsed)
-		if len(res.AllMinimal) > 0 {
+		if len(res.AllMinimal) > 1 {
 			fmt.Printf("%-24s  minimal nodes at that height: %v\n", "", res.AllMinimal)
 		}
 	}

@@ -64,7 +64,7 @@ func Anon(args []string, stdout, stderr io.Writer) error {
 		in        = fs.String("in", "", "input CSV file (header row required)")
 		jobPath   = fs.String("job", "", "anonymization job JSON")
 		out       = fs.String("out", "", "output CSV file (default: stdout)")
-		algorithm = fs.String("algorithm", "samarati", "search algorithm: samarati, bottomup, exhaustive")
+		algorithm = fs.String("algorithm", psk.AlgorithmSamarati.String(), "search algorithm: samarati, bottomup, exhaustive, allminimal, incognito")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget for the search; on expiry the best result found so far is used (0 = no limit)")
 		maxNodes  = fs.Int64("max-nodes", 0, "lattice-node evaluation budget for the search (0 = no limit)")
 		deltas    = fs.String("stream", "", "JSONL delta file (adultgen -stream format): anonymize incrementally, republishing after every batch, and write the final masked table")
@@ -137,15 +137,11 @@ func Anon(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	cfg.Policy = pol
-	switch *algorithm {
-	case "samarati":
-		cfg.Algorithm = psk.AlgorithmSamarati
-	case "bottomup":
-		cfg.Algorithm = psk.AlgorithmBottomUp
-	case "exhaustive":
-		cfg.Algorithm = psk.AlgorithmExhaustive
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algorithm)
+	if cfg.Algorithm, err = psk.ParseAlgorithm(*algorithm); err != nil {
+		return inputErr(err)
+	}
+	if err := cfg.Algorithm.CheckQIs(len(job.QuasiIdentifiers)); err != nil {
+		return inputErr(err)
 	}
 
 	if *deltas != "" {

@@ -92,7 +92,7 @@ func TestAnonToStdout(t *testing.T) {
 
 func TestAnonAlgorithms(t *testing.T) {
 	csvPath, jobPath, _ := writeFixtures(t)
-	for _, alg := range []string{"samarati", "bottomup", "exhaustive"} {
+	for _, alg := range []string{"samarati", "bottomup", "exhaustive", "allminimal", "incognito"} {
 		var stdout, stderr strings.Builder
 		err := Anon([]string{"-in", csvPath, "-job", jobPath, "-algorithm", alg}, &stdout, &stderr)
 		if err != nil {
@@ -100,8 +100,9 @@ func TestAnonAlgorithms(t *testing.T) {
 		}
 	}
 	var stdout, stderr strings.Builder
-	if err := Anon([]string{"-in", csvPath, "-job", jobPath, "-algorithm", "magic"}, &stdout, &stderr); err == nil {
-		t.Error("unknown algorithm accepted")
+	err := Anon([]string{"-in", csvPath, "-job", jobPath, "-algorithm", "magic"}, &stdout, &stderr)
+	if ExitCode(err) != ExitInputError {
+		t.Errorf("unknown algorithm: exit %d (%v), want %d", ExitCode(err), err, ExitInputError)
 	}
 }
 

@@ -685,8 +685,8 @@ func firstExtendedViolation(s *table.GroupStats, confIdx, p, maxLevel int, level
 	seen := make(map[int]struct{}, p)
 	for i := range s.Groups {
 		for lvl := 0; lvl <= maxLevel; lvl++ {
-			// DistinctAtLeast-style early exit: the level is satisfied as
-			// soon as the p-th category appears.
+			// Early exit: the level is satisfied as soon as the p-th
+			// category appears.
 			n, err := levelCategories(s.Groups[i].Hists[confIdx], levelMaps[lvl], lvl, p, seen)
 			if err != nil {
 				return -1, err

@@ -13,8 +13,8 @@ import (
 
 // The policies are the single verdict implementation per property; the
 // tests below pin them against independent row-scanning oracles built
-// on GroupBy/DistinctInRows (a data path that never touches the code
-// histograms), and against the legacy table-based wrappers — the
+// on GroupBy and per-group value counts (a data path that never touches
+// the code histograms), and against the legacy table-based wrappers — the
 // regression net that keeps one-implementation-per-property honest.
 
 var statIllnesses = []string{"Colon Cancer", "Lung Cancer", "Stomach Cancer", "Flu", "HIV", "Diabetes"}

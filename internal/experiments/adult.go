@@ -142,7 +142,7 @@ func RunTable8(cfg Table8Config) (Table8Result, error) {
 			return Table8Result{}, err
 		}
 		for _, k := range cfg.Ks {
-			sr, err := search.Samarati(im, search.Config{
+			sr, err := search.Run(im, search.Config{
 				QIs:           dataset.QIs(),
 				Confidential:  dataset.Confidential(),
 				Hierarchies:   hs,
@@ -150,7 +150,7 @@ func RunTable8(cfg Table8Config) (Table8Result, error) {
 				P:             1, // the paper searches for k-minimal, then inspects
 				MaxSuppress:   cfg.MaxSuppress,
 				UseConditions: true,
-			})
+			}, search.StrategySamarati)
 			if err != nil {
 				return Table8Result{}, err
 			}
@@ -252,7 +252,7 @@ func RunAblation(sizes []int, k, p int, source *table.Table, seed int64) (Ablati
 			UseConditions: true,
 		}
 		start := time.Now()
-		with, err := search.Samarati(im, cfg)
+		with, err := search.Run(im, cfg, search.StrategySamarati)
 		if err != nil {
 			return AblationResult{}, err
 		}
@@ -260,7 +260,7 @@ func RunAblation(sizes []int, k, p int, source *table.Table, seed int64) (Ablati
 
 		cfg.UseConditions = false
 		start = time.Now()
-		without, err := search.Samarati(im, cfg)
+		without, err := search.Run(im, cfg, search.StrategySamarati)
 		if err != nil {
 			return AblationResult{}, err
 		}

@@ -81,61 +81,43 @@ func RunBudget(n, k, p int, source *table.Table, seed int64, deadline time.Durat
 
 	res := BudgetResult{Size: n, K: k, P: p, LatticeSize: latticeSize}
 	prefixes := dataset.LatticePrefixes()
-	run := func(strategy string, budget search.Budget) error {
+	run := func(s namedStrategy, budget search.Budget) error {
 		cfg := base
 		cfg.Budget = budget
-		var (
-			stats   search.Stats
-			reason  search.StopReason
-			minimal []search.MinimalNode
-		)
-		switch strategy {
-		case "Exhaustive":
-			r, err := search.Exhaustive(im, cfg)
-			if err != nil {
-				return err
-			}
-			stats, reason, minimal = r.Stats, r.StopReason, r.Minimal
-		case "Samarati":
-			r, err := search.Samarati(im, cfg)
-			if err != nil {
-				return err
-			}
-			stats, reason = r.Stats, r.StopReason
-			if r.Found {
-				minimal = []search.MinimalNode{{Node: r.Node, Suppressed: r.Suppressed}}
-			}
-		default:
-			return fmt.Errorf("experiments: unknown budget strategy %q", strategy)
+		r, err := search.Run(im, cfg, s.strategy)
+		if err != nil {
+			return err
 		}
 		node := "-"
-		if len(minimal) > 0 {
-			node = minimal[0].Node.Label(prefixes)
+		if r.Found {
+			node = r.Node.Label(prefixes)
 		}
 		res.Rows = append(res.Rows, BudgetRow{
-			Strategy: strategy, MaxNodes: budget.MaxNodes, Deadline: budget.Deadline,
-			StopReason: reason, Evaluated: stats.NodesEvaluated,
-			Minimal: len(minimal), Node: node,
+			Strategy: s.name, MaxNodes: budget.MaxNodes, Deadline: budget.Deadline,
+			StopReason: r.StopReason, Evaluated: r.Stats.NodesEvaluated,
+			Minimal: len(r.Minimal), Node: node,
 		})
 		return nil
 	}
+	exhaustive := namedStrategy{"Exhaustive", search.StrategyExhaustive}
+	samarati := namedStrategy{"Samarati", search.StrategySamarati}
 
 	// The ladder: powers of two up to the lattice size, then unlimited.
 	for budget := int64(8); budget < int64(latticeSize); budget *= 2 {
-		if err := run("Exhaustive", search.Budget{MaxNodes: budget}); err != nil {
+		if err := run(exhaustive, search.Budget{MaxNodes: budget}); err != nil {
 			return BudgetResult{}, err
 		}
 	}
-	if err := run("Exhaustive", search.Budget{}); err != nil {
+	if err := run(exhaustive, search.Budget{}); err != nil {
 		return BudgetResult{}, err
 	}
 	if maxNodes > 0 {
-		if err := run("Samarati", search.Budget{MaxNodes: maxNodes}); err != nil {
+		if err := run(samarati, search.Budget{MaxNodes: maxNodes}); err != nil {
 			return BudgetResult{}, err
 		}
 	}
 	if deadline > 0 {
-		if err := run("Samarati", search.Budget{Deadline: deadline}); err != nil {
+		if err := run(samarati, search.Budget{Deadline: deadline}); err != nil {
 			return BudgetResult{}, err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"psk/internal/hierarchy"
+	"psk/internal/search"
 	"psk/internal/table"
 )
 
@@ -94,6 +95,13 @@ func Figure3Hierarchies() (*hierarchy.Set, error) {
 	sex := hierarchy.NewFlat("Sex")
 	sex.Top = "Person"
 	return hierarchy.NewSet(zip, sex)
+}
+
+// namedStrategy is a search strategy under the name an experiment's
+// table prints for it.
+type namedStrategy struct {
+	name     string
+	strategy search.Strategy
 }
 
 // row formats a fixed-width report row.

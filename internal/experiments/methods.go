@@ -83,10 +83,10 @@ func RunMethods(n, k int, source *table.Table, seed int64) (MethodsResult, error
 		return MethodsResult{}, err
 	}
 
-	sr, err := search.Samarati(im, search.Config{
+	sr, err := search.Run(im, search.Config{
 		QIs: dataset.QIs(), Confidential: dataset.Confidential(),
 		Hierarchies: hs, K: k, P: 1, MaxSuppress: n / 50, UseConditions: true,
-	})
+	}, search.StrategySamarati)
 	if err != nil {
 		return MethodsResult{}, err
 	}

@@ -126,7 +126,7 @@ func RunObservatory(n, k, p int, source *table.Table, seed int64) (ObservatoryRe
 	}
 	prefixes := dataset.LatticePrefixes()
 	run := func(cfg search.Config) (string, int, error) {
-		r, err := search.Samarati(im, cfg)
+		r, err := search.Run(im, cfg, search.StrategySamarati)
 		if err != nil {
 			return "", 0, err
 		}

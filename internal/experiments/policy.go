@@ -86,43 +86,32 @@ func RunPolicyComposite(n, k, p int, source *table.Table, seed int64) (PolicyRes
 	)
 
 	res := PolicyResult{Size: n, K: k, P: p}
-	type strategy struct {
-		name string
-		run  func(search.Config) (found bool, node string, masked *table.Table, stats search.Stats, err error)
-	}
-	strategies := []strategy{
-		{"Samarati", func(cfg search.Config) (bool, string, *table.Table, search.Stats, error) {
-			r, err := search.Samarati(im, cfg)
+	for _, s := range []namedStrategy{
+		{"Samarati", search.StrategySamarati},
+		{"Incognito", search.StrategyIncognito},
+	} {
+		run := func(cfg search.Config) (string, *table.Table, search.Stats, error) {
+			r, err := search.Run(im, cfg, s.strategy)
 			if err != nil || !r.Found {
-				return false, "-", nil, r.Stats, err
+				return "-", nil, r.Stats, err
 			}
-			return true, r.Node.Label(dataset.LatticePrefixes()), r.Masked, r.Stats, nil
-		}},
-		{"Incognito", func(cfg search.Config) (bool, string, *table.Table, search.Stats, error) {
-			r, err := search.Incognito(im, cfg)
-			if err != nil || len(r.Minimal) == 0 {
-				return false, "-", nil, r.Stats, err
-			}
-			first := r.Minimal[0]
-			return true, first.Node.Label(dataset.LatticePrefixes()), first.Masked, r.Stats, nil
-		}},
-	}
-	for _, s := range strategies {
-		_, legacyNode, legacyMasked, _, err := s.run(base)
+			return r.Node.Label(dataset.LatticePrefixes()), r.Masked, r.Stats, nil
+		}
+		legacyNode, legacyMasked, _, err := run(base)
 		if err != nil {
 			return PolicyResult{}, err
 		}
 
 		cfg := base
 		cfg.Policy = equivalent
-		_, compNode, compMasked, _, err := s.run(cfg)
+		compNode, compMasked, _, err := run(cfg)
 		if err != nil {
 			return PolicyResult{}, err
 		}
 		identical := legacyNode == compNode && csvString(legacyMasked) == csvString(compMasked)
 
 		cfg.Policy = strict
-		_, strictNode, _, strictStats, err := s.run(cfg)
+		strictNode, _, strictStats, err := run(cfg)
 		if err != nil {
 			return PolicyResult{}, err
 		}

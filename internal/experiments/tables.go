@@ -36,14 +36,14 @@ func RunTable4() (Table4Result, error) {
 	}
 	res := Table4Result{K: 3}
 	for ts := 0; ts <= tbl.NumRows(); ts++ {
-		ex, err := search.Exhaustive(tbl, search.Config{
+		ex, err := search.Run(tbl, search.Config{
 			QIs:           []string{"Sex", "ZipCode"},
 			Hierarchies:   hs,
 			K:             3,
 			P:             1,
 			MaxSuppress:   ts,
 			UseConditions: true,
-		})
+		}, search.StrategyExhaustive)
 		if err != nil {
 			return Table4Result{}, err
 		}

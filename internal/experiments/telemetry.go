@@ -84,54 +84,28 @@ func RunTelemetry(n, k, p int, source *table.Table, seed int64, tracer *obs.Trac
 	}
 
 	prefixes := dataset.LatticePrefixes()
-	type strategy struct {
-		name string
-		run  func(search.Config) (string, search.Stats, *obs.Report, error)
-	}
-	strategies := []strategy{
-		{"Samarati", func(cfg search.Config) (string, search.Stats, *obs.Report, error) {
-			r, err := search.Samarati(im, cfg)
-			if err != nil || !r.Found {
-				return "-", r.Stats, r.Report, err
-			}
-			return r.Node.Label(prefixes), r.Stats, r.Report, nil
-		}},
-		{"BottomUp", func(cfg search.Config) (string, search.Stats, *obs.Report, error) {
-			r, err := search.BottomUp(im, cfg)
-			if err != nil || len(r.Minimal) == 0 {
-				return "-", r.Stats, r.Report, err
-			}
-			return r.Minimal[0].Node.Label(prefixes), r.Stats, r.Report, nil
-		}},
-		{"AllMinimal", func(cfg search.Config) (string, search.Stats, *obs.Report, error) {
-			r, err := search.AllMinimal(im, cfg)
-			if err != nil || len(r.Minimal) == 0 {
-				return "-", r.Stats, r.Report, err
-			}
-			return r.Minimal[0].Node.Label(prefixes), r.Stats, r.Report, nil
-		}},
-		{"Incognito", func(cfg search.Config) (string, search.Stats, *obs.Report, error) {
-			r, err := search.Incognito(im, cfg)
-			if err != nil || len(r.Minimal) == 0 {
-				return "-", r.Stats, r.Report, err
-			}
-			return r.Minimal[0].Node.Label(prefixes), r.Stats, r.Report, nil
-		}},
-	}
-
 	res := TelemetryResult{Size: n, K: k, P: p, TraceEvents: -1}
-	for _, s := range strategies {
+	for _, s := range []namedStrategy{
+		{"Samarati", search.StrategySamarati},
+		{"BottomUp", search.StrategyBottomUp},
+		{"AllMinimal", search.StrategyAllMinimal},
+		{"Incognito", search.StrategyIncognito},
+	} {
 		cfg := base
 		cfg.Recorder = obs.NewRecorder()
-		node, stats, report, err := s.run(cfg)
+		r, err := search.Run(im, cfg, s.strategy)
 		if err != nil {
 			return TelemetryResult{}, err
 		}
+		node := "-"
+		if r.Found {
+			node = r.Node.Label(prefixes)
+		}
 		res.Rows = append(res.Rows, TelemetryRow{
-			Strategy: s.name, Node: node, Report: report,
-			NodesEvaluated: stats.NodesEvaluated,
+			Strategy: s.name, Node: node, Report: r.Report,
+			NodesEvaluated: r.Stats.NodesEvaluated,
 		})
-		res.TotalNodes += int64(stats.NodesEvaluated)
+		res.TotalNodes += int64(r.Stats.NodesEvaluated)
 	}
 	if tracer != nil {
 		res.TraceEvents = tracer.Events()

@@ -90,7 +90,7 @@ func RunUtility(n int, ks []int, p int, source *table.Table, seed int64) (Utilit
 	for _, k := range ks {
 		row := UtilityRow{K: k, P: p}
 
-		sr, err := search.Samarati(im, search.Config{
+		sr, err := search.Run(im, search.Config{
 			QIs:           dataset.QIs(),
 			Confidential:  dataset.Confidential(),
 			Hierarchies:   hs,
@@ -98,7 +98,7 @@ func RunUtility(n int, ks []int, p int, source *table.Table, seed int64) (Utilit
 			P:             p,
 			MaxSuppress:   n / 50,
 			UseConditions: true,
-		})
+		}, search.StrategySamarati)
 		if err != nil {
 			return UtilityResult{}, err
 		}

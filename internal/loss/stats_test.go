@@ -54,7 +54,7 @@ func TestMeasureStatsMatchesOracle(t *testing.T) {
 			t.Errorf("node %v: DM %d vs %d", node, stats.Discernibility, oracle.Discernibility)
 		}
 		pairs := []struct {
-			name     string
+			name      string
 			got, want float64
 		}{
 			{"height", stats.HeightRatio, oracle.HeightRatio},

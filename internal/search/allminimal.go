@@ -2,11 +2,11 @@ package search
 
 import (
 	"psk/internal/lattice"
-	"psk/internal/obs"
 	"psk/internal/table"
 )
 
-// AllMinimal enumerates every p-k-minimal generalization (Definition 3)
+// allMinimal is the walk of StrategyAllMinimal. It enumerates every
+// p-k-minimal generalization (Definition 3)
 // using predictive tagging in the style of El Emam's Optimal Lattice
 // Anonymization: the lattice is walked bottom-up, and as soon as a node
 // satisfies the property every strict generalization of it is tagged
@@ -21,30 +21,7 @@ import (
 // minimal-height slice. Like Samarati it relies on the monotonicity
 // premise of the paper; Exhaustive remains the assumption-free
 // reference.
-func AllMinimal(im *table.Table, cfg Config) (ExhaustiveResult, error) {
-	cfg.strategy = "all-minimal"
-	m, err := cfg.validate()
-	if err != nil {
-		return ExhaustiveResult{}, err
-	}
-	var res ExhaustiveResult
-	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
-	defer span.End()
-
-	bounds, err := searchBounds(im, cfg)
-	if err != nil {
-		return ExhaustiveResult{}, err
-	}
-	if !bounds.Feasible() {
-		res.Stats.PrunedCondition1 = 1
-		span.End()
-		res.Report = cfg.Recorder.Snapshot()
-		return res, nil
-	}
-
-	eval := newEvaluator(im, m, nil, cfg, bounds)
-	lat := m.Lattice()
-	cfg.Recorder.AddLatticeNodes(int64(lat.Size()))
+func allMinimal(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	tagged := make(map[string]bool) // known satisfied via a specialization
 	for h := 0; h <= lat.Height(); h++ {
 		// Tagging only ever marks strict generalizations — nodes at
@@ -64,9 +41,9 @@ func AllMinimal(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 			candIdx[i] = len(candidates)
 			candidates = append(candidates, node)
 		}
-		outs, err := eval.evalAll(candidates, &res.Stats)
+		outs, err := e.evalAll(candidates, &res.Stats)
 		if err != nil {
-			return ExhaustiveResult{}, err
+			return err
 		}
 		for i, node := range nodes {
 			if candIdx[i] < 0 {
@@ -76,23 +53,23 @@ func AllMinimal(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 			}
 			if o := outs[candIdx[i]]; o.ok {
 				res.Satisfying = append(res.Satisfying, node)
-				res.Minimal = append(res.Minimal, MinimalNode{Node: node, Masked: o.masked, Suppressed: o.suppressed})
+				res.Minimal = append(res.Minimal, o.minimal(node))
 				tagUp(lat, node, tagged)
 			}
 		}
-		if eval.lim.tripped() {
+		if e.lim.tripped() {
 			// Levels below completed in full, so every node in Minimal is
 			// genuinely minimal; higher levels stay unexplored.
 			break
 		}
 	}
-	if err := attachFrontier(eval, lat, true, &res.Stats, &res.Frontier, &span); err != nil {
-		return ExhaustiveResult{}, err
-	}
-	res.StopReason = eval.lim.stopReason()
-	span.End()
-	res.Report = cfg.Recorder.Snapshot()
-	return res, nil
+	return nil
+}
+
+// AllMinimal is Run with StrategyAllMinimal. It stays exported only
+// because bench/frontier.go calls it.
+func AllMinimal(im *table.Table, cfg Config) (Result, error) {
+	return Run(im, cfg, StrategyAllMinimal)
 }
 
 // tagUp marks every strict generalization of node as known-satisfied.

@@ -37,50 +37,14 @@ func adultSample(t testing.TB, n int) (*table.Table, Config) {
 	return src, cfg
 }
 
-// strategyRunner adapts each of the five strategies to a common shape
-// so every budget behaviour is pinned on all of them.
-type strategyRunner struct {
-	name string
-	run  func(*table.Table, Config) (Stats, StopReason, []MinimalNode, error)
-}
-
-func strategies() []strategyRunner {
-	return []strategyRunner{
-		{"samarati", func(im *table.Table, cfg Config) (Stats, StopReason, []MinimalNode, error) {
-			r, err := Samarati(im, cfg)
-			var min []MinimalNode
-			if r.Found {
-				min = []MinimalNode{{Node: r.Node, Masked: r.Masked, Suppressed: r.Suppressed}}
-			}
-			return r.Stats, r.StopReason, min, err
-		}},
-		{"exhaustive", func(im *table.Table, cfg Config) (Stats, StopReason, []MinimalNode, error) {
-			r, err := Exhaustive(im, cfg)
-			return r.Stats, r.StopReason, r.Minimal, err
-		}},
-		{"bottomup", func(im *table.Table, cfg Config) (Stats, StopReason, []MinimalNode, error) {
-			r, err := BottomUp(im, cfg)
-			return r.Stats, r.StopReason, r.Minimal, err
-		}},
-		{"allminimal", func(im *table.Table, cfg Config) (Stats, StopReason, []MinimalNode, error) {
-			r, err := AllMinimal(im, cfg)
-			return r.Stats, r.StopReason, r.Minimal, err
-		}},
-		{"incognito", func(im *table.Table, cfg Config) (Stats, StopReason, []MinimalNode, error) {
-			r, err := Incognito(im, cfg)
-			return r.Stats, r.StopReason, r.Minimal, err
-		}},
-	}
-}
-
 // TestCancelReturnsQuickly pins the tentpole latency contract: after
 // Config.Context is cancelled mid-search on Adult, every strategy
 // returns within 100ms, with a valid tagged partial result.
 func TestCancelReturnsQuickly(t *testing.T) {
 	src, base := adultSample(t, 4000)
-	for _, s := range strategies() {
+	for s := range numStrategies {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", s.name, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/w%d", s, workers), func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				cfg := base
@@ -88,16 +52,14 @@ func TestCancelReturnsQuickly(t *testing.T) {
 				cfg.Workers = workers
 
 				type done struct {
-					stats  Stats
-					reason StopReason
-					min    []MinimalNode
-					err    error
-					at     time.Time
+					Result
+					err error
+					at  time.Time
 				}
 				ch := make(chan done, 1)
 				go func() {
-					st, reason, min, err := s.run(src, cfg)
-					ch <- done{st, reason, min, err, time.Now()}
+					r, err := Run(src, cfg, s)
+					ch <- done{r, err, time.Now()}
 				}()
 				// Let the search get going, then pull the plug.
 				time.Sleep(10 * time.Millisecond)
@@ -110,11 +72,11 @@ func TestCancelReturnsQuickly(t *testing.T) {
 				if lag := d.at.Sub(cancelled); lag > 100*time.Millisecond {
 					t.Fatalf("returned %v after cancel; want <= 100ms", lag)
 				}
-				if d.reason != StopCancelled && d.reason != StopDone {
-					t.Fatalf("stop reason %v, want cancelled or done", d.reason)
+				if d.StopReason != StopCancelled && d.StopReason != StopDone {
+					t.Fatalf("stop reason %v, want cancelled or done", d.StopReason)
 				}
 				// Whatever was found must be genuinely satisfying.
-				for _, m := range d.min {
+				for _, m := range d.Minimal {
 					ok, err := core.CheckBasic(m.Masked, cfg.QIs, cfg.Confidential, cfg.P, cfg.K)
 					if err != nil {
 						t.Fatal(err)
@@ -134,34 +96,28 @@ func TestCancelReturnsQuickly(t *testing.T) {
 // strategy.
 func TestNodeBudgetDeterministic(t *testing.T) {
 	tbl := figure3Table(t)
-	for _, s := range strategies() {
+	for s := range numStrategies {
 		for _, maxNodes := range []int64{1, 2, 3, 5, 8, 13, 21} {
-			t.Run(fmt.Sprintf("%s/n%d", s.name, maxNodes), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/n%d", s, maxNodes), func(t *testing.T) {
 				cfg := kOnlyConfig(t, 2)
 				cfg.P, cfg.Confidential = 2, []string{"Illness"}
 				cfg.Budget.MaxNodes = maxNodes
 
 				serialCfg := cfg
 				serialCfg.Workers = 1
-				wantStats, wantReason, wantMin, err := s.run(tbl, serialCfg)
+				want, err := Run(tbl, serialCfg, s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 4, 8} {
 					parCfg := cfg
 					parCfg.Workers = workers
-					gotStats, gotReason, gotMin, err := s.run(tbl, parCfg)
+					got, err := Run(tbl, parCfg, s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if gotReason != wantReason {
-						t.Fatalf("w%d stop reason %v, serial %v", workers, gotReason, wantReason)
-					}
-					if !sameStats(gotStats, wantStats) {
-						t.Fatalf("w%d stats %+v, serial %+v", workers, gotStats, wantStats)
-					}
-					if got, want := fmtMinimalNodes(t, gotMin), fmtMinimalNodes(t, wantMin); got != want {
-						t.Fatalf("w%d minimal set:\n%s\nserial:\n%s", workers, got, want)
+					if fmtResult(got) != fmtResult(want) {
+						t.Fatalf("w%d:\n%s\nserial:\n%s", workers, fmtResult(got), fmtResult(want))
 					}
 				}
 			})
@@ -179,7 +135,7 @@ func TestNodeBudgetExhausts(t *testing.T) {
 	lat := 6 // (1+1) * (2+1) nodes in the Figure 3 lattice
 
 	cfg.Budget.MaxNodes = 4
-	r, err := Exhaustive(tbl, cfg)
+	r, err := Run(tbl, cfg, StrategyExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +147,7 @@ func TestNodeBudgetExhausts(t *testing.T) {
 	}
 
 	cfg.Budget.MaxNodes = int64(lat)
-	r, err = Exhaustive(tbl, cfg)
+	r, err = Run(tbl, cfg, StrategyExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,21 +164,21 @@ func TestNodeBudgetExhausts(t *testing.T) {
 // error, and the recorder counts one budget stop.
 func TestDeadlineStops(t *testing.T) {
 	tbl := figure3Table(t)
-	for _, s := range strategies() {
-		t.Run(s.name, func(t *testing.T) {
+	for s := range numStrategies {
+		t.Run(s.String(), func(t *testing.T) {
 			cfg := kOnlyConfig(t, 2)
 			cfg.Budget.Deadline = time.Nanosecond
 			cfg.Recorder = obs.NewRecorder()
 			time.Sleep(time.Millisecond) // guarantee expiry
-			stats, reason, min, err := s.run(tbl, cfg)
+			r, err := Run(tbl, cfg, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reason != StopDeadline {
-				t.Fatalf("stop reason %v, want deadline", reason)
+			if r.StopReason != StopDeadline {
+				t.Fatalf("stop reason %v, want deadline", r.StopReason)
 			}
-			if stats.NodesEvaluated != 0 || len(min) != 0 {
-				t.Fatalf("expired deadline evaluated %d nodes, found %d", stats.NodesEvaluated, len(min))
+			if r.Stats.NodesEvaluated != 0 || len(r.Minimal) != 0 {
+				t.Fatalf("expired deadline evaluated %d nodes, found %d", r.Stats.NodesEvaluated, len(r.Minimal))
 			}
 			if rep := cfg.Recorder.Snapshot(); rep.BudgetStops != 1 {
 				t.Fatalf("BudgetStops = %d, want 1", rep.BudgetStops)
@@ -239,7 +195,7 @@ func TestPreCancelledContext(t *testing.T) {
 	cancel()
 	cfg := kOnlyConfig(t, 2)
 	cfg.Context = ctx
-	r, err := Samarati(tbl, cfg)
+	r, err := Run(tbl, cfg, StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +214,7 @@ func TestMemBudgetStops(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 2)
 	cfg.Budget.MaxCacheBytes = 1
-	r, err := Exhaustive(tbl, cfg)
+	r, err := Run(tbl, cfg, StrategyExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +244,14 @@ func (panicPolicy) Evaluate(core.StatsView) (core.Result, error) {
 // recoveries, and the same table remains searchable afterwards.
 func TestWorkerPanicRecovered(t *testing.T) {
 	tbl := figure3Table(t)
-	for _, s := range strategies() {
+	for s := range numStrategies {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", s.name, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/w%d", s, workers), func(t *testing.T) {
 				cfg := kOnlyConfig(t, 2)
 				cfg.Policy = panicPolicy{}
 				cfg.Workers = workers
 				cfg.Recorder = obs.NewRecorder()
-				_, _, _, err := s.run(tbl, cfg)
+				_, err := Run(tbl, cfg, s)
 				if err == nil {
 					t.Fatal("panicking policy produced no error")
 				}
@@ -310,8 +266,8 @@ func TestWorkerPanicRecovered(t *testing.T) {
 				// sane config, fresh run.
 				good := kOnlyConfig(t, 2)
 				good.Workers = workers
-				if _, reason, min, err := s.run(tbl, good); err != nil || reason != StopDone || len(min) == 0 {
-					t.Fatalf("follow-up search: err=%v reason=%v found=%d", err, reason, len(min))
+				if r, err := Run(tbl, good, s); err != nil || r.StopReason != StopDone || !r.Found {
+					t.Fatalf("follow-up search: err=%v reason=%v found=%v", err, r.StopReason, r.Found)
 				}
 			})
 		}
@@ -326,7 +282,7 @@ func TestBudgetlessPathUnchanged(t *testing.T) {
 		t.Fatal("zero config built a limiter")
 	}
 	tbl := figure3Table(t)
-	r, err := Samarati(tbl, kOnlyConfig(t, 2))
+	r, err := Run(tbl, kOnlyConfig(t, 2), StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,22 +292,4 @@ func TestBudgetlessPathUnchanged(t *testing.T) {
 	if StopDone.Partial() || !StopCancelled.Partial() {
 		t.Fatal("Partial() misclassifies")
 	}
-}
-
-// fmtMinimalNodes renders a minimal set — nodes, suppression counts
-// and full masked-table bytes — for byte-identical comparison.
-func fmtMinimalNodes(t testing.TB, min []MinimalNode) string {
-	t.Helper()
-	var b strings.Builder
-	for _, m := range min {
-		fmt.Fprintf(&b, "node %v suppressed %d\n", m.Node, m.Suppressed)
-		if m.Masked != nil {
-			var csv strings.Builder
-			if err := m.Masked.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(csv.String())
-		}
-	}
-	return b.String()
 }

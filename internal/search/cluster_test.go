@@ -160,7 +160,7 @@ func TestAllMinimalMatchesExhaustive(t *testing.T) {
 		for ts := 0; ts <= 10; ts += 2 {
 			cfg := kOnlyConfig(t, ts)
 			cfg.P = p
-			ex, err := Exhaustive(tbl, cfg)
+			ex, err := Run(tbl, cfg, StrategyExhaustive)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@
 // that enumerates all p-k-minimal nodes (Definition 3), an
 // Incognito-style bottom-up breadth-first search, and a Mondrian
 // multidimensional partitioner as an alternative-paradigm baseline.
+// Run is the one entry point for the five lattice strategies.
 package search
 
 import (
@@ -15,9 +16,7 @@ import (
 	"psk/internal/core"
 	"psk/internal/generalize"
 	"psk/internal/hierarchy"
-	"psk/internal/lattice"
 	"psk/internal/obs"
-	"psk/internal/table"
 )
 
 // Config parameterizes a minimal-generalization search.
@@ -70,14 +69,15 @@ type Config struct {
 	// (cmd/pskserve keeps one cache per (dataset, hierarchy) pair, so a
 	// tenant's search finds the columns earlier tenants already
 	// generalized). The cache must have been built by a Masker over the
-	// same hierarchies as this config; it is ignored when its Source is
-	// not the searched table (Incognito's subset evaluators and the
-	// incremental session keep passing their own caches explicitly).
+	// same hierarchies as this config. Every strategy uses it, Incognito's
+	// subset passes included; it is ignored when its Source is not the
+	// searched table (an incremental session searches its own copy of
+	// the rows, so it always builds a private cache).
 	Cache *generalize.Cache
 	// Recorder, when non-nil, collects telemetry for the search: per-node
 	// verdicts and latencies, phase wall times, cache and roll-up
-	// counters, per-policy evaluation stats and worker utilization. The
-	// strategies snapshot it into Result.Report when they finish. Nil
+	// counters, per-policy evaluation stats and worker utilization. Run
+	// snapshots it into Result.Report when the search finishes. Nil
 	// (the default) disables collection at zero cost — every recording
 	// site is a nil check. Telemetry never changes search results.
 	Recorder *obs.Recorder
@@ -101,8 +101,8 @@ type Config struct {
 	// the search's roll-up store and budget.
 	Frontier FrontierConfig
 
-	// strategy names the strategy that owns this config copy; each entry
-	// point stamps it so engine workers can carry pprof labels
+	// strategy names the strategy that owns this config copy; Run stamps
+	// Strategy.String() so engine workers can carry pprof labels
 	// (psk_strategy) and CPU profiles attribute samples per strategy.
 	strategy string
 }
@@ -225,6 +225,12 @@ type Stats struct {
 	// nodes that passed the budget gate (nodes rejected for exceeding
 	// MaxSuppress contribute nothing).
 	SuppressedRows int
+	// PrunedBySubsets counts Incognito's full-lattice candidate nodes
+	// rejected because a projection onto a smaller QI subset already
+	// failed.
+	PrunedBySubsets int
+	// SubsetsEvaluated is the number of QI subsets Incognito processed.
+	SubsetsEvaluated int
 }
 
 // Merge accumulates another stats delta. The parallel engine gives
@@ -239,33 +245,6 @@ func (s *Stats) Merge(o Stats) {
 	s.PrunedCondition2 += o.PrunedCondition2
 	s.GroupScans += o.GroupScans
 	s.SuppressedRows += o.SuppressedRows
-}
-
-// Result is the outcome of a single-solution search.
-type Result struct {
-	// Found reports whether any node satisfies the target property
-	// within the suppression threshold.
-	Found bool
-	// Node is the found (p-)k-minimal generalization node.
-	Node lattice.Node
-	// Masked is the masked microdata at Node (generalized, then
-	// suppressed).
-	Masked *table.Table
-	// Suppressed is the number of tuples removed at Node.
-	Suppressed int
-	// Stats describes the work performed.
-	Stats Stats
-	// Report is the telemetry snapshot taken when the search finished;
-	// nil unless Config.Recorder was set.
-	Report *obs.Report
-	// StopReason records why the search ended: StopDone for a complete
-	// run, otherwise the context/budget limit that tripped first, in
-	// which case the rest of the result is the valid best-so-far state
-	// (Found may be false even though an uncancelled search would have
-	// succeeded).
-	StopReason StopReason
-	// Frontier is the dominance-reduced set of satisfying nodes with
-	// their stats-native loss scores, in lattice walk order; nil unless
-	// Config.Frontier.Enabled.
-	Frontier []FrontierEntry
+	s.PrunedBySubsets += o.PrunedBySubsets
+	s.SubsetsEvaluated += o.SubsetsEvaluated
 }

@@ -122,6 +122,11 @@ type outcome struct {
 	res  core.Result
 }
 
+// minimal is the outcome of a satisfying node as a found node.
+func (o outcome) minimal(node lattice.Node) MinimalNode {
+	return MinimalNode{Node: node, Masked: o.masked, Suppressed: o.suppressed}
+}
+
 // evalNode runs the property check at one node on group statistics:
 // the node's pre-suppression stats come from the roll-up store (rows are
 // scanned at most once per search, at the lattice bottom), suppression

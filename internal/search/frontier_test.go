@@ -48,15 +48,15 @@ func frontierStrategies() []struct {
 		run  func(*table.Table, Config) ([]FrontierEntry, error)
 	}{
 		{"samarati", func(im *table.Table, cfg Config) ([]FrontierEntry, error) {
-			r, err := Samarati(im, cfg)
+			r, err := Run(im, cfg, StrategySamarati)
 			return r.Frontier, err
 		}},
 		{"exhaustive", func(im *table.Table, cfg Config) ([]FrontierEntry, error) {
-			r, err := Exhaustive(im, cfg)
+			r, err := Run(im, cfg, StrategyExhaustive)
 			return r.Frontier, err
 		}},
 		{"bottomup", func(im *table.Table, cfg Config) ([]FrontierEntry, error) {
-			r, err := BottomUp(im, cfg)
+			r, err := Run(im, cfg, StrategyBottomUp)
 			return r.Frontier, err
 		}},
 		{"allminimal", func(im *table.Table, cfg Config) ([]FrontierEntry, error) {
@@ -64,7 +64,7 @@ func frontierStrategies() []struct {
 			return r.Frontier, err
 		}},
 		{"incognito", func(im *table.Table, cfg Config) ([]FrontierEntry, error) {
-			r, err := Incognito(im, cfg)
+			r, err := Run(im, cfg, StrategyIncognito)
 			return r.Frontier, err
 		}},
 	}
@@ -300,12 +300,12 @@ func TestFrontierObjectiveValidation(t *testing.T) {
 	im, cfg := frontierAdult(t, 100)
 	bad := cfg
 	bad.Frontier.Objectives = []Objective{Objective(250)}
-	if _, err := Samarati(im, bad); err == nil {
+	if _, err := Run(im, bad, StrategySamarati); err == nil {
 		t.Error("unknown objective accepted")
 	}
 	neg := cfg
 	neg.Frontier.MaxRank = -1
-	if _, err := Samarati(im, neg); err == nil {
+	if _, err := Run(im, neg, StrategySamarati); err == nil {
 		t.Error("negative MaxRank accepted")
 	}
 	if Objective(250).String() == "" || ObjMargin.String() != "margin" {
@@ -318,7 +318,7 @@ func TestFrontierObjectiveValidation(t *testing.T) {
 func TestFrontierDisabled(t *testing.T) {
 	im, cfg := frontierAdult(t, 100)
 	cfg.Frontier = FrontierConfig{}
-	r, err := Samarati(im, cfg)
+	r, err := Run(im, cfg, StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}

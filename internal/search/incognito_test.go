@@ -15,11 +15,11 @@ func TestIncognitoMatchesExhaustive(t *testing.T) {
 		for ts := 0; ts <= 10; ts += 2 {
 			cfg := kOnlyConfig(t, ts)
 			cfg.P = p
-			ex, err := Exhaustive(tbl, cfg)
+			ex, err := Run(tbl, cfg, StrategyExhaustive)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, err := Incognito(tbl, cfg)
+			inc, err := Run(tbl, cfg, StrategyIncognito)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,8 +37,8 @@ func TestIncognitoMatchesExhaustive(t *testing.T) {
 					t.Errorf("p=%d TS=%d: spurious minimal %v", p, ts, m.Node)
 				}
 			}
-			if inc.SubsetsEvaluated != 3 { // {S}, {Z}, {S,Z}
-				t.Errorf("subsets evaluated = %d, want 3", inc.SubsetsEvaluated)
+			if inc.Stats.SubsetsEvaluated != 3 { // {S}, {Z}, {S,Z}
+				t.Errorf("subsets evaluated = %d, want 3", inc.Stats.SubsetsEvaluated)
 			}
 		}
 	}
@@ -69,7 +69,7 @@ func TestIncognitoOnAdult(t *testing.T) {
 		MaxSuppress:   8,
 		UseConditions: true,
 	}
-	inc, err := Incognito(im, cfg)
+	inc, err := Run(im, cfg, StrategyIncognito)
 	if err != nil {
 		t.Fatalf("Incognito: %v", err)
 	}
@@ -77,8 +77,8 @@ func TestIncognitoOnAdult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.SubsetsEvaluated != 15 {
-		t.Errorf("subsets = %d, want 15 (2^4 - 1)", inc.SubsetsEvaluated)
+	if inc.Stats.SubsetsEvaluated != 15 {
+		t.Errorf("subsets = %d, want 15 (2^4 - 1)", inc.Stats.SubsetsEvaluated)
 	}
 	amSet := make(map[string]bool)
 	for _, m := range am.Minimal {
@@ -109,21 +109,19 @@ func TestIncognitoInfeasible(t *testing.T) {
 	cfg := kOnlyConfig(t, 10)
 	cfg.P = 4
 	cfg.K = 4
-	res, reason, err := FindAnonymousIncognito(tbl, cfg)
-	if err != nil || reason != core.FailedCondition1 || len(res.Minimal) != 0 {
-		t.Errorf("infeasible: %v, %v, %v", res.Minimal, reason, err)
+	res, err := Run(tbl, cfg, StrategyIncognito)
+	if err != nil || res.Found || res.Stats.PrunedCondition1 != 1 {
+		t.Errorf("infeasible: found=%v %+v, %v", res.Found, res.Stats, err)
 	}
 	// Satisfiable case.
-	_, reason, err = FindAnonymousIncognito(tbl, kOnlyConfig(t, 10))
-	if err != nil || reason != core.Satisfied {
-		t.Errorf("satisfied reason = %v, %v", reason, err)
+	if res, err = Run(tbl, kOnlyConfig(t, 10), StrategyIncognito); err != nil || !res.Found {
+		t.Errorf("satisfiable: found=%v, %v", res.Found, err)
 	}
 	// Unsatisfiable within budget.
 	cfg = kOnlyConfig(t, 0)
 	cfg.K = 11
-	_, reason, err = FindAnonymousIncognito(tbl, cfg)
-	if err != nil || reason != core.NotPSensitive {
-		t.Errorf("unsatisfiable reason = %v, %v", reason, err)
+	if res, err = Run(tbl, cfg, StrategyIncognito); err != nil || res.Found || res.Stats.PrunedCondition1 != 0 {
+		t.Errorf("unsatisfiable: found=%v %+v, %v", res.Found, res.Stats, err)
 	}
 }
 
@@ -131,7 +129,7 @@ func TestIncognitoValidation(t *testing.T) {
 	tbl := figure3Table(t)
 	bad := kOnlyConfig(t, 0)
 	bad.K = 1
-	if _, err := Incognito(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategyIncognito); err == nil {
 		t.Error("k=1 accepted")
 	}
 }
@@ -160,11 +158,11 @@ func TestIncognitoPrunes(t *testing.T) {
 		MaxSuppress:   0,
 		UseConditions: true,
 	}
-	inc, err := Incognito(im, cfg)
+	inc, err := Run(im, cfg, StrategyIncognito)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Exhaustive(im, cfg)
+	ex, err := Run(im, cfg, StrategyExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +170,7 @@ func TestIncognitoPrunes(t *testing.T) {
 	if len(inc.Minimal) != len(ex.Minimal) {
 		t.Errorf("minimal counts differ: %d vs %d", len(inc.Minimal), len(ex.Minimal))
 	}
-	if inc.PrunedBySubsets == 0 {
+	if inc.Stats.PrunedBySubsets == 0 {
 		t.Log("no subset pruning occurred on this sample (acceptable but unexpected)")
 	}
 }

@@ -38,46 +38,6 @@ import (
 // globally height-minimal node a cold Samarati would return; callers
 // that require global minimality republish cold (Strategy fallback).
 
-// Strategy names a batch search strategy an incremental session falls
-// back to for the initial publication and for republishes the repair
-// ascent cannot settle.
-type Strategy uint8
-
-// Fallback strategies.
-const (
-	// StrategySamarati is Algorithm 3: binary search on lattice height.
-	StrategySamarati Strategy = iota
-	// StrategyBottomUp scans heights upward, stopping at the first
-	// satisfying height.
-	StrategyBottomUp
-	// StrategyExhaustive enumerates the whole lattice.
-	StrategyExhaustive
-	// StrategyAllMinimal prunes ancestors of satisfying nodes.
-	StrategyAllMinimal
-	// StrategyIncognito runs the subset-lattice bottom-up search.
-	StrategyIncognito
-
-	numStrategies
-)
-
-// String names the strategy as the CLI spells it.
-func (s Strategy) String() string {
-	switch s {
-	case StrategySamarati:
-		return "samarati"
-	case StrategyBottomUp:
-		return "bottomup"
-	case StrategyExhaustive:
-		return "exhaustive"
-	case StrategyAllMinimal:
-		return "allminimal"
-	case StrategyIncognito:
-		return "incognito"
-	default:
-		return "unknown"
-	}
-}
-
 // pubMap is one QI attribute's translation from base (source column)
 // codes to the session-private code space of the published node. Pub
 // codes are assigned by interning the generalized label of each base
@@ -151,7 +111,7 @@ func OpenIncremental(im *table.Table, cfg Config, fallback Strategy) (*Increment
 		return nil, err
 	}
 	if fallback >= numStrategies {
-		return nil, fmt.Errorf("search: unknown fallback strategy %d", fallback)
+		return nil, fmt.Errorf("search: unknown fallback strategy %d", uint8(fallback))
 	}
 	s := &Incremental{
 		cfg:      cfg,
@@ -433,9 +393,7 @@ func (s *Incremental) Republish() (Result, error) {
 	}
 	s.base.Reset()
 	s.pubStats.Reset()
-	res.Found = true
-	res.Node = s.pub.Clone()
-	res.Suppressed = violating
+	res.found(MinimalNode{Node: s.pub.Clone(), Suppressed: violating})
 	res.Report = s.rec.Snapshot()
 	return res, nil
 }
@@ -521,9 +479,7 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 			}
 			s.base.Reset()
 			s.pubStats.Reset()
-			res.Found = true
-			res.Node = cand[i].Clone()
-			res.Suppressed = o.suppressed
+			res.found(MinimalNode{Node: cand[i].Clone(), Suppressed: o.suppressed})
 			res.StopReason = lim.stopReason()
 			span.End()
 			res.Report = s.rec.Snapshot()
@@ -554,46 +510,7 @@ func (s *Incremental) coldPublish() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
-	switch s.fallback {
-	case StrategySamarati:
-		res, err = Samarati(snap, s.cfg)
-	case StrategyBottomUp, StrategyExhaustive, StrategyAllMinimal:
-		var er ExhaustiveResult
-		switch s.fallback {
-		case StrategyBottomUp:
-			er, err = BottomUp(snap, s.cfg)
-		case StrategyExhaustive:
-			er, err = Exhaustive(snap, s.cfg)
-		default:
-			er, err = AllMinimal(snap, s.cfg)
-		}
-		if err == nil {
-			res = Result{Stats: er.Stats, Report: er.Report, StopReason: er.StopReason}
-			if len(er.Minimal) > 0 {
-				first := er.Minimal[0]
-				res.Found = true
-				res.Node = first.Node
-				res.Masked = first.Masked
-				res.Suppressed = first.Suppressed
-			}
-		}
-	case StrategyIncognito:
-		var ir IncognitoResult
-		ir, err = Incognito(snap, s.cfg)
-		if err == nil {
-			res = Result{Stats: ir.Stats, Report: ir.Report, StopReason: ir.StopReason}
-			if len(ir.Minimal) > 0 {
-				first := ir.Minimal[0]
-				res.Found = true
-				res.Node = first.Node
-				res.Masked = first.Masked
-				res.Suppressed = first.Suppressed
-			}
-		}
-	default:
-		err = fmt.Errorf("search: unknown fallback strategy %d", s.fallback)
-	}
+	res, err := Run(snap, s.cfg, s.fallback)
 	if err != nil {
 		return Result{}, err
 	}

@@ -165,7 +165,7 @@ func freshNodeStats(t *testing.T, s *Incremental, node lattice.Node) (violating 
 // for all five strategies at worker counts 1 and 4.
 func TestIncrementalInitialPublishMatchesBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for fb := Strategy(0); fb < numStrategies; fb++ {
+		for fb := range numStrategies {
 			t.Run(fmt.Sprintf("%s/w%d", fb, workers), func(t *testing.T) {
 				cfg := incrConfig(t, 3, 2, 2, workers)
 				im := figure3Table(t)
@@ -177,47 +177,15 @@ func TestIncrementalInitialPublishMatchesBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var want Result
-				switch fb {
-				case StrategySamarati:
-					want, err = Samarati(im, cfg)
-				case StrategyBottomUp, StrategyExhaustive, StrategyAllMinimal:
-					var er ExhaustiveResult
-					switch fb {
-					case StrategyBottomUp:
-						er, err = BottomUp(im, cfg)
-					case StrategyExhaustive:
-						er, err = Exhaustive(im, cfg)
-					default:
-						er, err = AllMinimal(im, cfg)
-					}
-					if err == nil && len(er.Minimal) > 0 {
-						want = Result{Found: true, Node: er.Minimal[0].Node, Masked: er.Minimal[0].Masked,
-							Suppressed: er.Minimal[0].Suppressed, Stats: er.Stats, StopReason: er.StopReason}
-					}
-				case StrategyIncognito:
-					var ir IncognitoResult
-					ir, err = Incognito(im, cfg)
-					if err == nil && len(ir.Minimal) > 0 {
-						want = Result{Found: true, Node: ir.Minimal[0].Node, Masked: ir.Minimal[0].Masked,
-							Suppressed: ir.Minimal[0].Suppressed, Stats: ir.Stats, StopReason: ir.StopReason}
-					}
-				}
+				want, err := Run(im, cfg, fb)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !want.Found {
 					t.Fatalf("batch %s found nothing on the fixture", fb)
 				}
-				if !got.Found || !got.Node.Equal(want.Node) || got.Suppressed != want.Suppressed {
-					t.Fatalf("initial publish (%+v node %v) differs from batch (%+v node %v)",
-						got, got.Node, want, want.Node)
-				}
-				if got.Stats != want.Stats || got.StopReason != want.StopReason {
-					t.Fatalf("stats/stop differ: %+v/%v vs %+v/%v", got.Stats, got.StopReason, want.Stats, want.StopReason)
-				}
-				if renderTable(got.Masked) != renderTable(want.Masked) {
-					t.Fatal("masked tables differ between incremental initial publish and batch")
+				if fmtResult(got) != fmtResult(want) {
+					t.Fatalf("initial publish differs from batch:\n%s\nbatch:\n%s", fmtResult(got), fmtResult(want))
 				}
 				mat, supp, err := s.Materialize()
 				if err != nil {
@@ -264,7 +232,7 @@ func TestIncrementalStreamMatchesFreshScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cold, err := Samarati(snap, cfg)
+					cold, err := Run(snap, cfg, StrategySamarati)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -32,79 +32,21 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 				observed.Tracer = obs.NewTracer(&bytes.Buffer{})
 				name := fmt.Sprintf("p=%d/TS=%d/w=%d", p, ts, w)
 
-				samA, err := Samarati(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samB, err := Samarati(tbl, observed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if samA.Found != samB.Found || !sameStats(samA.Stats, samB.Stats) ||
-					samA.Suppressed != samB.Suppressed ||
-					(samA.Found && !samA.Node.Equal(samB.Node)) ||
-					fmtMasked(samA.Masked) != fmtMasked(samB.Masked) {
-					t.Errorf("%s: telemetry changed the Samarati outcome", name)
-				}
-				if samA.Report != nil {
-					t.Errorf("%s: unobserved Samarati run carries a report", name)
-				}
-				if samB.Report == nil {
-					t.Errorf("%s: observed Samarati run lost its report", name)
-				}
-
-				exA, err := Exhaustive(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exB, err := Exhaustive(tbl, observed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameStats(exA.Stats, exB.Stats) ||
-					fmt.Sprint(exA.Satisfying) != fmt.Sprint(exB.Satisfying) ||
-					fmtMinimal(exA.Minimal) != fmtMinimal(exB.Minimal) {
-					t.Errorf("%s: telemetry changed the Exhaustive outcome", name)
-				}
-
-				buA, err := BottomUp(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buB, err := BottomUp(tbl, observed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameStats(buA.Stats, buB.Stats) ||
-					fmtMinimal(buA.Minimal) != fmtMinimal(buB.Minimal) {
-					t.Errorf("%s: telemetry changed the BottomUp outcome", name)
-				}
-
-				amA, err := AllMinimal(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				amB, err := AllMinimal(tbl, observed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameStats(amA.Stats, amB.Stats) ||
-					fmtMinimal(amA.Minimal) != fmtMinimal(amB.Minimal) {
-					t.Errorf("%s: telemetry changed the AllMinimal outcome", name)
-				}
-
-				incA, err := Incognito(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				incB, err := Incognito(tbl, observed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameStats(incA.Stats, incB.Stats) ||
-					incA.PrunedBySubsets != incB.PrunedBySubsets ||
-					fmtMinimal(incA.Minimal) != fmtMinimal(incB.Minimal) {
-					t.Errorf("%s: telemetry changed the Incognito outcome", name)
+				for s := range numStrategies {
+					a, err := Run(tbl, base, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := Run(tbl, observed, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmtResult(a) != fmtResult(b) {
+						t.Errorf("%s: telemetry changed the %s outcome", name, s)
+					}
+					if a.Report != nil || b.Report == nil {
+						t.Errorf("%s: %s reports: unobserved %v, observed %v", name, s, a.Report != nil, b.Report != nil)
+					}
 				}
 			}
 		}
@@ -117,50 +59,30 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 // parallel run.
 func TestTelemetryDeterministicCounters(t *testing.T) {
 	tbl := figure3Table(t)
-	type runner struct {
-		name string
-		run  func(Config) (*obs.Report, error)
-	}
-	runners := []runner{
-		{"Exhaustive", func(cfg Config) (*obs.Report, error) {
-			r, err := Exhaustive(tbl, cfg)
-			return r.Report, err
-		}},
-		{"BottomUp", func(cfg Config) (*obs.Report, error) {
-			r, err := BottomUp(tbl, cfg)
-			return r.Report, err
-		}},
-		{"AllMinimal", func(cfg Config) (*obs.Report, error) {
-			r, err := AllMinimal(tbl, cfg)
-			return r.Report, err
-		}},
-		{"Incognito", func(cfg Config) (*obs.Report, error) {
-			r, err := Incognito(tbl, cfg)
-			return r.Report, err
-		}},
-	}
 	for _, p := range []int{1, 2} {
 		for _, ts := range []int{0, 4, 10} {
 			base := kOnlyConfig(t, ts)
 			base.P = p
-			for _, r := range runners {
+			for _, s := range []Strategy{StrategyExhaustive, StrategyBottomUp, StrategyAllMinimal, StrategyIncognito} {
 				serial := base
 				serial.Recorder = obs.NewRecorder()
-				repS, err := r.run(serial)
+				rS, err := Run(tbl, serial, s)
 				if err != nil {
 					t.Fatal(err)
 				}
+				repS := rS.Report
 				for _, w := range []int{2, 8} {
 					par := base
 					par.Workers = w
 					par.Recorder = obs.NewRecorder()
-					repP, err := r.run(par)
+					rP, err := Run(tbl, par, s)
 					if err != nil {
 						t.Fatal(err)
 					}
+					repP := rP.Report
 					if !reflect.DeepEqual(repS.DeterministicCounters(), repP.DeterministicCounters()) {
 						t.Errorf("p=%d TS=%d %s w=%d: counters diverged\nserial:   %v\nparallel: %v",
-							p, ts, r.name, w, repS.DeterministicCounters(), repP.DeterministicCounters())
+							p, ts, s, w, repS.DeterministicCounters(), repP.DeterministicCounters())
 					}
 				}
 			}

@@ -95,8 +95,8 @@ func (o rowScanOracle) minimalNode(n lattice.Node) MinimalNode {
 
 // exhaustive: every node evaluated; Minimal is Definition 3 over the
 // satisfying set.
-func (o rowScanOracle) exhaustive() ExhaustiveResult {
-	var res ExhaustiveResult
+func (o rowScanOracle) exhaustive() Result {
+	var res Result
 	for _, node := range o.lat.AllNodes() {
 		r := o.out[node.Key()]
 		res.Stats.Merge(r.stats)
@@ -112,8 +112,8 @@ func (o rowScanOracle) exhaustive() ExhaustiveResult {
 
 // bottomUp: levels in ascending height up to the first one holding a
 // satisfying node, whose satisfying nodes are the answer.
-func (o rowScanOracle) bottomUp() ExhaustiveResult {
-	var res ExhaustiveResult
+func (o rowScanOracle) bottomUp() Result {
+	var res Result
 	for h := 0; h <= o.lat.Height() && len(res.Minimal) == 0; h++ {
 		for _, node := range o.lat.NodesAtHeight(h) {
 			r := o.out[node.Key()]
@@ -129,8 +129,8 @@ func (o rowScanOracle) bottomUp() ExhaustiveResult {
 
 // allMinimal: the bottom-up walk that never evaluates a strict
 // generalization of a satisfying node and counts it as satisfying.
-func (o rowScanOracle) allMinimal() ExhaustiveResult {
-	var res ExhaustiveResult
+func (o rowScanOracle) allMinimal() Result {
+	var res Result
 	for h := 0; h <= o.lat.Height(); h++ {
 		for _, node := range o.lat.NodesAtHeight(h) {
 			covered := false
@@ -182,8 +182,7 @@ func (o rowScanOracle) samarati() Result {
 		}
 	}
 	if found != nil {
-		r := o.out[found.Key()]
-		res.Found, res.Node, res.Masked, res.Suppressed = true, found, r.masked, r.suppressed
+		res.Minimal = []MinimalNode{o.minimalNode(found)}
 	}
 	return res
 }
@@ -192,56 +191,30 @@ func (o rowScanOracle) samarati() Result {
 // compares each with the oracle's replay.
 func checkStrategiesAgainstOracle(t *testing.T, name string, im *table.Table, cfg Config, o rowScanOracle) {
 	t.Helper()
-	sa, err := Samarati(im, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Incognito's subset pruning and AllMinimal's tagging both rest on
+	// monotonicity, so on the full lattice they keep the same minimal
+	// nodes; Incognito reports them in (height, key) order, and its work
+	// counters include subset passes the oracle does not replay.
+	incognito := Result{Minimal: o.allMinimal().Minimal}
+	sortMinimal(incognito.Minimal)
+	wants := [numStrategies]Result{
+		StrategySamarati:   o.samarati(),
+		StrategyBottomUp:   o.bottomUp(),
+		StrategyExhaustive: o.exhaustive(),
+		StrategyAllMinimal: o.allMinimal(),
+		StrategyIncognito:  incognito,
 	}
-	want := o.samarati()
-	if sa.Found != want.Found || !sameStats(sa.Stats, want.Stats) ||
-		sa.Suppressed != want.Suppressed ||
-		(sa.Found && !sa.Node.Equal(want.Node)) ||
-		fmtMasked(sa.Masked) != fmtMasked(want.Masked) {
-		t.Errorf("%s: Samarati %v sup=%d %+v, oracle %v sup=%d %+v",
-			name, sa.Node, sa.Suppressed, sa.Stats, want.Node, want.Suppressed, want.Stats)
-	}
-
-	for _, s := range []struct {
-		name string
-		run  func(*table.Table, Config) (ExhaustiveResult, error)
-		want ExhaustiveResult
-	}{
-		{"Exhaustive", Exhaustive, o.exhaustive()},
-		{"BottomUp", BottomUp, o.bottomUp()},
-		{"AllMinimal", AllMinimal, o.allMinimal()},
-	} {
-		got, err := s.run(im, cfg)
+	for s, want := range wants {
+		got, err := Run(im, cfg, Strategy(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameStats(got.Stats, s.want.Stats) {
-			t.Errorf("%s: %s stats %+v, oracle %+v", name, s.name, got.Stats, s.want.Stats)
+		if Strategy(s) == StrategyIncognito {
+			got = Result{Minimal: got.Minimal}
 		}
-		if fmt.Sprint(got.Satisfying) != fmt.Sprint(s.want.Satisfying) {
-			t.Errorf("%s: %s satisfying %v, oracle %v", name, s.name, got.Satisfying, s.want.Satisfying)
+		if fmtResult(got) != fmtResult(want) {
+			t.Errorf("%s: %s differs from the oracle:\n%s\nwant\n%s", name, Strategy(s), fmtResult(got), fmtResult(want))
 		}
-		if fmtMinimal(got.Minimal) != fmtMinimal(s.want.Minimal) {
-			t.Errorf("%s: %s minimal nodes differ from the oracle:\n%s\nwant\n%s",
-				name, s.name, fmtMinimal(got.Minimal), fmtMinimal(s.want.Minimal))
-		}
-	}
-
-	// Incognito's subset pruning and AllMinimal's tagging both rest on
-	// monotonicity, so on the full lattice they keep the same minimal
-	// nodes; Incognito reports them in (height, key) order.
-	inc, err := Incognito(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantInc := o.allMinimal().Minimal
-	sortMinimal(wantInc)
-	if fmtMinimal(inc.Minimal) != fmtMinimal(wantInc) {
-		t.Errorf("%s: Incognito minimal nodes differ from the oracle:\n%s\nwant\n%s",
-			name, fmtMinimal(inc.Minimal), fmtMinimal(wantInc))
 	}
 }
 

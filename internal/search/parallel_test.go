@@ -20,8 +20,6 @@ func fmtMasked(t *table.Table) string {
 	return t.Format(-1)
 }
 
-func sameStats(a, b Stats) bool { return a == b }
-
 func fmtMinimal(ms []MinimalNode) string {
 	s := ""
 	for _, m := range ms {
@@ -30,95 +28,41 @@ func fmtMinimal(ms []MinimalNode) string {
 	return s
 }
 
+// fmtResult renders what a search pins — stop reason, stats, the
+// satisfying set and every minimal node with its masked bytes — for
+// byte-identical comparison. Found, Node, Masked and Suppressed are
+// Minimal[0], so they are covered too.
+func fmtResult(r Result) string {
+	return fmt.Sprintf("stop=%v %+v\nsatisfying %v\n", r.StopReason, r.Stats, r.Satisfying) + fmtMinimal(r.Minimal)
+}
+
 // TestParallelMatchesSerial: for every strategy, every fixture
 // configuration and several worker counts, the parallel run must be
 // node-for-node identical to the Workers=1 run.
 func TestParallelMatchesSerial(t *testing.T) {
 	tbl := figure3Table(t)
-	workerCounts := []int{2, 4, 8}
 	for _, p := range []int{1, 2} {
 		for ts := 0; ts <= 10; ts += 2 {
 			for _, useCond := range []bool{true, false} {
 				base := kOnlyConfig(t, ts)
 				base.P = p
 				base.UseConditions = useCond
-				name := fmt.Sprintf("p=%d/TS=%d/cond=%v", p, ts, useCond)
-
-				samS, err := Samarati(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exS, err := Exhaustive(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buS, err := BottomUp(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				amS, err := AllMinimal(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				incS, err := Incognito(tbl, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				for _, w := range workerCounts {
-					cfg := base
-					cfg.Workers = w
-
-					samP, err := Samarati(tbl, cfg)
+				for s := range numStrategies {
+					serial, err := Run(tbl, base, s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if samP.Found != samS.Found || !sameStats(samP.Stats, samS.Stats) ||
-						samP.Suppressed != samS.Suppressed ||
-						(samP.Found && !samP.Node.Equal(samS.Node)) ||
-						fmtMasked(samP.Masked) != fmtMasked(samS.Masked) {
-						t.Errorf("%s w=%d: Samarati diverged: %+v vs serial %+v", name, w, samP, samS)
-					}
-
-					exP, err := Exhaustive(tbl, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameStats(exP.Stats, exS.Stats) ||
-						fmt.Sprint(exP.Satisfying) != fmt.Sprint(exS.Satisfying) ||
-						fmtMinimal(exP.Minimal) != fmtMinimal(exS.Minimal) {
-						t.Errorf("%s w=%d: Exhaustive diverged", name, w)
-					}
-
-					buP, err := BottomUp(tbl, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameStats(buP.Stats, buS.Stats) ||
-						fmt.Sprint(buP.Satisfying) != fmt.Sprint(buS.Satisfying) ||
-						fmtMinimal(buP.Minimal) != fmtMinimal(buS.Minimal) {
-						t.Errorf("%s w=%d: BottomUp diverged", name, w)
-					}
-
-					amP, err := AllMinimal(tbl, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameStats(amP.Stats, amS.Stats) ||
-						fmt.Sprint(amP.Satisfying) != fmt.Sprint(amS.Satisfying) ||
-						fmtMinimal(amP.Minimal) != fmtMinimal(amS.Minimal) {
-						t.Errorf("%s w=%d: AllMinimal diverged", name, w)
-					}
-
-					incP, err := Incognito(tbl, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameStats(incP.Stats, incS.Stats) ||
-						incP.PrunedBySubsets != incS.PrunedBySubsets ||
-						incP.SubsetsEvaluated != incS.SubsetsEvaluated ||
-						fmtMinimal(incP.Minimal) != fmtMinimal(incS.Minimal) {
-						t.Errorf("%s w=%d: Incognito diverged", name, w)
+					for _, w := range []int{2, 4, 8} {
+						cfg := base
+						cfg.Workers = w
+						got, err := Run(tbl, cfg, s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fmtResult(got) != fmtResult(serial) {
+							t.Errorf("p=%d/TS=%d/cond=%v w=%d: %s diverged:\n%s\nserial:\n%s",
+								p, ts, useCond, w, s, fmtResult(got), fmtResult(serial))
+						}
 					}
 				}
 			}

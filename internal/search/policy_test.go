@@ -51,74 +51,18 @@ func TestCompositePolicyMatchesLegacy(t *testing.T) {
 			name := fmt.Sprintf("seed=%d w=%d K=%d P=%d TS=%d",
 				seed, w, base.K, base.P, base.MaxSuppress)
 
-			sa, err := Samarati(tbl, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := Samarati(tbl, composite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sa.Found != sb.Found || !sameStats(sa.Stats, sb.Stats) ||
-				sa.Suppressed != sb.Suppressed ||
-				(sa.Found && !sa.Node.Equal(sb.Node)) ||
-				fmtMasked(sa.Masked) != fmtMasked(sb.Masked) {
-				t.Errorf("%s: composite policy changed the Samarati outcome", name)
-			}
-
-			ea, err := Exhaustive(tbl, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eb, err := Exhaustive(tbl, composite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStats(ea.Stats, eb.Stats) ||
-				fmt.Sprint(ea.Satisfying) != fmt.Sprint(eb.Satisfying) ||
-				fmtMinimal(ea.Minimal) != fmtMinimal(eb.Minimal) {
-				t.Errorf("%s: composite policy changed the Exhaustive outcome", name)
-			}
-
-			ba, err := BottomUp(tbl, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bb, err := BottomUp(tbl, composite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStats(ba.Stats, bb.Stats) ||
-				fmtMinimal(ba.Minimal) != fmtMinimal(bb.Minimal) {
-				t.Errorf("%s: composite policy changed the BottomUp outcome", name)
-			}
-
-			aa, err := AllMinimal(tbl, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ab, err := AllMinimal(tbl, composite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStats(aa.Stats, ab.Stats) ||
-				fmtMinimal(aa.Minimal) != fmtMinimal(ab.Minimal) {
-				t.Errorf("%s: composite policy changed the AllMinimal outcome", name)
-			}
-
-			ia, err := Incognito(tbl, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ib, err := Incognito(tbl, composite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStats(ia.Stats, ib.Stats) ||
-				ia.PrunedBySubsets != ib.PrunedBySubsets ||
-				ia.SubsetsEvaluated != ib.SubsetsEvaluated ||
-				fmtMinimal(ia.Minimal) != fmtMinimal(ib.Minimal) {
-				t.Errorf("%s: composite policy changed the Incognito outcome", name)
+			for s := range numStrategies {
+				a, err := Run(tbl, legacy, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := Run(tbl, composite, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmtResult(a) != fmtResult(b) {
+					t.Errorf("%s: composite policy changed the %s outcome", name, s)
+				}
 			}
 		}
 	}
@@ -147,30 +91,18 @@ func TestBoundedPolicyMatchesConditions(t *testing.T) {
 		composite := base
 		composite.Policy = core.WithBounds(equivalentPolicy(base.P, base.K), bounds)
 
-		sa, err := Samarati(tbl, legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := Samarati(tbl, composite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa.Found != sb.Found || sa.Suppressed != sb.Suppressed ||
-			(sa.Found && !sa.Node.Equal(sb.Node)) ||
-			fmtMasked(sa.Masked) != fmtMasked(sb.Masked) {
-			t.Errorf("seed %d: bounded policy changed the Samarati solution", seed)
-		}
-
-		ia, err := Incognito(tbl, legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib, err := Incognito(tbl, composite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmtMinimal(ia.Minimal) != fmtMinimal(ib.Minimal) {
-			t.Errorf("seed %d: bounded policy changed the Incognito solutions", seed)
+		for _, s := range []Strategy{StrategySamarati, StrategyIncognito} {
+			a, err := Run(tbl, legacy, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(tbl, composite, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmtMinimal(a.Minimal) != fmtMinimal(b.Minimal) {
+				t.Errorf("seed %d: bounded policy changed the %s solutions", seed, s)
+			}
 		}
 	}
 }
@@ -190,51 +122,35 @@ func TestStrictCompositeSearch(t *testing.T) {
 	)
 	base.Policy = pol
 
-	sr, err := Samarati(tbl, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Found {
-		v, err := core.NewStatsView(sr.Masked, base.QIs, []string{"Illness"}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pol.Evaluate(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Satisfied {
-			t.Errorf("Samarati returned a node violating its own policy: %+v", res)
-		}
-	}
-
-	ir, err := Incognito(tbl, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range ir.Minimal {
-		v, err := core.NewStatsView(m.Masked, base.QIs, []string{"Illness"}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pol.Evaluate(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Satisfied {
-			t.Errorf("Incognito minimal node <%s> violates the policy: %+v", m.Node.Key(), res)
-		}
-	}
-	// The strict target is at least as hard as the legacy one: if the
-	// legacy search finds nothing, neither may the strict search.
 	legacy := base
 	legacy.Policy = nil
 	legacy.P = 2
-	lr, err := Samarati(tbl, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Found && !lr.Found {
-		t.Error("strict composite found a node the weaker legacy target missed")
+	for _, s := range []Strategy{StrategySamarati, StrategyIncognito} {
+		r, err := Run(tbl, base, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range r.Minimal {
+			v, err := core.NewStatsView(m.Masked, base.QIs, []string{"Illness"}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := pol.Evaluate(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Satisfied {
+				t.Errorf("%s minimal node <%s> violates the policy: %+v", s, m.Node.Key(), res)
+			}
+		}
+		// The strict target is at least as hard as the legacy one: if the
+		// legacy search finds nothing, neither may the strict search.
+		lr, err := Run(tbl, legacy, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Found && !lr.Found {
+			t.Errorf("strict composite %s found a node the weaker legacy target missed", s)
+		}
 	}
 }

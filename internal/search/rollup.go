@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,9 +87,10 @@ func (s *rollupStore) seed(node lattice.Node, stats *table.GroupStats) {
 }
 
 // nearestDescendant returns the completed entry whose node the given
-// node generalizes, preferring the greatest lattice height (fewest
-// groups, so the cheapest merge); nil when no strict descendant has
-// completed without error.
+// node generalizes, preferring the greatest lattice height, then the
+// fewest groups (both make the cheapest merge), then the
+// lexicographically smallest node, so the choice never depends on map
+// order; nil when no strict descendant has completed without error.
 func (s *rollupStore) nearestDescendant(node lattice.Node) *rollupEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,11 +99,22 @@ func (s *rollupStore) nearestDescendant(node lattice.Node) *rollupEntry {
 		if !e.completed || e.err != nil || !node.StrictGeneralizationOf(e.node) {
 			continue
 		}
-		if best == nil || e.node.Height() > best.node.Height() {
+		if best == nil || e.closerThan(best) {
 			best = e
 		}
 	}
 	return best
+}
+
+// closerThan orders roll-up sources for nearestDescendant.
+func (e *rollupEntry) closerThan(o *rollupEntry) bool {
+	if h, hOther := e.node.Height(), o.node.Height(); h != hOther {
+		return h > hOther
+	}
+	if g, gOther := e.stats.NumGroups(), o.stats.NumGroups(); g != gOther {
+		return g < gOther
+	}
+	return slices.Compare(e.node, o.node) < 0
 }
 
 // buildStats computes the node's pre-suppression statistics from rows:

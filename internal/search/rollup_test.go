@@ -1,6 +1,10 @@
 package search
 
-import "testing"
+import (
+	"testing"
+
+	"psk/internal/obs"
+)
 
 // TestRollupStoreScansOnce: an exhaustive search over the whole lattice
 // must hit the row-scanning fallback exactly once (the lattice bottom);
@@ -39,5 +43,30 @@ func TestRollupStoreScansOnce(t *testing.T) {
 	}
 	if len(e.rollups.entries) != len(nodes) || e.rollups.rowScans.Load() != 1 {
 		t.Error("re-evaluation grew the store or re-scanned rows")
+	}
+}
+
+// TestRollupSourceDeterministic: a serial search picks the same roll-up
+// source for every node on every run, so repeated runs report identical
+// cache and level-map counters (the store is a map, so an unordered tie
+// between equally high descendants would make them wander).
+func TestRollupSourceDeterministic(t *testing.T) {
+	src, cfg := adultSample(t, 30000)
+	im, err := src.Sample(1000, 2006)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first obs.CacheStats
+	for i := 0; i < 12; i++ {
+		cfg.Recorder = obs.NewRecorder()
+		if _, err := Run(im, cfg, StrategySamarati); err != nil {
+			t.Fatal(err)
+		}
+		got := cfg.Recorder.Snapshot().Cache
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d cache counters %+v, run 0 %+v", i, got, first)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func TestTable4MinimalGeneralizations(t *testing.T) {
 		10: {"0,0"},
 	}
 	for ts := 0; ts <= 10; ts++ {
-		res, err := Exhaustive(tbl, kOnlyConfig(t, ts))
+		res, err := Run(tbl, kOnlyConfig(t, ts), StrategyExhaustive)
 		if err != nil {
 			t.Fatalf("Exhaustive(TS=%d): %v", ts, err)
 		}
@@ -114,11 +114,11 @@ func TestSamaratiFindsMinimalHeight(t *testing.T) {
 	tbl := figure3Table(t)
 	for ts := 0; ts <= 10; ts++ {
 		cfg := kOnlyConfig(t, ts)
-		ex, err := Exhaustive(tbl, cfg)
+		ex, err := Run(tbl, cfg, StrategyExhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sam, err := Samarati(tbl, cfg)
+		sam, err := Run(tbl, cfg, StrategySamarati)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func TestBottomUpMatchesExhaustive(t *testing.T) {
 	tbl := figure3Table(t)
 	for ts := 0; ts <= 10; ts++ {
 		cfg := kOnlyConfig(t, ts)
-		bu, err := BottomUp(tbl, cfg)
+		bu, err := Run(tbl, cfg, StrategyBottomUp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := Exhaustive(tbl, cfg)
+		ex, err := Run(tbl, cfg, StrategyExhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestPSensitiveSearch(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 4)
 	cfg.P = 2
-	res, err := Samarati(tbl, cfg)
+	res, err := Run(tbl, cfg, StrategySamarati)
 	if err != nil {
 		t.Fatalf("Samarati: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestPSensitiveSearch(t *testing.T) {
 	}
 	// k-only minimal height for TS=4 is 2 (<0,2> or <1,1>); p=2 height
 	// must be >= that.
-	kOnly, err := Samarati(tbl, kOnlyConfig(t, 4))
+	kOnly, err := Run(tbl, kOnlyConfig(t, 4), StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,36 +235,24 @@ func TestCondition1ShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exhaustive := func(run func(*table.Table, Config) (ExhaustiveResult, error)) func(*testing.T, Config) (bool, Stats) {
+	run := func(s Strategy) func(*testing.T, Config) (bool, Stats) {
 		return func(t *testing.T, cfg Config) (bool, Stats) {
-			res, err := run(infeasible, cfg)
+			res, err := Run(infeasible, cfg, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return len(res.Minimal) > 0, res.Stats
+			return res.Found, res.Stats
 		}
 	}
 	entries := []struct {
 		name string
 		run  func(*testing.T, Config) (found bool, stats Stats)
 	}{
-		{"Samarati", func(t *testing.T, cfg Config) (bool, Stats) {
-			res, err := Samarati(infeasible, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Found, res.Stats
-		}},
-		{"Exhaustive", exhaustive(Exhaustive)},
-		{"AllMinimal", exhaustive(AllMinimal)},
-		{"BottomUp", exhaustive(BottomUp)},
-		{"Incognito", func(t *testing.T, cfg Config) (bool, Stats) {
-			res, err := Incognito(infeasible, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return len(res.Minimal) > 0, res.Stats
-		}},
+		{"Samarati", run(StrategySamarati)},
+		{"Exhaustive", run(StrategyExhaustive)},
+		{"AllMinimal", run(StrategyAllMinimal)},
+		{"BottomUp", run(StrategyBottomUp)},
+		{"Incognito", run(StrategyIncognito)},
 		{"Republish", func(t *testing.T, cfg Config) (bool, Stats) {
 			// The session publishes while all three illnesses are live;
 			// the retires then make the next republish infeasible.
@@ -318,20 +306,6 @@ func TestCondition1ShortCircuit(t *testing.T) {
 			})
 		}
 	}
-
-	cfg := kOnlyConfig(t, 2)
-	cfg.P, cfg.K = 3, 4
-	if _, reason, err := FindAnonymous(infeasible, cfg); err != nil || reason != core.FailedCondition1 {
-		t.Errorf("FindAnonymous reason = %v, %v; want FailedCondition1", reason, err)
-	}
-}
-
-func TestFindAnonymousSatisfied(t *testing.T) {
-	tbl := figure3Table(t)
-	res, reason, err := FindAnonymous(tbl, kOnlyConfig(t, 10))
-	if err != nil || reason != core.Satisfied || !res.Found {
-		t.Errorf("FindAnonymous = %v, %v, %v", res.Found, reason, err)
-	}
 }
 
 // TestUnsatisfiableWithinBudget: k larger than the table admits with a
@@ -340,16 +314,12 @@ func TestUnsatisfiableWithinBudget(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 0)
 	cfg.K = 11 // more than the number of rows
-	res, err := Samarati(tbl, cfg)
+	res, err := Run(tbl, cfg, StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Found {
-		t.Error("found a node for k=11 on a 10-row table")
-	}
-	_, reason, err := FindAnonymous(tbl, cfg)
-	if err != nil || reason != core.NotPSensitive {
-		t.Errorf("reason = %v, %v", reason, err)
+	if res.Found || res.Stats.PrunedCondition1 != 0 {
+		t.Errorf("k=11 on a 10-row table: found=%v %+v", res.Found, res.Stats)
 	}
 }
 
@@ -359,39 +329,39 @@ func TestConfigValidation(t *testing.T) {
 
 	bad := base
 	bad.K = 1
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("k=1 accepted")
 	}
 	bad = base
 	bad.P = 0
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("p=0 accepted")
 	}
 	bad = base
 	bad.P = 5
 	bad.K = 3
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("p>k accepted")
 	}
 	bad = base
 	bad.P = 2
 	bad.Confidential = nil
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("p>=2 without confidential attributes accepted")
 	}
 	bad = base
 	bad.MaxSuppress = -1
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("negative TS accepted")
 	}
 	bad = base
 	bad.Hierarchies = nil
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("nil hierarchies accepted")
 	}
 	bad = base
 	bad.QIs = []string{"Missing"}
-	if _, err := Samarati(tbl, bad); err == nil {
+	if _, err := Run(tbl, bad, StrategySamarati); err == nil {
 		t.Error("missing QI hierarchy accepted")
 	}
 }
@@ -409,11 +379,11 @@ func TestConditionsDoNotChangeOutcome(t *testing.T) {
 			off := on
 			off.UseConditions = false
 
-			rOn, err := Samarati(tbl, on)
+			rOn, err := Run(tbl, on, StrategySamarati)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rOff, err := Samarati(tbl, off)
+			rOff, err := Run(tbl, off, StrategySamarati)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -558,7 +528,7 @@ func TestSamaratiTrivialBottom(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := kOnlyConfig(t, 0)
-	res, err := Samarati(tbl, cfg)
+	res, err := Run(tbl, cfg, StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,11 +546,11 @@ func TestStatsAblation(t *testing.T) {
 	off := on
 	off.UseConditions = false
 
-	rOn, err := Exhaustive(tbl, on)
+	rOn, err := Run(tbl, on, StrategyExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOff, err := Exhaustive(tbl, off)
+	rOff, err := Run(tbl, off, StrategyExhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,8 @@ type AnonymizeResult struct {
 	Suppressed int    `json:"suppressed"`
 	// ReleasedRows counts the rows of the masked table.
 	ReleasedRows int `json:"released_rows"`
-	// AllMinimal lists every minimal node (bottomup / exhaustive).
+	// AllMinimal lists every minimal node the algorithm found (Node
+	// alone for samarati).
 	AllMinimal []string `json:"all_minimal,omitempty"`
 	// MaskedCSV carries the released table when the request asked for it.
 	MaskedCSV string `json:"masked_csv,omitempty"`
@@ -280,6 +281,10 @@ func prepareCheck(r *JobRequest) (runFunc, error) {
 // the same data reuse one parsed table and one generalized-column
 // cache.
 func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, workers int) (runFunc, *sharedData, error) {
+	strategy, err := search.ParseStrategy(r.Algorithm)
+	if err != nil {
+		return nil, nil, inputError{err}
+	}
 	// Round-trip the embedded job through config.Parse so the service
 	// applies exactly the validation pskanon's -job path does.
 	raw, err := json.Marshal(r.Job)
@@ -295,6 +300,9 @@ func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, worker
 			return nil, nil, inputErrf("hierarchy %q: file-based specs are not accepted over the service (inline the chains)", attr)
 		}
 	}
+	if err := strategy.CheckQIs(len(job.QuasiIdentifiers)); err != nil {
+		return nil, nil, inputError{err}
+	}
 	pol, err := core.Composite(job.Confidential, job.P, job.K, r.LDiv, r.TClose, r.Alpha)
 	if err != nil {
 		return nil, nil, inputError{err}
@@ -303,7 +311,7 @@ func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, worker
 	if err != nil {
 		return nil, nil, err
 	}
-	kind, algorithm, includeMasked := r.Kind, r.Algorithm, r.IncludeMasked
+	kind, includeMasked := r.Kind, r.IncludeMasked
 	run := func(ctx context.Context, rec *obs.Recorder) (*JobResult, search.StopReason, error) {
 		cfg := search.Config{
 			QIs:           job.QuasiIdentifiers,
@@ -328,37 +336,9 @@ func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, worker
 		if kind == KindFrontier {
 			cfg.Frontier = search.FrontierConfig{Enabled: true}
 		}
-		var res search.Result
-		var allMinimal []string
-		switch algorithm {
-		case "samarati":
-			r2, err := search.Samarati(sd.tbl, cfg)
-			if err != nil {
-				return nil, search.StopDone, inputError{err}
-			}
-			res = r2
-		case "bottomup", "exhaustive":
-			var er search.ExhaustiveResult
-			var err error
-			if algorithm == "bottomup" {
-				er, err = search.BottomUp(sd.tbl, cfg)
-			} else {
-				er, err = search.Exhaustive(sd.tbl, cfg)
-			}
-			if err != nil {
-				return nil, search.StopDone, inputError{err}
-			}
-			res = search.Result{Stats: er.Stats, StopReason: er.StopReason, Frontier: er.Frontier}
-			if len(er.Minimal) > 0 {
-				first := er.Minimal[0]
-				res.Found = true
-				res.Node = first.Node
-				res.Masked = first.Masked
-				res.Suppressed = first.Suppressed
-				for _, m := range er.Minimal {
-					allMinimal = append(allMinimal, fmt.Sprint(m.Node))
-				}
-			}
+		res, err := search.Run(sd.tbl, cfg, strategy)
+		if err != nil {
+			return nil, search.StopDone, inputError{err}
 		}
 		if kind == KindFrontier {
 			fr := &FrontierResult{Members: []FrontierMember{}}
@@ -385,7 +365,9 @@ func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, worker
 			ar.Node = fmt.Sprint(res.Node)
 			ar.Height = res.Node.Height()
 			ar.ReleasedRows = res.Masked.NumRows()
-			ar.AllMinimal = allMinimal
+			for _, m := range res.Minimal {
+				ar.AllMinimal = append(ar.AllMinimal, fmt.Sprint(m.Node))
+			}
 			if includeMasked {
 				var buf strings.Builder
 				if err := res.Masked.WriteCSV(&buf); err != nil {

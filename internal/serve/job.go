@@ -91,7 +91,7 @@ type JobRequest struct {
 	// hierarchies — the same JSON pskanon's -job flag loads.
 	Job *config.Job `json:"job,omitempty"`
 	// Algorithm selects the search strategy (anonymize / frontier):
-	// samarati (default), bottomup or exhaustive.
+	// samarati (default), bottomup, exhaustive, allminimal or incognito.
 	Algorithm string `json:"algorithm,omitempty"`
 	// IncludeMasked asks the anonymize result to carry the masked CSV.
 	IncludeMasked bool `json:"include_masked,omitempty"`
@@ -259,12 +259,8 @@ func (r *JobRequest) validate() error {
 		if r.Job == nil {
 			return inputErrf("%s requires a job description", r.Kind)
 		}
-		switch r.Algorithm {
-		case "":
-			r.Algorithm = "samarati"
-		case "samarati", "bottomup", "exhaustive":
-		default:
-			return inputErrf("unknown algorithm %q", r.Algorithm)
+		if r.Algorithm == "" {
+			r.Algorithm = search.StrategySamarati.String()
 		}
 	case KindAttack:
 		if strings.TrimSpace(r.ExternalCSV) == "" {

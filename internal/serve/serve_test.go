@@ -434,28 +434,79 @@ func TestSingleFlightAndResultCache(t *testing.T) {
 
 func TestAnonymizeResultVerifies(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	id, _ := submit(t, ts, anonRequest(t))
-	status, payload := pollDone(t, ts, id)
-	if status != 200 || payload["state"] != "done" {
-		t.Fatalf("anonymize: status %d state %v (%v)", status, payload["state"], payload["error"])
+	for _, alg := range []string{"samarati", "bottomup", "exhaustive", "allminimal", "incognito"} {
+		r := anonRequest(t)
+		r.Algorithm = alg
+		id, _ := submit(t, ts, r)
+		status, payload := pollDone(t, ts, id)
+		if status != 200 || payload["state"] != "done" {
+			t.Fatalf("%s: status %d state %v (%v)", alg, status, payload["state"], payload["error"])
+		}
+		res := payload["result"].(map[string]any)["anonymize"].(map[string]any)
+		if res["found"] != true || len(res["all_minimal"].([]any)) == 0 {
+			t.Fatalf("%s: not found: %v", alg, res)
+		}
+		masked, err := table.ReadCSV(strings.NewReader(res["masked_csv"].(string)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdict, err := core.Check(masked, []string{"Age", "ZipCode", "Sex"}, []string{"Illness"}, 2, 3)
+		if err != nil || !verdict.Satisfied {
+			t.Errorf("%s: released table not 2-sensitive 3-anonymous: %v %v", alg, verdict, err)
+		}
+		if payload["stop_reason"] != "done" {
+			t.Errorf("%s: stop_reason %v, want done", alg, payload["stop_reason"])
+		}
+		if payload["report"] == nil {
+			t.Errorf("%s: no report embedded in the finished job", alg)
+		}
 	}
-	res := payload["result"].(map[string]any)["anonymize"].(map[string]any)
-	if res["found"] != true {
-		t.Fatalf("anonymize: not found: %v", res)
+}
+
+// wideIncognito is an Incognito anonymize job over n quasi-identifiers,
+// each with a flat hierarchy. Incognito projects the base statistics
+// onto all 2^n − 2 proper QI subsets before it evaluates a node.
+func wideIncognito(n, rows int) JobRequest {
+	job := &config.Job{Confidential: []string{"C"}, K: 2, P: 2, Hierarchies: map[string]config.HierarchySpec{}}
+	var csv strings.Builder
+	for j := 0; j < n; j++ {
+		q := fmt.Sprintf("Q%d", j)
+		job.QuasiIdentifiers = append(job.QuasiIdentifiers, q)
+		job.Hierarchies[q] = config.HierarchySpec{Type: "flat", Top: "*"}
+		csv.WriteString(q + ",")
 	}
-	masked, err := table.ReadCSV(strings.NewReader(res["masked_csv"].(string)), nil)
-	if err != nil {
-		t.Fatal(err)
+	csv.WriteString("C\n")
+	for i := 0; i < rows; i++ {
+		for j := 0; j < n; j++ {
+			fmt.Fprintf(&csv, "%d,", i*(j+3)%17)
+		}
+		fmt.Fprintf(&csv, "%d\n", i%5)
 	}
-	verdict, err := core.Check(masked, []string{"Age", "ZipCode", "Sex"}, []string{"Illness"}, 2, 3)
-	if err != nil || !verdict.Satisfied {
-		t.Errorf("released table not 2-sensitive 3-anonymous: %v %v", verdict, err)
+	return JobRequest{Kind: KindAnonymize, CSV: csv.String(), Job: job, Algorithm: "incognito"}
+}
+
+// TestIncognitoBounded: an Incognito job over more than 16
+// quasi-identifiers is a 400 at submit, and a 12-QI job under a 1-ms
+// deadline stops at the deadline while it is still projecting subset
+// statistics, not after all 4094 projections.
+func TestIncognitoBounded(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	status, _, payload := doJSON(t, "POST", ts.URL+"/v1/jobs", wideIncognito(17, 20))
+	if status != http.StatusBadRequest || !strings.Contains(fmt.Sprint(payload["error"]), "at most 16") {
+		t.Errorf("17-QI incognito: got %d %v, want 400", status, payload)
 	}
-	if payload["stop_reason"] != "done" {
-		t.Errorf("stop_reason %v, want done", payload["stop_reason"])
+
+	r := wideIncognito(12, 300)
+	r.Budget.TimeoutMS = 1
+	id, _ := submit(t, ts, r)
+	_, payload = pollDone(t, ts, id)
+	if payload["stop_reason"] != search.StopDeadline.String() {
+		t.Fatalf("stop_reason %v, want deadline (%v)", payload["stop_reason"], payload["error"])
 	}
-	if payload["report"] == nil {
-		t.Error("no report embedded in the finished job")
+	for _, ph := range payload["report"].(map[string]any)["phases"].([]any) {
+		if ph := ph.(map[string]any); ph["phase"] == "rollup" && ph["count"].(float64) >= 1<<12-2 {
+			t.Errorf("%v roll-ups: all subset projections were built past the deadline", ph["count"])
+		}
 	}
 }
 

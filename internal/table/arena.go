@@ -33,7 +33,7 @@ type statsArena struct {
 	scratch []int32  // per-column code extraction buffer
 	ids     []int32  // per-row confidential ids of the current block
 
-	keyTable []int32  // packed key -> group id + 1 (0 = absent)
+	keyTable []int32 // packed key -> group id + 1 (0 = absent)
 	idx      map[uint64]int32
 	gkeys    []uint64 // packed key of each discovered group, in order
 	hist     []int32  // group-major histogram slab, width histStride

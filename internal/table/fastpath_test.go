@@ -174,44 +174,6 @@ func TestMappedColumnMemoizes(t *testing.T) {
 	}
 }
 
-func TestDistinctAtLeast(t *testing.T) {
-	tbl := mixedTable(t, 21) // A cycles through 7 values
-	rows := make([]int, 21)
-	for i := range rows {
-		rows[i] = i
-	}
-	for p := 0; p <= 7; p++ {
-		ok, err := tbl.DistinctAtLeast("A", rows, p)
-		if err != nil || !ok {
-			t.Errorf("DistinctAtLeast(A, p=%d) = %v, %v; want true", p, ok, err)
-		}
-	}
-	ok, err := tbl.DistinctAtLeast("A", rows, 8)
-	if err != nil || ok {
-		t.Errorf("DistinctAtLeast(A, p=8) = %v, %v; want false", ok, err)
-	}
-	ok, err = tbl.DistinctAtLeast("A", nil, 1)
-	if err != nil || ok {
-		t.Errorf("DistinctAtLeast over no rows, p=1: %v, %v; want false", ok, err)
-	}
-	if _, err := tbl.DistinctAtLeast("Missing", rows, 2); err == nil {
-		t.Error("unknown column accepted")
-	}
-	// Agreement with the exact count on row subsets.
-	for _, sub := range [][]int{{0}, {0, 7, 14}, {0, 1, 2, 3}} {
-		d, err := tbl.DistinctInRows("A", sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 1; p <= d+1; p++ {
-			ok, err := tbl.DistinctAtLeast("A", sub, p)
-			if err != nil || ok != (d >= p) {
-				t.Errorf("rows %v p=%d: atLeast=%v, exact=%d", sub, p, ok, d)
-			}
-		}
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	g := Group{Key: []Value{SV("M"), SV("41076"), IV(3)}}
 	if got := g.KeyString(); got != "M, 41076, 3" {

@@ -157,7 +157,7 @@ func groupHint(nrows int) int {
 // packed uint64 keys, resolved against a flat key table (small key
 // spaces) or an int-keyed map; otherwise the per-row varint byte-string
 // key is used. All paths produce identical groups in identical order
-// (BenchmarkGroupByStrategies covers them).
+// (TestGroupByPackedAndFallbackAgree pins them).
 func (t *Table) GroupBy(names ...string) ([]Group, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("table: group by with no columns")
@@ -296,46 +296,6 @@ func (t *Table) NumGroups(names ...string) (int, error) {
 	return len(seen), nil
 }
 
-// DistinctInRows counts the distinct values of the named column over the
-// given row subset. Used by the p-sensitivity group scan.
-func (t *Table) DistinctInRows(name string, rows []int) (int, error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[int]struct{}, len(rows))
-	for _, r := range rows {
-		seen[c.Code(r)] = struct{}{}
-	}
-	return len(seen), nil
-}
-
-// DistinctAtLeast reports whether the named column takes at least p
-// distinct values over the given row subset, stopping as soon as the
-// p-th distinct code is seen. The p-sensitivity scans only ever need
-// the ">= p?" verdict, not the exact count, so this saves the tail of
-// every scan over a qualifying group.
-func (t *Table) DistinctAtLeast(name string, rows []int, p int) (bool, error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return false, err
-	}
-	if p <= 0 {
-		return true, nil
-	}
-	if p == 1 {
-		return len(rows) > 0, nil
-	}
-	seen := make(map[int]struct{}, p)
-	for _, r := range rows {
-		seen[c.Code(r)] = struct{}{}
-		if len(seen) >= p {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // DistinctCount counts the distinct values in the named column, the
 // paper's "SELECT COUNT(DISTINCT S) FROM IM".
 func (t *Table) DistinctCount(name string) (int, error) {
@@ -387,58 +347,4 @@ func (t *Table) ValueCounts(name string) ([]ValueCount, error) {
 type ValueCount struct {
 	Value Value
 	Count int
-}
-
-// GroupBySorted is the sort-based alternative to GroupBy: rows are
-// ordered by their per-column codes and groups read off as runs. Same
-// contract as GroupBy except groups appear in code order rather than
-// first-appearance order. It exists for the hash-vs-sort ablation
-// (DESIGN.md §5.4); the hash-based GroupBy is the default everywhere.
-func (t *Table) GroupBySorted(names ...string) ([]Group, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("table: group by with no columns")
-	}
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		c, err := t.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	rows := make([]int, t.nrows)
-	for i := range rows {
-		rows[i] = i
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		for _, c := range cols {
-			ca, cb := c.Code(rows[a]), c.Code(rows[b])
-			if ca != cb {
-				return ca < cb
-			}
-		}
-		return rows[a] < rows[b]
-	})
-	var groups []Group
-	sameGroup := func(a, b int) bool {
-		for _, c := range cols {
-			if c.Code(a) != c.Code(b) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < len(rows); {
-		j := i
-		for j < len(rows) && sameGroup(rows[i], rows[j]) {
-			j++
-		}
-		kv := make([]Value, len(cols))
-		for k, c := range cols {
-			kv[k] = c.Value(rows[i])
-		}
-		groups = append(groups, Group{Key: kv, Rows: append([]int(nil), rows[i:j]...)})
-		i = j
-	}
-	return groups, nil
 }

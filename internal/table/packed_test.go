@@ -207,7 +207,7 @@ func TestStringGatherSharesDict(t *testing.T) {
 	if len(src.dict) != before {
 		t.Fatal("append to gathered column mutated the source dictionary")
 	}
-	if out.Value(out.Len() - 1).Str() != "novel-value" {
+	if out.Value(out.Len()-1).Str() != "novel-value" {
 		t.Fatal("append to gathered column lost the value")
 	}
 }

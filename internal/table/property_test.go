@@ -202,56 +202,3 @@ func TestSortByProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: GroupBySorted partitions rows identically to GroupBy (same
-// group multiset, different order).
-func TestGroupBySortedEquivalence(t *testing.T) {
-	f := func(rt randomTable) bool {
-		if rt.tbl.NumRows() == 0 {
-			return true
-		}
-		hashed, err1 := rt.tbl.GroupBy("A", "B")
-		sorted, err2 := rt.tbl.GroupBySorted("A", "B")
-		if err1 != nil || err2 != nil || len(hashed) != len(sorted) {
-			return false
-		}
-		sizeOf := func(gs []Group) map[string]int {
-			m := make(map[string]int, len(gs))
-			for _, g := range gs {
-				m[g.Key[0].Str()+"\x00"+g.Key[1].Str()] = g.Size()
-			}
-			return m
-		}
-		hm, sm := sizeOf(hashed), sizeOf(sorted)
-		for k, v := range hm {
-			if sm[k] != v {
-				return false
-			}
-		}
-		// Sorted groups must also cover every row exactly once.
-		seen := make(map[int]bool)
-		for _, g := range sorted {
-			for _, r := range g.Rows {
-				if seen[r] {
-					return false
-				}
-				seen[r] = true
-			}
-		}
-		return len(seen) == rt.tbl.NumRows()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGroupBySortedNoColumns(t *testing.T) {
-	sch := MustSchema(Field{Name: "A", Type: String})
-	tbl, _ := FromText(sch, [][]string{{"x"}})
-	if _, err := tbl.GroupBySorted(); err == nil {
-		t.Error("no columns accepted")
-	}
-	if _, err := tbl.GroupBySorted("Missing"); err == nil {
-		t.Error("missing column accepted")
-	}
-}

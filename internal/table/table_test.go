@@ -238,18 +238,6 @@ func TestDistinctCount(t *testing.T) {
 	}
 }
 
-func TestDistinctInRows(t *testing.T) {
-	tbl := patientTable(t)
-	n, err := tbl.DistinctInRows("Illness", []int{3, 4})
-	if err != nil || n != 1 {
-		t.Errorf("DistinctInRows = %d, %v; want 1 (both Diabetes)", n, err)
-	}
-	n, _ = tbl.DistinctInRows("Illness", []int{0, 5})
-	if n != 2 {
-		t.Errorf("DistinctInRows = %d, want 2", n)
-	}
-}
-
 func TestValueCounts(t *testing.T) {
 	tbl := patientTable(t)
 	vc, err := tbl.ValueCounts("Illness")

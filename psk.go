@@ -2,7 +2,6 @@ package psk
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -138,21 +137,35 @@ func DecadeLevel(name string, lo, hi, width int64) IntervalLevel {
 	return hierarchy.DecadeLevel(name, lo, hi, width)
 }
 
-// Algorithm selects the lattice search strategy used by Anonymize.
-type Algorithm int
+// Algorithm selects the lattice search strategy used by Anonymize,
+// AllMinimal and OpenSession. Its String form is the name pskanon's
+// -algorithm flag and the service's algorithm field accept.
+type Algorithm = search.Strategy
 
 // Available search algorithms.
 const (
 	// AlgorithmSamarati is the paper's Algorithm 3: binary search on
-	// lattice height. The default.
-	AlgorithmSamarati Algorithm = iota
+	// lattice height. The default (the zero value).
+	AlgorithmSamarati = search.StrategySamarati
 	// AlgorithmBottomUp scans levels from the bottom and returns the
 	// first satisfying level's nodes (Incognito-style).
-	AlgorithmBottomUp
+	AlgorithmBottomUp = search.StrategyBottomUp
 	// AlgorithmExhaustive evaluates the whole lattice and returns a
 	// node from the full p-k-minimal set.
-	AlgorithmExhaustive
+	AlgorithmExhaustive = search.StrategyExhaustive
+	// AlgorithmAllMinimal walks the lattice bottom-up, skipping the
+	// up-set of every satisfying node, and returns the full p-k-minimal
+	// set.
+	AlgorithmAllMinimal = search.StrategyAllMinimal
+	// AlgorithmIncognito prunes the full lattice with the subset-lattice
+	// passes of LeFevre et al.'s Incognito (the paper's reference [12])
+	// and returns the full p-k-minimal set.
+	AlgorithmIncognito = search.StrategyIncognito
 )
+
+// ParseAlgorithm resolves an algorithm name: samarati, bottomup,
+// exhaustive, allminimal or incognito.
+func ParseAlgorithm(name string) (Algorithm, error) { return search.ParseStrategy(name) }
 
 // Config parameterizes Anonymize.
 type Config struct {
@@ -268,8 +281,9 @@ type Result struct {
 	Masked *Table
 	// Suppressed is the number of tuples removed.
 	Suppressed int
-	// AllMinimal lists every minimal node when AlgorithmExhaustive or
-	// AlgorithmBottomUp was used.
+	// AllMinimal lists every minimal node the algorithm found: Node
+	// alone for Samarati, the minimal-height level for BottomUp, the
+	// full p-k-minimal set for the others.
 	AllMinimal []Node
 	// Report is the telemetry snapshot of the search; nil unless
 	// Config.Recorder was set.
@@ -289,40 +303,19 @@ type Result struct {
 // generalization of im and returns the masked microdata (Algorithm 3 of
 // the paper, or a sibling strategy per Config.Algorithm).
 func Anonymize(im *Table, cfg Config) (*Result, error) {
-	switch cfg.Algorithm {
-	case AlgorithmSamarati:
-		r, err := search.Samarati(im, cfg.searchConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Found: r.Found, Node: r.Node, Masked: r.Masked, Suppressed: r.Suppressed, Report: r.Report, StopReason: r.StopReason, Frontier: r.Frontier}, nil
-	case AlgorithmBottomUp:
-		r, err := search.BottomUp(im, cfg.searchConfig())
-		if err != nil {
-			return nil, err
-		}
-		return exhaustiveResult(r), nil
-	case AlgorithmExhaustive:
-		r, err := search.Exhaustive(im, cfg.searchConfig())
-		if err != nil {
-			return nil, err
-		}
-		return exhaustiveResult(r), nil
-	default:
-		return nil, fmt.Errorf("psk: unknown algorithm %d", cfg.Algorithm)
+	r, err := search.Run(im, cfg.searchConfig(), cfg.Algorithm)
+	if err != nil {
+		return nil, err
 	}
+	return newResult(r), nil
 }
 
-func exhaustiveResult(r search.ExhaustiveResult) *Result {
-	out := &Result{Report: r.Report, StopReason: r.StopReason, Frontier: r.Frontier}
-	if len(r.Minimal) == 0 {
-		return out
+// newResult maps a search result onto the facade's.
+func newResult(r search.Result) *Result {
+	out := &Result{
+		Found: r.Found, Node: r.Node, Masked: r.Masked, Suppressed: r.Suppressed,
+		Report: r.Report, StopReason: r.StopReason, Frontier: r.Frontier,
 	}
-	first := r.Minimal[0]
-	out.Found = true
-	out.Node = first.Node
-	out.Masked = first.Masked
-	out.Suppressed = first.Suppressed
 	for _, m := range r.Minimal {
 		out.AllMinimal = append(out.AllMinimal, m.Node)
 	}
@@ -509,15 +502,12 @@ func GreedyCluster(t *Table, qis, confidential []string, k, p int) (*Table, erro
 // AllMinimal enumerates every p-k-minimal generalization node using
 // predictive tagging (monotonicity assumed, as in Samarati's search).
 func AllMinimal(im *Table, cfg Config) ([]Node, error) {
-	res, err := search.AllMinimal(im, cfg.searchConfig())
+	cfg.Algorithm = AlgorithmAllMinimal
+	r, err := Anonymize(im, cfg)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]Node, 0, len(res.Minimal))
-	for _, m := range res.Minimal {
-		nodes = append(nodes, m.Node)
-	}
-	return nodes, nil
+	return r.AllMinimal, nil
 }
 
 // ClusterConstraint adds a category-level diversity requirement to
@@ -555,29 +545,6 @@ func LocalSuppress(im *Table, cfg Config, node Node) (*Table, int, error) {
 		return nil, 0, err
 	}
 	return m.SuppressCells(g, cfg.K)
-}
-
-// AnonymizeIncognito searches with the subset-lattice pruning of
-// LeFevre et al.'s Incognito (the paper's reference [12]), adapted to
-// p-sensitive k-anonymity, and returns every p-k-minimal node.
-func AnonymizeIncognito(im *Table, cfg Config) (*Result, error) {
-	r, err := search.Incognito(im, cfg.searchConfig())
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Report: r.Report, StopReason: r.StopReason, Frontier: r.Frontier}
-	if len(r.Minimal) == 0 {
-		return out, nil
-	}
-	first := r.Minimal[0]
-	out.Found = true
-	out.Node = first.Node
-	out.Masked = first.Masked
-	out.Suppressed = first.Suppressed
-	for _, m := range r.Minimal {
-		out.AllMinimal = append(out.AllMinimal, m.Node)
-	}
-	return out, nil
 }
 
 // AnatomyRelease is the two-table anatomy release: QIT (exact QI values

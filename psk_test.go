@@ -424,9 +424,10 @@ func TestLocalSuppressFacade(t *testing.T) {
 func TestIncognitoFacade(t *testing.T) {
 	tbl := figure3(t)
 	cfg := baseConfig(t)
-	res, err := AnonymizeIncognito(tbl, cfg)
+	cfg.Algorithm = AlgorithmIncognito
+	res, err := Anonymize(tbl, cfg)
 	if err != nil {
-		t.Fatalf("AnonymizeIncognito: %v", err)
+		t.Fatalf("Anonymize(incognito): %v", err)
 	}
 	if !res.Found || len(res.AllMinimal) == 0 {
 		t.Fatal("no minimal nodes")
@@ -436,6 +437,7 @@ func TestIncognitoFacade(t *testing.T) {
 		t.Errorf("output fails property: %v", err)
 	}
 	// Agreement with Samarati on minimal height.
+	cfg.Algorithm = AlgorithmSamarati
 	sam, err := Anonymize(tbl, cfg)
 	if err != nil || !sam.Found {
 		t.Fatal(err)

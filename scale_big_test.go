@@ -78,7 +78,7 @@ func TestScaleMillionRows(t *testing.T) {
 		MaxSuppress:   big.NumRows() / 100,
 		UseConditions: true,
 	}
-	res, err := search.Samarati(big, cfg)
+	res, err := search.Run(big, cfg, search.StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}

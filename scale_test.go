@@ -35,7 +35,7 @@ func TestScaleFullPipeline(t *testing.T) {
 		MaxSuppress:   500,
 		UseConditions: true,
 	}
-	res, err := search.Samarati(im, cfg)
+	res, err := search.Run(im, cfg, search.StrategySamarati)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package psk
 
-import (
-	"fmt"
-
-	"psk/internal/search"
-)
+import "psk/internal/search"
 
 // Session is a streaming anonymization session: open it once on the
 // base microdata, feed it append/retire deltas with Apply, and call
@@ -31,18 +27,7 @@ type Session struct {
 // first Republish and for republishes the incremental repair cannot
 // settle.
 func OpenSession(im *Table, cfg Config) (*Session, error) {
-	var fb search.Strategy
-	switch cfg.Algorithm {
-	case AlgorithmSamarati:
-		fb = search.StrategySamarati
-	case AlgorithmBottomUp:
-		fb = search.StrategyBottomUp
-	case AlgorithmExhaustive:
-		fb = search.StrategyExhaustive
-	default:
-		return nil, fmt.Errorf("psk: unknown algorithm %d", cfg.Algorithm)
-	}
-	inc, err := search.OpenIncremental(im, cfg.searchConfig(), fb)
+	inc, err := search.OpenIncremental(im, cfg.searchConfig(), cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -75,20 +60,14 @@ func (s *Session) Apply(appends [][]string, retires []int) error {
 // Republish re-verdicts the published node against the current live
 // rows and returns a batch-shaped Result. Result.Masked is nil on the
 // incremental paths (materializing costs O(live rows)); call
-// Materialize when the masked release is actually needed.
+// Materialize when the masked release is actually needed. AllMinimal
+// and Frontier are only filled by a cold Config.Algorithm search.
 func (s *Session) Republish() (*Result, error) {
 	r, err := s.inc.Republish()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Found:      r.Found,
-		Node:       r.Node,
-		Masked:     r.Masked,
-		Suppressed: r.Suppressed,
-		Report:     r.Report,
-		StopReason: r.StopReason,
-	}, nil
+	return newResult(r), nil
 }
 
 // Materialize builds the masked microdata for the published node from

@@ -1,50 +1,55 @@
 package psk
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // TestSessionMatchesAnonymize: the streaming facade's first publication
 // and its materialized release are identical to the one-shot batch API
-// on the same table.
+// on the same table, whichever algorithm publishes cold.
 func TestSessionMatchesAnonymize(t *testing.T) {
 	tbl := figure3(t)
-	cfg := baseConfig(t)
-	batch, err := Anonymize(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenSession(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Republish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found != batch.Found || !res.Node.Equal(batch.Node) || res.Suppressed != batch.Suppressed {
-		t.Fatalf("initial publish %+v, batch %+v", res, batch)
-	}
-	if !s.Published().Equal(batch.Node) {
-		t.Fatalf("Published() = %v, want %v", s.Published(), batch.Node)
-	}
-	mm, suppressed, err := s.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if suppressed != batch.Suppressed {
-		t.Fatalf("Materialize suppressed %d, batch %d", suppressed, batch.Suppressed)
-	}
-	var got, want strings.Builder
-	if err := mm.WriteCSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.Masked.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("materialized release differs from batch:\n%s\nvs\n%s", got.String(), want.String())
+	for _, alg := range []Algorithm{AlgorithmSamarati, AlgorithmAllMinimal, AlgorithmIncognito} {
+		cfg := baseConfig(t)
+		cfg.Algorithm = alg
+		batch, err := Anonymize(tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSession(tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Republish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found != batch.Found || !res.Node.Equal(batch.Node) || res.Suppressed != batch.Suppressed ||
+			fmt.Sprint(res.AllMinimal) != fmt.Sprint(batch.AllMinimal) {
+			t.Fatalf("%s: initial publish %+v, batch %+v", alg, res, batch)
+		}
+		if !s.Published().Equal(batch.Node) {
+			t.Fatalf("%s: Published() = %v, want %v", alg, s.Published(), batch.Node)
+		}
+		mm, suppressed, err := s.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if suppressed != batch.Suppressed {
+			t.Fatalf("%s: Materialize suppressed %d, batch %d", alg, suppressed, batch.Suppressed)
+		}
+		var got, want strings.Builder
+		if err := mm.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := batch.Masked.WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: materialized release differs from batch:\n%s\nvs\n%s", alg, got.String(), want.String())
+		}
 	}
 }
 

@@ -7,6 +7,10 @@
 //
 //	adultgen -n 4000 -seed 2006 -out adult.csv
 //	adultgen -scale 20 -seed 2006 -out adult_1m.csv   # 48,842-row shape x 20
+//
+// Exit codes: 0 when the data was written, 1 when generating or writing
+// it failed, 2 when the input layer rejected the invocation (a bad
+// flag).
 package main
 
 import (
@@ -19,6 +23,6 @@ import (
 func main() {
 	if err := cli.Gen(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "adultgen:", err)
-		os.Exit(1)
+		os.Exit(cli.ExitCode(err))
 	}
 }

@@ -19,8 +19,8 @@
 //
 // Exit codes: 0 when a satisfying generalization was released, 1 when
 // none exists within the suppression budget (a verdict), 2 when the
-// input layer rejected the invocation (missing file, malformed CSV,
-// invalid job config) before any search ran.
+// input layer rejected the invocation (a bad or missing flag, missing
+// file, malformed CSV, invalid job config) before any search ran.
 package main
 
 import (

@@ -7,6 +7,10 @@
 //
 //	pskattack -masked masked.csv -external voters.csv -id Name \
 //	          -qi Age,ZipCode,Sex -conf Illness [-leaks]
+//
+// Exit codes: 0 when the attack ran, 1 when it failed, 2 when the input
+// layer rejected the invocation (a bad or missing flag, an unreadable
+// input file) before any linkage ran.
 package main
 
 import (
@@ -19,6 +23,6 @@ import (
 func main() {
 	if err := cli.Attack(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pskattack:", err)
-		os.Exit(1)
+		os.Exit(cli.ExitCode(err))
 	}
 }

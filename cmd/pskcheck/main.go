@@ -13,8 +13,8 @@
 //
 // Exit codes: 0 when the checks ran and every requested property held,
 // 1 when a property was violated (a verdict), 2 when the input layer
-// rejected the invocation (missing file, malformed CSV) before any
-// check ran.
+// rejected the invocation (a bad or missing flag, missing file,
+// malformed CSV) before any check ran.
 //
 // Usage:
 //

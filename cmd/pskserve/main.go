@@ -18,8 +18,8 @@
 // healthz, debug/pprof); service-level /metrics, /progress, /healthz
 // and /debug/pprof cover the queue and caches.
 //
-// Exit codes: 0 on clean shutdown (SIGINT/SIGTERM drains), 2 when the
-// listener could not bind.
+// Exit codes: 0 on clean shutdown (SIGINT/SIGTERM drains), 2 when a
+// flag was bad or the listener could not bind.
 package main
 
 import (

@@ -25,11 +25,11 @@ func Attack(args []string, stdout, stderr io.Writer) error {
 	)
 	prof := registerProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return inputErr(err)
 	}
 	if *masked == "" || *external == "" || *qi == "" {
 		fs.Usage()
-		return fmt.Errorf("-masked, -external and -qi are required")
+		return inputErr(fmt.Errorf("-masked, -external and -qi are required"))
 	}
 	stopProf, err := prof.start(stderr)
 	if err != nil {
@@ -38,11 +38,11 @@ func Attack(args []string, stdout, stderr io.Writer) error {
 	defer stopProf()
 	mm, err := psk.ReadCSVFile(*masked, nil)
 	if err != nil {
-		return fmt.Errorf("masked file: %w", err)
+		return inputErr(fmt.Errorf("masked file: %w", err))
 	}
 	ext, err := psk.ReadCSVFile(*external, nil)
 	if err != nil {
-		return fmt.Errorf("external file: %w", err)
+		return inputErr(fmt.Errorf("external file: %w", err))
 	}
 	qis := splitList(*qi)
 	confs := splitList(*conf)

@@ -76,11 +76,11 @@ func Anon(args []string, stdout, stderr io.Writer) error {
 	prof := registerProfileFlags(fs)
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return inputErr(err)
 	}
 	if *in == "" || *jobPath == "" {
 		fs.Usage()
-		return fmt.Errorf("-in and -job are required")
+		return inputErr(fmt.Errorf("-in and -job are required"))
 	}
 	wantFrontier := *frontier || *frontJSON
 	if wantFrontier && *deltas != "" {
@@ -295,11 +295,11 @@ func Check(args []string, stdout, stderr io.Writer) error {
 	prof := registerProfileFlags(fs)
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return inputErr(err)
 	}
 	if *in == "" {
 		fs.Usage()
-		return fmt.Errorf("-in is required")
+		return inputErr(fmt.Errorf("-in is required"))
 	}
 	stopProf, err := prof.start(stderr)
 	if err != nil {
@@ -327,7 +327,7 @@ func Check(args []string, stdout, stderr io.Writer) error {
 	qis := splitList(*qi)
 	confs := splitList(*conf)
 	if len(qis) == 0 {
-		return fmt.Errorf("-qi is required (or use -sql)")
+		return inputErr(fmt.Errorf("-qi is required (or use -sql)"))
 	}
 	pol, err := pf.compose(confs, *p, *k)
 	if err != nil {
@@ -448,7 +448,7 @@ func Gen(args []string, stdout, stderr io.Writer) error {
 	)
 	prof := registerProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return inputErr(err)
 	}
 	stopProf, err := prof.start(stderr)
 	if err != nil {

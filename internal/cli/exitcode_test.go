@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,6 +28,40 @@ func TestExitCodeConvention(t *testing.T) {
 	}
 	if inputErr(nil) != nil {
 		t.Error("inputErr(nil) != nil")
+	}
+}
+
+// TestUsageErrorsExitInputError: a rejected invocation — an unknown or
+// malformed flag, a missing required flag, an unreadable input file, an
+// unknown experiment name — exits 2 from every tool, never 1, which
+// scripts read as "the data failed the policy".
+func TestUsageErrorsExitInputError(t *testing.T) {
+	csvPath, _, dir := writeFixtures(t)
+	none := filepath.Join(dir, "none.csv")
+	cases := []struct {
+		name string
+		run  func(args []string, stdout, stderr io.Writer) error
+		args []string
+	}{
+		{"pskanon no flags", Anon, nil},
+		{"pskanon unknown flag", Anon, []string{"-bogus"}},
+		{"pskcheck unknown flag", Check, []string{"-bogus"}},
+		{"pskcheck no -in", Check, []string{"-qi", "Sex"}},
+		{"pskcheck no -qi", Check, []string{"-in", csvPath}},
+		{"pskattack unknown flag", Attack, []string{"-bogus"}},
+		{"pskattack no flags", Attack, nil},
+		{"pskattack unreadable files", Attack, []string{"-masked", none, "-external", none, "-qi", "Age"}},
+		{"pskattack unreadable external", Attack, []string{"-masked", csvPath, "-external", none, "-qi", "Age"}},
+		{"pskexp unknown experiment", Exp, []string{"-exp", "nope"}},
+		{"pskexp malformed flag", Exp, []string{"-seed", "x"}},
+		{"adultgen unknown flag", Gen, []string{"-bogus"}},
+	}
+	for _, tc := range cases {
+		var out, errw strings.Builder
+		err := tc.run(tc.args, &out, &errw)
+		if ExitCode(err) != ExitInputError {
+			t.Errorf("%s: exit %d (%v), want %d", tc.name, ExitCode(err), err, ExitInputError)
+		}
 	}
 }
 

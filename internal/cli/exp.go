@@ -32,7 +32,7 @@ func Exp(args []string, stdout, stderr io.Writer) error {
 	prof := registerProfileFlags(fs)
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return inputErr(err)
 	}
 
 	stopProf, err := prof.start(stderr)
@@ -228,7 +228,7 @@ func Exp(args []string, stdout, stderr io.Writer) error {
 	}
 	runner, ok := runners[*exp]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q (available: all, %s)", *exp, strings.Join(ExpNames, ", "))
+		return inputErr(fmt.Errorf("unknown experiment %q (available: all, %s)", *exp, strings.Join(ExpNames, ", ")))
 	}
 	return runner()
 }

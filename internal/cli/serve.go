@@ -45,7 +45,7 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		retryAfter    = fs.Duration("retry-after", time.Second, "Retry-After hint returned with 429/503")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return inputErr(err)
 	}
 	srv := serve.New(serve.Options{
 		QueueSize:        *queue,

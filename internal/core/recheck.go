@@ -12,8 +12,8 @@ import (
 // built-in policy except t-closeness is group-local: its verdict over a
 // table is the conjunction of a per-group predicate, so when only a few
 // groups changed since a satisfied verdict, re-verdicting those groups
-// re-verdicts the table. GroupLocal encodes that property per policy,
-// CheckGroups is the subset scan, and RecheckGroups is the dispatch the
+// re-verdicts the table. groupLocal decides that property per policy,
+// recheck is the subset scan, and RecheckGroups is the dispatch the
 // streaming session calls — fast path when the policy admits it, full
 // Evaluate when it does not (DESIGN.md §14).
 //
@@ -26,44 +26,86 @@ import (
 // violating group is in it, the Result is identical to a full
 // Evaluate's, first-violating group and all.
 
-// GroupLocal is implemented by policies that know whether their verdict
-// decomposes into independent per-group predicates, and if so, how to
-// re-verdict a subset of groups.
-type GroupLocal interface {
-	Policy
-	// LocalCheck reports whether CheckGroups on a subset is equivalent
-	// to Evaluate when every group outside the subset is known to
-	// satisfy the policy. t-closeness answers false: its verdict
-	// compares each group to the table-wide distribution, which any
-	// change anywhere shifts.
-	LocalCheck() bool
-	// CheckGroups re-verdicts the groups named by ascending indices
-	// into v.Stats.Groups. Policies whose LocalCheck is false ignore
-	// the subset and evaluate the full view. Group and Groups in the
-	// Result are always in the full view's terms.
-	CheckGroups(v StatsView, groups []int) (Result, error)
-}
-
 // RecheckGroups re-verdicts statistics of which only the given groups
-// changed since a satisfied verdict of p. It returns the verdict, and
+// (ascending indices into v.Stats.Groups) changed since a satisfied
+// verdict of p. It returns the verdict, in the full view's terms, and
 // whether the O(changed-groups) fast path was taken (false means the
-// policy — or some part of a composite — required a full scan).
+// policy required a full scan).
 func RecheckGroups(p Policy, v StatsView, groups []int) (Result, bool, error) {
-	if gl, ok := p.(GroupLocal); ok && gl.LocalCheck() {
-		res, err := gl.CheckGroups(v, groups)
-		return res, true, err
-	}
-	res, err := p.Evaluate(v)
-	return res, false, err
+	res, err := recheck(p, v, groups)
+	return res, groupLocal(p), err
 }
 
-// checkGroupsOrEvaluate is the per-member dispatch compositions use:
-// local members scan the subset, everything else evaluates fully.
-func checkGroupsOrEvaluate(p Policy, v StatsView, groups []int) (Result, error) {
-	if gl, ok := p.(GroupLocal); ok && gl.LocalCheck() {
-		return gl.CheckGroups(v, groups)
+// groupLocal reports whether recheck on a subset is equivalent to
+// Evaluate when every group outside the subset is known to satisfy p.
+// t-closeness is not local: it compares each group to the table-wide
+// distribution, which any change anywhere shifts; nor is any policy
+// type this package does not know. A conjunction is local so the
+// composite takes the fast path whenever any member can (recheck
+// evaluates its non-local members fully); the bounds and telemetry
+// wrappers ask their inner policy, as Observe walks them.
+func groupLocal(p Policy) bool {
+	switch t := p.(type) {
+	case KAnonymityPolicy, PSensitivityPolicy, PSensitiveKAnonymityPolicy,
+		DistinctLDiversityPolicy, EntropyLDiversityPolicy, RecursiveLDiversityPolicy,
+		PAlphaPolicy, ExtendedPolicy, conjunction:
+		return true
+	case boundedPolicy:
+		return groupLocal(t.inner)
+	case observedPolicy:
+		return groupLocal(t.inner)
+	default:
+		return false
 	}
-	return p.Evaluate(v)
+}
+
+// recheck re-verdicts the selected groups of a group-local policy and
+// evaluates any other policy in full. A conjunction rechecks member by
+// member, preserving first-failure-wins order; boundedPolicy re-applies
+// the Theorem 1–2 rejection filters first — they are O(1) and O(groups)
+// respectively, and Condition 2 depends on the total group count, which
+// deltas move; observedPolicy times the recheck under the same
+// per-policy key as full evaluations.
+func recheck(p Policy, v StatsView, groups []int) (Result, error) {
+	if !groupLocal(p) {
+		return p.Evaluate(v)
+	}
+	switch t := p.(type) {
+	case conjunction:
+		for _, member := range t {
+			res, err := recheck(member, v, groups)
+			if err != nil {
+				return Result{}, err
+			}
+			if !res.Satisfied {
+				return res, nil
+			}
+		}
+		return satisfied(v), nil
+	case boundedPolicy:
+		res := Result{MaxP: t.bounds.MaxP, MaxGroups: t.bounds.MaxGroups, Group: -1, Attr: -1}
+		if t.bounds.P > t.bounds.MaxP {
+			res.Reason = FailedCondition1
+			return res, nil
+		}
+		res.Groups = v.Stats.NumGroups()
+		if t.bounds.P >= 2 && res.Groups > t.bounds.MaxGroups {
+			res.Reason = FailedCondition2
+			return res, nil
+		}
+		out, err := recheck(t.inner, v, groups)
+		if err != nil {
+			return Result{}, err
+		}
+		out.MaxP, out.MaxGroups = t.bounds.MaxP, t.bounds.MaxGroups
+		return out, nil
+	case observedPolicy:
+		start := t.rec.Start()
+		res, err := recheck(t.inner, v, groups)
+		t.rec.PolicyEval(t.name, start, err == nil && res.Satisfied)
+		return res, err
+	}
+	return localCheck(p, v, groups)
 }
 
 // localCheck runs a group-local policy's own Evaluate over a view
@@ -93,117 +135,6 @@ func localCheck(p Policy, v StatsView, groups []int) (Result, error) {
 		res.Group = groups[res.Group]
 	}
 	return res, nil
-}
-
-func (p KAnonymityPolicy) LocalCheck() bool { return true }
-func (p KAnonymityPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-func (p PSensitivityPolicy) LocalCheck() bool { return true }
-func (p PSensitivityPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-func (p PSensitiveKAnonymityPolicy) LocalCheck() bool { return true }
-func (p PSensitiveKAnonymityPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-func (p DistinctLDiversityPolicy) LocalCheck() bool { return true }
-func (p DistinctLDiversityPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-func (p EntropyLDiversityPolicy) LocalCheck() bool { return true }
-func (p EntropyLDiversityPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-func (p RecursiveLDiversityPolicy) LocalCheck() bool { return true }
-func (p RecursiveLDiversityPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-// t-closeness measures every group against the table-wide distribution,
-// so a change to any group moves the yardstick for all of them: the
-// verdict is not group-local and CheckGroups falls back to a full scan.
-func (p TClosenessPolicy) LocalCheck() bool { return false }
-func (p TClosenessPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return p.Evaluate(v)
-}
-
-func (p PAlphaPolicy) LocalCheck() bool { return true }
-func (p PAlphaPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-func (p ExtendedPolicy) LocalCheck() bool { return true }
-func (p ExtendedPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	return localCheck(p, v, groups)
-}
-
-// A conjunction rechecks member by member — local members scan the
-// subset, non-local ones evaluate fully — preserving first-failure-wins
-// order. It reports itself local so the composite takes the fast path
-// whenever any member can; per-member fallbacks still happen inside.
-func (c conjunction) LocalCheck() bool { return true }
-func (c conjunction) CheckGroups(v StatsView, groups []int) (Result, error) {
-	for _, p := range c {
-		res, err := checkGroupsOrEvaluate(p, v, groups)
-		if err != nil {
-			return Result{}, err
-		}
-		if !res.Satisfied {
-			return res, nil
-		}
-	}
-	return satisfied(v), nil
-}
-
-// boundedPolicy re-applies the Theorem 1–2 rejection filters — they are
-// O(1) and O(groups) respectively, and Condition 2 depends on the total
-// group count, which deltas move — then dispatches the inner policy.
-func (p boundedPolicy) LocalCheck() bool {
-	if gl, ok := p.inner.(GroupLocal); ok {
-		return gl.LocalCheck()
-	}
-	return false
-}
-
-func (p boundedPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	res := Result{MaxP: p.bounds.MaxP, MaxGroups: p.bounds.MaxGroups, Group: -1, Attr: -1}
-	if p.bounds.P > p.bounds.MaxP {
-		res.Reason = FailedCondition1
-		return res, nil
-	}
-	res.Groups = v.Stats.NumGroups()
-	if p.bounds.P >= 2 && res.Groups > p.bounds.MaxGroups {
-		res.Reason = FailedCondition2
-		return res, nil
-	}
-	out, err := checkGroupsOrEvaluate(p.inner, v, groups)
-	if err != nil {
-		return Result{}, err
-	}
-	out.MaxP, out.MaxGroups = p.bounds.MaxP, p.bounds.MaxGroups
-	return out, nil
-}
-
-// observedPolicy forwards locality and times subset rechecks under the
-// same per-policy key as full evaluations.
-func (p observedPolicy) LocalCheck() bool {
-	if gl, ok := p.inner.(GroupLocal); ok {
-		return gl.LocalCheck()
-	}
-	return false
-}
-
-func (p observedPolicy) CheckGroups(v StatsView, groups []int) (Result, error) {
-	start := p.rec.Start()
-	res, err := checkGroupsOrEvaluate(p.inner, v, groups)
-	p.rec.PolicyEval(p.name, start, err == nil && res.Satisfied)
-	return res, err
 }
 
 // BoundsFromStats computes the Theorem 1–2 bounds from group statistics

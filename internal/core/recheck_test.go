@@ -73,11 +73,11 @@ func localPolicies() []Policy {
 	}
 }
 
-// TestCheckGroupsFullSubsetMatchesEvaluate: over the full group set,
-// CheckGroups must reproduce Evaluate bit for bit — first violating
+// TestRecheckGroupsFullSubsetMatchesEvaluate: over the full group set,
+// RecheckGroups must reproduce Evaluate bit for bit — first violating
 // group, reason, attribute and all — for every group-local policy,
 // for compositions, and for bounds wrappers.
-func TestCheckGroupsFullSubsetMatchesEvaluate(t *testing.T) {
+func TestRecheckGroupsFullSubsetMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 4; round++ {
 		v := recheckView(t, recheckTable(t, rng, 40+40*round))
@@ -94,21 +94,24 @@ func TestCheckGroupsFullSubsetMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.(GroupLocal).CheckGroups(v, full)
+			got, local, err := RecheckGroups(p, v, full)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !local {
+				t.Errorf("round %d, %s: recheck took the full-scan path", round, p.Name())
+			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("round %d, %s: CheckGroups(all) = %+v, Evaluate = %+v", round, p.Name(), got, want)
+				t.Errorf("round %d, %s: RecheckGroups(all) = %+v, Evaluate = %+v", round, p.Name(), got, want)
 			}
 		}
 	}
 }
 
-// TestCheckGroupsSubsetFindsViolation: when the only violating groups
-// are inside the subset, the subset verdict matches the full one; a
-// subset of satisfied groups reads satisfied.
-func TestCheckGroupsSubsetFindsViolation(t *testing.T) {
+// TestRecheckGroupsSubsetFindsViolation: when the only violating
+// groups are inside the subset, the subset verdict matches the full
+// one; a subset of satisfied groups reads satisfied.
+func TestRecheckGroupsSubsetFindsViolation(t *testing.T) {
 	v := StatsView{
 		Conf: []string{"Ill"},
 		Stats: &table.GroupStats{NumRows: 9, NumQI: 1, NumConf: 1, Groups: []table.GroupStat{
@@ -122,21 +125,21 @@ func TestCheckGroupsSubsetFindsViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.CheckGroups(v, []int{1, 2})
+	got, _, err := RecheckGroups(p, v, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("subset holding the violator: got %+v, want %+v", got, want)
 	}
-	ok, err := p.CheckGroups(v, []int{0, 2})
+	ok, _, err := RecheckGroups(p, v, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok.Satisfied || ok.Groups != 3 || ok.Group != -1 {
 		t.Fatalf("satisfied subset misreported: %+v", ok)
 	}
-	if _, err := p.CheckGroups(v, []int{3}); err == nil {
+	if _, _, err := RecheckGroups(p, v, []int{3}); err == nil {
 		t.Fatal("out-of-range group index accepted")
 	}
 }

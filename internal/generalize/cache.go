@@ -218,13 +218,3 @@ func (c *Cache) ApplyQIs(qis []string, node lattice.Node) (*table.Table, error) 
 	}
 	return out, nil
 }
-
-// Mask is the cached fast path of Masker.Mask: Apply from memoized
-// columns, then suppress residual small groups.
-func (c *Cache) Mask(node lattice.Node, k int) (*table.Table, int, error) {
-	g, err := c.Apply(node)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c.m.Suppress(g, k)
-}

@@ -5,7 +5,6 @@ package generalize
 
 import (
 	"fmt"
-	"sort"
 
 	"psk/internal/hierarchy"
 	"psk/internal/lattice"
@@ -81,78 +80,74 @@ func (m *Masker) Apply(t *table.Table, node lattice.Node) (*table.Table, error) 
 
 // Suppress removes every tuple whose QI-group has fewer than k members
 // and returns the masked table together with the number of suppressed
-// tuples. Suppressing all remaining violators always yields a
-// k-anonymous table (groups only shrink to zero, never below k).
+// tuples: SuppressWithin with the whole table as the budget.
+// Suppressing all remaining violators always yields a k-anonymous
+// table (groups only shrink to zero, never below k).
 func (m *Masker) Suppress(t *table.Table, k int) (*table.Table, int, error) {
-	if k < 1 {
-		return nil, 0, fmt.Errorf("generalize: k must be >= 1, got %d", k)
-	}
-	groups, err := t.GroupBy(m.qis...)
-	if err != nil {
-		return nil, 0, err
-	}
-	keep := make([]int, 0, t.NumRows())
-	for _, g := range groups {
-		if g.Size() >= k {
-			keep = append(keep, g.Rows...)
-		}
-	}
-	// Restore original row order for determinism.
-	sort.Ints(keep)
-	out, err := t.Gather(keep)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, t.NumRows() - len(keep), nil
+	out, suppressed, _, err := m.SuppressWithin(t, k, t.NumRows())
+	return out, suppressed, err
 }
 
 // SuppressWithin enforces a suppression budget and suppresses in one
 // group-by pass: it counts the tuples in sub-k groups and, when the
-// count is within budget, removes them exactly as Suppress would. ok is
-// false (with a nil table and the sub-k count) when more than budget
-// tuples would need suppression.
+// count is within budget, removes them. ok is false (with a nil table
+// and the sub-k count) when more than budget tuples would need
+// suppression. Kept rows stay in table order.
 func (m *Masker) SuppressWithin(t *table.Table, k, budget int) (*table.Table, int, bool, error) {
 	if k < 1 {
 		return nil, 0, false, fmt.Errorf("generalize: k must be >= 1, got %d", k)
 	}
-	groups, err := t.GroupBy(m.qis...)
+	rows, below, err := m.markBelow(t, k, budget)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	violating := 0
-	for _, g := range groups {
-		if g.Size() < k {
-			violating += g.Size()
-		}
+	if below > budget {
+		return nil, below, false, nil
 	}
-	if violating > budget {
-		return nil, violating, false, nil
-	}
-	if violating == 0 {
+	if below == 0 {
 		return t, 0, true, nil
 	}
-	keep := make([]int, 0, t.NumRows()-violating)
-	for _, g := range groups {
-		if g.Size() >= k {
-			keep = append(keep, g.Rows...)
+	keep := rows[:0]
+	for _, r := range rows {
+		if r >= 0 {
+			keep = append(keep, r)
 		}
 	}
-	// Restore original row order for determinism.
-	sort.Ints(keep)
 	out, err := t.Gather(keep)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return out, violating, true, nil
+	return out, below, true, nil
 }
 
-// Mask is Apply followed by Suppress: the full masking pipeline of the
-// paper (generalize to a node, then suppress residual small groups).
-// It returns the masked microdata and the number of suppressed tuples.
-func (m *Masker) Mask(t *table.Table, node lattice.Node, k int) (*table.Table, int, error) {
-	g, err := m.Apply(t, node)
+// markBelow is the one suppression pass over t: it groups t on the
+// quasi-identifiers and counts the tuples in groups smaller than k.
+// When that count is positive and at most budget, it also returns the
+// row indices 0..n-1 of t with those tuples' entries set to -1;
+// otherwise rows is nil.
+func (m *Masker) markBelow(t *table.Table, k, budget int) (rows []int, below int, err error) {
+	groups, err := t.GroupBy(m.qis...)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m.Suppress(g, k)
+	for _, g := range groups {
+		if g.Size() < k {
+			below += g.Size()
+		}
+	}
+	if below == 0 || below > budget {
+		return nil, below, nil
+	}
+	rows = make([]int, t.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	for _, g := range groups {
+		if g.Size() < k {
+			for _, r := range g.Rows {
+				rows[r] = -1
+			}
+		}
+	}
+	return rows, below, nil
 }

@@ -218,18 +218,22 @@ func TestSuppressPreservesRowOrder(t *testing.T) {
 func TestMaskPipeline(t *testing.T) {
 	m := figure3Masker(t)
 	tbl := figure3Table(t)
-	mm, suppressed, err := m.Mask(tbl, lattice.Node{1, 1}, 3)
+	g, err := m.Apply(tbl, lattice.Node{1, 1})
 	if err != nil {
-		t.Fatalf("Mask: %v", err)
+		t.Fatalf("Apply: %v", err)
+	}
+	mm, suppressed, err := m.Suppress(g, 3)
+	if err != nil {
+		t.Fatalf("Suppress: %v", err)
 	}
 	if suppressed != 2 {
 		t.Errorf("suppressed = %d, want 2", suppressed)
 	}
 	if violatingTuples(t, mm, 3) != 0 {
-		t.Error("Mask output not k-anonymous")
+		t.Error("masked output not k-anonymous")
 	}
-	if _, _, err := m.Mask(tbl, lattice.Node{9, 9}, 3); err == nil {
-		t.Error("Mask with bad node should fail")
+	if _, err := m.Apply(tbl, lattice.Node{9, 9}); err == nil {
+		t.Error("Apply with bad node should fail")
 	}
 }
 
@@ -252,7 +256,7 @@ func TestSuppressK1IsNoOp(t *testing.T) {
 
 // Property-style check across all lattice nodes: the number of
 // violating tuples never increases as we move up a generalization path
-// (the monotonicity Figure 3 relies on), and Mask output is always
+// (the monotonicity Figure 3 relies on), and Suppress output is always
 // k-anonymous.
 func TestViolationMonotonicityAcrossLattice(t *testing.T) {
 	m := figure3Masker(t)
@@ -266,12 +270,12 @@ func TestViolationMonotonicityAcrossLattice(t *testing.T) {
 		}
 		viol[node.Key()] = violatingTuples(t, g, 3)
 
-		mm, _, err := m.Mask(tbl, node, 3)
+		mm, _, err := m.Suppress(g, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if left := violatingTuples(t, mm, 3); left != 0 {
-			t.Errorf("Mask at %v left %d violators", node, left)
+			t.Errorf("Suppress at %v left %d violators", node, left)
 		}
 	}
 	for _, node := range lat.AllNodes() {

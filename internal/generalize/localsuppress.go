@@ -19,19 +19,11 @@ import (
 // core.IsKAnonymous). The returned count is the number of tuples whose
 // cells were suppressed.
 func (m *Masker) SuppressCells(t *table.Table, k int) (*table.Table, int, error) {
-	groups, err := t.GroupBy(m.qis...)
+	rows, below, err := m.markBelow(t, k, t.NumRows())
 	if err != nil {
 		return nil, 0, err
 	}
-	suppress := make(map[int]bool)
-	for _, g := range groups {
-		if g.Size() < k {
-			for _, r := range g.Rows {
-				suppress[r] = true
-			}
-		}
-	}
-	if len(suppress) == 0 {
+	if below == 0 {
 		return t, 0, nil
 	}
 	out := t
@@ -40,7 +32,7 @@ func (m *Masker) SuppressCells(t *table.Table, k int) (*table.Table, int, error)
 		out, err = out.MapColumn(attr, func(v table.Value) (string, error) {
 			r := row
 			row++
-			if suppress[r] {
+			if rows[r] < 0 {
 				return hierarchy.Suppressed, nil
 			}
 			return v.Str(), nil
@@ -49,5 +41,5 @@ func (m *Masker) SuppressCells(t *table.Table, k int) (*table.Table, int, error)
 			return nil, 0, err
 		}
 	}
-	return out, len(suppress), nil
+	return out, below, nil
 }

@@ -35,6 +35,21 @@ func fig3(t *testing.T) (*table.Table, *generalize.Masker) {
 	return tbl, m
 }
 
+// mask generalizes tbl to node and suppresses the sub-k groups, the
+// release pipeline, returning the masked table and the suppressed count.
+func mask(t *testing.T, m *generalize.Masker, tbl *table.Table, node lattice.Node, k int) (*table.Table, int) {
+	t.Helper()
+	g, err := m.Apply(tbl, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, suppressed, err := m.Suppress(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mm, suppressed
+}
+
 func TestHeightRatio(t *testing.T) {
 	lat, _ := lattice.New([]int{1, 2})
 	if r := HeightRatio(lattice.Node{0, 0}, lat); r != 0 {
@@ -184,10 +199,7 @@ func TestEntropyLoss(t *testing.T) {
 func TestMeasure(t *testing.T) {
 	tbl, m := fig3(t)
 	node := lattice.Node{1, 1}
-	mm, _, err := m.Mask(tbl, node, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm, _ := mask(t, m, tbl, node, 3)
 	rep, err := Measure(Input{
 		Initial: tbl, Masked: mm, QIs: []string{"Sex", "ZipCode"},
 		Node: node, Lattice: m.Lattice(), K: 3,

@@ -13,12 +13,9 @@ import (
 func statsAt(t *testing.T, node lattice.Node, k int) (oracle, stats Report) {
 	t.Helper()
 	tbl, m := fig3(t)
-	mm, _, err := m.Mask(tbl, node, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm, _ := mask(t, m, tbl, node, k)
 	qis := []string{"Sex", "ZipCode"}
-	oracle, err = Measure(Input{
+	oracle, err := Measure(Input{
 		Initial: tbl, Masked: mm, QIs: qis,
 		Node: node, Lattice: m.Lattice(), K: k,
 	})
@@ -81,10 +78,7 @@ func TestStatsEdgeCases(t *testing.T) {
 	tbl, m := fig3(t)
 	qis := []string{"Sex", "ZipCode"}
 	// At <0,0> with k=3 everything is suppressed (all groups < 3).
-	mm, sup, err := m.Mask(tbl, lattice.Node{0, 0}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm, sup := mask(t, m, tbl, lattice.Node{0, 0}, 3)
 	if mm.NumRows() != 0 || sup != 10 {
 		t.Fatalf("expected empty release, got %d rows, %d suppressed", mm.NumRows(), sup)
 	}

@@ -37,8 +37,8 @@ type statsArena struct {
 	idx      map[uint64]int32
 	gkeys    []uint64 // packed key of each discovered group, in order
 	hist     []int32  // group-major histogram slab, width histStride
-	sizes    []int32  // per-group row count (chunked stats kernel)
-	reps     []int32  // per-group representative row (ditto)
+	sizes    []int32  // per-group row count
+	reps     []int32  // per-group representative (first) row
 }
 
 var statsArenaPool = sync.Pool{New: func() any {
@@ -57,7 +57,7 @@ func getStatsArena() *statsArena { return statsArenaPool.Get().(*statsArena) }
 // pool. keyTable is cleared through gkeys (O(groups), not O(span)).
 func (a *statsArena) release() {
 	for _, k := range a.gkeys {
-		if int(k) < len(a.keyTable) {
+		if k < uint64(len(a.keyTable)) {
 			a.keyTable[k] = 0
 		}
 	}
@@ -72,10 +72,45 @@ func (a *statsArena) release() {
 	statsArenaPool.Put(a)
 }
 
-// ensureKeyTable makes the dense key table at least span long (zeroed).
-func (a *statsArena) ensureKeyTable(span int) {
-	if len(a.keyTable) < span {
-		a.keyTable = make([]int32, span)
+// scanGroups is the one loop that turns packed row keys into group ids.
+// It walks rows [lo, hi) block by block, resolves each row's key through
+// the flat key table (key span within maxDenseKeySpan) or the map, and
+// assigns new ids in first-appearance order, recording each new group's
+// key (gkeys), first row (reps) and size (sizes). visit sees every block
+// once it is resolved: blo is its first row and gids its rows' group ids.
+func (a *statsArena) scanGroups(plan packPlan, cols []Column, lo, hi int, visit func(blo int, gids []int32)) {
+	dense := plan.span <= maxDenseKeySpan
+	if dense && uint64(len(a.keyTable)) < plan.span {
+		a.keyTable = make([]int32, plan.span)
+	}
+	for blo := lo; blo < hi; blo += blockRows {
+		n := min(blockRows, hi-blo)
+		plan.blockKeys(cols, blo, blo+n, a.keys, a.scratch)
+		gids := a.gids[:n]
+		for j, k := range a.keys[:n] {
+			var g int32
+			var seen bool
+			if dense {
+				g = a.keyTable[k] - 1
+				seen = g >= 0
+			} else {
+				g, seen = a.idx[k]
+			}
+			if !seen {
+				g = int32(len(a.gkeys))
+				if dense {
+					a.keyTable[k] = g + 1
+				} else {
+					a.idx[k] = g
+				}
+				a.gkeys = append(a.gkeys, k)
+				a.sizes = append(a.sizes, 0)
+				a.reps = append(a.reps, int32(blo+j))
+			}
+			gids[j] = g
+			a.sizes[g]++
+		}
+		visit(blo, gids)
 	}
 }
 

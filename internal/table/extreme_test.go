@@ -106,14 +106,11 @@ func TestGroupStatsExtremeIntConf(t *testing.T) {
 
 // TestRemappedColumnExtremeInt: the code-remapping fast path must
 // handle a full-domain int source column (its dictionary takes the map
-// lookup) and agree with MappedColumn row-for-row.
+// lookup) and agree with MapColumn row-for-row.
 func TestRemappedColumnExtremeInt(t *testing.T) {
 	tbl := extremeIntMicrodata(t)
 	fn := func(v Value) (string, error) { return "g:" + v.Str(), nil }
-	mapped, err := tbl.MappedColumn("B", fn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped := mappedRef(t, tbl, "B", fn)
 	remapped, err := tbl.RemappedColumn("B", fn)
 	if err != nil {
 		t.Fatal(err)
@@ -158,5 +155,50 @@ func TestGroupByExtremeIntKey(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("NumGroups = %d, want 3", n)
+	}
+}
+
+// TestPackedKeysAboveInt63: a key space that fits a uint64 but not an
+// int64 keeps the packed plan (map path, keys up to ~2^63+2^40). Such
+// keys used to turn negative when the arena cleared its flat key table
+// on release, panicking with an out-of-range index; every path must
+// instead agree with the rowwise kernel and the varint GroupBy.
+func TestPackedKeysAboveInt63(t *testing.T) {
+	schema := MustSchema(Field{Name: "A", Type: Int}, Field{Name: "B", Type: Int}, Field{Name: "S", Type: String})
+	b, err := NewBuilder(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Append(IV(0), IV(0), SV("x"))
+	b.Append(IV(1<<40), IV(1<<23), SV("y"))
+	b.Append(IV(1<<40), IV(1<<23), SV("x"))
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []Column{tbl.ColumnAt(0), tbl.ColumnAt(1)}
+	plan, ok := packedPlan(cols)
+	if !ok || plan.key(cols, 1) < 1<<63 {
+		t.Fatalf("fixture no longer packs a key above 2^63 (plan ok=%v)", ok)
+	}
+	for _, w := range []int{1, 2} {
+		got, err := tbl.GroupStats([]string{"A", "B"}, []string{"S"}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tbl.GroupStatsRowwise([]string{"A", "B"}, []string{"S"}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: chunked and rowwise stats disagree", w)
+		}
+	}
+	groups, err := tbl.GroupBy("A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 2 || !reflect.DeepEqual(groups[1].Rows, []int{1, 2}) {
+		t.Fatalf("GroupBy = %+v", groups)
 	}
 }

@@ -110,12 +110,9 @@ func TestGroupByPackedAndFallbackAgree(t *testing.T) {
 
 func TestWithColumn(t *testing.T) {
 	tbl := mixedTable(t, 10)
-	col, err := tbl.MappedColumn("A", func(v Value) (string, error) {
+	col := mappedRef(t, tbl, "A", func(v Value) (string, error) {
 		return "x" + v.Str(), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := tbl.WithColumn("A", col)
 	if err != nil {
 		t.Fatal(err)
@@ -149,29 +146,40 @@ func TestWithColumn(t *testing.T) {
 	}
 }
 
-// TestMappedColumnMemoizes: fn must run once per distinct value, not
+// TestRemappedColumnMemoizes: fn must run once per distinct value, not
 // once per row, and the produced column must match MapColumn's output.
-func TestMappedColumnMemoizes(t *testing.T) {
+func TestRemappedColumnMemoizes(t *testing.T) {
 	tbl := mixedTable(t, 100) // column A has 7 distinct values
 	calls := 0
 	fn := func(v Value) (string, error) { calls++; return v.Str() + "!", nil }
-	col, err := tbl.MappedColumn("A", fn)
+	col, err := tbl.RemappedColumn("A", fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 7 {
 		t.Errorf("fn called %d times, want 7 (distinct values)", calls)
 	}
-	viaMap, err := tbl.MapColumn("A", func(v Value) (string, error) { return v.Str() + "!", nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _ := viaMap.Column("A")
+	ref := mappedRef(t, tbl, "A", func(v Value) (string, error) { return v.Str() + "!", nil })
 	for i := 0; i < tbl.NumRows(); i++ {
 		if col.Value(i).Str() != ref.Value(i).Str() {
 			t.Fatalf("row %d: %q != %q", i, col.Value(i).Str(), ref.Value(i).Str())
 		}
 	}
+}
+
+// mappedRef is the row-by-row reference RemappedColumn is checked
+// against: the column MapColumn installs.
+func mappedRef(t *testing.T, tbl *Table, name string, fn func(Value) (string, error)) Column {
+	t.Helper()
+	out, err := tbl.MapColumn(name, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := out.Column(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
 }
 
 func TestKeyString(t *testing.T) {

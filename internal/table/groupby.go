@@ -135,10 +135,10 @@ func (p packPlan) blockKeys(cols []Column, lo, hi int, keys []uint64, scratch []
 	}
 }
 
-// groupHint sizes the group-index maps of GroupBy, NumGroups and
-// GroupStats: half the rows is a fine guess for small tables, but on
-// large low-cardinality tables it over-allocates badly (a million-row
-// table rarely has half a million QI-groups), so the hint is capped.
+// groupHint sizes a group-index map: half the rows is a fine guess for
+// small tables, but on large low-cardinality tables it over-allocates
+// badly (a million-row table rarely has half a million QI-groups), so
+// the hint is capped.
 func groupHint(nrows int) int {
 	const maxHint = 1 << 16
 	if h := nrows/2 + 1; h < maxHint {
@@ -153,10 +153,10 @@ func groupHint(nrows int) int {
 // paper's "SELECT COUNT(*) ... GROUP BY key attributes" checks.
 //
 // When every key column's code cardinality is known and their product
-// fits in a machine word, rows are scanned block-at-a-time through
-// packed uint64 keys, resolved against a flat key table (small key
-// spaces) or an int-keyed map; otherwise the per-row varint byte-string
-// key is used. All paths produce identical groups in identical order
+// fits in a machine word, rows are resolved block-at-a-time through
+// packed uint64 keys (statsArena.scanGroups, the loop GroupStats also
+// runs); otherwise the per-row varint byte-string key is used. Both
+// paths produce identical groups in identical order
 // (TestGroupByPackedAndFallbackAgree pins them).
 func (t *Table) GroupBy(names ...string) ([]Group, error) {
 	if len(names) == 0 {
@@ -181,38 +181,21 @@ func (t *Table) GroupBy(names ...string) ([]Group, error) {
 	if plan, ok := packedPlan(cols); ok {
 		ar := getStatsArena()
 		defer ar.release()
-		dense := plan.span <= maxDenseKeySpan
-		if dense {
-			ar.ensureKeyTable(int(plan.span))
+		gids := make([]int32, t.nrows)
+		ar.scanGroups(plan, cols, 0, t.nrows, func(blo int, ids []int32) {
+			copy(gids[blo:], ids)
+		})
+		// The sizes are known now, so every group's rows are cut from one
+		// backing array instead of growing a slice per group.
+		rows := make([]int, t.nrows)
+		for g, r := range ar.reps {
+			grp := newGroup(int(r))
+			n := int(ar.sizes[g])
+			grp.Rows, rows = rows[:0:n], rows[n:]
+			groups = append(groups, grp)
 		}
-		for lo := 0; lo < t.nrows; lo += blockRows {
-			hi := lo + blockRows
-			if hi > t.nrows {
-				hi = t.nrows
-			}
-			plan.blockKeys(cols, lo, hi, ar.keys, ar.scratch)
-			if dense {
-				for j, k := range ar.keys[:hi-lo] {
-					g := ar.keyTable[k]
-					if g == 0 {
-						g = int32(len(groups)) + 1
-						ar.keyTable[k] = g
-						ar.gkeys = append(ar.gkeys, k)
-						groups = append(groups, newGroup(lo+j))
-					}
-					groups[g-1].Rows = append(groups[g-1].Rows, lo+j)
-				}
-			} else {
-				for j, k := range ar.keys[:hi-lo] {
-					g, ok := ar.idx[k]
-					if !ok {
-						g = int32(len(groups))
-						ar.idx[k] = g
-						groups = append(groups, newGroup(lo+j))
-					}
-					groups[g].Rows = append(groups[g].Rows, lo+j)
-				}
-			}
+		for r, g := range gids {
+			groups[g].Rows = append(groups[g].Rows, r)
 		}
 		return groups, nil
 	}
@@ -235,79 +218,20 @@ func (t *Table) GroupBy(names ...string) ([]Group, error) {
 }
 
 // NumGroups counts the distinct combinations of values of the named
-// columns without materializing the groups. It uses the same packed
-// uint64 fast path as GroupBy when the key columns admit it.
+// columns: the group count of GroupStats over them, with no histograms.
 func (t *Table) NumGroups(names ...string) (int, error) {
-	if len(names) == 0 {
-		return 0, fmt.Errorf("table: group count with no columns")
-	}
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		c, err := t.Column(n)
-		if err != nil {
-			return 0, err
-		}
-		cols[i] = c
-	}
-	if plan, ok := packedPlan(cols); ok {
-		ar := getStatsArena()
-		defer ar.release()
-		dense := plan.span <= maxDenseKeySpan
-		if dense {
-			ar.ensureKeyTable(int(plan.span))
-		}
-		n := 0
-		for lo := 0; lo < t.nrows; lo += blockRows {
-			hi := lo + blockRows
-			if hi > t.nrows {
-				hi = t.nrows
-			}
-			plan.blockKeys(cols, lo, hi, ar.keys, ar.scratch)
-			if dense {
-				for _, k := range ar.keys[:hi-lo] {
-					if ar.keyTable[k] == 0 {
-						ar.keyTable[k] = 1
-						ar.gkeys = append(ar.gkeys, k)
-						n++
-					}
-				}
-			} else {
-				for _, k := range ar.keys[:hi-lo] {
-					if _, ok := ar.idx[k]; !ok {
-						ar.idx[k] = 1
-						n++
-					}
-				}
-			}
-		}
-		return n, nil
-	}
-	seen := make(map[string]struct{}, groupHint(t.nrows))
-	key := make([]byte, 0, 16*len(cols))
-	for r := 0; r < t.nrows; r++ {
-		key = key[:0]
-		for _, c := range cols {
-			key = binary.AppendVarint(key, int64(c.Code(r)))
-		}
-		if _, ok := seen[string(key)]; !ok {
-			seen[string(key)] = struct{}{}
-		}
-	}
-	return len(seen), nil
-}
-
-// DistinctCount counts the distinct values in the named column, the
-// paper's "SELECT COUNT(DISTINCT S) FROM IM".
-func (t *Table) DistinctCount(name string) (int, error) {
-	c, err := t.Column(name)
+	s, err := t.GroupStats(names, nil, 1)
 	if err != nil {
 		return 0, err
 	}
-	seen := make(map[int]struct{})
-	for i := 0; i < c.Len(); i++ {
-		seen[c.Code(i)] = struct{}{}
-	}
-	return len(seen), nil
+	return s.NumGroups(), nil
+}
+
+// DistinctCount counts the distinct values in the named column, the
+// paper's "SELECT COUNT(DISTINCT S) FROM IM": the group count of the
+// column on its own.
+func (t *Table) DistinctCount(name string) (int, error) {
+	return t.NumGroups(name)
 }
 
 // ValueCounts returns the frequency of each distinct value in the named

@@ -171,24 +171,36 @@ func (s *GroupStats) Rollup(maps []*CodeMap) (*GroupStats, error) {
 	if len(maps) != s.NumQI {
 		return nil, fmt.Errorf("table: rollup got %d code maps for %d key columns", len(maps), s.NumQI)
 	}
-	// Pass 1: translate codes, assign each source group its target, add
-	// sizes. Histograms wait for pass 2 so a target merged from many
-	// sources accumulates its entries once instead of paying a fresh
-	// sorted-merge allocation per source.
-	out := &GroupStats{NumRows: s.NumRows, NumQI: s.NumQI, NumConf: s.NumConf}
-	idx := make(map[string]int, groupHint(len(s.Groups)))
-	target := make([]int, len(s.Groups))
-	var members []int // sources per target group
-	key := make([]byte, 0, 16*s.NumQI)
-	mapped := make([]int, s.NumQI)
-	for gi := range s.Groups {
-		g := &s.Groups[gi]
+	return regroup(s.Groups, s.NumRows, s.NumQI, s.NumConf, func(g *GroupStat, dst []int) error {
 		for i, c := range g.Codes {
 			mc, ok := maps[i].Map(c)
 			if !ok {
-				return nil, fmt.Errorf("table: rollup: key column %d code %d has no translation", i, c)
+				return fmt.Errorf("table: rollup: key column %d code %d has no translation", i, c)
 			}
-			mapped[i] = mc
+			dst[i] = mc
+		}
+		return nil
+	})
+}
+
+// regroup is the one group-merge loop behind Rollup, Project and the
+// shard merge of GroupStats. codes writes each source group's key into
+// dst (numQI wide); sources whose keys collide merge into one target,
+// which takes the first source's key and Rep and the sum of the sizes,
+// in first-appearance order. Histograms are left to mergeGroupHists, so
+// a target merged from many sources accumulates its entries once
+// instead of paying a fresh sorted-merge allocation per source.
+func regroup(src []GroupStat, numRows, numQI, numConf int, codes func(g *GroupStat, dst []int) error) (*GroupStats, error) {
+	out := &GroupStats{NumRows: numRows, NumQI: numQI, NumConf: numConf}
+	idx := make(map[string]int, groupHint(len(src)))
+	target := make([]int, len(src))
+	var members []int // sources per target group
+	key := make([]byte, 0, 16*numQI)
+	mapped := make([]int, numQI)
+	for gi := range src {
+		g := &src[gi]
+		if err := codes(g, mapped); err != nil {
+			return nil, err
 		}
 		key = key[:0]
 		for _, c := range mapped {
@@ -205,7 +217,7 @@ func (s *GroupStats) Rollup(maps []*CodeMap) (*GroupStats, error) {
 		members[j]++
 		out.Groups[j].Size += g.Size
 	}
-	mergeGroupHists(s.Groups, out, target, members)
+	mergeGroupHists(src, out, target, members)
 	return out, nil
 }
 
@@ -233,7 +245,9 @@ func mergeGroupHists(src []GroupStat, out *GroupStats, target, members []int) {
 		case members[j] <= histFoldCutoff:
 			tg := &out.Groups[j]
 			if tg.Hists == nil {
-				tg.Hists = append([]CodeHist(nil), g.Hists...)
+				// A fresh non-nil vector even with no confidential
+				// columns, as a direct scan emits.
+				tg.Hists = append(make([]CodeHist, 0, len(g.Hists)), g.Hists...)
 				continue
 			}
 			for a := range tg.Hists {
@@ -303,37 +317,12 @@ func (s *GroupStats) Project(keep []int) (*GroupStats, error) {
 		// receiver is immutable, so it can be shared as-is.
 		return s, nil
 	}
-	// Same two-pass shape as Rollup: sizes and group assignment first,
-	// then histograms — shared for single-source groups, accumulated in
-	// maps for merged ones.
-	out := &GroupStats{NumRows: s.NumRows, NumQI: len(keep), NumConf: s.NumConf}
-	idx := make(map[string]int, groupHint(len(s.Groups)))
-	target := make([]int, len(s.Groups))
-	var members []int
-	key := make([]byte, 0, 16*len(keep))
-	for gi := range s.Groups {
-		g := &s.Groups[gi]
-		key = key[:0]
-		for _, i := range keep {
-			key = binary.AppendVarint(key, int64(g.Codes[i]))
+	return regroup(s.Groups, s.NumRows, len(keep), s.NumConf, func(g *GroupStat, dst []int) error {
+		for ki, i := range keep {
+			dst[ki] = g.Codes[i]
 		}
-		j, ok := idx[string(key)]
-		if !ok {
-			j = len(out.Groups)
-			idx[string(key)] = j
-			codes := make([]int, len(keep))
-			for ki, i := range keep {
-				codes[ki] = g.Codes[i]
-			}
-			out.Groups = append(out.Groups, GroupStat{Codes: codes, Rep: g.Rep})
-			members = append(members, 0)
-		}
-		target[gi] = j
-		members[j]++
-		out.Groups[j].Size += g.Size
-	}
-	mergeGroupHists(s.Groups, out, target, members)
-	return out, nil
+		return nil
+	})
 }
 
 // GroupStats computes the roll-up aggregates of the table in one
@@ -399,7 +388,7 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 		workers = t.nrows
 	}
 	if workers <= 1 {
-		return mergeStatShards([]*GroupStats{shard(cols, confCols, plan, packed, 0, t.nrows)}, len(qis), len(confidential)), nil
+		return shard(cols, confCols, plan, packed, 0, t.nrows), nil
 	}
 	shards := make([]*GroupStats, workers)
 	var wg sync.WaitGroup
@@ -413,7 +402,7 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	return mergeStatShards(shards, len(qis), len(confidential)), nil
+	return mergeStatShards(shards, len(qis), len(confidential))
 }
 
 // confPlan describes how the chunked kernel accumulates one
@@ -474,11 +463,10 @@ func buildStatShard(cols, confCols []Column, plan packPlan, packed bool, lo, hi 
 	return buildStatShardRowwise(cols, confCols, plan, packed, lo, hi)
 }
 
-// buildStatShardChunked is the block-at-a-time kernel: per block it
-// computes every row's packed key (blockKeys — bulk code extraction,
-// no per-row interface calls), resolves keys to group ids through the
-// arena's flat key table (or map, for wide key spaces), and bumps flat
-// slab histogram counters at [group*stride + confOffset + id]. All
+// buildStatShardChunked is the block-at-a-time kernel: it resolves
+// every row's packed key to a group id with statsArena.scanGroups (the
+// loop GroupBy shares), and per block bumps flat slab histogram
+// counters at [group*stride + confOffset + id]. All
 // scratch — key and id buffers, the key table, the slab — comes from
 // the arena pool, so repeated scans (the lattice search's base scans)
 // allocate only their O(#groups) output.
@@ -499,58 +487,20 @@ func buildStatShardChunked(cols, confCols []Column, plan packPlan, lo, hi int) (
 	s := &GroupStats{NumRows: hi - lo, NumQI: len(cols), NumConf: len(confCols)}
 	ar := getStatsArena()
 	defer ar.release()
-	dense := plan.span <= maxDenseKeySpan
-	if dense {
-		ar.ensureKeyTable(int(plan.span))
-	}
-	for blo := lo; blo < hi; blo += blockRows {
-		bhi := blo + blockRows
-		if bhi > hi {
-			bhi = hi
+	ar.scanGroups(plan, cols, lo, hi, func(blo int, gids []int32) {
+		if stride == 0 {
+			return
 		}
-		n := bhi - blo
-		plan.blockKeys(cols, blo, bhi, ar.keys, ar.scratch)
-		keys := ar.keys[:n]
-		if dense {
-			for j, k := range keys {
-				g := ar.keyTable[k]
-				if g == 0 {
-					g = int32(len(ar.gkeys)) + 1
-					ar.keyTable[k] = g
-					ar.gkeys = append(ar.gkeys, k)
-					ar.sizes = append(ar.sizes, 0)
-					ar.reps = append(ar.reps, int32(blo+j))
-				}
-				g--
-				ar.gids[j] = g
-				ar.sizes[g]++
+		ar.growHist(len(ar.gkeys) * stride)
+		off := 0
+		for a := range confs {
+			ar.ids = confs[a].read(ar.ids[:0], blo, blo+len(gids))
+			for j, id := range ar.ids {
+				ar.hist[int(gids[j])*stride+off+int(id)]++
 			}
-		} else {
-			for j, k := range keys {
-				g, ok := ar.idx[k]
-				if !ok {
-					g = int32(len(ar.gkeys))
-					ar.idx[k] = g
-					ar.gkeys = append(ar.gkeys, k)
-					ar.sizes = append(ar.sizes, 0)
-					ar.reps = append(ar.reps, int32(blo+j))
-				}
-				ar.gids[j] = g
-				ar.sizes[g]++
-			}
+			off += confs[a].width
 		}
-		if stride > 0 {
-			ar.growHist(len(ar.gkeys) * stride)
-			off := 0
-			for a := range confs {
-				ar.ids = confs[a].read(ar.ids[:0], blo, bhi)
-				for j, id := range ar.ids {
-					ar.hist[int(ar.gids[j])*stride+off+int(id)]++
-				}
-				off += confs[a].width
-			}
-		}
-	}
+	})
 	if len(ar.gkeys) > 0 {
 		// Left nil when the shard is empty, matching the rowwise kernel.
 		s.Groups = make([]GroupStat, len(ar.gkeys))
@@ -655,35 +605,18 @@ func buildStatShardRowwise(cols, confCols []Column, plan packPlan, packed bool, 
 // merging groups that span shard boundaries. Because shard w covers
 // strictly earlier rows than shard w+1, first-appearance order over
 // the merged result equals first-appearance order of the serial scan.
-func mergeStatShards(shards []*GroupStats, numQI, numConf int) *GroupStats {
-	if len(shards) == 1 && shards[0] != nil {
-		return shards[0]
-	}
-	out := &GroupStats{NumQI: numQI, NumConf: numConf}
-	idx := make(map[string]int)
-	key := make([]byte, 0, 16*numQI)
+func mergeStatShards(shards []*GroupStats, numQI, numConf int) (*GroupStats, error) {
+	n, rows := 0, 0
 	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		out.NumRows += sh.NumRows
-		for gi := range sh.Groups {
-			g := &sh.Groups[gi]
-			key = key[:0]
-			for _, c := range g.Codes {
-				key = binary.AppendVarint(key, int64(c))
-			}
-			if j, ok := idx[string(key)]; ok {
-				tg := &out.Groups[j]
-				tg.Size += g.Size
-				for a := range tg.Hists {
-					tg.Hists[a] = mergeHists(tg.Hists[a], g.Hists[a])
-				}
-				continue
-			}
-			idx[string(key)] = len(out.Groups)
-			out.Groups = append(out.Groups, *g)
-		}
+		n += len(sh.Groups)
+		rows += sh.NumRows
 	}
-	return out
+	all := make([]GroupStat, 0, n)
+	for _, sh := range shards {
+		all = append(all, sh.Groups...)
+	}
+	return regroup(all, rows, numQI, numConf, func(g *GroupStat, dst []int) error {
+		copy(dst, g.Codes)
+		return nil
+	})
 }

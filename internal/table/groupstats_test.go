@@ -136,10 +136,16 @@ func TestGroupStatsMatchesGroupBy(t *testing.T) {
 // stats up through code maps must be byte-identical — groups, order,
 // sizes, histograms, and derived verdict quantities — to building the
 // stats directly on the generalized table. Multi-worker builds run the
-// sharded path under -race.
+// sharded path under -race. A nil conf is the k-only statistics every
+// P <= 1 search builds.
 func TestRollupMatchesDirect(t *testing.T) {
 	qis := []string{"A", "B", "C"}
-	conf := []string{"S1", "S2"}
+	for _, conf := range [][]string{{"S1", "S2"}, nil} {
+		rollupMatchesDirect(t, qis, conf)
+	}
+}
+
+func rollupMatchesDirect(t *testing.T, qis, conf []string) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := randomMicrodata(t, rng, 60+rng.Intn(300))
@@ -190,7 +196,7 @@ func TestRollupMatchesDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(rolled, direct) {
-				t.Fatalf("seed %d level %d: rolled stats diverge\nrolled: %+v\ndirect: %+v", seed, lvl, rolled, direct)
+				t.Fatalf("conf %v seed %d level %d: rolled stats diverge\nrolled: %+v\ndirect: %+v", conf, seed, lvl, rolled, direct)
 			}
 			// Derived verdict quantities agree too (suppression at a few k).
 			for _, k := range []int{2, 3, 5} {
@@ -321,17 +327,24 @@ func TestGroupStatsProject(t *testing.T) {
 		{[]int{0}, []string{"A"}},
 		{[]int{2}, []string{"C"}},
 	}
-	for _, c := range cases {
-		got, err := full.Project(c.keep)
+	// nil confidential columns are the k-only statistics of P <= 1.
+	for _, cs := range [][]string{conf, nil} {
+		from, err := tbl.GroupStats([]string{"A", "B", "C"}, cs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tbl.GroupStats(c.qis, conf, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Project(%v) diverges from direct GroupStats(%v)", c.keep, c.qis)
+		for _, c := range cases {
+			got, err := from.Project(c.keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tbl.GroupStats(c.qis, cs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("conf %v: Project(%v) diverges from direct GroupStats(%v)", cs, c.keep, c.qis)
+			}
 		}
 	}
 

@@ -339,8 +339,8 @@ func TestChunkedGroupStatsMatchesRowwise(t *testing.T) {
 }
 
 // TestRemappedColumnMatchesMapped: the code-remapping fast path must
-// produce the same values row-for-row as the string-materializing
-// MappedColumn for every dictionary-bearing column type, and surface
+// produce the same values row-for-row as the row-by-row MapColumn for
+// every dictionary-bearing column type, and surface
 // mapping errors only for values rows actually hold (a shared Gather
 // dictionary may carry absent entries).
 func TestRemappedColumnMatchesMapped(t *testing.T) {
@@ -348,10 +348,7 @@ func TestRemappedColumnMatchesMapped(t *testing.T) {
 	tbl := randomScanMicrodata(t, rng, 800, false)
 	for _, attr := range []string{"A", "B", "S3"} {
 		fn := func(v Value) (string, error) { return "g:" + v.Str(), nil }
-		mapped, err := tbl.MappedColumn(attr, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mapped := mappedRef(t, tbl, attr, fn)
 		remapped, err := tbl.RemappedColumn(attr, fn)
 		if err != nil {
 			t.Fatal(err)

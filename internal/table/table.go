@@ -136,8 +136,8 @@ func (t *Table) Clone() *Table {
 // replaced by applying fn to every value, row by row. The result column
 // is always a string column (generalization produces categorical
 // labels). fn may depend on call order (several callers close over a row
-// counter); use MappedColumn when fn is a pure function of the value and
-// per-distinct-value memoization is wanted.
+// counter); use RemappedColumn when fn is a pure function of the value
+// and once-per-distinct-value application is wanted.
 func (t *Table) MapColumn(name string, fn func(Value) (string, error)) (*Table, error) {
 	idx := t.schema.Index(name)
 	if idx < 0 {
@@ -156,46 +156,15 @@ func (t *Table) MapColumn(name string, fn func(Value) (string, error)) (*Table, 
 	return t.WithColumn(name, dst)
 }
 
-// MappedColumn builds the string column that MapColumn would install,
-// without constructing the table, and with fn applied once per distinct
-// value (by code) rather than once per row. The cost is O(distinct)
-// applications of fn plus O(rows) code lookups — the fast path the
-// generalization cache relies on. fn must be a pure function of the
-// value.
-func (t *Table) MappedColumn(name string, fn func(Value) (string, error)) (Column, error) {
-	idx := t.schema.Index(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("table: %w: %q", ErrNoColumn, name)
-	}
-	src := t.cols[idx]
-	dst := newStringColumn()
-	memo := make(map[int]string)
-	for i := 0; i < t.nrows; i++ {
-		code := src.Code(i)
-		s, ok := memo[code]
-		if !ok {
-			var err error
-			s, err = fn(src.Value(i))
-			if err != nil {
-				return nil, fmt.Errorf("table: map column %q row %d: %w", name, i, err)
-			}
-			memo[code] = s
-		}
-		dst.append(s)
-	}
-	dst.freeze()
-	return dst, nil
-}
-
-// RemappedColumn is the columnar fast path of MappedColumn for pure
-// fn: it applies fn once per dictionary entry to build a code-to-code
-// remap, then translates the source's packed code stream block-wise —
-// per-row work is two array lookups, and no per-row string is ever
-// materialized or re-hashed. The result column holds the same values
-// row-for-row as MappedColumn's; only the (externally invisible)
-// dictionary order may differ, because codes are visited in source-code
-// order rather than row order. Column types without a dictionary fall
-// back to MappedColumn.
+// RemappedColumn builds the string column that MapColumn would
+// install, without constructing the table, for pure fn: it applies fn
+// once per dictionary entry to build a code-to-code remap, then
+// translates the source's packed code stream block-wise — per-row work
+// is two array lookups, and no per-row string is ever materialized or
+// re-hashed. The result column holds the same values row-for-row as
+// MapColumn's; only the (externally invisible) dictionary order may
+// differ, because codes are visited in source-code order rather than
+// row order. Column types without a dictionary fall back to MapColumn.
 func (t *Table) RemappedColumn(name string, fn func(Value) (string, error)) (Column, error) {
 	idx := t.schema.Index(name)
 	if idx < 0 {
@@ -210,7 +179,7 @@ func (t *Table) RemappedColumn(name string, fn func(Value) (string, error)) (Col
 		// A shared dictionary (Gather) may hold values no row carries,
 		// so fn errors are deferred per entry and surface only when a
 		// row actually references the failing value — matching
-		// MappedColumn, which never sees absent values.
+		// MapColumn, which never sees absent values.
 		remap := make([]int32, len(src.dict))
 		var entryErr []error
 		for code, s := range src.dict {
@@ -285,7 +254,11 @@ func (t *Table) RemappedColumn(name string, fn func(Value) (string, error)) (Col
 			dst.codes = append(dst.codes, remap[code])
 		}
 	default:
-		return t.MappedColumn(name, fn)
+		mapped, err := t.MapColumn(name, fn)
+		if err != nil {
+			return nil, err
+		}
+		return mapped.cols[idx], nil
 	}
 	dst.freeze()
 	return dst, nil

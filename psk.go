@@ -192,9 +192,6 @@ type Config struct {
 	Policy Policy
 	// Algorithm selects the search strategy; zero value is Samarati.
 	Algorithm Algorithm
-	// DisableConditions turns off the necessary-condition filters
-	// (Algorithm 1 behaviour); useful only for benchmarking.
-	DisableConditions bool
 	// Workers bounds the worker pool evaluating independent lattice
 	// nodes concurrently; <= 1 (including the zero value) keeps the
 	// serial path. Results are identical at every worker count.
@@ -236,7 +233,7 @@ func (c Config) searchConfig() search.Config {
 		P:             c.P,
 		MaxSuppress:   c.MaxSuppress,
 		Policy:        c.Policy,
-		UseConditions: !c.DisableConditions,
+		UseConditions: true,
 		Workers:       c.Workers,
 		Recorder:      c.Recorder,
 		Tracer:        c.Tracer,

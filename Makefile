@@ -65,7 +65,8 @@ serve-smoke:
 
 # fuzz-smoke gives each native fuzz target FUZZTIME of coverage-guided
 # input generation on top of its committed seed corpus: the loaders
-# (dataset, hierarchy) must never panic on hostile bytes, the two
+# (dataset, hierarchy) must never panic on hostile bytes, any CSV the
+# table reader accepts must write and read back as an equal table, the two
 # implementations of Definition 2 must agree on every generated table,
 # the incremental session must survive hostile delta files with exact
 # live-row accounting, and the service must answer any job body with a
@@ -73,6 +74,7 @@ serve-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTable$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadHierarchy$$' -fuzztime $(FUZZTIME) ./internal/hierarchy
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEval$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/serve

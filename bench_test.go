@@ -19,7 +19,6 @@ import (
 	"psk/internal/generalize"
 	"psk/internal/lattice"
 	"psk/internal/loss"
-	"psk/internal/obs"
 	"psk/internal/search"
 	"psk/internal/stream"
 	"psk/internal/table"
@@ -540,64 +539,6 @@ func BenchmarkIncognitoVsSamarati(b *testing.B) {
 		}
 	})
 	b.Run("Samarati", func(b *testing.B) { benchSearch(b, im, cfg) })
-}
-
-// BenchmarkParallelSearch measures the node-evaluation engine on the
-// Adult workload; WorkersN runs it with an N-goroutine pool. Results
-// are identical across all variants — only the cost moves. Note that on
-// a single-CPU host the WorkersN variants cannot beat Workers1; the
-// worker pool pays off once GOMAXPROCS > 1.
-func BenchmarkParallelSearch(b *testing.B) {
-	src, err := dataset.Generate(30000, 2006)
-	if err != nil {
-		b.Fatal(err)
-	}
-	im, err := src.Sample(1000, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs, err := dataset.Hierarchies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := search.Config{
-		QIs:           dataset.QIs(),
-		Confidential:  dataset.Confidential(),
-		Hierarchies:   hs,
-		K:             3,
-		P:             2,
-		MaxSuppress:   10,
-		UseConditions: true,
-	}
-	variants := []struct {
-		name string
-		mut  func(*search.Config)
-	}{
-		{"Workers1", func(c *search.Config) { c.Workers = 1 }},
-		{"Workers2", func(c *search.Config) { c.Workers = 2 }},
-		{"Workers4", func(c *search.Config) { c.Workers = 4 }},
-		{"Workers8", func(c *search.Config) { c.Workers = 8 }},
-	}
-	for _, v := range variants {
-		cfg := base
-		v.mut(&cfg)
-		b.Run(fmt.Sprintf("Samarati/%s", v.name), func(b *testing.B) { benchSearch(b, im, cfg) })
-	}
-	for _, v := range variants {
-		cfg := base
-		v.mut(&cfg)
-		b.Run(fmt.Sprintf("Exhaustive/%s", v.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := search.Run(im, cfg, search.StrategyExhaustive)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Minimal) == 0 {
-					b.Fatal("found nothing")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAnatomize measures the bucketization release on an Adult
@@ -1159,134 +1100,4 @@ func BenchmarkFrontier(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkObsOverhead measures what the telemetry layer costs the
-// search on the Adult workload: Off is the plain run (nil recorder —
-// the engine's zero-clock-read fast path), On attaches a fresh
-// recorder each iteration. The budget is at most 2% on the disabled
-// path; On stays cheap too because the counters are contention-free
-// atomics. The bench/ workloads report the attached recorder's cost
-// over repeated samples as bench.trace_overhead_pct.
-func BenchmarkObsOverhead(b *testing.B) {
-	src, err := dataset.Generate(30000, 2006)
-	if err != nil {
-		b.Fatal(err)
-	}
-	im, err := src.Sample(1000, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs, err := dataset.Hierarchies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := search.Config{
-		QIs:           dataset.QIs(),
-		Confidential:  dataset.Confidential(),
-		Hierarchies:   hs,
-		K:             3,
-		P:             2,
-		MaxSuppress:   10,
-		UseConditions: true,
-	}
-	run := func(b *testing.B, observe bool, strat func(search.Config) (int, error)) {
-		for i := 0; i < b.N; i++ {
-			cfg := base
-			if observe {
-				cfg.Recorder = obs.NewRecorder()
-			}
-			n, err := strat(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				b.Fatal("found nothing")
-			}
-			if observe != (cfg.Recorder.Snapshot() != nil) {
-				b.Fatal("recorder state does not match variant")
-			}
-		}
-	}
-	exhaustive := func(cfg search.Config) (int, error) {
-		res, err := search.Run(im, cfg, search.StrategyExhaustive)
-		return len(res.Minimal), err
-	}
-	incognito := func(cfg search.Config) (int, error) {
-		res, err := search.Run(im, cfg, search.StrategyIncognito)
-		return len(res.Minimal), err
-	}
-	for _, v := range []struct {
-		name    string
-		observe bool
-	}{{"Off", false}, {"On", true}} {
-		v := v
-		b.Run(fmt.Sprintf("Exhaustive/%s", v.name), func(b *testing.B) { run(b, v.observe, exhaustive) })
-		b.Run(fmt.Sprintf("Incognito/%s", v.name), func(b *testing.B) { run(b, v.observe, incognito) })
-	}
-}
-
-// BenchmarkObsLive measures the full live observatory against the bare
-// search: Off is the nil-recorder baseline, Live attaches a recorder, a
-// running 1ms sampler and the HTTP debug server (nothing scraping it) —
-// the standing cost of having /metrics and /progress answerable while a
-// search is in flight. The handlers only read atomics, so Live must
-// track Off closely.
-func BenchmarkObsLive(b *testing.B) {
-	src, err := dataset.Generate(30000, 2006)
-	if err != nil {
-		b.Fatal(err)
-	}
-	im, err := src.Sample(1000, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs, err := dataset.Hierarchies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := search.Config{
-		QIs:           dataset.QIs(),
-		Confidential:  dataset.Confidential(),
-		Hierarchies:   hs,
-		K:             3,
-		P:             2,
-		MaxSuppress:   10,
-		UseConditions: true,
-	}
-	run := func(cfg search.Config) {
-		res, err := search.Run(im, cfg, search.StrategySamarati)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Found {
-			b.Fatal("found nothing")
-		}
-	}
-	b.Run("Off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(base)
-		}
-	})
-	b.Run("Live", func(b *testing.B) {
-		rec := obs.NewRecorder()
-		sampler := obs.NewSampler(rec, time.Millisecond, 512)
-		sampler.Start()
-		defer sampler.Stop()
-		srv, err := obs.NewServer("127.0.0.1:0", rec, sampler)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		cfg := base
-		cfg.Recorder = rec
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(cfg)
-		}
-		b.StopTimer()
-		if rec.Progress().NodesEvaluated == 0 {
-			b.Fatal("recorder saw no work")
-		}
-	})
 }

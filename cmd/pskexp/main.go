@@ -6,11 +6,13 @@
 //
 //	pskexp -exp all
 //	pskexp -exp table8 [-adult adult.data] [-ts 0] [-seed 17]
+//	pskexp -exp telemetry [-stats] [-metrics-json m.json] [-trace t.jsonl]
 //	pskexp -exp attack|table3|figure1|figure2|figure3|table4|example1|table7|ablation|utility
 //
 // Exit codes: 0 when every requested experiment ran, 1 when one failed,
 // 2 when the input layer rejected the invocation (a bad flag, an
-// unknown -exp name, an unreadable -adult file).
+// unknown -exp name, -stats/-metrics-json/-trace with an -exp other
+// than telemetry or all, an unreadable -adult file).
 package main
 
 import (

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -300,6 +301,36 @@ func TestExpMethods(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+// TestExpTelemetryWritesTraceAndMetrics: the telemetry experiment
+// honours -trace and -metrics-json, and the trace holds one event per
+// node the four strategy reports count as evaluated.
+func TestExpTelemetryWritesTraceAndMetrics(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.json")
+	var stdout, stderr strings.Builder
+	if err := Exp([]string{"-exp", "telemetry", "-trace", tracePath, "-metrics-json", metricsPath}, &stdout, &stderr); err != nil {
+		t.Fatalf("Exp(telemetry): %v\nstderr: %s", err, stderr.String())
+	}
+	var reports map[string]psk.Report
+	if err := unmarshalFile(metricsPath, &reports); err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 4 {
+		t.Fatalf("metrics JSON holds %d strategy reports, want 4", len(reports))
+	}
+	var evaluated int64
+	for _, rep := range reports {
+		evaluated += rep.Nodes.Evaluated
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := int64(bytes.Count(trace, []byte("\n"))); lines == 0 || lines != evaluated {
+		t.Errorf("trace has %d events, reports evaluated %d nodes", lines, evaluated)
 	}
 }
 

@@ -54,6 +54,14 @@ func TestUsageErrorsExitInputError(t *testing.T) {
 		{"pskattack unreadable external", Attack, []string{"-masked", csvPath, "-external", none, "-qi", "Age"}},
 		{"pskexp unknown experiment", Exp, []string{"-exp", "nope"}},
 		{"pskexp malformed flag", Exp, []string{"-seed", "x"}},
+		{"pskexp retired observatory", Exp, []string{"-exp", "observatory"}},
+		{"pskexp retired serve", Exp, []string{"-exp", "serve"}},
+		{"pskexp -stats off telemetry", Exp, []string{"-exp", "table4", "-stats"}},
+		{"pskexp -metrics-json off telemetry", Exp, []string{"-exp", "table4", "-metrics-json", filepath.Join(dir, "m.json")}},
+		{"pskexp -trace off telemetry", Exp, []string{"-exp", "budget", "-trace", filepath.Join(dir, "t.jsonl")}},
+		{"pskexp -explain", Exp, []string{"-exp", "telemetry", "-explain"}},
+		{"pskexp -explain-json", Exp, []string{"-exp", "telemetry", "-explain-json", filepath.Join(dir, "x.json")}},
+		{"pskexp -obs-listen", Exp, []string{"-exp", "telemetry", "-obs-listen", "127.0.0.1:0"}},
 		{"adultgen unknown flag", Gen, []string{"-bogus"}},
 	}
 	for _, tc := range cases {
@@ -61,6 +69,11 @@ func TestUsageErrorsExitInputError(t *testing.T) {
 		err := tc.run(tc.args, &out, &errw)
 		if ExitCode(err) != ExitInputError {
 			t.Errorf("%s: exit %d (%v), want %d", tc.name, ExitCode(err), err, ExitInputError)
+		}
+	}
+	for _, name := range []string{"m.json", "t.jsonl", "x.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("rejected pskexp run wrote %s (stat: %v)", name, err)
 		}
 	}
 }

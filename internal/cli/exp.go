@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"psk/internal/dataset"
@@ -15,7 +16,7 @@ import (
 // "all" runs them.
 var ExpNames = []string{"attack", "table3", "figure1", "figure2", "figure3",
 	"table4", "example1", "table7", "table8", "ablation", "utility", "methods", "decay", "policy",
-	"telemetry", "budget", "frontier", "observatory", "serve"}
+	"telemetry", "budget", "frontier"}
 
 // Exp implements pskexp: regenerate the paper's tables and figures.
 func Exp(args []string, stdout, stderr io.Writer) error {
@@ -30,9 +31,15 @@ func Exp(args []string, stdout, stderr io.Writer) error {
 		maxNodes = fs.Int64("max-nodes", 0, "node budget for the E18 budget experiment's flag rows (0 = off)")
 	)
 	prof := registerProfileFlags(fs)
-	of := registerObsFlags(fs)
+	of := registerReportFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return inputErr(err)
+	}
+	if *exp != "all" && !slices.Contains(ExpNames, *exp) {
+		return inputErr(fmt.Errorf("unknown experiment %q (available: all, %s)", *exp, strings.Join(ExpNames, ", ")))
+	}
+	if of.active() && *exp != "all" && *exp != "telemetry" {
+		return inputErr(fmt.Errorf("-stats, -metrics-json and -trace apply only to -exp telemetry (or all)"))
 	}
 
 	stopProf, err := prof.start(stderr)
@@ -202,20 +209,6 @@ func Exp(args []string, stdout, stderr io.Writer) error {
 			}
 			return emit("E19: utility-aware Pareto frontier", res.Format())
 		},
-		"observatory": func() error {
-			res, err := experiments.RunObservatory(20000, 3, 2, source, *seed)
-			if err != nil {
-				return err
-			}
-			return emit("E20: live observatory", res.Format())
-		},
-		"serve": func() error {
-			res, err := experiments.RunServe()
-			if err != nil {
-				return err
-			}
-			return emit("E21: anonymization-as-a-service load study", res.Format())
-		},
 	}
 
 	if *exp == "all" {
@@ -226,9 +219,5 @@ func Exp(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	runner, ok := runners[*exp]
-	if !ok {
-		return inputErr(fmt.Errorf("unknown experiment %q (available: all, %s)", *exp, strings.Join(ExpNames, ", ")))
-	}
-	return runner()
+	return runners[*exp]()
 }

@@ -11,14 +11,17 @@ import (
 	"psk"
 )
 
-// obsFlags are the observability flags shared by pskanon, pskcheck and
-// pskexp: -stats prints the human-readable report to stderr,
-// -metrics-json writes the report (or the experiment's strategy map)
-// as JSON, -trace streams one JSONL event per evaluated lattice node
-// to a file, -obs-listen serves the live observatory (/metrics,
-// /progress, /healthz, /debug/pprof) over HTTP while the run is in
-// flight, and -explain/-explain-json render the trace-driven audit
-// (per-level prune attribution, budget timeline) after the run.
+// obsFlags are the observability flags. pskanon and pskcheck register
+// all eight (registerObsFlags): -stats prints the human-readable report
+// to stderr, -metrics-json writes the report as JSON, -trace streams
+// one JSONL event per evaluated lattice node to a file, -obs-listen
+// serves the live observatory (/metrics, /progress, /healthz,
+// /debug/pprof) over HTTP while the run is in flight, and
+// -explain/-explain-json render the trace-driven audit (per-level prune
+// attribution, budget timeline) after the run. pskexp registers only
+// -stats, -metrics-json and -trace (registerReportFlags), which its
+// telemetry experiment reads; there -metrics-json writes the
+// experiment's strategy map.
 type obsFlags struct {
 	stats       bool
 	trace       string
@@ -41,11 +44,20 @@ type obsFlags struct {
 	server    *psk.ObsServer
 }
 
-func registerObsFlags(fs *flag.FlagSet) *obsFlags {
+// registerReportFlags registers the three flags that write a finished
+// run's telemetry: -stats, -metrics-json and -trace.
+func registerReportFlags(fs *flag.FlagSet) *obsFlags {
 	of := &obsFlags{}
 	fs.BoolVar(&of.stats, "stats", false, "print a telemetry report (node verdicts, phase times, cache stats) to stderr")
 	fs.StringVar(&of.trace, "trace", "", "write a JSONL trace (one event per evaluated lattice node) to this file")
 	fs.StringVar(&of.metricsJSON, "metrics-json", "", "write the telemetry report as JSON to this file")
+	return of
+}
+
+// registerObsFlags registers the report flags plus the live observatory
+// and the trace-driven audit.
+func registerObsFlags(fs *flag.FlagSet) *obsFlags {
+	of := registerReportFlags(fs)
 	fs.StringVar(&of.obsListen, "obs-listen", "", "serve the live observatory on this address while the run is in flight: /metrics, /progress, /healthz, /debug/pprof (e.g. 127.0.0.1:6060; :0 picks a port, printed to stderr)")
 	fs.DurationVar(&of.obsSample, "obs-sample", 250*time.Millisecond, "sampling interval of the /progress time series (with -obs-listen)")
 	fs.DurationVar(&of.obsLinger, "obs-linger", 0, "after finishing, keep the observatory up until the final report is scraped or this long elapses (with -obs-listen; lets an external poller read the final /metrics)")

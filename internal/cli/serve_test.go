@@ -21,7 +21,6 @@ import (
 	"psk/internal/config"
 	"psk/internal/obs"
 	"psk/internal/serve"
-	"psk/internal/serve/loadtest"
 )
 
 // TestExitCodeAgreement pins the service's exit-code constants and its
@@ -431,8 +430,8 @@ func TestServeSmoke(t *testing.T) {
 	// on the single worker, cancel it while queued, and read the
 	// cancelled StopReason. The blockers give the DELETE round trip a
 	// margin of many engine runs, not one.
-	bigCSV := loadtest.DatasetCSV(60000)
-	bigJob := loadtest.JobSpec(0)
+	bigCSV := datasetCSV(60000)
+	bigJob := jobSpec(t)
 	cancelBefore := sc.counters()
 	blockers := make([]string, 12)
 	for i := range blockers {
@@ -480,6 +479,32 @@ func TestServeSmoke(t *testing.T) {
 	if !strings.Contains(stderr.String(), "pskserve: draining") {
 		t.Errorf("no drain announcement:\n%s", stderr.String())
 	}
+}
+
+// datasetCSV builds a patients-shaped table of the given size whose
+// values are pure functions of the row index.
+func datasetCSV(rows int) string {
+	var b strings.Builder
+	b.WriteString("Age,ZipCode,Sex,Illness\n")
+	illnesses := [4]string{"Flu", "Asthma", "Diabetes", "Hypertension"}
+	sexes := [2]string{"M", "F"}
+	zips := [4]string{"41076", "41099", "43102", "43103"}
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "%d,%s,%s,%s\n",
+			20+(i*7)%50, zips[(i/3)%4], sexes[i%2], illnesses[(i*5)%4])
+	}
+	return b.String()
+}
+
+// jobSpec is jobJSON at k=2, p=1: the same hierarchies, which cover
+// datasetCSV's columns.
+func jobSpec(t *testing.T) *config.Job {
+	t.Helper()
+	job, err := config.Parse([]byte(strings.Replace(jobJSON, `"k": 3, "p": 2`, `"k": 2, "p": 1`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
 }
 
 func unmarshalFile(path string, v any) error {

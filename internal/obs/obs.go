@@ -9,11 +9,12 @@
 // the pointer receiver and starts with an inlineable nil check, so the
 // disabled configuration — a nil *Recorder threaded through
 // search.Config — compiles down to a compare-and-branch per call site:
-// no time.Now(), no atomics, no allocation (BenchmarkObsOverhead pins
-// the <2% budget). When a Recorder is attached, all mutation is either
-// a single atomic add or (for the per-policy table, keyed by name) a
-// short mutex-guarded map update, so one Recorder is safe for the
-// engine's whole worker pool.
+// no time.Now(), no atomics, no allocation. TestNilRecorderIsNoOp pins
+// that for every method; the bench/ module's bench.trace_overhead_pct
+// measures what an attached Recorder costs. When a Recorder is
+// attached, all mutation is either a single atomic add or (for the
+// per-policy table, keyed by name) a short mutex-guarded map update, so
+// one Recorder is safe for the engine's whole worker pool.
 package obs
 
 import (

@@ -3,37 +3,74 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestNilRecorderIsNoOp: the disabled implementation must be callable
-// through every method without panicking and without observing time.
+// TestNilRecorderIsNoOp: the disabled implementation — the nil
+// *Recorder a search carries when telemetry is off — must be callable
+// through every exported method without panicking, without reading the
+// clock and without allocating. This pins the zero-cost half of the
+// package's overhead budget; bench.trace_overhead_pct measures the
+// cost of an attached recorder.
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
+	// Adding a method to *Recorder must add its call below.
+	if n := reflect.TypeOf(r).NumMethod(); n != 29 {
+		t.Fatalf("*Recorder has %d exported methods, the calls below cover 29", n)
+	}
+	calls := func() {
+		t0 := r.Start()
+		r.Enabled()
+		r.PhaseEnd(PhasePolicy, t0)
+		r.NodeEvaluated(VerdictSatisfied, time.Millisecond)
+		r.WorkerBusy(3, time.Millisecond)
+		r.SetPoolSize(8)
+		r.CacheColumn(true, 0)
+		r.CacheColumn(false, 100)
+		r.CacheLevelMap(true)
+		r.RollupMerge()
+		r.RollupReuse()
+		r.RollupRowScan()
+		r.AddSuppressedRows(5)
+		r.BudgetStop()
+		r.PanicRecovered()
+		r.GroupsRecheck(4)
+		r.RepairAscent()
+		r.ColdFallback()
+		r.FrontierScored()
+		r.FrontierCutSkip()
+		r.FrontierReduced(6, 2)
+		root := r.StartSpan(PhaseSearch, nil)
+		child := r.StartSpan(PhaseRollup, &root)
+		child.End()
+		root.End()
+		r.AddLatticeNodes(12)
+		r.NoteBudgetNodes(3, 10)
+		r.NoteDeadline(t0.Add(time.Second))
+		r.NoteMem(1<<20, 1<<30)
+		r.NoteBest("<1,0>", 1)
+		r.PolicyEval("p", t0, true)
+		r.Snapshot()
+		r.Progress()
+	}
+	if allocs := testing.AllocsPerRun(100, calls); allocs != 0 {
+		t.Errorf("nil recorder allocated %v times per call sequence, want 0", allocs)
+	}
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	t0 := r.Start()
-	if !t0.IsZero() {
+	if t0 := r.Start(); !t0.IsZero() {
 		t.Fatal("nil recorder touched the clock")
 	}
-	r.PhaseEnd(PhasePolicy, t0)
-	r.NodeEvaluated(VerdictSatisfied, time.Millisecond)
-	r.WorkerBusy(3, time.Millisecond)
-	r.SetPoolSize(8)
-	r.CacheColumn(true, 0)
-	r.CacheColumn(false, 100)
-	r.CacheLevelMap(true)
-	r.RollupMerge()
-	r.RollupReuse()
-	r.RollupRowScan()
-	r.AddSuppressedRows(5)
-	r.PolicyEval("p", t0, true)
 	if rep := r.Snapshot(); rep != nil {
 		t.Fatalf("nil recorder snapshot = %v, want nil", rep)
+	}
+	if p := r.Progress(); p != (Progress{}) {
+		t.Fatalf("nil recorder progress = %+v, want zero", p)
 	}
 }
 

@@ -366,60 +366,80 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestSingleFlightAndResultCache: concurrent tenants over several
+// distinct keys at once. Each variant's tenants share one search, and
+// every tenant of a variant reads byte-identical results.
 func TestSingleFlightAndResultCache(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
 	const tenants = 8
+	ks := []int{2, 3, 4}
+	variant := func(v int) JobRequest {
+		req := anonRequest(t)
+		req.Job.K = ks[v]
+		return req
+	}
 
-	ids := make([]string, tenants)
+	ids := make([][]string, len(ks))
 	var wg sync.WaitGroup
-	for i := 0; i < tenants; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raw, _ := json.Marshal(anonRequest(t))
-			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var payload map[string]any
-			if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i], _ = payload["id"].(string)
-		}(i)
+	for v := range ks {
+		ids[v] = make([]string, tenants)
+		raw, err := json.Marshal(variant(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tenants; i++ {
+			wg.Add(1)
+			go func(v, i int) {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var payload map[string]any
+				if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+					t.Error(err)
+					return
+				}
+				ids[v][i], _ = payload["id"].(string)
+			}(v, i)
+		}
 	}
 	wg.Wait()
 
-	var firstResult string
-	for _, id := range ids {
-		if id == "" {
-			t.Fatal("missing job id")
+	results := make([]string, len(ks))
+	for v := range ks {
+		for _, id := range ids[v] {
+			if id == "" {
+				t.Fatalf("k=%d: missing job id", ks[v])
+			}
+			status, payload := pollDone(t, ts, id)
+			if status != 200 || payload["state"] != "done" {
+				t.Fatalf("k=%d job %s: status %d state %v", ks[v], id, status, payload["state"])
+			}
+			raw, _ := json.Marshal(payload["result"])
+			if results[v] == "" {
+				results[v] = string(raw)
+			} else if string(raw) != results[v] {
+				t.Errorf("k=%d job %s: result differs from the variant's first tenant", ks[v], id)
+			}
 		}
-		status, payload := pollDone(t, ts, id)
-		if status != 200 || payload["state"] != "done" {
-			t.Fatalf("job %s: status %d state %v", id, status, payload["state"])
-		}
-		raw, _ := json.Marshal(payload["result"])
-		if firstResult == "" {
-			firstResult = string(raw)
-		} else if string(raw) != firstResult {
-			t.Errorf("job %s: result differs from first tenant's", id)
-		}
+	}
+	if results[0] == results[1] || results[1] == results[2] {
+		t.Error("variants with different k returned identical results")
 	}
 
 	c := counters(t, ts)
-	if c["searches"] != 1 {
-		t.Errorf("identical requests ran %v searches, want exactly 1", c["searches"])
+	if c["searches"] != float64(len(ks)) {
+		t.Errorf("%d variants ran %v searches, want exactly %d", len(ks), c["searches"], len(ks))
 	}
-	if c["coalesced"]+c["cache_hits"] != tenants-1 {
-		t.Errorf("coalesced(%v) + cache_hits(%v) != %d", c["coalesced"], c["cache_hits"], tenants-1)
+	if want := float64(len(ks) * (tenants - 1)); c["coalesced"]+c["cache_hits"] != want {
+		t.Errorf("coalesced(%v) + cache_hits(%v) != %v", c["coalesced"], c["cache_hits"], want)
 	}
 
 	// A later identical submission is a pure cache hit.
-	id, sub := submit(t, ts, anonRequest(t))
+	id, sub := submit(t, ts, variant(1))
 	if sub["cached"] != true {
 		t.Errorf("post-completion submit not served from cache: %v", sub)
 	}
@@ -427,7 +447,7 @@ func TestSingleFlightAndResultCache(t *testing.T) {
 	if status != 200 || payload["state"] != "done" {
 		t.Fatalf("cached job: status %d state %v", status, payload["state"])
 	}
-	if c2 := counters(t, ts); c2["searches"] != 1 {
+	if c2 := counters(t, ts); c2["searches"] != float64(len(ks)) {
 		t.Errorf("cache hit re-ran the search: %v", c2["searches"])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -84,16 +85,46 @@ func ReadCSVFile(path string, schema *Schema) (*Table, error) {
 	return ReadCSV(f, schema)
 }
 
-// WriteCSV writes the table with a header row.
+// WriteCSV writes the table with a header row. Any table ReadCSV
+// returns writes back to a stream ReadCSV reads as an equal table.
 func (t *Table) WriteCSV(w io.Writer) error {
+	// encoding/csv reads a CRLF inside a quoted field back as LF, but
+	// reads "\r\r\n" as CRLF: a table holding a CRLF writes it doubled.
+	names := t.schema.Names()
+	crlf := slices.ContainsFunc(names, hasCRLF)
+	for _, col := range t.cols {
+		if sc, ok := col.(*stringColumn); ok && slices.ContainsFunc(sc.dict, hasCRLF) {
+			crlf = true
+		}
+	}
+	if crlf {
+		for i := range names {
+			names[i] = escapeCRLF(names[i])
+		}
+	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(t.schema.Names()); err != nil {
+	if err := cw.Write(names); err != nil {
 		return fmt.Errorf("table: write csv header: %w", err)
 	}
 	rec := make([]string, len(t.cols))
 	for r := 0; r < t.nrows; r++ {
 		for c, col := range t.cols {
 			rec[c] = col.Value(r).Str()
+			if crlf {
+				rec[c] = escapeCRLF(rec[c])
+			}
+		}
+		if len(rec) == 1 && rec[0] == "" {
+			// encoding/csv writes a lone empty field as an empty line,
+			// which its reader skips; quote it so the row reads back.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return fmt.Errorf("table: write csv row %d: %w", r, err)
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("table: write csv row %d: %w", r, err)
+			}
+			continue
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("table: write csv row %d: %w", r, err)
@@ -102,6 +133,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
+
+func hasCRLF(s string) bool { return strings.Contains(s, "\r\n") }
+
+func escapeCRLF(s string) string { return strings.ReplaceAll(s, "\r\n", "\r\r\n") }
 
 // WriteCSVFile writes the table to a file, creating or truncating it.
 func (t *Table) WriteCSVFile(path string) error {

@@ -65,9 +65,12 @@ serve-smoke:
 
 # fuzz-smoke gives each native fuzz target FUZZTIME of coverage-guided
 # input generation on top of its committed seed corpus: the loaders
-# (dataset, hierarchy) must never panic on hostile bytes, any CSV the
-# table reader accepts must write and read back as an equal table, the two
-# implementations of Definition 2 must agree on every generated table,
+# (dataset, hierarchy) must never panic on hostile bytes, the table's
+# hand-written CSV reader and writer must agree with the encoding/csv
+# reference they replaced (same accepted inputs, same tables, same
+# written bytes) and any CSV the reader accepts must write and read
+# back as an equal table, the two implementations of Definition 2 must
+# agree on every generated table,
 # the incremental session must survive hostile delta files with exact
 # live-row accounting, and the service must answer any job body with a
 # prepared job or an input error (400), never a panic.

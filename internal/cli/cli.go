@@ -6,7 +6,6 @@
 package cli
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -506,9 +505,7 @@ func csvHeader(path string) ([]string, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := csv.NewReader(f)
-	r.TrimLeadingSpace = true
-	return r.Read()
+	return table.ReadCSVHeader(f)
 }
 
 func splitList(s string) []string {

@@ -79,6 +79,28 @@ func TestAnonEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAnonPaddedHeader pins that pskanon matches header names against
+// the job as the table reader trims them: a space after "Age" in the
+// header changes nothing in the release.
+func TestAnonPaddedHeader(t *testing.T) {
+	csvPath, jobPath, dir := writeFixtures(t)
+	padded := filepath.Join(dir, "padded.csv")
+	if err := os.WriteFile(padded, []byte(strings.Replace(patientsCSV, "Age,", "Age ,", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	release := func(in string) string {
+		t.Helper()
+		var stdout, stderr strings.Builder
+		if err := Anon([]string{"-in", in, "-job", jobPath}, &stdout, &stderr); err != nil {
+			t.Fatalf("Anon -in %s: %v\nstderr: %s", in, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	if got, want := release(padded), release(csvPath); got != want {
+		t.Errorf("padded header released\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestAnonToStdout(t *testing.T) {
 	csvPath, jobPath, _ := writeFixtures(t)
 	var stdout, stderr strings.Builder

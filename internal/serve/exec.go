@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -409,11 +408,4 @@ func prepareAttack(r *JobRequest) (runFunc, error) {
 			ExpectedReidentifications: sum.ExpectedReidentifications,
 		}}, search.StopDone, nil
 	}, nil
-}
-
-// csvHeader reads the header row of an inline CSV payload.
-func csvHeader(raw string) ([]string, error) {
-	r := csv.NewReader(strings.NewReader(raw))
-	r.TrimLeadingSpace = true
-	return r.Read()
 }

@@ -285,7 +285,7 @@ func (s *Server) sharedDataset(key Key, rawCSV string, job *config.Job) (*shared
 	}
 	s.mu.Unlock()
 
-	header, err := csvHeader(rawCSV)
+	header, err := table.ReadCSVHeader(strings.NewReader(rawCSV))
 	if err != nil {
 		return nil, inputError{err}
 	}

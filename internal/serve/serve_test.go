@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -480,6 +481,28 @@ func TestAnonymizeResultVerifies(t *testing.T) {
 		if payload["report"] == nil {
 			t.Errorf("%s: no report embedded in the finished job", alg)
 		}
+	}
+}
+
+// TestPaddedHeader pins that a dataset's header names match the job as
+// the table reader trims them: a space after "Age" in the header changes
+// nothing in the result.
+func TestPaddedHeader(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	result := func(csv string) any {
+		t.Helper()
+		r := anonRequest(t)
+		r.CSV = csv
+		id, _ := submit(t, ts, r)
+		status, payload := pollDone(t, ts, id)
+		if status != 200 || payload["state"] != "done" {
+			t.Fatalf("status %d state %v (%v)", status, payload["state"], payload["error"])
+		}
+		return payload["result"]
+	}
+	want := result(patientsCSV)
+	if got := result(strings.Replace(patientsCSV, "Age,", "Age ,", 1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("padded header gave %v, want %v", got, want)
 	}
 }
 

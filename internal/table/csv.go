@@ -1,27 +1,32 @@
 package table
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"slices"
+	"strconv"
 	"strings"
 )
+
+// csvBufSize is the buffer ReadCSV reads through and WriteCSV writes
+// through.
+const csvBufSize = 64 << 10
 
 // ReadCSV reads a comma-separated stream with a header row into a table.
 // If schema is nil, every column is typed String and names come from the
 // header. If a schema is supplied, the header must contain exactly its
-// field names (order may differ; columns are matched by name).
+// field names (order may differ; columns are matched by name). Records
+// are read as encoding/csv reads them with TrimLeadingSpace set, and
+// every cell is trimmed of surrounding white space.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
+	rr := newRecordReader(r)
+	header, err := rr.header()
 	if err != nil {
-		return nil, fmt.Errorf("table: read csv header: %w", err)
-	}
-	for i := range header {
-		header[i] = strings.TrimSpace(header[i])
+		return nil, err
 	}
 
 	var sch Schema
@@ -42,11 +47,16 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 		if len(header) != sch.Len() {
 			return nil, fmt.Errorf("table: csv has %d columns, schema has %d", len(header), sch.Len())
 		}
+		seen := make([]bool, sch.Len())
 		for i, h := range header {
 			pos := sch.Index(h)
 			if pos < 0 {
 				return nil, fmt.Errorf("table: csv column %q not in schema", h)
 			}
+			if seen[pos] {
+				return nil, fmt.Errorf("table: csv column %q repeated", h)
+			}
+			seen[pos] = true
 			perm[i] = pos
 		}
 	}
@@ -55,24 +65,222 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := make([]string, sch.Len())
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
+	for {
+		cells, err := rr.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("table: read csv line %d: %w", line, err)
+			return nil, err
 		}
-		if len(rec) != len(perm) {
-			return nil, fmt.Errorf("table: csv line %d: %w: got %d cells, want %d", line, ErrArity, len(rec), len(perm))
+		if len(cells) != len(perm) {
+			return nil, fmt.Errorf("table: csv line %d: %w: got %d cells, want %d", rr.start, ErrArity, len(cells), len(perm))
 		}
-		for i, cell := range rec {
-			row[perm[i]] = strings.TrimSpace(cell)
+		for i, cell := range cells {
+			if err := appendCell(b.cols[perm[i]], cell); err != nil {
+				return nil, fmt.Errorf("table: csv line %d: column %q: %w", rr.start, header[i], err)
+			}
 		}
-		b.AppendText(row...)
+		b.nrows++
+	}
+	// appendCell grows int columns without invalidating their memos;
+	// drop them once here.
+	for _, c := range b.cols {
+		if ic, ok := c.(*intColumn); ok {
+			ic.invalidate()
+		}
 	}
 	return b.Build()
+}
+
+// ReadCSVHeader reads the header row of a CSV stream: the column names
+// ReadCSV matches against a schema, trimmed the same way.
+func ReadCSVHeader(r io.Reader) ([]string, error) {
+	return newRecordReader(r).header()
+}
+
+// appendCell parses one trimmed cell into its column without copying
+// it: a string cell allocates only when it adds a dictionary value.
+func appendCell(col Column, cell []byte) error {
+	switch c := col.(type) {
+	case *stringColumn:
+		code, ok := c.index[string(cell)]
+		if !ok {
+			code = c.intern(string(cell))
+		}
+		c.codes = append(c.codes, code)
+	case *intColumn:
+		n, err := strconv.ParseInt(string(cell), 10, 64)
+		if err != nil {
+			return fmt.Errorf("cannot parse %q as int: %w", cell, err)
+		}
+		c.vals = append(c.vals, n)
+	case *floatColumn:
+		f, err := strconv.ParseFloat(string(cell), 64)
+		if err != nil {
+			return fmt.Errorf("cannot parse %q as float: %w", cell, err)
+		}
+		c.append(f)
+	default:
+		return col.AppendText(string(cell))
+	}
+	return nil
+}
+
+// recordReader splits a CSV stream into records of trimmed cells, the
+// records encoding/csv reads with TrimLeadingSpace set. Physical lines
+// follow encoding/csv's rules: CRLF reads as LF, a CR just before EOF
+// is dropped and an empty line is skipped. A line with no quote byte is
+// split at its commas in place. A line with one starts a quoted record,
+// which encoding/csv itself parses, so quoting follows it exactly.
+type recordReader struct {
+	br    *bufio.Reader
+	line  int      // physical lines read so far
+	start int      // the physical line the last record started on
+	long  []byte   // a line longer than br's buffer, joined
+	cells [][]byte // the last record's cells
+
+	// A quoted record's raw lines are gathered in span and served to cr,
+	// which is reused from record to record, through src; its fields are
+	// copied into fields for cells to view.
+	span   []byte
+	src    bytes.Reader
+	cr     *csv.Reader
+	fields []byte
+}
+
+func newRecordReader(r io.Reader) *recordReader {
+	return &recordReader{br: bufio.NewReaderSize(r, csvBufSize)}
+}
+
+// header reads the first record and returns its cells as names.
+func (r *recordReader) header() ([]string, error) {
+	cells, err := r.next()
+	if err == io.EOF {
+		return nil, fmt.Errorf("table: read csv header: %w", err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(cells))
+	for i, c := range cells {
+		names[i] = string(c)
+	}
+	return names, nil
+}
+
+// next returns the cells of the next record, or io.EOF after the last.
+// The cells are valid until the following call.
+func (r *recordReader) next() ([][]byte, error) {
+	var raw, line []byte
+	for len(line) == 0 {
+		var err error
+		if raw, err = r.readLine(); err != nil {
+			return nil, err
+		}
+		line = chomp(raw)
+	}
+	r.start = r.line
+	if bytes.IndexByte(line, '"') >= 0 {
+		return r.quoted(raw)
+	}
+	r.cells = r.cells[:0]
+	for {
+		i := bytes.IndexByte(line, ',')
+		if i < 0 {
+			break
+		}
+		r.cells = append(r.cells, bytes.TrimSpace(line[:i]))
+		line = line[i+1:]
+	}
+	r.cells = append(r.cells, bytes.TrimSpace(line))
+	return r.cells, nil
+}
+
+// readLine returns the next physical line with its line break, or
+// io.EOF once the input is spent. The line is valid until the next call.
+func (r *recordReader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		r.long = append(r.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
+	if len(line) > 0 && err == io.EOF {
+		err = nil
+	}
+	if err != nil {
+		if err != io.EOF {
+			err = fmt.Errorf("table: csv line %d: %w", r.line+1, err)
+		}
+		return nil, err
+	}
+	r.line++
+	return line, nil
+}
+
+// chomp strips a line's break as encoding/csv reads it: "\n", "\r\n",
+// or a CR just before EOF.
+func chomp(line []byte) []byte {
+	n := len(line)
+	if n > 0 && line[n-1] == '\n' {
+		n--
+	}
+	if n > 0 && line[n-1] == '\r' {
+		n--
+	}
+	return line[:n]
+}
+
+// quoted parses the record that starts with the raw line first. The
+// record runs to the first line end with an even number of quote bytes
+// behind it: in a well-formed record that is the first line end outside
+// a quoted field, and encoding/csv rejects a record that is not
+// well-formed.
+func (r *recordReader) quoted(first []byte) ([][]byte, error) {
+	r.span = append(r.span[:0], first...)
+	quotes := bytes.Count(first, []byte{'"'})
+	for quotes%2 == 1 {
+		raw, err := r.readLine()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		r.span = append(r.span, raw...)
+		quotes += bytes.Count(raw, []byte{'"'})
+	}
+	// The raw lines go to encoding/csv unnormalized: it applies the
+	// line-break rules itself, and reads "\r\r\n" as a kept CR.
+	r.src.Reset(r.span)
+	if r.cr == nil {
+		r.cr = csv.NewReader(&r.src)
+		r.cr.TrimLeadingSpace = true
+		r.cr.ReuseRecord = true
+		r.cr.FieldsPerRecord = -1
+	}
+	rec, err := r.cr.Read()
+	if err != nil {
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return nil, fmt.Errorf("table: csv line %d, column %d: %w", r.start+pe.Line-pe.StartLine, pe.Column, pe.Err)
+		}
+		return nil, fmt.Errorf("table: csv line %d: %w", r.start, err)
+	}
+	// A cell keeps viewing the bytes it was copied to even when a later
+	// append moves fields to a larger array.
+	r.fields = r.fields[:0]
+	r.cells = r.cells[:0]
+	for _, f := range rec {
+		start := len(r.fields)
+		r.fields = append(r.fields, strings.TrimSpace(f)...)
+		r.cells = append(r.cells, r.fields[start:])
+	}
+	return r.cells, nil
 }
 
 // ReadCSVFile reads a CSV file into a table; see ReadCSV.
@@ -87,56 +295,86 @@ func ReadCSVFile(path string, schema *Schema) (*Table, error) {
 
 // WriteCSV writes the table with a header row. Any table ReadCSV
 // returns writes back to a stream ReadCSV reads as an equal table.
+// Fields are written exactly as encoding/csv writes them; a string
+// column's dictionary entry is rendered once, the first time a row
+// holds it, so a row costs byte appends.
 func (t *Table) WriteCSV(w io.Writer) error {
-	// encoding/csv reads a CRLF inside a quoted field back as LF, but
-	// reads "\r\r\n" as CRLF: a table holding a CRLF writes it doubled.
-	names := t.schema.Names()
-	crlf := slices.ContainsFunc(names, hasCRLF)
-	for _, col := range t.cols {
-		if sc, ok := col.(*stringColumn); ok && slices.ContainsFunc(sc.dict, hasCRLF) {
-			crlf = true
-		}
+	bw := bufio.NewWriterSize(w, csvBufSize)
+	var field bytes.Buffer
+	cw := csv.NewWriter(&field)
+	// appendField appends s as encoding/csv writes it as a field, and a
+	// comma. encoding/csv reads a CRLF inside a quoted field back as LF,
+	// but reads "\r\r\n" as CRLF, so a CRLF is written doubled.
+	appendField := func(dst []byte, s string) []byte {
+		field.Reset()
+		cw.Write([]string{strings.ReplaceAll(s, "\r\n", "\r\r\n")})
+		cw.Flush()
+		b := field.Bytes()
+		return append(append(dst, b[:len(b)-1]...), ',')
 	}
-	if crlf {
-		for i := range names {
-			names[i] = escapeCRLF(names[i])
-		}
+	var row []byte
+	for _, name := range t.schema.Names() {
+		row = appendField(row, name)
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(names); err != nil {
+	if _, err := bw.Write(endRow(row)); err != nil {
 		return fmt.Errorf("table: write csv header: %w", err)
 	}
-	rec := make([]string, len(t.cols))
+
+	// cells[c][code] is string column c's entry code rendered with its
+	// trailing comma, or nil until a row holds it. Rendered entries share
+	// one arena.
+	cells := make([][][]byte, len(t.cols))
+	for c, col := range t.cols {
+		if sc, ok := col.(*stringColumn); ok {
+			cells[c] = make([][]byte, len(sc.dict))
+		}
+	}
+	var arena []byte
 	for r := 0; r < t.nrows; r++ {
+		row = row[:0]
 		for c, col := range t.cols {
-			rec[c] = col.Value(r).Str()
-			if crlf {
-				rec[c] = escapeCRLF(rec[c])
+			switch col := col.(type) {
+			case *stringColumn:
+				code := col.Code(r)
+				cell := cells[c][code]
+				if cell == nil {
+					start := len(arena)
+					arena = appendField(arena, col.dict[code])
+					cell = arena[start:len(arena):len(arena)]
+					cells[c][code] = cell
+				}
+				row = append(row, cell...)
+			case *intColumn:
+				row = append(strconv.AppendInt(row, col.vals[r], 10), ',')
+			case *floatColumn:
+				row = append(strconv.AppendFloat(row, col.vals[r], 'g', -1, 64), ',')
+			default:
+				row = appendField(row, col.Value(r).Str())
 			}
 		}
-		if len(rec) == 1 && rec[0] == "" {
+		if len(row) == 1 {
 			// encoding/csv writes a lone empty field as an empty line,
 			// which its reader skips; quote it so the row reads back.
-			cw.Flush()
-			if err := cw.Error(); err != nil {
-				return fmt.Errorf("table: write csv row %d: %w", r, err)
-			}
-			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
-				return fmt.Errorf("table: write csv row %d: %w", r, err)
-			}
-			continue
+			row = append(row[:0], `"",`...)
 		}
-		if err := cw.Write(rec); err != nil {
+		if _, err := bw.Write(endRow(row)); err != nil {
 			return fmt.Errorf("table: write csv row %d: %w", r, err)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("table: write csv: %w", err)
+	}
+	return nil
 }
 
-func hasCRLF(s string) bool { return strings.Contains(s, "\r\n") }
-
-func escapeCRLF(s string) string { return strings.ReplaceAll(s, "\r\n", "\r\r\n") }
+// endRow turns the comma after a row's last field into its line break.
+func endRow(row []byte) []byte {
+	if len(row) == 0 {
+		return append(row, '\n')
+	}
+	row[len(row)-1] = '\n'
+	return row
+}
 
 // WriteCSVFile writes the table to a file, creating or truncating it.
 func (t *Table) WriteCSVFile(path string) error {

@@ -1,7 +1,9 @@
 package table
 
 import (
+	"encoding/csv"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -326,6 +328,42 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader(""), &sch); err == nil {
 		t.Error("empty stream not rejected")
+	}
+
+	ab := MustSchema(Field{Name: "A", Type: String}, Field{Name: "B", Type: String})
+	intA := MustSchema(Field{Name: "A", Type: Int}, Field{Name: "B", Type: String})
+	// Each error names its physical line once, counting blank lines and
+	// the lines of a quoted record, and wraps the error it reports.
+	for _, c := range []struct {
+		name, in string
+		schema   *Schema
+		want     string
+		is       error
+	}{
+		{"repeated header", "A,A\nx,y\nz,w\n", &ab, `table: csv column "A" repeated`, nil},
+		{"short record after blank lines", "A,B\n\n\n1,2\n3\n", nil, "table: csv line 5: ", ErrArity},
+		{"long record", "A,B\n1,2,3\n", &ab, "table: csv line 2: ", ErrArity},
+		{"short quoted record", "A,B\n\"x\"\n", &ab, "table: csv line 2: ", ErrArity},
+		{"bad int", "A,B\n1,x\n\n\r\nz,w\n", &intA, `table: csv line 5: column "A": cannot parse "z" as int`, strconv.ErrSyntax},
+		{"bad quote", "A,B\n1,\"x\"y\n", &ab, "table: csv line 2, column 5: ", csv.ErrQuote},
+		{"bad quote on a record's second line", "A,B\n\n1,\"x\ny\"z\n", &ab, "table: csv line 4, column 2: ", csv.ErrQuote},
+		{"bare quote", "A,B\nx\"y,1\n", nil, "table: csv line 2, column 2: ", csv.ErrBareQuote},
+		{"unterminated quote", "A,B\n1,\"x\n\n", &ab, "table: csv line ", csv.ErrQuote},
+	} {
+		_, err := ReadCSV(strings.NewReader(c.in), c.schema)
+		if err == nil {
+			t.Errorf("%s: %q not rejected", c.name, c.in)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want prefix %q", c.name, err, c.want)
+		}
+		if n := strings.Count(err.Error(), "line"); n != 1 && strings.Contains(c.want, "line") {
+			t.Errorf("%s: error %q names %d lines, want 1", c.name, err, n)
+		}
+		if c.is != nil && !errors.Is(err, c.is) {
+			t.Errorf("%s: error %q does not wrap %v", c.name, err, c.is)
+		}
 	}
 }
 

@@ -69,8 +69,10 @@ serve-smoke:
 # hand-written CSV reader and writer must agree with the encoding/csv
 # reference they replaced (same accepted inputs, same tables, same
 # written bytes) and any CSV the reader accepts must write and read
-# back as an equal table, the two implementations of Definition 2 must
-# agree on every generated table,
+# back as an equal table, the level maps the column cache derives from
+# per-value hierarchy walks must equal the ones built from materialized
+# columns on every row under every hierarchy kind, the two
+# implementations of Definition 2 must agree on every generated table,
 # the incremental session must survive hostile delta files with exact
 # live-row accounting, and the service must answer any job body with a
 # prepared job or an input error (400), never a panic.
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTable$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadHierarchy$$' -fuzztime $(FUZZTIME) ./internal/hierarchy
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzLevelMap$$' -fuzztime $(FUZZTIME) ./internal/generalize
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEval$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/serve

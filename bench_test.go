@@ -1079,7 +1079,7 @@ func BenchmarkFrontier(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			base, err := loss.NewBaseline(im, qis)
+			base, err := loss.BaselineFromStats(s)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -69,7 +69,7 @@ func Anon(args []string, stdout, stderr io.Writer) error {
 		deltas    = fs.String("stream", "", "JSONL delta file (adultgen -stream format): anonymize incrementally, republishing after every batch, and write the final masked table")
 		frontier  = fs.Bool("frontier", false, "print the utility-aware Pareto frontier over satisfying nodes as a table on stdout (the masked CSV is then only written with -out)")
 		frontJSON = fs.Bool("frontier-json", false, "like -frontier but emit the frontier as a JSON array")
-		workers   = fs.Int("workers", 0, "worker pool size for lattice evaluation (0 = one per CPU)")
+		workers   = fs.Int("workers", 0, "worker pool size for lattice evaluation (0 and 1 evaluate serially)")
 	)
 	pf := registerPolicyFlags(fs)
 	prof := registerProfileFlags(fs)
@@ -179,9 +179,9 @@ func Anon(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "node: %s (height %d)\n", res.Node, res.Node.Height())
 	fmt.Fprintf(stderr, "rows: %d released, %d suppressed\n", res.Masked.NumRows(), res.Suppressed)
-	if rep, err := psk.MeasureUtility(data, res.Masked, cfg, res.Node); err == nil {
+	if res.Utility.Node != nil {
 		fmt.Fprintf(stderr, "utility: precision %.3f, discernibility %d, avg group ratio %.2f\n",
-			rep.Precision, rep.Discernibility, rep.AvgGroupRatio)
+			res.Utility.Precision, res.Utility.Discernibility, res.Utility.AvgGroupRatio)
 	}
 	if len(res.AllMinimal) > 1 {
 		fmt.Fprintf(stderr, "all minimal nodes: %v\n", res.AllMinimal)

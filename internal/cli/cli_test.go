@@ -101,6 +101,33 @@ func TestAnonPaddedHeader(t *testing.T) {
 	}
 }
 
+// TestAnonZeroRows: a header-only input under k-anonymity releases the
+// header at the lattice bottom and prints no utility line, having no
+// rows to measure loss against.
+func TestAnonZeroRows(t *testing.T) {
+	_, _, dir := writeFixtures(t)
+	csvPath := filepath.Join(dir, "empty.csv")
+	jobPath := filepath.Join(dir, "kanon.json")
+	if err := os.WriteFile(csvPath, []byte("Age,ZipCode,Sex,Illness\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobPath, []byte(strings.Replace(jobJSON, `"p": 2`, `"p": 1`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"samarati", "incognito"} {
+		var stdout, stderr strings.Builder
+		if err := Anon([]string{"-in", csvPath, "-job", jobPath, "-algorithm", alg}, &stdout, &stderr); err != nil {
+			t.Fatalf("%s: %v\nstderr: %s", alg, err, stderr.String())
+		}
+		if want := "node: <0,0,0> (height 0)\nrows: 0 released, 0 suppressed\n"; stderr.String() != want {
+			t.Errorf("%s: stderr %q, want %q", alg, stderr.String(), want)
+		}
+		if want := "Age,ZipCode,Sex,Illness\n"; stdout.String() != want {
+			t.Errorf("%s: stdout %q, want %q", alg, stdout.String(), want)
+		}
+	}
+}
+
 func TestAnonToStdout(t *testing.T) {
 	csvPath, jobPath, _ := writeFixtures(t)
 	var stdout, stderr strings.Builder

@@ -5,7 +5,6 @@ import (
 
 	"psk/internal/core"
 	"psk/internal/dataset"
-	"psk/internal/generalize"
 	"psk/internal/loss"
 	"psk/internal/search"
 	"psk/internal/table"
@@ -81,10 +80,6 @@ func RunUtility(n int, ks []int, p int, source *table.Table, seed int64) (Utilit
 	if err != nil {
 		return UtilityResult{}, err
 	}
-	masker, err := generalize.NewMasker(dataset.QIs(), hs)
-	if err != nil {
-		return UtilityResult{}, err
-	}
 
 	res := UtilityResult{Size: n}
 	for _, k := range ks {
@@ -106,16 +101,9 @@ func RunUtility(n int, ks []int, p int, source *table.Table, seed int64) (Utilit
 		if sr.Found {
 			row.FDNode = sr.Node.Label(dataset.LatticePrefixes())
 			row.FDSuppressed = sr.Suppressed
-			rep, err := loss.Measure(loss.Input{
-				Initial: im, Masked: sr.Masked, QIs: dataset.QIs(),
-				Node: sr.Node, Lattice: masker.Lattice(), K: k,
-			})
-			if err != nil {
-				return UtilityResult{}, err
-			}
-			row.FDDiscernibility = rep.Discernibility
-			row.FDAvgGroupRatio = rep.AvgGroupRatio
-			row.FDPrecision = rep.Precision
+			row.FDDiscernibility = sr.Utility.Discernibility
+			row.FDAvgGroupRatio = sr.Utility.AvgGroupRatio
+			row.FDPrecision = sr.Utility.Precision
 		}
 
 		mr, err := search.Mondrian(im, search.MondrianConfig{

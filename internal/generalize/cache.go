@@ -10,22 +10,25 @@ import (
 	"psk/internal/table"
 )
 
-// Cache memoizes the generalized code array for each (QI attribute,
-// hierarchy level) pair of one source table, so a lattice search that
-// evaluates many nodes re-generalizes each column once per level instead
-// of once per node. A node's masked table is then assembled by swapping
-// cached columns into the source table (O(#QIs) pointer work) rather
-// than re-walking hierarchies per row.
+// Cache memoizes, for each (QI attribute, hierarchy level) pair of one
+// source table, the hierarchy walk over the attribute's distinct values
+// (table.Remap) and, when a node is materialized, the generalized column
+// translated from it. A lattice search derives every level map from two
+// walks in O(distinct values) without reading a row, and builds a
+// level's column only for the nodes it releases. A node's masked table
+// is assembled by swapping cached columns into the source table
+// (O(#QIs) pointer work) rather than re-walking hierarchies per row.
 //
-// A Cache is safe for concurrent use: each column is computed exactly
-// once behind a per-entry sync.Once, and entries are immutable
-// afterwards, which is what lets the parallel search engine share one
-// Cache across its whole worker pool without further locking.
+// A Cache is safe for concurrent use: each walk, column and level map is
+// computed exactly once behind a per-entry sync.Once, and entries are
+// immutable afterwards, which is what lets the parallel search engine
+// share one Cache across its whole worker pool without further locking.
 type Cache struct {
 	src *table.Table
 	m   *Masker
 
 	mu      sync.Mutex
+	walks   map[colKey]*walkEntry
 	entries map[colKey]*colEntry
 	maps    map[mapKey]*mapEntry
 
@@ -34,16 +37,23 @@ type Cache struct {
 	// recorder while workers from an earlier phase still read it.
 	rec atomic.Pointer[obs.Recorder]
 
-	// bytes is the estimated memory (table.MemBytes) of all columns
-	// built so far, maintained unconditionally — unlike the telemetry
-	// counters — because Budget.MaxCacheBytes enforcement reads it
-	// between node evaluations whether or not a recorder is attached.
+	// bytes is the estimated memory of all walks (Remap.MemBytes) and
+	// columns (table.MemBytes) built so far, maintained unconditionally —
+	// unlike the telemetry counters — because Budget.MaxCacheBytes
+	// enforcement reads it between node evaluations whether or not a
+	// recorder is attached.
 	bytes atomic.Int64
 }
 
 type colKey struct {
 	attr  string
 	level int
+}
+
+type walkEntry struct {
+	once  sync.Once
+	remap *table.Remap
+	err   error
 }
 
 type colEntry struct {
@@ -68,14 +78,20 @@ type mapEntry struct {
 // subset of the masker (Incognito's sub-searches share it), because
 // entries are keyed by attribute name, not by QI position.
 func (m *Masker) NewCache(src *table.Table) *Cache {
-	return &Cache{src: src, m: m, entries: make(map[colKey]*colEntry), maps: make(map[mapKey]*mapEntry)}
+	return &Cache{
+		src: src, m: m,
+		walks:   make(map[colKey]*walkEntry),
+		entries: make(map[colKey]*colEntry),
+		maps:    make(map[mapKey]*mapEntry),
+	}
 }
 
 // Source returns the table the cache generalizes.
 func (c *Cache) Source() *table.Table { return c.src }
 
-// Observe attaches a telemetry recorder; hits, misses and built-column
-// bytes are reported to it from then on. A nil recorder detaches.
+// Observe attaches a telemetry recorder; column hits and misses and the
+// bytes of built walks and columns are reported to it from then on. A
+// nil recorder detaches.
 func (c *Cache) Observe(rec *obs.Recorder) {
 	c.rec.Store(rec)
 }
@@ -84,8 +100,41 @@ func (c *Cache) Observe(rec *obs.Recorder) {
 // obs methods are nil-safe so callers don't guard).
 func (c *Cache) recorder() *obs.Recorder { return c.rec.Load() }
 
+// walk returns attr's hierarchy walk to the given level (level >= 1),
+// computing and memoizing it on first use: the generalized label and
+// code of every distinct source value. Columns and level maps are both
+// read off it, so they assign the same codes.
+func (c *Cache) walk(attr string, level int) (*table.Remap, error) {
+	c.mu.Lock()
+	e, ok := c.walks[colKey{attr, level}]
+	if !ok {
+		e = &walkEntry{}
+		c.walks[colKey{attr, level}] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		h, err := c.m.hiers.Get(attr)
+		if err != nil {
+			e.err = fmt.Errorf("generalize: %w", err)
+			return
+		}
+		e.remap, e.err = c.src.Remap(attr, func(v table.Value) (string, error) {
+			return h.Generalize(v.Str(), level)
+		})
+		if e.err != nil {
+			e.err = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.err)
+			return
+		}
+		bytes := e.remap.MemBytes()
+		c.bytes.Add(bytes)
+		c.recorder().CacheWalk(bytes)
+	})
+	return e.remap, e.err
+}
+
 // Column returns the source column for attr generalized to the given
-// hierarchy level, computing and memoizing it on first use.
+// hierarchy level, translating the rows through the level's walk and
+// memoizing the column on first use.
 func (c *Cache) Column(attr string, level int) (table.Column, error) {
 	c.mu.Lock()
 	e, ok := c.entries[colKey{attr, level}]
@@ -95,25 +144,19 @@ func (c *Cache) Column(attr string, level int) (table.Column, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		h, err := c.m.hiers.Get(attr)
+		r, err := c.walk(attr, level)
 		if err != nil {
-			e.err = fmt.Errorf("generalize: %w", err)
+			e.err = err
 			return
 		}
-		// RemappedColumn applies the hierarchy walk once per distinct
-		// source value and translates the packed code stream block-wise
-		// — no per-row string is materialized, and the built column is
-		// bit-packed from the start.
-		e.col, e.err = c.src.RemappedColumn(attr, func(v table.Value) (string, error) {
-			return h.Generalize(v.Str(), level)
-		})
-		if e.err != nil {
+		// Per row, two array lookups: no string is built, and the
+		// column is bit-packed from the start.
+		if e.col, e.err = r.Column(); e.err != nil {
 			e.err = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.err)
+			return
 		}
-		if e.col != nil {
-			e.bytes = table.MemBytes(e.col)
-			c.bytes.Add(e.bytes)
-		}
+		e.bytes = table.MemBytes(e.col)
+		c.bytes.Add(e.bytes)
 	})
 	if rec := c.recorder(); rec != nil {
 		// The goroutine that inserted the entry reports the miss (and
@@ -127,30 +170,33 @@ func (c *Cache) Column(attr string, level int) (table.Column, error) {
 	return e.col, e.err
 }
 
-// Bytes returns the estimated memory currently held by built columns,
-// the quantity search budgets cap with Budget.MaxCacheBytes.
+// Bytes returns the estimated memory currently held by walks and built
+// columns, the quantity search budgets cap with Budget.MaxCacheBytes.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 
-// levelColumn returns attr generalized to level, where level 0 is the
-// source column itself (ApplyQIs leaves level-0 attributes untouched,
-// so code maps must translate relative to the raw column there).
-func (c *Cache) levelColumn(attr string, level int) (table.Column, error) {
+// levelWalk returns attr's walk to level, nil at level 0: ApplyQIs
+// leaves level-0 attributes untouched, so level 0's codes are the
+// source column's own.
+func (c *Cache) levelWalk(attr string, level int) (*table.Remap, error) {
 	if level == 0 {
-		col, err := c.src.Column(attr)
-		if err != nil {
-			return nil, fmt.Errorf("generalize: %w", err)
-		}
-		return col, nil
+		return nil, nil
 	}
-	return c.Column(attr, level)
+	return c.walk(attr, level)
 }
 
 // LevelMap returns the code translation for attr from one hierarchy
 // level to another, computing and memoizing it on first use. A nil map
 // (with nil error) means the levels are equal and the translation is
-// the identity. Full-domain recoding guarantees the translation exists
-// whenever `to` generalizes `from`; requesting a non-nested pair
-// surfaces as a non-functional-relation error from BuildCodeMap.
+// the identity.
+//
+// The map is read off the two levels' walks in O(distinct values); no
+// row is read and no column is built. Full-domain recoding guarantees
+// the translation exists whenever `to` generalizes `from`. A value that
+// fails to generalize is left out of the map (see table.CodeMapBetween),
+// so rolling up a row that carries it fails as its column would. The map
+// fails when two values sharing a code at `from` part at `to`, as in a
+// specializing pair or a hierarchy that is not nested; the roll-up
+// layer then groups that node's rows instead.
 //
 // The roll-up layer uses these maps to move QI-group keys between
 // lattice nodes without rescanning rows.
@@ -167,22 +213,28 @@ func (c *Cache) LevelMap(attr string, from, to int) (*table.CodeMap, error) {
 	c.mu.Unlock()
 	c.recorder().CacheLevelMap(ok)
 	e.once.Do(func() {
-		fromCol, err := c.levelColumn(attr, from)
-		if err != nil {
-			e.err = err
-			return
-		}
-		toCol, err := c.levelColumn(attr, to)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.cm, e.err = table.BuildCodeMap(fromCol, toCol)
+		e.cm, e.err = c.levelMap(attr, from, to)
 		if e.err != nil {
 			e.err = fmt.Errorf("generalize: level map %s %d->%d: %w", attr, from, to, e.err)
 		}
 	})
 	return e.cm, e.err
+}
+
+func (c *Cache) levelMap(attr string, from, to int) (*table.CodeMap, error) {
+	fromWalk, err := c.levelWalk(attr, from)
+	if err != nil {
+		return nil, err
+	}
+	toWalk, err := c.levelWalk(attr, to)
+	if err != nil {
+		return nil, err
+	}
+	cm, ok := table.CodeMapBetween(fromWalk, toWalk)
+	if !ok {
+		return nil, fmt.Errorf("not functional: values sharing a level-%d code part at level %d", from, to)
+	}
+	return cm, nil
 }
 
 // Apply recodes the masker's quasi-identifier columns to the levels of

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"psk/internal/lattice"
+	"psk/internal/obs"
 	"psk/internal/table"
 )
 
@@ -166,11 +167,11 @@ func TestLevelMap(t *testing.T) {
 					}
 					continue
 				}
-				fromCol, err := c.levelColumn(attr, from)
+				fromCol, err := levelColumn(c, attr, from)
 				if err != nil {
 					t.Fatal(err)
 				}
-				toCol, err := c.levelColumn(attr, to)
+				toCol, err := levelColumn(c, attr, to)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,7 +196,17 @@ func TestLevelMap(t *testing.T) {
 	}
 }
 
-// TestLevelMapConcurrent hammers LevelMap from many goroutines; run
+// levelColumn returns attr generalized to level through the cache,
+// where level 0 is the source column itself.
+func levelColumn(c *Cache, attr string, level int) (table.Column, error) {
+	if level == 0 {
+		return c.Source().Column(attr)
+	}
+	return c.Column(attr, level)
+}
+
+// TestLevelMapConcurrent hammers LevelMap from many goroutines, half
+// of them building the level's column through the same walk first; run
 // with -race. Every goroutine must observe the identical memoized map.
 func TestLevelMapConcurrent(t *testing.T) {
 	tbl := figure3Table(t)
@@ -207,6 +218,12 @@ func TestLevelMapConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			if i%2 == 1 {
+				if _, err := c.Column("ZipCode", 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			cm, err := c.LevelMap("ZipCode", 0, 2)
 			if err != nil {
 				t.Error(err)
@@ -220,5 +237,26 @@ func TestLevelMapConcurrent(t *testing.T) {
 		if maps[i] != maps[0] {
 			t.Fatalf("goroutine %d saw a different cached map", i)
 		}
+	}
+}
+
+// TestCacheTelemetryBytes: the built bytes the cache reports to its
+// recorder are what it counts against the memory budget, walks
+// included: level maps alone build walks but no column.
+func TestCacheTelemetryBytes(t *testing.T) {
+	c := figure3Masker(t).NewCache(figure3Table(t))
+	rec := obs.NewRecorder()
+	c.Observe(rec)
+	if _, err := c.LevelMap("ZipCode", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Snapshot().Cache; got.Misses != 0 || got.Bytes == 0 || got.Bytes != c.Bytes() {
+		t.Fatalf("after a level map: telemetry %+v, cache holds %d bytes", got, c.Bytes())
+	}
+	if _, err := c.Column("ZipCode", 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Snapshot().Cache; got.Misses != 1 || got.Bytes != c.Bytes() {
+		t.Fatalf("after a column: telemetry %+v, cache holds %d bytes", got, c.Bytes())
 	}
 }

@@ -21,32 +21,47 @@ import (
 // Baseline memoizes the per-QI Shannon entropies of the *initial*
 // microdata, which EntropyLoss would otherwise recompute for every
 // scored node (O(rows·QIs) per node). Build it once per search with
-// NewBaseline; it is immutable afterwards and safe to share.
+// BaselineFromStats; it is immutable afterwards and safe to share.
 type Baseline struct {
-	qis       []string
 	entropies []float64
 }
 
-// NewBaseline scans the initial microdata once and records the entropy
-// of every QI column, in the given QI order (which must match the key
-// order of the statistics later measured against it).
-func NewBaseline(im *table.Table, qis []string) (*Baseline, error) {
-	b := &Baseline{
-		qis:       append([]string(nil), qis...),
-		entropies: make([]float64, len(qis)),
+// BaselineFromStats records the entropy of every QI of the initial
+// microdata from its base statistics: the group statistics of the
+// lattice bottom before suppression, whose key codes are the source
+// columns' own. A QI's value counts are then the group sizes summed per
+// key code, so no row is read. The QI order is the statistics' key
+// order, which must match the key order of the statistics later
+// measured against the baseline.
+func BaselineFromStats(base *table.GroupStats) (*Baseline, error) {
+	if base == nil {
+		return nil, fmt.Errorf("loss: nil base statistics")
 	}
-	for i, q := range qis {
-		h, err := columnEntropy(im, q)
-		if err != nil {
-			return nil, err
-		}
-		b.entropies[i] = h
+	b := &Baseline{entropies: make([]float64, base.NumQI)}
+	for i := range b.entropies {
+		b.entropies[i] = marginalEntropy(base, i)
 	}
 	return b, nil
 }
 
-// QIs returns the attribute order the baseline was computed over.
-func (b *Baseline) QIs() []string { return append([]string(nil), b.qis...) }
+// marginalEntropy is the Shannon entropy of key column i over the
+// groups' rows: the group sizes summed per key code, sorted descending
+// (the order ValueCounts reports, so the float sum is bit-identical to
+// the table path's columnEntropy).
+func marginalEntropy(s *table.GroupStats, i int) float64 {
+	marginal := make(map[int]int)
+	for g := range s.Groups {
+		if sz := s.Groups[g].Size; sz > 0 {
+			marginal[s.Groups[g].Codes[i]] += sz
+		}
+	}
+	counts := make([]int, 0, len(marginal))
+	for _, c := range marginal {
+		counts = append(counts, c)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	return entropyOfCounts(counts, s.NumRows)
+}
 
 // DiscernibilityStats is Discernibility from post-suppression group
 // statistics: every released tuple is charged its group size, every
@@ -80,11 +95,9 @@ func AvgGroupRatioStats(s *table.GroupStats, k int) (float64, error) {
 }
 
 // EntropyLossStats is EntropyLoss from post-suppression group
-// statistics against a memoized Baseline: for each QI the marginal
-// value counts are accumulated over the groups' key codes, sorted
-// descending (the order ValueCounts reports, so the float sum is
-// bit-identical to the oracle's), and the masked entropy is subtracted
-// from the baseline entropy.
+// statistics against a memoized Baseline: for each QI the masked
+// entropy comes from the marginal value counts over the groups' key
+// codes and is subtracted from the baseline entropy.
 func EntropyLossStats(s *table.GroupStats, base *Baseline) (float64, error) {
 	if base == nil {
 		return 0, fmt.Errorf("loss: nil baseline")
@@ -93,19 +106,8 @@ func EntropyLossStats(s *table.GroupStats, base *Baseline) (float64, error) {
 		return 0, fmt.Errorf("loss: stats carry %d QI key columns, baseline has %d", s.NumQI, len(base.entropies))
 	}
 	total := 0.0
-	marginal := make(map[int]int)
-	var counts []int
-	for i := range base.entropies {
-		clear(marginal)
-		for g := range s.Groups {
-			marginal[s.Groups[g].Codes[i]] += s.Groups[g].Size
-		}
-		counts = counts[:0]
-		for _, c := range marginal {
-			counts = append(counts, c)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-		total += base.entropies[i] - entropyOfCounts(counts, s.NumRows)
+	for i, h := range base.entropies {
+		total += h - marginalEntropy(s, i)
 	}
 	return total, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"psk/internal/lattice"
+	"psk/internal/table"
 )
 
 // statsAt materializes the Figure 3 masking at node and returns both
@@ -26,10 +27,7 @@ func statsAt(t *testing.T, node lattice.Node, k int) (oracle, stats Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBaseline(tbl, qis)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := baselineOf(t, tbl, qis)
 	stats, err = MeasureStats(StatsInput{
 		Stats: ps, Rows: tbl.NumRows(), Baseline: base,
 		Node: node, Lattice: m.Lattice(), K: k,
@@ -92,10 +90,7 @@ func TestStatsEdgeCases(t *testing.T) {
 	if r, err := AvgGroupRatioStats(ps, 3); err != nil || r != 0 {
 		t.Errorf("empty-release C_AVG = %g, %v; want 0", r, err)
 	}
-	base, err := NewBaseline(tbl, qis)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := baselineOf(t, tbl, qis)
 	el, err := EntropyLossStats(ps, base)
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +114,56 @@ func TestStatsEdgeCases(t *testing.T) {
 	if _, err := EntropyLossStats(ps, nil); err == nil {
 		t.Error("nil baseline accepted")
 	}
-	short, err := NewBaseline(tbl, []string{"Sex"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := baselineOf(t, tbl, []string{"Sex"})
 	if _, err := EntropyLossStats(ps, short); err == nil {
 		t.Error("QI-count mismatch accepted")
 	}
-	if _, err := NewBaseline(tbl, []string{"Missing"}); err == nil {
-		t.Error("missing attribute accepted")
+	if _, err := BaselineFromStats(nil); err == nil {
+		t.Error("nil base statistics accepted")
 	}
-	if got := short.QIs(); len(got) != 1 || got[0] != "Sex" {
-		t.Errorf("baseline QIs = %v", got)
+}
+
+// baselineOf builds the entropy baseline a search builds: from the
+// initial table's base statistics.
+func baselineOf(t *testing.T, im *table.Table, qis []string) *Baseline {
+	t.Helper()
+	bs, err := im.GroupStats(qis, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BaselineFromStats(bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
+// TestBaselineFromStatsMatchesColumnEntropy: the baseline read off the
+// base statistics must equal the table path's per-column entropies bit
+// for bit, on string and int QIs alike.
+func TestBaselineFromStatsMatchesColumnEntropy(t *testing.T) {
+	tbl, _ := fig3(t)
+	ints, err := table.FromText(table.MustSchema(
+		table.Field{Name: "Age", Type: table.Int},
+		table.Field{Name: "Sex", Type: table.String},
+	), [][]string{{"41", "M"}, {"-7", "F"}, {"41", "F"}, {"1099511627776", "M"}, {"41", "M"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tbl *table.Table
+		qis []string
+	}{{tbl, []string{"Sex", "ZipCode"}}, {tbl, []string{"ZipCode"}}, {ints, []string{"Age", "Sex"}}} {
+		base := baselineOf(t, c.tbl, c.qis)
+		for i, q := range c.qis {
+			want, err := columnEntropy(c.tbl, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(base.entropies[i]) != math.Float64bits(want) {
+				t.Errorf("%v: %s entropy %x, columnEntropy %x", c.qis, q,
+					math.Float64bits(base.entropies[i]), math.Float64bits(want))
+			}
+		}
 	}
 }

@@ -278,6 +278,17 @@ func (r *Recorder) CacheColumn(hit bool, bytes int64) {
 	r.colBytes.Add(bytes)
 }
 
+// CacheWalk records the estimated size in bytes of a freshly built
+// hierarchy walk, the per-distinct-value table level maps and columns
+// are read off. It counts toward the built bytes but not as a column
+// access.
+func (r *Recorder) CacheWalk(bytes int64) {
+	if r == nil {
+		return
+	}
+	r.colBytes.Add(bytes)
+}
+
 // CacheLevelMap records one level-map cache access (the code
 // translations the roll-up layer moves group keys with).
 func (r *Recorder) CacheLevelMap(hit bool) {

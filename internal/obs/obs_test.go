@@ -19,8 +19,8 @@ import (
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	// Adding a method to *Recorder must add its call below.
-	if n := reflect.TypeOf(r).NumMethod(); n != 29 {
-		t.Fatalf("*Recorder has %d exported methods, the calls below cover 29", n)
+	if n := reflect.TypeOf(r).NumMethod(); n != 30 {
+		t.Fatalf("*Recorder has %d exported methods, the calls below cover 30", n)
 	}
 	calls := func() {
 		t0 := r.Start()
@@ -31,6 +31,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		r.SetPoolSize(8)
 		r.CacheColumn(true, 0)
 		r.CacheColumn(false, 100)
+		r.CacheWalk(100)
 		r.CacheLevelMap(true)
 		r.RollupMerge()
 		r.RollupReuse()
@@ -83,6 +84,7 @@ func TestRecorderCounters(t *testing.T) {
 	r.CacheColumn(false, 4096)
 	r.CacheColumn(true, 0)
 	r.CacheColumn(true, 0)
+	r.CacheWalk(512) // bytes only, no column access
 	r.CacheLevelMap(false)
 	r.CacheLevelMap(true)
 	r.RollupMerge()
@@ -105,7 +107,7 @@ func TestRecorderCounters(t *testing.T) {
 	if got := rep.Nodes.PruneRate(); got != 0.5 {
 		t.Fatalf("prune rate = %v, want 0.5", got)
 	}
-	if rep.Cache.Hits != 2 || rep.Cache.Misses != 1 || rep.Cache.Bytes != 4096 {
+	if rep.Cache.Hits != 2 || rep.Cache.Misses != 1 || rep.Cache.Bytes != 4096+512 {
 		t.Fatalf("cache = %+v", rep.Cache)
 	}
 	if rep.Cache.MapHits != 1 || rep.Cache.MapMisses != 1 {

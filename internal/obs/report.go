@@ -102,8 +102,9 @@ type PhaseStat struct {
 }
 
 // CacheStats summarizes the generalized-column cache: column accesses
-// (Hits/Misses/Bytes, bytes being the estimated memory of freshly
-// built columns) and level-map accesses.
+// (Hits/Misses), the estimated memory of the hierarchy walks and
+// columns it built (Bytes, what the cache's memory budget counts) and
+// level-map accesses.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

@@ -24,7 +24,8 @@ type Sample struct {
 	// RollupReuseRate is the fraction of interval stats lookups served
 	// without a row scan (merges + reuses over all three sources).
 	RollupReuseRate float64 `json:"rollup_reuse_rate"`
-	// CacheBytes is the cumulative estimated bytes of built columns.
+	// CacheBytes is the cumulative estimated bytes of built hierarchy
+	// walks and columns.
 	CacheBytes int64 `json:"cache_bytes"`
 	// MemUsedBytes / MemBudgetBytes mirror the cache-memory budget
 	// gauges; MemHeadroom is 1 - used/budget (1 when unbudgeted).

@@ -75,15 +75,16 @@ type evaluator struct {
 // newEvaluator builds the engine for one search. m's quasi-identifiers
 // must match cfg.QIs (Incognito passes subset maskers with a matching
 // subset config). cache may be shared across evaluators of the same
-// source table; pass nil to build a fresh one.
-func newEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, bounds core.Bounds) *evaluator {
-	return newLimitedEvaluator(im, m, cache, cfg, bounds, cfg.newLimiter())
+// source table; pass nil to build a fresh one. The evaluator computes
+// statistics at once but judges nodes only after bind.
+func newEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config) *evaluator {
+	return newLimitedEvaluator(im, m, cache, cfg, cfg.newLimiter())
 }
 
 // newLimitedEvaluator is newEvaluator with an explicit limiter, for
 // strategies that build several evaluators per call and need them to
 // draw on one shared budget (Incognito's subset passes).
-func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, bounds core.Bounds, lim *limiter) *evaluator {
+func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, lim *limiter) *evaluator {
 	if cache == nil {
 		if cfg.Cache != nil && cfg.Cache.Source() == im {
 			cache = cfg.Cache
@@ -94,13 +95,21 @@ func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generaliz
 	cache.Observe(cfg.Recorder)
 	lim.attachMem(cache.Bytes)
 	return &evaluator{
-		im: im, m: m, cache: cache, qis: cfg.QIs, cfg: cfg, bounds: bounds,
-		policy:  core.Observe(cfg.effectivePolicy(bounds), cfg.Recorder),
+		im: im, m: m, cache: cache, qis: cfg.QIs, cfg: cfg,
 		conf:    cfg.effectiveConf(),
 		rollups: newRollupStore(),
 		rec:     cfg.Recorder, tracer: cfg.Tracer,
 		lim: lim,
 	}
+}
+
+// bind installs the necessary-condition bounds and the per-node policy
+// built on them; Run binds once it has read the bounds off the base
+// statistics.
+func (e *evaluator) bind(bounds core.Bounds) *evaluator {
+	e.bounds = bounds
+	e.policy = core.Observe(e.cfg.effectivePolicy(bounds), e.cfg.Recorder)
+	return e
 }
 
 // outcome is the result of evaluating one lattice node.

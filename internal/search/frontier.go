@@ -142,7 +142,7 @@ func (f *FrontierEntry) objective(o Objective) float64 {
 // itself. The one axis merging can improve is the margin; when ObjMargin
 // is in play the cut therefore additionally requires the node to
 // already be a single group, which pins the margin at its maximum.
-func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, stats *Stats) ([]FrontierEntry, error) {
+func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss.Baseline, stats *Stats) ([]FrontierEntry, error) {
 	fc := e.cfg.Frontier
 	objs := fc.Objectives
 	if len(objs) == 0 {
@@ -157,11 +157,6 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, stats *Sta
 			hasMargin = true
 		}
 	}
-	base, err := loss.NewBaseline(e.im, e.qis)
-	if err != nil {
-		return nil, err
-	}
-
 	fe := *e
 	fe.keepStats = true
 	fe.noMaterialize = true
@@ -223,19 +218,19 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, stats *Sta
 }
 
 // attachFrontier runs the frontier pass when the configuration asks for
-// one and stores the result; strategies call it just before computing
-// their stop reason so a budget trip inside the scan is reported.
-// parent is the strategy's root search span (may be nil or disabled):
-// the scan runs under a nested frontier-scan span, so the report's
-// phase table attributes the pass's wall time to the frontier, not to
-// the search's self time.
-func attachFrontier(e *evaluator, lat *lattice.Lattice, monotone bool, stats *Stats, dst *[]FrontierEntry, parent *obs.Span) error {
+// one and stores the result; Run calls it just before computing the
+// stop reason so a budget trip inside the scan is reported. base is the
+// entropy baseline Run read off the base statistics. parent is the
+// search's root span (may be nil or disabled): the scan runs under a
+// nested frontier-scan span, so the report's phase table attributes the
+// pass's wall time to the frontier, not to the search's self time.
+func attachFrontier(e *evaluator, lat *lattice.Lattice, monotone bool, base *loss.Baseline, stats *Stats, dst *[]FrontierEntry, parent *obs.Span) error {
 	if !e.cfg.Frontier.Enabled {
 		return nil
 	}
 	sp := e.rec.StartSpan(obs.PhaseFrontier, parent)
 	defer sp.End()
-	fr, err := e.frontierScan(lat, monotone, stats)
+	fr, err := e.frontierScan(lat, monotone, base, stats)
 	if err != nil {
 		return err
 	}

@@ -97,11 +97,7 @@ func TestFrontierDifferentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := searchBounds(im, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy := base.effectivePolicy(bounds)
+	policy := base.effectivePolicy(rowScanBounds(t, im, base))
 	for _, s := range frontierStrategies() {
 		for _, workers := range []int{1, 4} {
 			cfg := base

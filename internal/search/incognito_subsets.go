@@ -46,28 +46,15 @@ func incognito(e *evaluator, lat *lattice.Lattice, res *Result) error {
 
 	// Frequency sets roll up across QI subsets too — the classic
 	// Incognito formulation: the base-level statistics over the full QI
-	// set are computed once, and every subset lattice's bottom is a
-	// projection of them, so no subset search ever re-scans rows.
-	// Projections chain by descending subset size — each mask projects
-	// from a one-attribute-larger superset with the fewest groups — so
-	// most merge a few hundred groups instead of the full base-level
-	// group set.
-	w := cfg.Workers
-	if w < 1 {
-		w = 1
-	}
-	gbStart := cfg.Recorder.Start()
-	baseStats, err := e.im.GroupStats(qis, e.conf, w)
-	cfg.Recorder.PhaseEnd(obs.PhaseGroupBy, gbStart)
-	if err != nil {
-		return err
-	}
-	// The full-QI pass and the frontier scan roll up from the base
-	// statistics on the run's evaluator.
-	e.rollups.seed(lat.Bottom(), baseStats)
+	// set, which Run computed on the run's evaluator, are every subset
+	// lattice's bottom once projected, so no subset search ever re-scans
+	// rows. Projections chain by descending subset size — each mask
+	// projects from a one-attribute-larger superset with the fewest
+	// groups — so most merge a few hundred groups instead of the full
+	// base-level group set.
 	fullMask := uint32(1<<mAttrs) - 1
 	projStats := make(map[uint32]*table.GroupStats, fullMask)
-	projStats[fullMask] = baseStats
+	projStats[fullMask] = e.rollups.lookup(lat.Bottom())
 	// The 2^m − 2 projections are work before any node is evaluated, so
 	// the loop passes the limiter's checkpoint itself: a cancelled,
 	// expired or over-budget search stops here with the limiter's reason.
@@ -119,6 +106,7 @@ subsets:
 			subLat, subEval := lat, e
 			if size < mAttrs {
 				attrs, dims := subsetOf(qis, fullDims, mask)
+				var err error
 				if subLat, err = lattice.New(dims); err != nil {
 					return err
 				}
@@ -137,7 +125,7 @@ subsets:
 				// independent of the QI subset a node ranges over, so a
 				// generalization computed for one subset is reused by every
 				// later subset that includes the attribute.
-				subEval = newLimitedEvaluator(e.im, subMasker, e.cache, subCfg, e.bounds, e.lim)
+				subEval = newLimitedEvaluator(e.im, subMasker, e.cache, subCfg, e.lim).bind(e.bounds)
 				// Smaller subsets exist purely to prune, so their
 				// evaluations stop at the verdict.
 				subEval.noMaterialize = true

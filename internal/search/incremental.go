@@ -425,13 +425,9 @@ func (s *Incremental) changedSurvivors(stats *table.GroupStats) []int {
 }
 
 // currentBounds refreshes the necessary-condition bounds from the
-// maintained base statistics — the streaming equivalent of
-// searchBounds, which scans the initial microdata.
+// maintained base statistics, as Run reads them off its base scan.
 func (s *Incremental) currentBounds() (core.Bounds, error) {
-	if s.cfg.Policy == nil && s.cfg.UseConditions && s.cfg.P >= 2 {
-		return core.BoundsFromStats(s.base.Stats(), s.cfg.P)
-	}
-	return core.Bounds{MaxP: s.cfg.P, MaxGroups: s.led.NumLive(), P: s.cfg.P}, nil
+	return statsBounds(s.cfg, s.base.Stats())
 }
 
 // repair climbs the lattice from the violating incumbent: strict
@@ -450,7 +446,7 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 	cfg := s.cfg
 	cfg.strategy = "incremental-repair"
 	lim := cfg.newLimiter()
-	eval := newLimitedEvaluator(s.led.Table(), s.m, nil, cfg, bounds, lim)
+	eval := newLimitedEvaluator(s.led.Table(), s.m, nil, cfg, lim).bind(bounds)
 	eval.noMaterialize = true
 	lat := s.m.Lattice()
 	bottom := lat.Bottom()

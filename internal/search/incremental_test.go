@@ -145,11 +145,7 @@ func freshNodeStats(t *testing.T, s *Incremental, node lattice.Node) (violating 
 	if violating > s.cfg.MaxSuppress {
 		return violating, false, stats
 	}
-	bounds, err := searchBounds(snap, s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.cfg.effectivePolicy(bounds).Evaluate(core.StatsView{
+	res, err := s.cfg.effectivePolicy(rowScanBounds(t, snap, s.cfg)).Evaluate(core.StatsView{
 		Stats: stats.SuppressBelow(s.cfg.K),
 		Conf:  s.conf,
 	})

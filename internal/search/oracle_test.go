@@ -3,11 +3,13 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"psk/internal/core"
 	"psk/internal/hierarchy"
 	"psk/internal/lattice"
+	"psk/internal/loss"
 	"psk/internal/table"
 )
 
@@ -41,10 +43,7 @@ func newRowScanOracle(t testing.TB, im *table.Table, cfg Config) rowScanOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := searchBounds(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bounds := rowScanBounds(t, im, cfg)
 	if !bounds.Feasible() {
 		t.Fatalf("oracle fixture fails Condition 1; no node is ever evaluated")
 	}
@@ -86,6 +85,22 @@ func newRowScanOracle(t testing.TB, im *table.Table, cfg Config) rowScanOracle {
 		o.out[node.Key()] = r
 	}
 	return o
+}
+
+// rowScanBounds computes the necessary-condition bounds the way the
+// paper states them, on the rows of the initial microdata
+// (core.ComputeBounds), for the configurations whose policy uses them;
+// otherwise the permissive bounds that never reject.
+func rowScanBounds(t testing.TB, im *table.Table, cfg Config) core.Bounds {
+	t.Helper()
+	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 {
+		b, err := core.ComputeBounds(im, cfg.Confidential, cfg.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return core.Bounds{MaxP: cfg.P, MaxGroups: im.NumRows(), P: cfg.P}
 }
 
 func (o rowScanOracle) minimalNode(n lattice.Node) MinimalNode {
@@ -209,6 +224,20 @@ func checkStrategiesAgainstOracle(t *testing.T, name string, im *table.Table, cf
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got.Found {
+			// The utility report read off the found node's statistics is
+			// the table-scanning one of the release.
+			rep, err := loss.Measure(loss.Input{
+				Initial: im, Masked: got.Masked, QIs: cfg.QIs,
+				Node: got.Node, Lattice: o.lat, K: cfg.K,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Utility, rep) {
+				t.Errorf("%s: %s utility %+v, loss.Measure %+v", name, Strategy(s), got.Utility, rep)
+			}
+		}
 		if Strategy(s) == StrategyIncognito {
 			got = Result{Minimal: got.Minimal}
 		}
@@ -301,4 +330,107 @@ func randomSearchFixture(t testing.TB, rng *rand.Rand, n int) (*table.Table, Con
 		Hierarchies:  hierarchy.MustSet(zip, age, sex),
 	}
 	return tbl, cfg
+}
+
+// TestStrategiesMatchRowScanOracleMixedTypes: the same pin on the column
+// types the benchmark job searches — an Int QI under an interval
+// hierarchy, a Tree QI, a Flat QI, and String, Int and Float
+// confidential attributes — on the full table and on a gathered half
+// whose dictionaries hold values no row carries. K, P, the suppression
+// budget and the conditions switch are drawn per seed.
+func TestStrategiesMatchRowScanOracleMixedTypes(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		full, half, cfg := mixedSearchFixture(t, rng, 200+rng.Intn(200))
+		cfg.K = 2 + rng.Intn(4)
+		cfg.P = 1 + rng.Intn(2)
+		cfg.MaxSuppress = rng.Intn(30)
+		cfg.UseConditions = rng.Intn(2) == 0
+		for _, tc := range []struct {
+			name string
+			tbl  *table.Table
+		}{{"full", full}, {"half", half}} {
+			o := newRowScanOracle(t, tc.tbl, cfg)
+			for _, w := range []int{1, 4} {
+				cfg.Workers = w
+				name := fmt.Sprintf("seed=%d %s w=%d K=%d P=%d TS=%d cond=%v",
+					seed, tc.name, w, cfg.K, cfg.P, cfg.MaxSuppress, cfg.UseConditions)
+				checkStrategiesAgainstOracle(t, name, tc.tbl, cfg, o)
+			}
+		}
+	}
+}
+
+// mixedSearchFixture builds an n-row microdata over the benchmark job's
+// column types with matching hierarchies, and a gathered half of it.
+// The half is gathered from the rows plus two extra ones, so its string
+// dictionaries also hold a Marital value the tree hierarchy does not
+// know: generalizing it fails, and only the rows — none of which carry
+// it — may decide whether that matters.
+func mixedSearchFixture(t testing.TB, rng *rand.Rand, n int) (full, half *table.Table, cfg Config) {
+	t.Helper()
+	sch := table.MustSchema(
+		table.Field{Name: "Age", Type: table.Int},
+		table.Field{Name: "Marital", Type: table.String},
+		table.Field{Name: "Sex", Type: table.String},
+		table.Field{Name: "Illness", Type: table.String},
+		table.Field{Name: "Income", Type: table.Int},
+		table.Field{Name: "Score", Type: table.Float},
+	)
+	marital := []string{"Never-married", "Divorced", "Widowed", "Married-civ", "Married-AF"}
+	row := func() []string {
+		return []string{
+			fmt.Sprint(12 + rng.Intn(80)),
+			marital[rng.Intn(len(marital))],
+			[]string{"M", "F"}[rng.Intn(2)],
+			fmt.Sprintf("d%d", rng.Intn(4)),
+			fmt.Sprint(1000 * rng.Intn(5)),
+			fmt.Sprint(float64(rng.Intn(4))/4 - 0.5),
+		}
+	}
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = row()
+	}
+	full, err := table.FromText(sch, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := append(append([][]string(nil), rows...), row(), row())
+	extra[n][1] = "Unknown"
+	parent, err := table.FromText(sch, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep []int
+	for i := 0; i < n; i += 2 {
+		keep = append(keep, i)
+	}
+	if half, err = parent.Gather(keep); err != nil {
+		t.Fatal(err)
+	}
+	age, err := hierarchy.NewInterval("Age", []hierarchy.IntervalLevel{
+		hierarchy.DecadeLevel("decades", 12, 91, 10),
+		{Cuts: []int64{50}, Labels: []string{"<50", ">=50"}},
+		{Labels: []string{hierarchy.Suppressed}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := hierarchy.NewTree("Marital", map[string][]string{
+		"Never-married": {"Single", hierarchy.Suppressed},
+		"Divorced":      {"Single", hierarchy.Suppressed},
+		"Widowed":       {"Single", hierarchy.Suppressed},
+		"Married-civ":   {"Married", hierarchy.Suppressed},
+		"Married-AF":    {"Married", hierarchy.Suppressed},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = Config{
+		QIs:          []string{"Age", "Marital", "Sex"},
+		Confidential: []string{"Illness", "Income", "Score"},
+		Hierarchies:  hierarchy.MustSet(age, tree, hierarchy.NewFlat("Sex")),
+	}
+	return full, half, cfg
 }

@@ -86,6 +86,18 @@ func (s *rollupStore) seed(node lattice.Node, stats *table.GroupStats) {
 	}
 }
 
+// lookup returns the statistics of a node whose computation completed
+// without error, nil otherwise. It is not a node evaluation, so no
+// roll-up counter moves.
+func (s *rollupStore) lookup(node lattice.Node) *table.GroupStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[node.Key()]; ok && e.completed && e.err == nil {
+		return e.stats
+	}
+	return nil
+}
+
 // nearestDescendant returns the completed entry whose node the given
 // node generalizes, preferring the greatest lattice height, then the
 // fewest groups (both make the cheapest merge), then the

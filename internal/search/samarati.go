@@ -1,10 +1,6 @@
 package search
 
-import (
-	"psk/internal/core"
-	"psk/internal/lattice"
-	"psk/internal/table"
-)
+import "psk/internal/lattice"
 
 // samarati is the walk of StrategySamarati, the paper's Algorithm 3: a
 // binary search on the height of the generalization lattice for a
@@ -76,18 +72,6 @@ func samarati(e *evaluator, lat *lattice.Lattice, res *Result) error {
 		res.Minimal = append(res.Minimal, *found)
 	}
 	return nil
-}
-
-// searchBounds computes the necessary-condition bounds on the initial
-// microdata when the built-in property is searched with conditions
-// enabled and p >= 2; otherwise it returns permissive bounds that never
-// reject. A custom Policy brings its own bounds (core.WithBounds), so
-// no dataset scan happens on its behalf here.
-func searchBounds(im *table.Table, cfg Config) (core.Bounds, error) {
-	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 {
-		return core.ComputeBounds(im, cfg.Confidential, cfg.P)
-	}
-	return core.Bounds{MaxP: cfg.P, MaxGroups: im.NumRows(), P: cfg.P}, nil
 }
 
 // firstAtHeight probes every node at one height (lexicographic order)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"psk/internal/core"
 	"psk/internal/lattice"
+	"psk/internal/loss"
 	"psk/internal/obs"
 	"psk/internal/table"
 )
@@ -131,6 +133,11 @@ type Result struct {
 	// their stats-native loss scores, in lattice walk order; nil unless
 	// Config.Frontier.Enabled.
 	Frontier []FrontierEntry
+	// Utility is the information-loss report of Masked, computed from
+	// Node's statistics after suppression (loss.MeasureStats): what
+	// loss.Measure reports on the materialized release. Zero, with a
+	// nil Node, unless Found on an input with rows.
+	Utility loss.Report
 }
 
 // ExhaustiveResult is the former name of the multi-node result;
@@ -144,14 +151,19 @@ func (r *Result) found(m MinimalNode) {
 
 // Run searches im's generalization lattice with strategy s. It owns
 // everything the strategies share: validation, the search span, the
-// Condition 1 early stop on the initial microdata (no node is evaluated
-// when it fails, exactly as Algorithm 3 does), one limiter and one
-// full-lattice evaluator for the whole call, the frontier pass, the
-// stop reason and the report snapshot. The strategy's walk only
-// appends to Result.Minimal; the first minimal node becomes the
-// result's Node. With cfg.Workers > 1 the independent nodes of each
-// step are evaluated concurrently; the result is identical to the
-// serial search.
+// base statistics, the Condition 1 early stop on the initial microdata
+// (no node is evaluated when it fails, exactly as Algorithm 3 does), one
+// limiter and one full-lattice evaluator for the whole call, the
+// frontier pass, the utility report, the stop reason and the report
+// snapshot. The strategy's walk only appends to Result.Minimal; the
+// first minimal node becomes the result's Node. With cfg.Workers > 1 the
+// independent nodes of each step are evaluated concurrently; the result
+// is identical to the serial search.
+//
+// The lattice bottom's statistics are the only row scan Run starts,
+// apart from materializing the nodes it releases: the bounds, the loss
+// baseline and Incognito's subset projections are read off them, and
+// every other node's statistics roll up from them.
 func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 	if s >= numStrategies {
 		return Result{}, fmt.Errorf("search: unknown strategy %d", uint8(s))
@@ -169,33 +181,76 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	bounds, err := searchBounds(im, cfg)
+	eval := newEvaluator(im, m, nil, cfg)
+	lat := m.Lattice()
+	base, err := eval.statsFor(lat.Bottom())
+	if err != nil {
+		return Result{}, err
+	}
+	bounds, err := statsBounds(cfg, base)
 	if err != nil {
 		return Result{}, err
 	}
 	if !bounds.Feasible() {
 		// First necessary condition: no masked microdata derived from im
-		// can be p-sensitive. Checked before touching the lattice.
+		// can be p-sensitive. Checked before any node is evaluated.
 		res.Stats.PrunedCondition1 = 1
 		span.End()
 		res.Report = cfg.Recorder.Snapshot()
 		return res, nil
 	}
-
-	eval := newEvaluator(im, m, nil, cfg, bounds)
-	lat := m.Lattice()
+	eval.bind(bounds)
 	cfg.Recorder.AddLatticeNodes(int64(lat.Size()))
 	if err := st.walk(eval, lat, &res); err != nil {
 		return Result{}, err
 	}
-	if err := attachFrontier(eval, lat, st.monotone, &res.Stats, &res.Frontier, &span); err != nil {
+	var baseline *loss.Baseline
+	if cfg.Frontier.Enabled || len(res.Minimal) > 0 {
+		if baseline, err = loss.BaselineFromStats(base); err != nil {
+			return Result{}, err
+		}
+	}
+	if err := attachFrontier(eval, lat, st.monotone, baseline, &res.Stats, &res.Frontier, &span); err != nil {
 		return Result{}, err
 	}
 	res.StopReason = eval.lim.stopReason()
-	span.End()
 	if len(res.Minimal) > 0 {
 		res.found(res.Minimal[0])
+		// An input without rows has nothing to measure loss against;
+		// the search itself still succeeds at the bottom.
+		if im.NumRows() > 0 {
+			if res.Utility, err = eval.utility(lat, res.Node, baseline); err != nil {
+				return Result{}, err
+			}
+		}
 	}
+	span.End()
 	res.Report = cfg.Recorder.Snapshot()
 	return res, nil
+}
+
+// statsBounds computes the necessary-condition bounds from base
+// statistics — Theorems 1–2 make them properties of the initial
+// microdata — when the built-in property is searched with conditions
+// enabled and p >= 2; otherwise it returns permissive bounds that never
+// reject. A custom Policy brings its own bounds (core.WithBounds).
+func statsBounds(cfg Config, base *table.GroupStats) (core.Bounds, error) {
+	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 {
+		return core.BoundsFromStats(base, cfg.P)
+	}
+	return core.Bounds{MaxP: cfg.P, MaxGroups: base.NumRows, P: cfg.P}, nil
+}
+
+// utility measures the release at a found node from the node's
+// memoized statistics: suppression replayed on them, then
+// loss.MeasureStats against the base statistics' baseline.
+func (e *evaluator) utility(lat *lattice.Lattice, node lattice.Node, baseline *loss.Baseline) (loss.Report, error) {
+	s := e.rollups.lookup(node)
+	if s == nil {
+		return loss.Report{}, fmt.Errorf("search: found node %v has no statistics", node)
+	}
+	return loss.MeasureStats(loss.StatsInput{
+		Stats: s.SuppressBelow(e.cfg.K), Rows: e.im.NumRows(), Baseline: baseline,
+		Node: node, Lattice: lat, K: e.cfg.K,
+	})
 }

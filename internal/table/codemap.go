@@ -76,12 +76,51 @@ func NewSparseCodeMap(m map[int]int) *CodeMap {
 	return &CodeMap{sparse: sp}
 }
 
+// newCodeMap returns an empty map for source codes in [lo, hi]: a flat
+// slice when the span is modest, a hash map when it is wide or unknown.
+// The span is computed unsigned, as intDict computes it: signed
+// subtraction overflows for int codes far apart (values near ±2^62),
+// and a wrapped span would slip past the cap.
+func newCodeMap(lo, hi int, known bool) *CodeMap {
+	if known && hi >= lo {
+		if span := uint64(hi) - uint64(lo) + 1; span != 0 && span <= denseCodeMapSpan {
+			m := &CodeMap{lo: lo, dense: make([]int, span)}
+			for i := range m.dense {
+				m.dense[i] = unmappedCode
+			}
+			return m
+		}
+	}
+	return &CodeMap{sparse: make(map[int]int)}
+}
+
+// add records fc -> tc unless fc is already mapped, and returns the
+// code fc maps to afterwards: tc, or the earlier translation. A dense
+// map requires fc inside its range.
+func (m *CodeMap) add(fc, tc int) int {
+	if m.dense != nil {
+		i := fc - m.lo
+		if cur := m.dense[i]; cur != unmappedCode {
+			return cur
+		}
+		m.dense[i] = tc
+		return tc
+	}
+	if cur, ok := m.sparse[fc]; ok {
+		return cur
+	}
+	m.sparse[fc] = tc
+	return tc
+}
+
 // BuildCodeMap derives the code translation from one column to a
 // row-aligned column: for every row r, Map(from.Code(r)) ==
 // to.Code(r). It errors when the columns disagree on length or when
 // the relation is not functional — two rows sharing a source code but
 // holding different target codes — which would mean the columns are
-// not nested refinements of each other (a broken hierarchy).
+// not nested refinements of each other (a broken hierarchy). It reads
+// every row; CodeMapBetween derives the same translation from two
+// remaps in O(distinct values), and the tests pin the two together.
 func BuildCodeMap(from, to Column) (*CodeMap, error) {
 	if from == nil || to == nil {
 		return nil, fmt.Errorf("table: code map requires two columns")
@@ -90,38 +129,18 @@ func BuildCodeMap(from, to Column) (*CodeMap, error) {
 	if to.Len() != n {
 		return nil, fmt.Errorf("table: code map columns have %d vs %d rows", n, to.Len())
 	}
-	m := &CodeMap{}
+	var lo, hi int
+	var known bool
 	if cr, ok := from.(codeRanger); ok {
-		if lo, hi, ok := cr.CodeRange(); ok && hi >= lo && hi-lo < denseCodeMapSpan {
-			m.lo = lo
-			m.dense = make([]int, hi-lo+1)
-			for i := range m.dense {
-				m.dense[i] = unmappedCode
-			}
-		}
+		lo, hi, known = cr.CodeRange()
 	}
-	if m.dense == nil {
-		m.sparse = make(map[int]int)
-	}
+	m := newCodeMap(lo, hi, known)
 	for r := 0; r < n; r++ {
 		fc, tc := from.Code(r), to.Code(r)
-		if m.dense != nil {
-			i := fc - m.lo
-			if i < 0 || i >= len(m.dense) {
-				return nil, fmt.Errorf("table: code map: row %d code %d outside declared range", r, fc)
-			}
-			switch cur := m.dense[i]; cur {
-			case unmappedCode:
-				m.dense[i] = tc
-			case tc:
-			default:
-				return nil, fmt.Errorf("table: code map not functional: code %d maps to both %d and %d", fc, cur, tc)
-			}
-			continue
+		if m.dense != nil && uint64(fc)-uint64(m.lo) >= uint64(len(m.dense)) {
+			return nil, fmt.Errorf("table: code map: row %d code %d outside declared range", r, fc)
 		}
-		if cur, ok := m.sparse[fc]; !ok {
-			m.sparse[fc] = tc
-		} else if cur != tc {
+		if cur := m.add(fc, tc); cur != tc {
 			return nil, fmt.Errorf("table: code map not functional: code %d maps to both %d and %d", fc, cur, tc)
 		}
 	}

@@ -111,7 +111,7 @@ func TestRemappedColumnExtremeInt(t *testing.T) {
 	tbl := extremeIntMicrodata(t)
 	fn := func(v Value) (string, error) { return "g:" + v.Str(), nil }
 	mapped := mappedRef(t, tbl, "B", fn)
-	remapped, err := tbl.RemappedColumn("B", fn)
+	remapped, err := remappedColumn(tbl, "B", fn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestRemappedColumnMemoizes(t *testing.T) {
 	tbl := mixedTable(t, 100) // column A has 7 distinct values
 	calls := 0
 	fn := func(v Value) (string, error) { calls++; return v.Str() + "!", nil }
-	col, err := tbl.RemappedColumn("A", fn)
+	col, err := remappedColumn(tbl, "A", fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,17 @@ func TestRemappedColumnMemoizes(t *testing.T) {
 	}
 }
 
-// mappedRef is the row-by-row reference RemappedColumn is checked
+// remappedColumn is the column a remap builds: Remap walks the
+// distinct values once, Column translates the rows.
+func remappedColumn(tbl *Table, name string, fn func(Value) (string, error)) (Column, error) {
+	r, err := tbl.Remap(name, fn)
+	if err != nil {
+		return nil, err
+	}
+	return r.Column()
+}
+
+// mappedRef is the row-by-row reference a remapped column is checked
 // against: the column MapColumn installs.
 func mappedRef(t *testing.T, tbl *Table, name string, fn func(Value) (string, error)) Column {
 	t.Helper()

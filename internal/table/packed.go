@@ -38,26 +38,44 @@ func codeWidth(card int) uint8 {
 
 // packCodes freezes a code slice whose values lie in [0, card).
 func packCodes(codes []int32, card int) packedCodes {
-	p := packedCodes{n: len(codes), width: codeWidth(card)}
-	if p.width > packWidth {
-		p.raw = make([]uint32, len(codes))
-		for i, c := range codes {
-			p.raw[i] = uint32(c)
-		}
-		return p
-	}
-	w := uint(p.width)
-	p.words = make([]uint64, (uint(len(codes))*w+63)/64)
-	off := uint(0)
+	k := newCodePacker(len(codes), card)
 	for _, c := range codes {
-		word, shift := off>>6, off&63
-		p.words[word] |= uint64(uint32(c)) << shift
-		if shift+w > 64 {
-			p.words[word+1] |= uint64(uint32(c)) >> (64 - shift)
-		}
-		off += w
+		k.put(c)
 	}
-	return p
+	return k.p
+}
+
+// codePacker writes n codes in [0, card) one by one straight into
+// packed storage, so a column translated a block at a time never holds
+// its codes unpacked.
+type codePacker struct {
+	p   packedCodes
+	off uint
+}
+
+func newCodePacker(n, card int) *codePacker {
+	k := &codePacker{p: packedCodes{n: n, width: codeWidth(card)}}
+	if k.p.width > packWidth {
+		k.p.raw = make([]uint32, 0, n)
+	} else {
+		k.p.words = make([]uint64, (uint(n)*uint(k.p.width)+63)/64)
+	}
+	return k
+}
+
+// put writes the next code.
+func (k *codePacker) put(c int32) {
+	if k.p.words == nil {
+		k.p.raw = append(k.p.raw, uint32(c))
+		return
+	}
+	w := uint(k.p.width)
+	word, shift := k.off>>6, k.off&63
+	k.p.words[word] |= uint64(uint32(c)) << shift
+	if shift+w > 64 {
+		k.p.words[word+1] |= uint64(uint32(c)) >> (64 - shift)
+	}
+	k.off += w
 }
 
 // get extracts the code at row i.

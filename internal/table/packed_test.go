@@ -349,7 +349,7 @@ func TestRemappedColumnMatchesMapped(t *testing.T) {
 	for _, attr := range []string{"A", "B", "S3"} {
 		fn := func(v Value) (string, error) { return "g:" + v.Str(), nil }
 		mapped := mappedRef(t, tbl, attr, fn)
-		remapped, err := tbl.RemappedColumn(attr, fn)
+		remapped, err := remappedColumn(tbl, attr, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestRemappedColumnMatchesMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.RemappedColumn("A", failOn(present.Value(0).Str())); err == nil {
+	if _, err := remappedColumn(tbl, "A", failOn(present.Value(0).Str())); err == nil {
 		t.Fatal("mapping error on a present value was swallowed")
 	}
 	sub := tbl.Filter(func(r int) bool { return present.Value(r).Str() == "a0" })
@@ -382,7 +382,7 @@ func TestRemappedColumnMatchesMapped(t *testing.T) {
 	}
 	// sub's A column borrows the full dictionary; a1 is absent from its
 	// rows, so a mapping that rejects a1 must still succeed.
-	col, err := sub.RemappedColumn("A", failOn("a1"))
+	col, err := remappedColumn(sub, "A", failOn("a1"))
 	if err != nil {
 		t.Fatalf("mapping error on an absent dictionary value: %v", err)
 	}

@@ -136,8 +136,8 @@ func (t *Table) Clone() *Table {
 // replaced by applying fn to every value, row by row. The result column
 // is always a string column (generalization produces categorical
 // labels). fn may depend on call order (several callers close over a row
-// counter); use RemappedColumn when fn is a pure function of the value
-// and once-per-distinct-value application is wanted.
+// counter); use Remap and Remap.Column when fn is a pure function of the
+// value and once-per-distinct-value application is wanted.
 func (t *Table) MapColumn(name string, fn func(Value) (string, error)) (*Table, error) {
 	idx := t.schema.Index(name)
 	if idx < 0 {
@@ -154,114 +154,6 @@ func (t *Table) MapColumn(name string, fn func(Value) (string, error)) (*Table, 
 	}
 	dst.freeze()
 	return t.WithColumn(name, dst)
-}
-
-// RemappedColumn builds the string column that MapColumn would
-// install, without constructing the table, for pure fn: it applies fn
-// once per dictionary entry to build a code-to-code remap, then
-// translates the source's packed code stream block-wise — per-row work
-// is two array lookups, and no per-row string is ever materialized or
-// re-hashed. The result column holds the same values row-for-row as
-// MapColumn's; only the (externally invisible) dictionary order may
-// differ, because codes are visited in source-code order rather than
-// row order. Column types without a dictionary fall back to MapColumn.
-func (t *Table) RemappedColumn(name string, fn func(Value) (string, error)) (Column, error) {
-	idx := t.schema.Index(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("table: %w: %q", ErrNoColumn, name)
-	}
-	dst := newStringColumn()
-	mapErr := func(v Value, err error) error {
-		return fmt.Errorf("table: map column %q value %q: %w", name, v.Str(), err)
-	}
-	switch src := t.cols[idx].(type) {
-	case *stringColumn:
-		// A shared dictionary (Gather) may hold values no row carries,
-		// so fn errors are deferred per entry and surface only when a
-		// row actually references the failing value — matching
-		// MapColumn, which never sees absent values.
-		remap := make([]int32, len(src.dict))
-		var entryErr []error
-		for code, s := range src.dict {
-			out, err := fn(SV(s))
-			if err != nil {
-				if entryErr == nil {
-					entryErr = make([]error, len(src.dict))
-				}
-				entryErr[code] = mapErr(SV(s), err)
-				remap[code] = -1
-				continue
-			}
-			remap[code] = dst.intern(out)
-		}
-		dst.codes = make([]int32, 0, t.nrows)
-		if src.frozen {
-			scratch := make([]int32, 0, blockRows)
-			for lo := 0; lo < t.nrows; lo += blockRows {
-				hi := lo + blockRows
-				if hi > t.nrows {
-					hi = t.nrows
-				}
-				scratch = src.packed.appendRange32(scratch[:0], lo, hi)
-				for _, code := range scratch {
-					if m := remap[code]; m >= 0 {
-						dst.codes = append(dst.codes, m)
-					} else {
-						return nil, entryErr[code]
-					}
-				}
-			}
-		} else {
-			for _, code := range src.codes {
-				if m := remap[code]; m >= 0 {
-					dst.codes = append(dst.codes, m)
-				} else {
-					return nil, entryErr[code]
-				}
-			}
-		}
-	case *intColumn:
-		d := src.intDict()
-		remap := make([]int32, len(d.vals))
-		for id, v := range d.vals {
-			out, err := fn(IV(v))
-			if err != nil {
-				return nil, mapErr(IV(v), err)
-			}
-			remap[id] = dst.intern(out)
-		}
-		dst.codes = make([]int32, 0, t.nrows)
-		if d.dense != nil {
-			for _, v := range src.vals {
-				dst.codes = append(dst.codes, remap[d.dense[v-d.lo]-1])
-			}
-		} else {
-			for _, v := range src.vals {
-				dst.codes = append(dst.codes, remap[d.byVal[v]])
-			}
-		}
-	case *floatColumn:
-		remap := make([]int32, len(src.dict))
-		for code, f := range src.dict {
-			out, err := fn(FV(f))
-			if err != nil {
-				return nil, mapErr(FV(f), err)
-			}
-			remap[code] = dst.intern(out)
-		}
-		dst.codes = make([]int32, 0, t.nrows)
-		for _, code := range src.codes {
-			dst.codes = append(dst.codes, remap[code])
-		}
-	default:
-		mapped, err := t.MapColumn(name, fn)
-		if err != nil {
-			return nil, err
-		}
-		return mapped.cols[idx], nil
-	}
-	dst.freeze()
-	return dst, nil
 }
 
 // WithColumn returns a new table in which the named column has been

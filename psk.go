@@ -294,6 +294,12 @@ type Result struct {
 	// tagged with its dominance rank; nil unless Config.Frontier was
 	// enabled.
 	Frontier []Frontier
+	// Utility is the information-loss report of Masked, computed from
+	// Node's group statistics without reading a row: what
+	// MeasureUtility reports on the tables. Zero, with a nil Node,
+	// unless Found on an input with rows; zero too on a session
+	// republish that ran no cold search.
+	Utility UtilityReport
 }
 
 // Anonymize searches the generalization lattice for a p-k-minimal
@@ -312,6 +318,7 @@ func newResult(r search.Result) *Result {
 	out := &Result{
 		Found: r.Found, Node: r.Node, Masked: r.Masked, Suppressed: r.Suppressed,
 		Report: r.Report, StopReason: r.StopReason, Frontier: r.Frontier,
+		Utility: r.Utility,
 	}
 	for _, m := range r.Minimal {
 		out.AllMinimal = append(out.AllMinimal, m.Node)
@@ -430,14 +437,28 @@ func DefaultObjectives() []Objective { return search.DefaultObjectives() }
 
 // MeasureUtility computes the loss metrics of masked microdata mm
 // derived from im by generalizing the QIs to node under cfg's
-// hierarchies.
+// hierarchies. It groups each table once: the metrics come from mm's
+// group statistics, measured against an entropy baseline from im's.
+// Anonymize's Result.Utility is the same report for its release.
 func MeasureUtility(im, mm *Table, cfg Config, node Node) (UtilityReport, error) {
 	m, err := generalize.NewMasker(cfg.QuasiIdentifiers, cfg.Hierarchies)
 	if err != nil {
 		return UtilityReport{}, err
 	}
-	return loss.Measure(loss.Input{
-		Initial: im, Masked: mm, QIs: cfg.QuasiIdentifiers,
+	base, err := im.GroupStats(cfg.QuasiIdentifiers, nil, 1)
+	if err != nil {
+		return UtilityReport{}, err
+	}
+	baseline, err := loss.BaselineFromStats(base)
+	if err != nil {
+		return UtilityReport{}, err
+	}
+	released, err := mm.GroupStats(cfg.QuasiIdentifiers, nil, 1)
+	if err != nil {
+		return UtilityReport{}, err
+	}
+	return loss.MeasureStats(loss.StatsInput{
+		Stats: released, Rows: im.NumRows(), Baseline: baseline,
 		Node: node, Lattice: m.Lattice(), K: cfg.K,
 	})
 }

@@ -1,8 +1,12 @@
 package psk
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"psk/internal/generalize"
+	"psk/internal/loss"
 )
 
 // paperHierarchies builds the Figure 2/3 configuration through the
@@ -219,6 +223,36 @@ func TestIntruderFacade(t *testing.T) {
 	}
 }
 
+// TestAnonymizeZeroRows: a search over an input without rows still
+// succeeds wherever the bottom satisfies (k-anonymity, or a custom
+// policy without bounds), releasing no rows and no utility report,
+// since there is nothing to measure loss against.
+func TestAnonymizeZeroRows(t *testing.T) {
+	empty, err := figure3(t).Gather(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kOnly := baseConfig(t)
+	kOnly.P = 1
+	custom := baseConfig(t)
+	custom.Policy = KAnonymity(custom.K)
+	for name, cfg := range map[string]Config{"k-anonymity": kOnly, "policy": custom} {
+		for _, alg := range []Algorithm{AlgorithmSamarati, AlgorithmBottomUp, AlgorithmExhaustive, AlgorithmAllMinimal, AlgorithmIncognito} {
+			cfg.Algorithm = alg
+			res, err := Anonymize(empty, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, alg, err)
+			}
+			if !res.Found || res.Node.Height() != 0 || res.Masked.NumRows() != 0 {
+				t.Errorf("%s %s: found=%v node %v, %d rows released", name, alg, res.Found, res.Node, res.Masked.NumRows())
+			}
+			if !reflect.DeepEqual(res.Utility, UtilityReport{}) {
+				t.Errorf("%s %s: utility %+v on an empty input", name, alg, res.Utility)
+			}
+		}
+	}
+}
+
 func TestMeasureUtilityFacade(t *testing.T) {
 	tbl := figure3(t)
 	cfg := baseConfig(t)
@@ -235,6 +269,22 @@ func TestMeasureUtilityFacade(t *testing.T) {
 	}
 	if rep.Discernibility <= 0 {
 		t.Errorf("DM = %d", rep.Discernibility)
+	}
+	// The table-scanning oracle, the statistics-based MeasureUtility and
+	// the report the search carries agree exactly.
+	m, err := generalize.NewMasker(cfg.QuasiIdentifiers, cfg.Hierarchies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := loss.Measure(loss.Input{
+		Initial: tbl, Masked: res.Masked, QIs: cfg.QuasiIdentifiers,
+		Node: res.Node, Lattice: m.Lattice(), K: cfg.K,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, want) || !reflect.DeepEqual(res.Utility, want) {
+		t.Errorf("MeasureUtility %+v, Result.Utility %+v, loss.Measure %+v", rep, res.Utility, want)
 	}
 	// Invalid config surfaces an error.
 	bad := cfg

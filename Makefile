@@ -71,9 +71,11 @@ serve-smoke:
 # written bytes) and any CSV the reader accepts must write and read
 # back as an equal table, the level maps the column cache derives from
 # per-value hierarchy walks must equal the ones built from materialized
-# columns on every row under every hierarchy kind, the two
-# implementations of Definition 2 must agree on every generated table,
-# the incremental session must survive hostile delta files with exact
+# columns on every row under every hierarchy kind, the roll-up merge
+# (Rollup, Project, the shard merge) must equal row-wise grouping of
+# the coarsened or projected table on every key and histogram path,
+# the two implementations of Definition 2 must agree on every generated
+# table, the incremental session must survive hostile delta files with exact
 # live-row accounting, and the service must answer any job body with a
 # prepared job or an input error (400), never a panic.
 fuzz-smoke:
@@ -81,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadHierarchy$$' -fuzztime $(FUZZTIME) ./internal/hierarchy
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzLevelMap$$' -fuzztime $(FUZZTIME) ./internal/generalize
+	$(GO) test -run '^$$' -fuzz '^FuzzRollup$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEval$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/serve

@@ -337,7 +337,13 @@ func randomSearchFixture(t testing.TB, rng *rand.Rand, n int) (*table.Table, Con
 // hierarchy, a Tree QI, a Flat QI, and String, Int and Float
 // confidential attributes — on the full table and on a gathered half
 // whose dictionaries hold values no row carries. K, P, the suppression
-// budget and the conditions switch are drawn per seed.
+// budget and the conditions switch are drawn per seed, and so is a
+// composite policy beside the built-in verdict: (p, alpha)-sensitive
+// k-anonymity with distinct l-diversity and t-closeness on every
+// confidential attribute (core.Composite) and entropy l-diversity on
+// one. The built-in verdict reads only each histogram's distinct count;
+// the composite's alpha, t and entropy read its counts, so a merge that
+// keeps every code but miscounts one changes some strategy's result.
 func TestStrategiesMatchRowScanOracleMixedTypes(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -346,16 +352,29 @@ func TestStrategiesMatchRowScanOracleMixedTypes(t *testing.T) {
 		cfg.P = 1 + rng.Intn(2)
 		cfg.MaxSuppress = rng.Intn(30)
 		cfg.UseConditions = rng.Intn(2) == 0
-		for _, tc := range []struct {
-			name string
-			tbl  *table.Table
-		}{{"full", full}, {"half", half}} {
-			o := newRowScanOracle(t, tc.tbl, cfg)
-			for _, w := range []int{1, 4} {
-				cfg.Workers = w
-				name := fmt.Sprintf("seed=%d %s w=%d K=%d P=%d TS=%d cond=%v",
-					seed, tc.name, w, cfg.K, cfg.P, cfg.MaxSuppress, cfg.UseConditions)
-				checkStrategiesAgainstOracle(t, name, tc.tbl, cfg, o)
+		closeness := 0.2 + 0.1*float64(rng.Intn(4))
+		composite, err := core.Composite(cfg.Confidential, cfg.P, cfg.K, rng.Intn(3), &closeness, 0.5+0.1*float64(rng.Intn(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entropy := core.EntropyLDiversityPolicy{Attr: cfg.Confidential[rng.Intn(len(cfg.Confidential))], L: 2}
+		for _, policy := range []core.Policy{nil, core.All(composite, entropy)} {
+			cfg.Policy = policy
+			verdict := "built-in"
+			if policy != nil {
+				verdict = policy.Name()
+			}
+			for _, tc := range []struct {
+				name string
+				tbl  *table.Table
+			}{{"full", full}, {"half", half}} {
+				o := newRowScanOracle(t, tc.tbl, cfg)
+				for _, w := range []int{1, 4} {
+					cfg.Workers = w
+					name := fmt.Sprintf("seed=%d %s w=%d K=%d P=%d TS=%d cond=%v policy=%s",
+						seed, tc.name, w, cfg.K, cfg.P, cfg.MaxSuppress, cfg.UseConditions, verdict)
+					checkStrategiesAgainstOracle(t, name, tc.tbl, cfg, o)
+				}
 			}
 		}
 	}

@@ -17,16 +17,18 @@ const (
 	maxDenseHistWidth = 1 << 16
 )
 
-// statsArena is the reusable scratch of one chunked scan: block
-// buffers, the key→group index (dense table or map), the per-group
-// histogram slab, and the discovered group keys. Scans borrow an arena
-// from a package-level pool and return it when done, so a lattice
-// search that runs many base scans — and the shards of one parallel
-// scan — allocate this memory once, not per node.
+// statsArena is the reusable scratch of one chunked scan or one group
+// merge: block buffers, the key→group index (dense table or map), the
+// per-group histogram slab, the discovered group keys, and the merge's
+// translated keys, buckets and histogram accumulator. Scans and merges
+// borrow an arena from a package-level pool and return it when done,
+// so a lattice search that runs many scans and roll-ups — and the
+// shards of one parallel scan — allocate this memory once, not per
+// node.
 //
 // Every structure is left zeroed/cleared on release, which is what
-// makes acquisition O(1): keyTable and hist are known-zero, idx is
-// known-empty.
+// makes acquisition O(1): keyTable, hist and acc are known-zero, idx
+// is known-empty.
 type statsArena struct {
 	keys    []uint64 // packed key per row of the current block
 	gids    []int32  // group id per row of the current block
@@ -37,8 +39,25 @@ type statsArena struct {
 	idx      map[uint64]int32
 	gkeys    []uint64 // packed key of each discovered group, in order
 	hist     []int32  // group-major histogram slab, width histStride
-	sizes    []int32  // per-group row count
-	reps     []int32  // per-group representative (first) row
+	sizes    []int32  // per-group row count (per-target source count in a roll-up)
+	reps     []int32  // per-group representative (first) row (first source in a roll-up)
+
+	// Roll-up scratch (regroup): every source's translated key, numQI
+	// codes each; each source's target group; the sources of
+	// multi-source targets bucketed by target, and each target's first
+	// bucket slot; each attribute's accumulator span; the per-code
+	// histogram accumulator (all zero at rest), the codes the current
+	// target touched, and the entries emitted so far with each
+	// (target, attribute) run's end offset.
+	srcKeys []int
+	target  []int32
+	bucket  []int32
+	starts  []int32
+	spans   []accSpan
+	acc     []int32
+	touched []int
+	ents    []CodeCount
+	ends    []int32
 }
 
 var statsArenaPool = sync.Pool{New: func() any {
@@ -72,43 +91,67 @@ func (a *statsArena) release() {
 	statsArenaPool.Put(a)
 }
 
+// keyIndex readies the key->group index for packed keys in [0, span)
+// and reports whether it is the flat key table (span within
+// maxDenseKeySpan) rather than the map.
+func (a *statsArena) keyIndex(span uint64) bool {
+	if span > maxDenseKeySpan {
+		return false
+	}
+	if uint64(len(a.keyTable)) < span {
+		a.keyTable = make([]int32, span)
+	}
+	return true
+}
+
+// group is the one key-to-group lookup of the row scan (scanGroups) and
+// the group merge (regroup). It resolves packed key k through the flat
+// key table (dense) or the map; a key not seen before takes the next id
+// in first-appearance order and records k in gkeys and first (a row, or
+// a source group) in reps. Either way the group's sizes entry counts one
+// more member.
+func (a *statsArena) group(k uint64, dense bool, first int32) int32 {
+	var g int32
+	var seen bool
+	if dense {
+		g = a.keyTable[k] - 1
+		seen = g >= 0
+	} else {
+		g, seen = a.idx[k]
+	}
+	if !seen {
+		g = a.newGroup(first)
+		if dense {
+			a.keyTable[k] = g + 1
+		} else {
+			a.idx[k] = g
+		}
+		a.gkeys = append(a.gkeys, k)
+	}
+	a.sizes[g]++
+	return g
+}
+
+// newGroup assigns the next group id to a key first seen at first.
+func (a *statsArena) newGroup(first int32) int32 {
+	a.sizes = append(a.sizes, 0)
+	a.reps = append(a.reps, first)
+	return int32(len(a.reps) - 1)
+}
+
 // scanGroups is the one loop that turns packed row keys into group ids.
-// It walks rows [lo, hi) block by block, resolves each row's key through
-// the flat key table (key span within maxDenseKeySpan) or the map, and
-// assigns new ids in first-appearance order, recording each new group's
-// key (gkeys), first row (reps) and size (sizes). visit sees every block
+// It walks rows [lo, hi) block by block and resolves each row's key with
+// group, so ids follow first appearance and every group records its key
+// (gkeys), first row (reps) and size (sizes). visit sees every block
 // once it is resolved: blo is its first row and gids its rows' group ids.
 func (a *statsArena) scanGroups(plan packPlan, cols []Column, lo, hi int, visit func(blo int, gids []int32)) {
-	dense := plan.span <= maxDenseKeySpan
-	if dense && uint64(len(a.keyTable)) < plan.span {
-		a.keyTable = make([]int32, plan.span)
-	}
+	dense := a.keyIndex(plan.span)
 	for blo := lo; blo < hi; blo += blockRows {
 		n := min(blockRows, hi-blo)
 		plan.blockKeys(cols, blo, blo+n, a.keys, a.scratch)
 		gids := a.gids[:n]
 		for j, k := range a.keys[:n] {
-			var g int32
-			var seen bool
-			if dense {
-				g = a.keyTable[k] - 1
-				seen = g >= 0
-			} else {
-				g, seen = a.idx[k]
-			}
-			if !seen {
-				g = int32(len(a.gkeys))
-				if dense {
-					a.keyTable[k] = g + 1
-				} else {
-					a.idx[k] = g
-				}
-				a.gkeys = append(a.gkeys, k)
-				a.sizes = append(a.sizes, 0)
-				a.reps = append(a.reps, int32(blo+j))
-			}
-			gids[j] = g
-			a.sizes[g]++
+			gids[j] = a.group(k, dense, int32(blo+j))
 		}
 		visit(blo, gids)
 	}
@@ -128,4 +171,14 @@ func (a *statsArena) growHist(n int) {
 	grown := make([]int32, n, 2*n)
 	copy(grown, a.hist)
 	a.hist = grown
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Entries keep whatever the array held, so a slice that
+// is all zero within its capacity (the accumulator) comes back zeroed.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // unmappedCode marks dense CodeMap slots no source code was observed
-// for. Columns never produce it as a real code (it would require an
-// int64 column holding math.MinInt, which Code would truncate anyway).
+// for. Only an Int column holding math.MinInt64 produces it as a real
+// code; a map that must translate to it goes sparse (add).
 const unmappedCode = math.MinInt
 
 // denseCodeMapSpan bounds the source code range a CodeMap will cover
@@ -96,8 +96,18 @@ func newCodeMap(lo, hi int, known bool) *CodeMap {
 
 // add records fc -> tc unless fc is already mapped, and returns the
 // code fc maps to afterwards: tc, or the earlier translation. A dense
-// map requires fc inside its range.
+// map requires fc inside its range, and turns sparse when tc is the
+// value that marks its unmapped slots.
 func (m *CodeMap) add(fc, tc int) int {
+	if m.dense != nil && tc == unmappedCode {
+		m.sparse = make(map[int]int)
+		for i, v := range m.dense {
+			if v != unmappedCode {
+				m.sparse[m.lo+i] = v
+			}
+		}
+		m.dense = nil
+	}
 	if m.dense != nil {
 		i := fc - m.lo
 		if cur := m.dense[i]; cur != unmappedCode {

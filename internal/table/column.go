@@ -301,7 +301,8 @@ type intDict struct {
 }
 
 // intDictMaxSpan caps the dense lookup (and presence-scan) span; wider
-// ranges fall back to map-based construction and lookup.
+// ranges fall back to map-based construction and lookup. A roll-up's
+// histogram accumulator applies the same cap to an attribute's codes.
 const intDictMaxSpan = 1 << 20
 
 func (c *intColumn) intDict() *intDict {

@@ -137,7 +137,7 @@ func truncateColumn(c Column, n int) {
 //
 //   - Histograms stay sorted by ascending code with every Count >= 1
 //     (zero-count entries are removed), so Distinct/Total/MaxCount and
-//     the linear merges keep working unchanged.
+//     the roll-up merge keep working unchanged.
 //   - Histograms possibly shared with other statistics (SuppressBelow,
 //     Rollup and the shard merge all share histograms structurally) are
 //     copied before the first mutation. Stats marks every histogram

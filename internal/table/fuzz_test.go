@@ -2,6 +2,11 @@ package table
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,4 +83,212 @@ func sameTable(t *testing.T, what string, want, got *Table) {
 			}
 		}
 	}
+}
+
+// FuzzRollup is the differential target of the group merge (regroup)
+// that Rollup, Project and the shard merge share. Each input decodes
+// into a table (rollupCase) and, under reflect.DeepEqual:
+//   - Rollup through BuildCodeMap maps onto the coarsened table equals
+//     GroupStatsRowwise on that table;
+//   - Project onto the drawn key subset equals GroupStatsRowwise keyed
+//     by that subset;
+//   - GroupStats at 4 workers (shard merge) equals 1 worker.
+//
+// The column kinds reach every branch of the merge: packed keys through
+// the dense key table or the map, unpacked keys (an Int key spanning
+// more than 2^63), single-source targets, the dense histogram
+// accumulator and its map-indexed form (an Int confidential attribute
+// spanning more than 2^20, or near ±2^62), k-only statistics and the
+// empty table. Seed corpus under testdata/fuzz, one seed per branch.
+func FuzzRollup(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := decodeRollupCase(t, data)
+		base, err := c.tbl.GroupStats(c.qis, c.conf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps := make([]*CodeMap, len(c.qis))
+		for i, q := range c.qis {
+			from, _ := c.tbl.Column(q)
+			to, _ := c.coarse.Column(q)
+			if maps[i], err = BuildCodeMap(from, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rolled, err := base.Rollup(maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := c.coarse.GroupStatsRowwise(c.qis, c.conf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rolled, direct) {
+			t.Fatalf("Rollup diverges from the coarsened table's rowwise stats\nrolled: %+v\ndirect: %+v", rolled, direct)
+		}
+
+		kept := make([]string, len(c.keep))
+		for i, k := range c.keep {
+			kept[i] = c.qis[k]
+		}
+		proj, err := base.Project(c.keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := c.tbl.GroupStatsRowwise(kept, c.conf, 1); err != nil {
+			t.Fatal(err)
+		} else if !reflect.DeepEqual(proj, want) {
+			t.Fatalf("Project(%v) diverges from rowwise stats keyed by %v\nprojected: %+v\ndirect:    %+v", c.keep, kept, proj, want)
+		}
+
+		sharded, err := c.tbl.GroupStats(c.qis, c.conf, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sharded, base) {
+			t.Fatalf("GroupStats at 4 workers diverges from 1 worker\nsharded: %+v\nserial:  %+v", sharded, base)
+		}
+	})
+}
+
+// rollupCase is what a FuzzRollup input decodes into: a table, its
+// coarsening (each key column mapped to coarser labels or kept), the
+// key and confidential columns, and a projection onto a key subset.
+type rollupCase struct {
+	tbl, coarse *Table
+	qis, conf   []string
+	keep        []int
+}
+
+// decodeRollupCase reads, in order: the row count (two bytes, mod
+// 301); one byte giving 1-3 key and 0-3 confidential columns; per key
+// column a kind byte (bit 0: Int instead of String; bits 1-2: the Int
+// range), a cardinality and a coarsening fanout (0 keeps the column);
+// per confidential column a kind byte (mod 3: String, Float, Int; then
+// the Int range) and a cardinality; a projection byte (bit i keeps key
+// column i, bit 7 reverses their order); and a seed. Then one byte per
+// cell picks the cell's value; once the input runs out the seeded
+// generator supplies the bytes.
+func decodeRollupCase(t *testing.T, data []byte) rollupCase {
+	t.Helper()
+	var rng *rand.Rand
+	next := func() int {
+		if len(data) > 0 {
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(0))
+		}
+		return rng.Intn(256)
+	}
+	rows := (next()<<8 | next()) % 301
+	shape := next()
+	numQI, numConf := 1+shape%3, (shape/3)%4
+
+	type colGen struct {
+		name  string
+		typ   Type
+		span  int // Int range: 0 small, 1 steps of 2^21, 2 near ±2^62, 3 both ends of int64
+		card  int
+		value func(i int) Value
+	}
+	intValue := func(span, i int) int64 {
+		switch span {
+		case 1:
+			return int64(i) << 21
+		case 2:
+			return -(1 << 62) + int64(i)<<59
+		case 3:
+			if i%2 == 0 {
+				return math.MinInt64 + int64(i)
+			}
+			return math.MaxInt64 - int64(i)
+		}
+		return int64(i) - 3
+	}
+	var gens []colGen
+	var fields []Field
+	var c rollupCase
+	fanouts := make([]int, numQI)
+	for q := 0; q < numQI; q++ {
+		kind := next()
+		g := colGen{name: fmt.Sprintf("Q%d", q), typ: String, span: (kind >> 1) % 4, card: 1 + next()%12}
+		if kind&1 == 1 {
+			g.typ = Int
+		}
+		fanouts[q] = next() % 4
+		gens = append(gens, g)
+		c.qis = append(c.qis, g.name)
+	}
+	for a := 0; a < numConf; a++ {
+		kind := next()
+		g := colGen{name: fmt.Sprintf("S%d", a), typ: []Type{String, Float, Int}[kind%3], span: (kind / 3) % 4, card: 1 + next()%16}
+		gens = append(gens, g)
+		c.conf = append(c.conf, g.name)
+	}
+	for i := range gens {
+		g := &gens[i]
+		switch g.typ {
+		case String:
+			g.value = func(i int) Value { return SV(fmt.Sprintf("v%d", i)) }
+		case Float:
+			g.value = func(i int) Value { return FV(float64(i) / 4) }
+		default:
+			span := g.span
+			g.value = func(i int) Value { return IV(intValue(span, i)) }
+		}
+		fields = append(fields, Field{Name: g.name, Type: g.typ})
+	}
+	proj := next()
+	for q := 0; q < numQI; q++ {
+		if proj&(1<<q) != 0 {
+			c.keep = append(c.keep, q)
+		}
+	}
+	if len(c.keep) == 0 {
+		c.keep = []int{0}
+	}
+	if proj&0x80 != 0 {
+		slices.Reverse(c.keep)
+	}
+	rng = rand.New(rand.NewSource(int64(next())))
+
+	b, err := NewBuilder(MustSchema(fields...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]Value, len(gens))
+	for r := 0; r < rows; r++ {
+		for i, g := range gens {
+			row[i] = g.value(next() % g.card)
+		}
+		b.Append(row...)
+	}
+	if c.tbl, err = b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	// A coarsening is any function of the value: one level of a
+	// full-domain recoding. Strings bucket their index by fanout+1, Int
+	// values by their remainder.
+	c.coarse = c.tbl
+	for q, fan := range fanouts {
+		if fan == 0 {
+			continue
+		}
+		div := fan + 1
+		c.coarse, err = c.coarse.MapColumn(c.qis[q], func(v Value) (string, error) {
+			if v.Kind() == Int {
+				return fmt.Sprintf("r%d", v.Int()%int64(div)), nil
+			}
+			var k int
+			fmt.Sscanf(v.Str()[1:], "%d", &k)
+			return fmt.Sprintf("b%d", k/div), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
 }

@@ -50,16 +50,27 @@ type packPlan struct {
 // reports ok=false when some column's codes are unbounded or the
 // combined cardinality overflows.
 func packedPlan(cols []Column) (packPlan, bool) {
-	offs := make([]int, len(cols))
-	strides := make([]uint64, len(cols))
-	spans := make([]uint64, len(cols))
-	stride := uint64(1)
-	for i, c := range cols {
-		cr, ok := c.(codeRanger)
+	return rangePlan(len(cols), func(i int) (int, int, bool) {
+		cr, ok := cols[i].(codeRanger)
 		if !ok {
-			return packPlan{}, false
+			return 0, 0, false
 		}
-		lo, hi, ok := cr.CodeRange()
+		return cr.CodeRange()
+	})
+}
+
+// rangePlan is the one packing rule, shared by the row scans (through
+// packedPlan) and the group merge (regroup): it builds the plan for n
+// key columns whose codes lie in the ranges codeRange reports, or
+// reports ok=false when a range is unknown or the ranges' product does
+// not fit in a uint64.
+func rangePlan(n int, codeRange func(i int) (lo, hi int, ok bool)) (packPlan, bool) {
+	offs := make([]int, n)
+	strides := make([]uint64, n)
+	spans := make([]uint64, n)
+	stride := uint64(1)
+	for i := range offs {
+		lo, hi, ok := codeRange(i)
 		if !ok || hi < lo {
 			return packPlan{}, false
 		}
@@ -88,6 +99,15 @@ func (p packPlan) key(cols []Column, r int) uint64 {
 	k := uint64(0)
 	for i, c := range cols {
 		k += uint64(c.Code(r)-p.offs[i]) * p.strides[i]
+	}
+	return k
+}
+
+// pack packs one key's codes, one per column, per the plan.
+func (p packPlan) pack(codes []int) uint64 {
+	k := uint64(0)
+	for i, c := range codes {
+		k += uint64(c-p.offs[i]) * p.strides[i]
 	}
 	return k
 }

@@ -3,6 +3,8 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -26,8 +28,8 @@ type CodeCount struct {
 }
 
 // CodeHist is the per-(group, confidential attribute) frequency
-// histogram, sorted by ascending code so two histograms merge in a
-// single linear pass.
+// histogram, sorted by ascending code, so its first and last entries
+// bound its codes.
 type CodeHist []CodeCount
 
 // Distinct returns the number of distinct codes in the histogram.
@@ -53,30 +55,6 @@ func (h CodeHist) MaxCount() int {
 		}
 	}
 	return max
-}
-
-// mergeHists returns the entry-wise sum of two sorted histograms as a
-// freshly allocated slice, leaving both inputs untouched (Rollup relies
-// on that to share unmerged histograms with its source).
-func mergeHists(a, b CodeHist) CodeHist {
-	out := make(CodeHist, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Code < b[j].Code:
-			out = append(out, a[i])
-			i++
-		case a[i].Code > b[j].Code:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, CodeCount{Code: a[i].Code, Count: a[i].Count + b[j].Count})
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // GroupStat summarizes one QI-group without retaining its rows: the
@@ -187,108 +165,237 @@ func (s *GroupStats) Rollup(maps []*CodeMap) (*GroupStats, error) {
 // shard merge of GroupStats. codes writes each source group's key into
 // dst (numQI wide); sources whose keys collide merge into one target,
 // which takes the first source's key and Rep and the sum of the sizes,
-// in first-appearance order. Histograms are left to mergeGroupHists, so
-// a target merged from many sources accumulates its entries once
-// instead of paying a fresh sorted-merge allocation per source.
+// in first-appearance order.
+//
+// Keys resolve as a row scan's do. The translated keys go into arena
+// scratch, are packed with the plan their observed code ranges admit
+// (rangePlan, the rule packedPlan applies to columns) and are looked up
+// through the arena's key table or map (statsArena.group, the lookup
+// scanGroups runs); only ranges whose product does not fit in 64 bits
+// fall back to varint byte-string keys, as in GroupBy. Histograms are
+// left to mergeGroupHists. All scratch comes from the one arena, and
+// the output is exact slabs cut into groups, so a roll-up costs its
+// source groups and histogram entries with a constant number of
+// allocations.
 func regroup(src []GroupStat, numRows, numQI, numConf int, codes func(g *GroupStat, dst []int) error) (*GroupStats, error) {
 	out := &GroupStats{NumRows: numRows, NumQI: numQI, NumConf: numConf}
-	idx := make(map[string]int, groupHint(len(src)))
-	target := make([]int, len(src))
-	var members []int // sources per target group
-	key := make([]byte, 0, 16*numQI)
-	mapped := make([]int, numQI)
+	if len(src) == 0 {
+		return out, nil
+	}
+	// Released by hand, not deferred: a panic mid-merge drops the arena
+	// instead of pooling an accumulator it left dirty.
+	ar := getStatsArena()
+	keys := resize(ar.srcKeys, len(src)*numQI)
+	ar.srcKeys = keys
 	for gi := range src {
-		g := &src[gi]
-		if err := codes(g, mapped); err != nil {
+		if err := codes(&src[gi], keys[gi*numQI:(gi+1)*numQI]); err != nil {
+			ar.release()
 			return nil, err
 		}
-		key = key[:0]
-		for _, c := range mapped {
-			key = binary.AppendVarint(key, int64(c))
-		}
-		j, ok := idx[string(key)]
-		if !ok {
-			j = len(out.Groups)
-			idx[string(key)] = j
-			out.Groups = append(out.Groups, GroupStat{Codes: append([]int(nil), mapped...), Rep: g.Rep})
-			members = append(members, 0)
-		}
-		target[gi] = j
-		members[j]++
-		out.Groups[j].Size += g.Size
 	}
-	mergeGroupHists(src, out, target, members)
+	target := resize(ar.target, len(src))
+	ar.target = target
+	plan, packed := rangePlan(numQI, func(i int) (int, int, bool) {
+		lo, hi := keys[i], keys[i]
+		for j := i + numQI; j < len(keys); j += numQI {
+			lo, hi = min(lo, keys[j]), max(hi, keys[j])
+		}
+		return lo, hi, true
+	})
+	if packed {
+		dense := ar.keyIndex(plan.span)
+		for gi := range src {
+			target[gi] = ar.group(plan.pack(keys[gi*numQI:(gi+1)*numQI]), dense, int32(gi))
+		}
+	} else {
+		idx := make(map[string]int32, groupHint(len(src)))
+		key := make([]byte, 0, 16*numQI)
+		for gi := range src {
+			key = key[:0]
+			for _, c := range keys[gi*numQI : (gi+1)*numQI] {
+				key = binary.AppendVarint(key, int64(c))
+			}
+			g, ok := idx[string(key)]
+			if !ok {
+				g = ar.newGroup(int32(gi))
+				idx[string(key)] = g
+			}
+			ar.sizes[g]++
+			target[gi] = g
+		}
+	}
+	out.Groups = make([]GroupStat, len(ar.reps))
+	keySlab := make([]int, len(ar.reps)*numQI)
+	for j, first := range ar.reps {
+		k := keySlab[j*numQI : (j+1)*numQI : (j+1)*numQI]
+		copy(k, keys[int(first)*numQI:])
+		out.Groups[j].Codes = k
+		out.Groups[j].Rep = src[first].Rep
+	}
+	for gi, j := range target {
+		out.Groups[j].Size += src[gi].Size
+	}
+	mergeGroupHists(src, out, ar)
+	ar.release()
 	return out, nil
 }
 
-// histFoldCutoff is the number of merged source groups above which a
-// target group's histograms are accumulated in maps instead of folded
-// with repeated sorted merges: a two-way linear merge beats map
-// operations for a handful of sources, while folding hundreds of
-// sources (the coarse roll-ups Incognito's small QI subsets produce)
-// would reallocate the growing histogram once per source.
-const histFoldCutoff = 8
-
-// mergeGroupHists fills in out.Groups[j].Hists given each source
-// group's target assignment (target) and each target's source count
-// (members). Single-source targets share the source's histograms —
-// both sides stay immutable — so the common fine-grained roll-up pays
-// nothing for groups that merely translate their codes.
-func mergeGroupHists(src []GroupStat, out *GroupStats, target, members []int) {
-	var histMaps [][]map[int]int
-	for gi := range src {
-		g := &src[gi]
-		j := target[gi]
-		switch {
-		case members[j] == 1:
-			out.Groups[j].Hists = g.Hists
-		case members[j] <= histFoldCutoff:
-			tg := &out.Groups[j]
-			if tg.Hists == nil {
-				// A fresh non-nil vector even with no confidential
-				// columns, as a direct scan emits.
-				tg.Hists = append(make([]CodeHist, 0, len(g.Hists)), g.Hists...)
-				continue
-			}
-			for a := range tg.Hists {
-				// mergeHists allocates a fresh slice, so histograms
-				// shared with the sources are never mutated.
-				tg.Hists[a] = mergeHists(tg.Hists[a], g.Hists[a])
-			}
-		default:
-			if histMaps == nil {
-				histMaps = make([][]map[int]int, len(out.Groups))
-			}
-			hm := histMaps[j]
-			if hm == nil {
-				hm = make([]map[int]int, out.NumConf)
-				for a := range hm {
-					hm[a] = make(map[int]int, 8)
-				}
-				histMaps[j] = hm
-			}
-			for a, h := range g.Hists {
-				for _, e := range h {
-					hm[a][e.Code] += e.Count
-				}
-			}
+// mergeGroupHists fills in each target's histograms from regroup's
+// assignment in the arena: target per source, and per target its first
+// source (reps) and source count (sizes).
+//
+// A single-source target shares its source's histograms — both sides
+// stay immutable — so a roll-up pays nothing for groups that merely
+// translate their codes. The sources of the other targets are bucketed
+// by target with a counting sort. Per target and attribute, their
+// counts add into an accumulator indexed by code - lo over the
+// attribute's code span in this roll-up, and only the codes the target
+// touched are sorted, emitted and reset: tens per target, where sorting
+// the sources' entries would order thousands. An attribute whose span
+// exceeds intDictMaxSpan (an Int attribute spread over more than a
+// million values) takes its slots from the arena's map instead, in the
+// same loop. The entries land, group by group, in one exact slab that
+// every merged histogram is cut from.
+func mergeGroupHists(src []GroupStat, out *GroupStats, ar *statsArena) {
+	nt, numConf := len(out.Groups), out.NumConf
+	starts := resize(ar.starts, nt+1)
+	ar.starts = starts
+	multi, pos := 0, int32(0)
+	for j, n := range ar.sizes {
+		starts[j] = pos
+		if n > 1 {
+			pos += n
+			multi++
+		} else {
+			out.Groups[j].Hists = src[ar.reps[j]].Hists
 		}
 	}
-	for j, hm := range histMaps {
-		if hm == nil {
+	starts[nt] = pos
+	if multi == 0 {
+		return
+	}
+	// Target j's sources are bucket[starts[j]:starts[j+1]], in source
+	// order; the range is empty for a single-source target. The source
+	// counts are no longer needed, so sizes holds the fill cursors. The
+	// same pass takes each attribute's code range over those sources.
+	bucket := resize(ar.bucket, int(pos))
+	ar.bucket = bucket
+	spans := resize(ar.spans, numConf)
+	ar.spans = spans
+	for a := range spans {
+		spans[a] = accSpan{lo: math.MaxInt, hi: math.MinInt}
+	}
+	next := ar.sizes
+	copy(next, starts)
+	for gi, j := range ar.target {
+		if starts[j+1] == starts[j] {
 			continue
 		}
-		hists := make([]CodeHist, len(hm))
-		for a := range hm {
-			h := make(CodeHist, 0, len(hm[a]))
-			for code, count := range hm[a] {
-				h = append(h, CodeCount{Code: code, Count: count})
+		bucket[next[j]] = int32(gi)
+		next[j]++
+		for a, h := range src[gi].Hists {
+			if len(h) > 0 {
+				sp := &spans[a]
+				sp.lo, sp.hi = min(sp.lo, h[0].Code), max(sp.hi, h[len(h)-1].Code)
 			}
-			sort.Slice(h, func(x, y int) bool { return h[x].Code < h[y].Code })
-			hists[a] = h
 		}
-		out.Groups[j].Hists = hists
 	}
+
+	// A range places the attribute's segment in the accumulator, or
+	// marks it wide. An attribute with no entries needs neither.
+	width := 0
+	for a := range spans {
+		sp := &spans[a]
+		sp.off = width
+		if sp.hi < sp.lo {
+			continue
+		}
+		if d := uint64(sp.hi) - uint64(sp.lo); d < intDictMaxSpan {
+			width += int(d) + 1
+		} else {
+			sp.wide = true
+			clear(ar.idx)
+		}
+	}
+
+	// A wide attribute's slots follow the dense segments, handed out by
+	// the map as the target meets each code and given back after it.
+	acc := resize(ar.acc, width)
+	var sp accSpan
+	slot := func(code int) int {
+		if !sp.wide {
+			return sp.off + code - sp.lo
+		}
+		s, ok := ar.idx[uint64(code)]
+		if !ok {
+			s = int32(len(acc))
+			ar.idx[uint64(code)] = s
+			acc = append(acc, 0)
+		}
+		return int(s)
+	}
+	touched, ents, ends := ar.touched, ar.ents[:0], ar.ends[:0]
+	for j := 0; j < nt; j++ {
+		members := bucket[starts[j]:starts[j+1]]
+		if len(members) == 0 {
+			continue
+		}
+		for a := range spans {
+			sp = spans[a]
+			touched = touched[:0]
+			for _, gi := range members {
+				for _, e := range src[gi].Hists[a] {
+					s := slot(e.Code)
+					if acc[s] == 0 {
+						touched = append(touched, e.Code)
+					}
+					acc[s] += int32(e.Count)
+				}
+			}
+			slices.Sort(touched)
+			for _, code := range touched {
+				s := slot(code)
+				ents = append(ents, CodeCount{Code: code, Count: int(acc[s])})
+				acc[s] = 0
+			}
+			if sp.wide {
+				for _, code := range touched {
+					delete(ar.idx, uint64(code))
+				}
+				acc = acc[:width]
+			}
+			ends = append(ends, int32(len(ents)))
+		}
+	}
+	ar.acc, ar.touched, ar.ents, ar.ends = acc, touched, ents, ends
+
+	// ends[i] closes the i-th (target, attribute) run, in the order of
+	// the header slab.
+	hdrs := make([]CodeHist, multi*numConf)
+	slab := make([]CodeCount, len(ents))
+	copy(slab, ents)
+	begin := int32(0)
+	for i, end := range ends {
+		hdrs[i] = slab[begin:end:end]
+		begin = end
+	}
+	m := 0
+	for j := 0; j < nt; j++ {
+		if starts[j+1] > starts[j] {
+			// A fresh non-nil vector even with no confidential columns,
+			// as a direct scan emits.
+			out.Groups[j].Hists = hdrs[m*numConf : (m+1)*numConf : (m+1)*numConf]
+			m++
+		}
+	}
+}
+
+// accSpan is one confidential attribute's code range [lo, hi] over the
+// sources a roll-up merges, and where its counts accumulate: the
+// accumulator segment at off, or (wide) slots from the arena's map.
+type accSpan struct {
+	lo, hi, off int
+	wide        bool
 }
 
 // Project returns the statistics of grouping by only the kept key

@@ -296,19 +296,13 @@ func TestCodeHistHelpers(t *testing.T) {
 	if empty.Distinct() != 0 || empty.Total() != 0 || empty.MaxCount() != 0 {
 		t.Error("empty histogram accessors nonzero")
 	}
-	merged := mergeHists(CodeHist{{1, 2}, {5, 1}}, CodeHist{{1, 1}, {3, 4}})
-	want := CodeHist{{1, 3}, {3, 4}, {5, 1}}
-	if !reflect.DeepEqual(merged, want) {
-		t.Errorf("merge = %v, want %v", merged, want)
-	}
 }
 
 // TestGroupStatsProject: projecting statistics onto a subset of the
 // key columns must be byte-identical to computing them directly with
 // that subset as the key — the roll-up across QI subsets Incognito
-// seeds its frequency sets with. The cardinalities exercise both merge
-// regimes (few sources folded with sorted merges, many accumulated in
-// maps).
+// seeds its frequency sets with. The cardinalities give targets of a
+// few sources and of many.
 func TestGroupStatsProject(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	conf := []string{"S1", "S2"}

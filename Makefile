@@ -74,8 +74,10 @@ serve-smoke:
 # columns on every row under every hierarchy kind, the roll-up merge
 # (Rollup, Project, the shard merge) must equal row-wise grouping of
 # the coarsened or projected table on every key and histogram path,
-# the two implementations of Definition 2 must agree on every generated
-# table, the incremental session must survive hostile delta files with exact
+# Table.Gather's run copies must give the same tables, codes and
+# bit-packed words as gathering one row at a time, the two
+# implementations of Definition 2 must agree on every generated table,
+# the incremental session must survive hostile delta files with exact
 # live-row accounting, and the service must answer any job body with a
 # prepared job or an input error (400), never a panic.
 fuzz-smoke:
@@ -84,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzLevelMap$$' -fuzztime $(FUZZTIME) ./internal/generalize
 	$(GO) test -run '^$$' -fuzz '^FuzzRollup$$' -fuzztime $(FUZZTIME) ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzGather$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEval$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/serve

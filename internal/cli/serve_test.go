@@ -426,24 +426,18 @@ func TestServeSmoke(t *testing.T) {
 			serveRep.DeterministicCounters(), cliRep.DeterministicCounters())
 	}
 
-	// Cancellation: park a victim behind a dozen full-lattice searches
-	// on the single worker, cancel it while queued, and read the
-	// cancelled StopReason. The blockers give the DELETE round trip a
-	// margin of many engine runs, not one.
-	bigCSV := datasetCSV(60000)
-	bigJob := jobSpec(t)
+	// Cancellation: hold the single worker with a blocker whose run time
+	// is its timeout_ms budget, whatever the engine's speed: an Incognito
+	// search over 16 flat quasi-identifiers, which cannot finish inside
+	// it. Queue a victim behind it, cancel the victim while queued, and
+	// read the cancelled StopReason.
+	blockerReq := wideIncognito(16, 300)
+	blockerReq.Budget.TimeoutMS = 2000
+	victimReq := wideIncognito(16, 300)
+	victimReq.Budget.TimeoutMS = 2001
 	cancelBefore := sc.counters()
-	blockers := make([]string, 12)
-	for i := range blockers {
-		blockers[i] = sc.submit(serve.JobRequest{
-			Kind: serve.KindAnonymize, CSV: bigCSV, Job: bigJob, Algorithm: "exhaustive",
-			Budget: serve.BudgetRequest{MaxNodes: int64(1_000_000_000 + i)},
-		})
-	}
-	victim := sc.submit(serve.JobRequest{
-		Kind: serve.KindAnonymize, CSV: bigCSV, Job: bigJob, Algorithm: "exhaustive",
-		Budget: serve.BudgetRequest{MaxNodes: 999_999_999},
-	})
+	blocker := sc.submit(blockerReq)
+	victim := sc.submit(victimReq)
 	if code, raw := sc.do("DELETE", "/v1/jobs/"+victim, nil); code != 200 {
 		t.Fatalf("cancel queued job: %d %s", code, raw)
 	}
@@ -453,14 +447,12 @@ func TestServeSmoke(t *testing.T) {
 	if _, st := sc.pollDone(victim); st.State != "cancelled" || st.StopReason != "cancelled" {
 		t.Errorf("victim state %q stop %q, want cancelled/cancelled", st.State, st.StopReason)
 	}
-	for _, id := range blockers {
-		if _, st := sc.pollDone(id); st.State != "done" {
-			t.Fatalf("blocker %s ended %q: %s", id, st.State, st.Error)
-		}
+	if _, st := sc.pollDone(blocker); st.State != "done" || st.StopReason != "deadline" {
+		t.Fatalf("blocker %s ended %q/%q, want done/deadline: %s", blocker, st.State, st.StopReason, st.Error)
 	}
 	cancelAfter := sc.counters()
-	if got := cancelAfter["searches"] - cancelBefore["searches"]; got != int64(len(blockers)) {
-		t.Errorf("cancelled job touched the engine: searches delta %d, want %d", got, len(blockers))
+	if got := cancelAfter["searches"] - cancelBefore["searches"]; got != 1 {
+		t.Errorf("cancelled job touched the engine: searches delta %d, want 1 (the blocker)", got)
 	}
 	if cancelAfter["cancelled"] <= cancelBefore["cancelled"] {
 		t.Errorf("cancelled counter not bumped: %v -> %v", cancelBefore["cancelled"], cancelAfter["cancelled"])
@@ -481,30 +473,29 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// datasetCSV builds a patients-shaped table of the given size whose
-// values are pure functions of the row index.
-func datasetCSV(rows int) string {
-	var b strings.Builder
-	b.WriteString("Age,ZipCode,Sex,Illness\n")
-	illnesses := [4]string{"Flu", "Asthma", "Diabetes", "Hypertension"}
-	sexes := [2]string{"M", "F"}
-	zips := [4]string{"41076", "41099", "43102", "43103"}
+// wideIncognito is an Incognito anonymize job over n quasi-identifiers
+// with flat hierarchies and rows rows (internal/serve's test helper of
+// the same name): its lattice has 2^n nodes and its subset passes
+// visit every QI subset. At n = 16 and 300 rows the search is still
+// running after 20 s on a 2-vCPU container, ten times the smoke test's
+// blocker budget.
+func wideIncognito(n, rows int) serve.JobRequest {
+	job := &config.Job{Confidential: []string{"C"}, K: 2, P: 2, Hierarchies: map[string]config.HierarchySpec{}}
+	var csv strings.Builder
+	for j := 0; j < n; j++ {
+		q := fmt.Sprintf("Q%d", j)
+		job.QuasiIdentifiers = append(job.QuasiIdentifiers, q)
+		job.Hierarchies[q] = config.HierarchySpec{Type: "flat", Top: "*"}
+		csv.WriteString(q + ",")
+	}
+	csv.WriteString("C\n")
 	for i := 0; i < rows; i++ {
-		fmt.Fprintf(&b, "%d,%s,%s,%s\n",
-			20+(i*7)%50, zips[(i/3)%4], sexes[i%2], illnesses[(i*5)%4])
+		for j := 0; j < n; j++ {
+			fmt.Fprintf(&csv, "%d,", i*(j+3)%17)
+		}
+		fmt.Fprintf(&csv, "%d\n", i%5)
 	}
-	return b.String()
-}
-
-// jobSpec is jobJSON at k=2, p=1: the same hierarchies, which cover
-// datasetCSV's columns.
-func jobSpec(t *testing.T) *config.Job {
-	t.Helper()
-	job, err := config.Parse([]byte(strings.Replace(jobJSON, `"k": 3, "p": 2`, `"k": 2, "p": 1`, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return job
+	return serve.JobRequest{Kind: serve.KindAnonymize, CSV: csv.String(), Job: job, Algorithm: "incognito"}
 }
 
 func unmarshalFile(path string, v any) error {

@@ -89,15 +89,24 @@ func (m *Masker) Suppress(t *table.Table, k int) (*table.Table, int, error) {
 }
 
 // SuppressWithin enforces a suppression budget and suppresses in one
-// group-by pass: it counts the tuples in sub-k groups and, when the
-// count is within budget, removes them. ok is false (with a nil table
-// and the sub-k count) when more than budget tuples would need
-// suppression. Kept rows stay in table order.
+// size-only pass over the rows: it counts the tuples in sub-k groups
+// and, when the count is within budget, removes them. ok is false (with
+// a nil table and the sub-k count) when more than budget tuples would
+// need suppression. Kept rows stay in table order.
 func (m *Masker) SuppressWithin(t *table.Table, k, budget int) (*table.Table, int, bool, error) {
+	return m.SuppressMatching(t, k, budget, nil)
+}
+
+// SuppressMatching is SuppressWithin for a table whose pre-suppression
+// group statistics are known, such as a lattice node's: t's QI-groups
+// must equal stats group for group (table.Table.RowsBelow), or the
+// error wraps table.ErrStatsMismatch and no table is returned. A nil
+// stats checks nothing.
+func (m *Masker) SuppressMatching(t *table.Table, k, budget int, stats *table.GroupStats) (*table.Table, int, bool, error) {
 	if k < 1 {
 		return nil, 0, false, fmt.Errorf("generalize: k must be >= 1, got %d", k)
 	}
-	rows, below, err := m.markBelow(t, k, budget)
+	drop, below, err := t.RowsBelow(m.qis, k, budget, stats)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -107,47 +116,20 @@ func (m *Masker) SuppressWithin(t *table.Table, k, budget int) (*table.Table, in
 	if below == 0 {
 		return t, 0, true, nil
 	}
-	keep := rows[:0]
-	for _, r := range rows {
-		if r >= 0 {
-			keep = append(keep, r)
+	keep := make([]int, 0, t.NumRows()-below)
+	next := 0
+	for _, r := range drop {
+		for ; next < r; next++ {
+			keep = append(keep, next)
 		}
+		next = r + 1
+	}
+	for ; next < t.NumRows(); next++ {
+		keep = append(keep, next)
 	}
 	out, err := t.Gather(keep)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	return out, below, true, nil
-}
-
-// markBelow is the one suppression pass over t: it groups t on the
-// quasi-identifiers and counts the tuples in groups smaller than k.
-// When that count is positive and at most budget, it also returns the
-// row indices 0..n-1 of t with those tuples' entries set to -1;
-// otherwise rows is nil.
-func (m *Masker) markBelow(t *table.Table, k, budget int) (rows []int, below int, err error) {
-	groups, err := t.GroupBy(m.qis...)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, g := range groups {
-		if g.Size() < k {
-			below += g.Size()
-		}
-	}
-	if below == 0 || below > budget {
-		return nil, below, nil
-	}
-	rows = make([]int, t.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	for _, g := range groups {
-		if g.Size() < k {
-			for _, r := range g.Rows {
-				rows[r] = -1
-			}
-		}
-	}
-	return rows, below, nil
 }

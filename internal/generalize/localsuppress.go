@@ -19,7 +19,7 @@ import (
 // core.IsKAnonymous). The returned count is the number of tuples whose
 // cells were suppressed.
 func (m *Masker) SuppressCells(t *table.Table, k int) (*table.Table, int, error) {
-	rows, below, err := m.markBelow(t, k, t.NumRows())
+	drop, below, err := t.RowsBelow(m.qis, k, t.NumRows(), nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -28,11 +28,13 @@ func (m *Masker) SuppressCells(t *table.Table, k int) (*table.Table, int, error)
 	}
 	out := t
 	for _, attr := range m.qis {
-		row := 0
+		// MapColumn visits rows in order, and drop is ascending.
+		row, next := 0, 0
 		out, err = out.MapColumn(attr, func(v table.Value) (string, error) {
 			r := row
 			row++
-			if rows[r] < 0 {
+			if next < len(drop) && drop[next] == r {
+				next++
 				return hierarchy.Suppressed, nil
 			}
 			return v.Str(), nil

@@ -184,7 +184,7 @@ func (e *evaluator) evalNode(node lattice.Node) outcome {
 	if e.noMaterialize {
 		o.ok, o.suppressed = true, violating
 	} else {
-		e.materialize(node, &o)
+		e.materialize(node, s, &o)
 	}
 	if o.ok && e.keepStats {
 		o.post, o.res = post, res
@@ -211,23 +211,24 @@ func (e *evaluator) verdict(res core.Result, o *outcome) bool {
 
 // materialize builds the masked table for a node the statistics proved
 // satisfying: generalize from the column cache, then suppress the
-// sub-k groups.
-func (e *evaluator) materialize(node lattice.Node, o *outcome) {
+// sub-k groups. The suppression pass checks the rows against pre, the
+// node's pre-suppression statistics the verdict was drawn from, group
+// for group, and the tuples it suppresses against pre's sub-k count:
+// a table the verdict never judged is an error, not a release.
+func (e *evaluator) materialize(node lattice.Node, pre *table.GroupStats, o *outcome) {
 	defer e.rec.PhaseEnd(obs.PhaseMaterialize, e.rec.Start())
 	g, err := e.cache.ApplyQIs(e.qis, node)
 	if err != nil {
 		o.err = err
 		return
 	}
-	mm, suppressed, within, err := e.m.SuppressWithin(g, e.cfg.K, e.cfg.MaxSuppress)
+	mm, suppressed, within, err := e.m.SuppressMatching(g, e.cfg.K, e.cfg.MaxSuppress, pre)
 	if err != nil {
-		o.err = err
+		o.err = fmt.Errorf("search: materialize node %v: %w", node, err)
 		return
 	}
-	if !within {
-		// Unreachable when the statistics are exact; surfacing it as an
-		// error beats silently releasing a table the verdict never saw.
-		o.err = fmt.Errorf("search: rollup stats admitted node %v but suppression exceeds the budget", node)
+	if want := pre.TuplesBelow(e.cfg.K); !within || suppressed != want {
+		o.err = fmt.Errorf("search: materialize node %v: the rows suppress %d tuples, the statistics %d (budget %d)", node, suppressed, want, e.cfg.MaxSuppress)
 		return
 	}
 	o.ok, o.masked, o.suppressed = true, mm, suppressed

@@ -18,7 +18,8 @@ const (
 )
 
 // statsArena is the reusable scratch of one chunked scan or one group
-// merge: block buffers, the key→group index (dense table or map), the
+// merge: block buffers, the key→group index (dense table or map, or a
+// string-keyed map for keys that do not pack into 64 bits), the
 // per-group histogram slab, the discovered group keys, and the merge's
 // translated keys, buckets and histogram accumulator. Scans and merges
 // borrow an arena from a package-level pool and return it when done,
@@ -28,7 +29,7 @@ const (
 //
 // Every structure is left zeroed/cleared on release, which is what
 // makes acquisition O(1): keyTable, hist and acc are known-zero, idx
-// is known-empty.
+// and strIdx are known-empty.
 type statsArena struct {
 	keys    []uint64 // packed key per row of the current block
 	gids    []int32  // group id per row of the current block
@@ -37,6 +38,7 @@ type statsArena struct {
 
 	keyTable []int32 // packed key -> group id + 1 (0 = absent)
 	idx      map[uint64]int32
+	strIdx   map[string]int32
 	gkeys    []uint64 // packed key of each discovered group, in order
 	hist     []int32  // group-major histogram slab, width histStride
 	sizes    []int32  // per-group row count (per-target source count in a roll-up)
@@ -88,6 +90,7 @@ func (a *statsArena) release() {
 	a.sizes = a.sizes[:0]
 	a.reps = a.reps[:0]
 	clear(a.idx)
+	clear(a.strIdx)
 	statsArenaPool.Put(a)
 }
 
@@ -152,6 +155,37 @@ func (a *statsArena) scanGroups(plan packPlan, cols []Column, lo, hi int, visit 
 		gids := a.gids[:n]
 		for j, k := range a.keys[:n] {
 			gids[j] = a.group(k, dense, int32(blo+j))
+		}
+		visit(blo, gids)
+	}
+}
+
+// scanKeys is scanGroups for any key columns over rows [0, n). Keys
+// that pack into 64 bits go through scanGroups; the others are resolved
+// row by row through varint byte-string keys into the same fields
+// (sizes, reps) and visited a block at a time the same way, with ids in
+// first-appearance order. A second scan over the same columns resolves
+// every row to the id the first gave it.
+func (a *statsArena) scanKeys(cols []Column, n int, visit func(blo int, gids []int32)) {
+	if plan, ok := packedPlan(cols); ok {
+		a.scanGroups(plan, cols, 0, n, visit)
+		return
+	}
+	if a.strIdx == nil {
+		a.strIdx = make(map[string]int32)
+	}
+	key := make([]byte, 0, 16*len(cols))
+	for blo := 0; blo < n; blo += blockRows {
+		gids := a.gids[:min(blockRows, n-blo)]
+		for j := range gids {
+			key = varintKey(key[:0], cols, blo+j)
+			g, seen := a.strIdx[string(key)]
+			if !seen {
+				g = a.newGroup(int32(blo + j))
+				a.strIdx[string(key)] = g
+			}
+			a.sizes[g]++
+			gids[j] = g
 		}
 		visit(blo, gids)
 	}

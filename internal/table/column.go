@@ -249,7 +249,9 @@ func (c *stringColumn) AppendText(s string) error {
 // Gather shares the dictionary with the source (it is append-only) and
 // copies only the selected rows' codes, so a gather costs O(rows)
 // regardless of dictionary size. The gathered dictionary may contain
-// values no selected row holds; code semantics are unaffected.
+// values no selected row holds; code semantics are unaffected. Codes go
+// straight into packed storage: an ascending run of rows is copied as
+// a bit stream, a lone row code by code.
 func (c *stringColumn) Gather(rows []int) Column {
 	// Sharing is copy-on-write in both directions: the borrower must
 	// not grow the lender's dictionary, and the lender must not grow
@@ -258,19 +260,19 @@ func (c *stringColumn) Gather(rows []int) Column {
 	// code beyond its own dictionary. Marking the lender is an atomic
 	// store because concurrent searches Gather shared cached columns.
 	c.dictShared.Store(true)
-	out := &stringColumn{dict: c.dict, index: c.index, dictBorrowed: true}
+	out := &stringColumn{dict: c.dict, index: c.index, dictBorrowed: true, frozen: true}
 	out.dictShared.Store(true)
-	out.codes = make([]int32, 0, len(rows))
+	k := newCodePacker(len(rows), len(c.dict))
 	if c.frozen {
-		for _, r := range rows {
-			out.codes = append(out.codes, int32(c.packed.get(r)))
-		}
+		// A frozen column packs its codes at its dictionary's width, as
+		// the packer does (appending unfreezes it first).
+		k.gather(&c.packed, rows)
 	} else {
 		for _, r := range rows {
-			out.codes = append(out.codes, c.codes[r])
+			k.put(c.codes[r])
 		}
 	}
-	out.freeze()
+	out.packed = k.p
 	return out
 }
 

@@ -13,4 +13,7 @@ var (
 	ErrRowRange = errors.New("row index out of range")
 	// ErrEmptySchema is returned when building a table with no fields.
 	ErrEmptySchema = errors.New("empty schema")
+	// ErrStatsMismatch is returned when a table's groups differ from the
+	// group statistics they were checked against.
+	ErrStatsMismatch = errors.New("rows do not match their group statistics")
 )

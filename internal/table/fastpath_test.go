@@ -81,29 +81,44 @@ func sameGroups(a, b []Group) bool {
 }
 
 // TestGroupByPackedAndFallbackAgree checks the packed uint64 path
-// (string/int keys) and the byte-key fallback (float key present)
-// against a naive reference grouping.
+// (string, int and float keys) and the byte-key fallback (an Int key
+// whose values span more than 2^63) against a naive reference grouping.
 func TestGroupByPackedAndFallbackAgree(t *testing.T) {
 	tbl := mixedTable(t, 500)
+	n, _ := tbl.Column("N")
+	wide := &intColumn{vals: make([]int64, tbl.NumRows())}
+	for r := range wide.vals {
+		wide.vals[r] = int64(n.Code(r)) << 60 // ±5·2^60
+	}
+	wideTbl, err := tbl.WithColumn("N", wide)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
 		{"A"},
 		{"A", "B"},
 		{"A", "B", "N"}, // packed, negative int codes
-		{"A", "F"},      // fallback: float column has no code range
+		{"A", "F"},
 		{"A", "B", "N", "F"},
 	}
-	for _, names := range cases {
-		got, err := tbl.GroupBy(names...)
-		if err != nil {
-			t.Fatalf("GroupBy(%v): %v", names, err)
-		}
-		want := naiveGroups(t, tbl, names...)
-		if !sameGroups(got, want) {
-			t.Errorf("GroupBy(%v): %d groups, want %d (or order/rows differ)", names, len(got), len(want))
-		}
-		n, err := tbl.NumGroups(names...)
-		if err != nil || n != len(want) {
-			t.Errorf("NumGroups(%v) = %d, %v; want %d", names, n, err, len(want))
+	a, _ := tbl.Column("A")
+	if _, packed := packedPlan([]Column{a, wide}); packed {
+		t.Fatal("A and the wide Int column pack")
+	}
+	for _, tbl := range []*Table{tbl, wideTbl} {
+		for _, names := range cases {
+			got, err := tbl.GroupBy(names...)
+			if err != nil {
+				t.Fatalf("GroupBy(%v): %v", names, err)
+			}
+			want := naiveGroups(t, tbl, names...)
+			if !sameGroups(got, want) {
+				t.Errorf("GroupBy(%v): %d groups, want %d (or order/rows differ)", names, len(got), len(want))
+			}
+			n, err := tbl.NumGroups(names...)
+			if err != nil || n != len(want) {
+				t.Errorf("NumGroups(%v) = %d, %v; want %d", names, n, err, len(want))
+			}
 		}
 	}
 }

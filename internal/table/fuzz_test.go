@@ -2,12 +2,14 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -291,4 +293,172 @@ func decodeRollupCase(t *testing.T, data []byte) rollupCase {
 		}
 	}
 	return c
+}
+
+// FuzzGather is the differential target of Table.Gather. Each input
+// decodes into a table (decodeGatherCase) of String columns whose
+// dictionaries reach a drawn packed width from 1 to 16, or one above
+// 2^16 (raw codes), packed or still being appended, beside an Int column
+// that reaches both ends of int64 and a Float column holding NaN, -0 and
+// infinities; and into a row list mixing ascending runs, lone rows,
+// descending runs, repeated and out-of-range indices, or nothing. Gather
+// must agree with gatherRef, which gathers string codes one row at a
+// time and packs them afterwards: the same error, or tables with equal
+// Value and Code on every row, bit-identical packed words, and every
+// row's value the source row's. Seed corpus under testdata/fuzz, one
+// seed per branch.
+func FuzzGather(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, rows := decodeGatherCase(t, data)
+		got, err := tbl.Gather(rows)
+		want, wantErr := tbl.gatherRef(rows)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Gather error %v, reference error %v", err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrRowRange) {
+				t.Fatalf("Gather error %v, want ErrRowRange", err)
+			}
+			return
+		}
+		sameTable(t, "reference", want, got)
+		for c := 0; c < tbl.NumCols(); c++ {
+			src := tbl.ColumnAt(c)
+			for i, r := range rows {
+				if a, b := src.Value(r).Str(), got.ColumnAt(c).Value(i).Str(); a != b {
+					t.Fatalf("column %d row %d (source row %d): %q, want %q", c, i, r, b, a)
+				}
+			}
+			switch g := got.ColumnAt(c).(type) {
+			case *stringColumn:
+				w := want.ColumnAt(c).(*stringColumn)
+				if !g.frozen || g.codes != nil || !reflect.DeepEqual(g.packed, w.packed) {
+					t.Fatalf("column %d: frozen %v, packed %+v, want %+v", c, g.frozen, g.packed, w.packed)
+				}
+			case *intColumn:
+				if w := want.ColumnAt(c).(*intColumn); !slices.Equal(g.vals, w.vals) {
+					t.Fatalf("column %d: values %v, want %v", c, g.vals, w.vals)
+				}
+			}
+		}
+	})
+}
+
+// gatherDicts caches one dictionary per packed width (index 17: above
+// 2^16 values), shared by the fuzz inputs' String columns.
+var gatherDicts struct {
+	sync.Mutex
+	byWidth [18]*stringColumn
+}
+
+// gatherDict returns a column whose dictionary is the smallest that
+// packs its codes at width bits (width 17: raw codes).
+func gatherDict(width int) *stringColumn {
+	gatherDicts.Lock()
+	defer gatherDicts.Unlock()
+	if d := gatherDicts.byWidth[width]; d != nil {
+		return d
+	}
+	card := 2
+	if width > 1 {
+		card = 1<<(width-1) + 1
+	}
+	d := newStringColumn()
+	for i := 0; i < card; i++ {
+		d.intern(fmt.Sprintf("v%d", i))
+	}
+	gatherDicts.byWidth[width] = d
+	return d
+}
+
+// decodeGatherCase reads, in order: the row count (two bytes, mod 700);
+// the number of String columns (mod 4); per String column a byte whose
+// remainder mod 17 plus one is the packed width and whose top bit
+// leaves the column unfrozen; a value seed. The rest are row-list ops,
+// op byte mod 5: 0 an ascending run (two bytes of start, one of length
+// minus one), 1 a lone row (two bytes), 2 a descending run (as 0), 3 a
+// repeat of the last row (one byte: count minus one, mod 4), 4 an
+// out-of-range row (one byte: bit 0 below 0, else at or past the row
+// count; the rest is the distance). Missing bytes read as zero.
+func decodeGatherCase(t *testing.T, data []byte) (*Table, []int) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := (next() | next()<<8) % 700
+	var fields []Field
+	var cols []Column
+	for s := next() % 4; s > 0; s-- {
+		spec := next()
+		d := gatherDict(spec%17 + 1)
+		codes := make([]int32, n)
+		for i := range codes {
+			codes[i] = int32((i*7919 + spec*104729) % len(d.dict))
+		}
+		c := &stringColumn{dict: d.dict, index: d.index, codes: codes}
+		if spec&0x80 == 0 {
+			c.freeze()
+		}
+		fields = append(fields, Field{Name: fmt.Sprintf("S%d", len(fields)), Type: String})
+		cols = append(cols, c)
+	}
+	seed := int64(next())
+	ints, floats := &intColumn{vals: make([]int64, n)}, newFloatColumn()
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 0:
+			ints.vals[i] = int64(i) * seed
+		case 1:
+			ints.vals[i] = math.MaxInt64 - int64(i)
+		case 2:
+			ints.vals[i] = math.MinInt64 + int64(i)
+		default:
+			ints.vals[i] = -int64(i)
+		}
+		floats.append([]float64{math.NaN(), math.Copysign(0, -1), float64(i) / 3, float64(seed), math.Inf(1)}[i%5])
+	}
+	fields = append(fields, Field{Name: "I", Type: Int}, Field{Name: "F", Type: Float})
+	cols = append(cols, ints, floats)
+	tbl := &Table{schema: MustSchema(fields...), cols: cols, nrows: n}
+
+	var rows []int
+	for len(data) > 0 {
+		switch op := next() % 5; op {
+		case 0, 2:
+			start, length := (next()|next()<<8)%max(n, 1), next()+1
+			for j := 0; j < length && n > 0; j++ {
+				r := start + j
+				if op == 2 {
+					r = start - j
+				}
+				if r < 0 || r >= n {
+					break
+				}
+				rows = append(rows, r)
+			}
+		case 1:
+			if n > 0 {
+				rows = append(rows, (next()|next()<<8)%n)
+			}
+		case 3:
+			if len(rows) > 0 {
+				for j := next() % 4; j >= 0; j-- {
+					rows = append(rows, rows[len(rows)-1])
+				}
+			}
+		case 4:
+			b := next()
+			if b&1 == 1 {
+				rows = append(rows, -1-b>>1)
+			} else {
+				rows = append(rows, n+b>>1)
+			}
+		}
+	}
+	return tbl, rows
 }

@@ -172,16 +172,47 @@ func groupHint(nrows int) int {
 // deterministic for a given row order. This is the engine behind the
 // paper's "SELECT COUNT(*) ... GROUP BY key attributes" checks.
 //
-// When every key column's code cardinality is known and their product
-// fits in a machine word, rows are resolved block-at-a-time through
-// packed uint64 keys (statsArena.scanGroups, the loop GroupStats also
-// runs); otherwise the per-row varint byte-string key is used. Both
-// paths produce identical groups in identical order
-// (TestGroupByPackedAndFallbackAgree pins them).
+// Rows are resolved to groups by statsArena.scanKeys: block-at-a-time
+// through packed uint64 keys when every key column's code cardinality
+// is known and their product fits in a machine word, through per-row
+// varint byte-string keys otherwise. Both paths produce identical
+// groups in identical order (TestGroupByPackedAndFallbackAgree pins
+// them).
 func (t *Table) GroupBy(names ...string) ([]Group, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("table: group by with no columns")
 	}
+	cols, err := t.columns(names)
+	if err != nil {
+		return nil, err
+	}
+	ar := getStatsArena()
+	defer ar.release()
+	gids := make([]int32, t.nrows)
+	ar.scanKeys(cols, t.nrows, func(blo int, ids []int32) {
+		copy(gids[blo:], ids)
+	})
+	// The sizes are known now, so every group's rows are cut from one
+	// backing array instead of growing a slice per group.
+	var groups []Group
+	rows := make([]int, t.nrows)
+	for g, r := range ar.reps {
+		kv := make([]Value, len(cols))
+		for i, c := range cols {
+			kv[i] = c.Value(int(r))
+		}
+		n := int(ar.sizes[g])
+		groups = append(groups, Group{Key: kv, Rows: rows[:0:n]})
+		rows = rows[n:]
+	}
+	for r, g := range gids {
+		groups[g].Rows = append(groups[g].Rows, r)
+	}
+	return groups, nil
+}
+
+// columns looks up the named columns.
+func (t *Table) columns(names []string) ([]Column, error) {
 	cols := make([]Column, len(names))
 	for i, n := range names {
 		c, err := t.Column(n)
@@ -190,51 +221,98 @@ func (t *Table) GroupBy(names ...string) ([]Group, error) {
 		}
 		cols[i] = c
 	}
-	var groups []Group
-	newGroup := func(r int) Group {
-		kv := make([]Value, len(cols))
-		for i, c := range cols {
-			kv[i] = c.Value(r)
-		}
-		return Group{Key: kv}
+	return cols, nil
+}
+
+// varintKey appends row r's key over cols as varint-encoded codes: the
+// byte-string key of the scans whose code ranges do not pack into 64
+// bits.
+func varintKey(dst []byte, cols []Column, r int) []byte {
+	for _, c := range cols {
+		dst = binary.AppendVarint(dst, int64(c.Code(r)))
 	}
-	if plan, ok := packedPlan(cols); ok {
-		ar := getStatsArena()
-		defer ar.release()
-		gids := make([]int32, t.nrows)
-		ar.scanGroups(plan, cols, 0, t.nrows, func(blo int, ids []int32) {
-			copy(gids[blo:], ids)
-		})
-		// The sizes are known now, so every group's rows are cut from one
-		// backing array instead of growing a slice per group.
-		rows := make([]int, t.nrows)
-		for g, r := range ar.reps {
-			grp := newGroup(int(r))
-			n := int(ar.sizes[g])
-			grp.Rows, rows = rows[:0:n], rows[n:]
-			groups = append(groups, grp)
-		}
-		for r, g := range gids {
-			groups[g].Rows = append(groups[g].Rows, r)
-		}
-		return groups, nil
+	return dst
+}
+
+// RowsBelow is the size-only grouping behind suppression. It groups the
+// rows on the named columns, counting only each group's size, and
+// returns below, the number of rows in groups smaller than k. When below
+// is positive and at most limit, rows lists those rows in ascending
+// order; otherwise rows is nil.
+//
+// A non-nil want is checked exactly: the grouping must equal it group
+// for group. GroupStats lists groups in the order their first rows
+// appear, the order this scan finds them in, so the rows must form as
+// many groups as want holds, and the i-th must carry want's i-th codes
+// and size. The first difference is an ErrStatsMismatch error, and
+// nothing else is returned.
+//
+// The scan is statsArena.scanKeys, and only the arena's sizes and first
+// rows are read: no group, key or row slice is built. The rows of small
+// groups are listed by a second scan.
+func (t *Table) RowsBelow(names []string, k, limit int, want *GroupStats) (rows []int, below int, err error) {
+	if len(names) == 0 {
+		return nil, 0, fmt.Errorf("table: group by with no columns")
 	}
-	idx := make(map[string]int, groupHint(t.nrows))
-	key := make([]byte, 0, 16*len(cols))
-	for r := 0; r < t.nrows; r++ {
-		key = key[:0]
-		for _, c := range cols {
-			key = binary.AppendVarint(key, int64(c.Code(r)))
-		}
-		g, ok := idx[string(key)]
-		if !ok {
-			g = len(groups)
-			idx[string(key)] = g
-			groups = append(groups, newGroup(r))
-		}
-		groups[g].Rows = append(groups[g].Rows, r)
+	cols, err := t.columns(names)
+	if err != nil {
+		return nil, 0, err
 	}
-	return groups, nil
+	ar := getStatsArena()
+	defer ar.release()
+	ar.scanKeys(cols, t.nrows, func(int, []int32) {})
+	if err := matchStats(cols, ar.sizes, ar.reps, want); err != nil {
+		return nil, 0, err
+	}
+	for _, n := range ar.sizes {
+		if int(n) < k {
+			below += int(n)
+		}
+	}
+	if below == 0 || below > limit {
+		return nil, below, nil
+	}
+	// The second scan resolves every key to the id the first gave it
+	// (and counts each group again), so the final sizes are kept aside.
+	sizes := resize(ar.target, len(ar.sizes))
+	ar.target = sizes
+	copy(sizes, ar.sizes)
+	rows = make([]int, 0, below)
+	ar.scanKeys(cols, t.nrows, func(blo int, gids []int32) {
+		for j, g := range gids {
+			if int(sizes[g]) < k {
+				rows = append(rows, blo+j)
+			}
+		}
+	})
+	return rows, below, nil
+}
+
+// matchStats checks a scan's groups, given by their sizes and first
+// rows in first-appearance order, against want (RowsBelow's exact
+// check). A nil want matches anything.
+func matchStats(cols []Column, sizes, reps []int32, want *GroupStats) error {
+	if want == nil {
+		return nil
+	}
+	if len(want.Groups) != len(sizes) {
+		return fmt.Errorf("table: %w: the rows form %d groups, the statistics hold %d", ErrStatsMismatch, len(sizes), len(want.Groups))
+	}
+	for i := range want.Groups {
+		g := &want.Groups[i]
+		if len(g.Codes) != len(cols) {
+			return fmt.Errorf("table: %w: group %d has %d codes for %d key columns", ErrStatsMismatch, i, len(g.Codes), len(cols))
+		}
+		for c, col := range cols {
+			if code := col.Code(int(reps[i])); code != g.Codes[c] {
+				return fmt.Errorf("table: %w: group %d has codes %v in the statistics, but code %d in key column %d in the rows", ErrStatsMismatch, i, g.Codes, code, c)
+			}
+		}
+		if int(sizes[i]) != g.Size {
+			return fmt.Errorf("table: %w: group %d (codes %v) holds %d rows, the statistics say %d", ErrStatsMismatch, i, g.Codes, sizes[i], g.Size)
+		}
+	}
+	return nil
 }
 
 // NumGroups counts the distinct combinations of values of the named

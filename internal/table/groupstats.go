@@ -463,21 +463,13 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 	if len(qis) == 0 {
 		return nil, fmt.Errorf("table: group stats with no key columns")
 	}
-	cols := make([]Column, len(qis))
-	for i, n := range qis {
-		c, err := t.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	cols, err := t.columns(qis)
+	if err != nil {
+		return nil, err
 	}
-	confCols := make([]Column, len(confidential))
-	for i, n := range confidential {
-		c, err := t.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		confCols[i] = c
+	confCols, err := t.columns(confidential)
+	if err != nil {
+		return nil, err
 	}
 	// Resolve the packing plan once, before any shard goroutine starts;
 	// CodeRange memoization is concurrency-safe but doing it here keeps
@@ -682,10 +674,7 @@ func buildStatShardRowwise(cols, confCols []Column, plan packPlan, packed bool, 
 		idx := make(map[string]int, groupHint(hi-lo))
 		key := make([]byte, 0, 16*len(cols))
 		for r := lo; r < hi; r++ {
-			key = key[:0]
-			for _, c := range cols {
-				key = binary.AppendVarint(key, int64(c.Code(r)))
-			}
+			key = varintKey(key[:0], cols, r)
 			g, ok := idx[string(key)]
 			if !ok {
 				g = newGroup(r)

@@ -69,13 +69,58 @@ func (k *codePacker) put(c int32) {
 		k.p.raw = append(k.p.raw, uint32(c))
 		return
 	}
-	w := uint(k.p.width)
+	k.putBits(uint64(uint32(c)), uint(k.p.width))
+}
+
+// putBits writes the low n bits of v (1 <= n <= 64; the bits above n
+// must be zero) at the write position.
+func (k *codePacker) putBits(v uint64, n uint) {
 	word, shift := k.off>>6, k.off&63
-	k.p.words[word] |= uint64(uint32(c)) << shift
-	if shift+w > 64 {
-		k.p.words[word+1] |= uint64(uint32(c)) >> (64 - shift)
+	k.p.words[word] |= v << shift
+	if shift+n > 64 {
+		k.p.words[word+1] |= v >> (64 - shift)
 	}
-	k.off += w
+	k.off += n
+}
+
+// copyRun writes the codes of src's rows [lo, hi), 64 bits at a time
+// instead of code by code; src must store its codes the way the packer
+// does (same width).
+func (k *codePacker) copyRun(src *packedCodes, lo, hi int) {
+	if k.p.words == nil {
+		k.p.raw = append(k.p.raw, src.raw[lo:hi]...)
+		return
+	}
+	w := uint(k.p.width)
+	for off, end := uint(lo)*w, uint(hi)*w; off < end; off += 64 {
+		n := min(64, end-off)
+		k.putBits(src.bits(off, n), n)
+	}
+}
+
+// gather writes the codes of src's rows, which src must store the way
+// the packer does (same width). An ascending run of rows is copied as a
+// bit stream (copyRun); lone rows go code by code in an inner loop
+// without calls, which keeps a permutation as fast as a plain per-row
+// gather, and that loop stops at the first row of a run.
+func (k *codePacker) gather(src *packedCodes, rows []int) {
+	for i := 0; i < len(rows); {
+		for ; i < len(rows); i++ {
+			r := rows[i]
+			if i+1 < len(rows) && rows[i+1] == r+1 {
+				break
+			}
+			k.put(int32(src.get(r)))
+		}
+		if i < len(rows) {
+			r, n := rows[i], 2
+			for i+n < len(rows) && rows[i+n] == r+n {
+				n++
+			}
+			k.copyRun(src, r, r+n)
+			i += n
+		}
+	}
 }
 
 // get extracts the code at row i.
@@ -91,6 +136,20 @@ func (p *packedCodes) get(i int) uint32 {
 		v |= p.words[word+1] << (64 - shift)
 	}
 	return uint32(v) & (1<<w - 1)
+}
+
+// bits returns the n bits of the stream (1 <= n <= 64) that start at
+// bit off, in the low bits of the result.
+func (p *packedCodes) bits(off, n uint) uint64 {
+	word, shift := off>>6, off&63
+	v := p.words[word] >> shift
+	if shift+n > 64 {
+		v |= p.words[word+1] << (64 - shift)
+	}
+	if n < 64 {
+		v &= 1<<n - 1
+	}
+	return v
 }
 
 // appendRange appends the codes of rows [lo, hi) to dst.

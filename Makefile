@@ -71,9 +71,10 @@ serve-smoke:
 # written bytes) and any CSV the reader accepts must write and read
 # back as an equal table, the level maps the column cache derives from
 # per-value hierarchy walks must equal the ones built from materialized
-# columns on every row under every hierarchy kind, the roll-up merge
-# (Rollup, Project, the shard merge) must equal row-wise grouping of
-# the coarsened or projected table on every key and histogram path,
+# columns on every row under every hierarchy kind, the base statistics
+# scan and the roll-up merge (Rollup, Project, the shard merge) must
+# equal row-at-a-time grouping of the table, or of the coarsened or
+# projected table, on every key and histogram path,
 # Table.Gather's run copies must give the same tables, codes and
 # bit-packed words as gathering one row at a time, the two
 # implementations of Definition 2 must agree on every generated table,

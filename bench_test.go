@@ -705,10 +705,8 @@ func BenchmarkPolicy(b *testing.B) {
 // the full 48,842-row Adult shape times 2 / 20 / 205 (~100k / ~1M /
 // ~10M rows, dataset.GenerateScaled). BaseScan measures the verdict
 // substrate itself — one GroupStats pass over all four QIs and all
-// four confidential attributes — through the chunked packed kernel
-// (Packed) and the retained per-row reference kernel (Rowwise), whose
-// ratio is the packed substrate's win. Samarati runs the whole search
-// at ~100k and ~1M rows. Every sub-benchmark reports ns/row and
+// four confidential attributes. Samarati runs the whole search at
+// ~100k and ~1M rows. Every sub-benchmark reports ns/row and
 // allocs/row, the two numbers that must stay flat as rows grow.
 // Under -short (the `make check` smoke run) only the ~100k tier runs.
 // The repeated-sample base-scan figures come from the bench/ frontier
@@ -729,18 +727,9 @@ func BenchmarkScale(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows := im.NumRows()
-		b.Run(fmt.Sprintf("BaseScan/Packed/x%d", factor), func(b *testing.B) {
+		b.Run(fmt.Sprintf("BaseScan/x%d", factor), func(b *testing.B) {
 			benchPerRow(b, rows, func() error {
 				s, err := im.GroupStats(qis, conf, 1)
-				if err == nil && s.NumGroups() == 0 {
-					return fmt.Errorf("no groups")
-				}
-				return err
-			})
-		})
-		b.Run(fmt.Sprintf("BaseScan/Rowwise/x%d", factor), func(b *testing.B) {
-			benchPerRow(b, rows, func() error {
-				s, err := im.GroupStatsRowwise(qis, conf, 1)
 				if err == nil && s.NumGroups() == 0 {
 					return fmt.Errorf("no groups")
 				}

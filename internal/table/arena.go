@@ -8,28 +8,24 @@ import "sync"
 // and all scratch stays in a few cache-resident slices.
 const blockRows = 4096
 
-// Dense-structure caps for the chunked kernels. A key span within
-// maxDenseKeySpan uses a flat key→group table (16 MiB of int32 at the
-// cap) instead of a hash map; a summed confidential cardinality within
-// maxDenseHistWidth accumulates histograms in a flat per-group slab.
-const (
-	maxDenseKeySpan   = 1 << 22
-	maxDenseHistWidth = 1 << 16
-)
+// maxDenseKeySpan caps the flat key→group table of the chunked scans
+// (16 MiB of int32 at the cap); a wider key span resolves through a
+// hash map instead.
+const maxDenseKeySpan = 1 << 22
 
 // statsArena is the reusable scratch of one chunked scan or one group
 // merge: block buffers, the key→group index (dense table or map, or a
 // string-keyed map for keys that do not pack into 64 bits), the
-// per-group histogram slab, the discovered group keys, and the merge's
-// translated keys, buckets and histogram accumulator. Scans and merges
-// borrow an arena from a package-level pool and return it when done,
-// so a lattice search that runs many scans and roll-ups — and the
-// shards of one parallel scan — allocate this memory once, not per
+// discovered group keys, and the counting sort and histogram
+// accumulator that the statistics scan and the merge share. Scans and
+// merges borrow an arena from a package-level pool and return it when
+// done, so a lattice search that runs many scans and roll-ups — and
+// the shards of one parallel scan — allocate this memory once, not per
 // node.
 //
 // Every structure is left zeroed/cleared on release, which is what
-// makes acquisition O(1): keyTable, hist and acc are known-zero, idx
-// and strIdx are known-empty.
+// makes acquisition O(1): keyTable and acc are known-zero, idx and
+// strIdx are known-empty.
 type statsArena struct {
 	keys    []uint64 // packed key per row of the current block
 	gids    []int32  // group id per row of the current block
@@ -40,17 +36,19 @@ type statsArena struct {
 	idx      map[uint64]int32
 	strIdx   map[string]int32
 	gkeys    []uint64 // packed key of each discovered group, in order
-	hist     []int32  // group-major histogram slab, width histStride
 	sizes    []int32  // per-group row count (per-target source count in a roll-up)
 	reps     []int32  // per-group representative (first) row (first source in a roll-up)
 
-	// Roll-up scratch (regroup): every source's translated key, numQI
-	// codes each; each source's target group; the sources of
-	// multi-source targets bucketed by target, and each target's first
-	// bucket slot; each attribute's accumulator span; the per-code
-	// histogram accumulator (all zero at rest), the codes the current
-	// target touched, and the entries emitted so far with each
-	// (target, attribute) run's end offset.
+	// Counting-sort and histogram scratch. A statistics scan sorts rows
+	// by group, a roll-up sorts source groups by target: target holds
+	// each row's group (each source's target), bucket the members in
+	// group order (a row's confidential id in a scan, a source index in
+	// a roll-up) and starts each group's first bucket slot. A roll-up
+	// also keeps every source's translated key (srcKeys, numQI codes
+	// each) and each attribute's accumulator span. Both sum histograms
+	// into acc (all zero at rest), list the codes the current group
+	// touched, and emit entries into ents with each (attribute, group)
+	// run's end offset in ends.
 	srcKeys []int
 	target  []int32
 	bucket  []int32
@@ -83,10 +81,6 @@ func (a *statsArena) release() {
 		}
 	}
 	a.gkeys = a.gkeys[:0]
-	for i := range a.hist {
-		a.hist[i] = 0
-	}
-	a.hist = a.hist[:0]
 	a.sizes = a.sizes[:0]
 	a.reps = a.reps[:0]
 	clear(a.idx)
@@ -160,23 +154,23 @@ func (a *statsArena) scanGroups(plan packPlan, cols []Column, lo, hi int, visit 
 	}
 }
 
-// scanKeys is scanGroups for any key columns over rows [0, n). Keys
+// scanKeys is scanGroups for any key columns over rows [lo, hi). Keys
 // that pack into 64 bits go through scanGroups; the others are resolved
 // row by row through varint byte-string keys into the same fields
 // (sizes, reps) and visited a block at a time the same way, with ids in
 // first-appearance order. A second scan over the same columns resolves
 // every row to the id the first gave it.
-func (a *statsArena) scanKeys(cols []Column, n int, visit func(blo int, gids []int32)) {
+func (a *statsArena) scanKeys(cols []Column, lo, hi int, visit func(blo int, gids []int32)) {
 	if plan, ok := packedPlan(cols); ok {
-		a.scanGroups(plan, cols, 0, n, visit)
+		a.scanGroups(plan, cols, lo, hi, visit)
 		return
 	}
 	if a.strIdx == nil {
 		a.strIdx = make(map[string]int32)
 	}
 	key := make([]byte, 0, 16*len(cols))
-	for blo := 0; blo < n; blo += blockRows {
-		gids := a.gids[:min(blockRows, n-blo)]
+	for blo := lo; blo < hi; blo += blockRows {
+		gids := a.gids[:min(blockRows, hi-blo)]
 		for j := range gids {
 			key = varintKey(key[:0], cols, blo+j)
 			g, seen := a.strIdx[string(key)]
@@ -189,22 +183,6 @@ func (a *statsArena) scanKeys(cols []Column, n int, visit func(blo int, gids []i
 		}
 		visit(blo, gids)
 	}
-}
-
-// growHist extends the histogram slab to n entries. Newly exposed
-// entries are zero: fresh allocations are zeroed by the runtime, and
-// release() re-zeroes everything it exposed before pooling.
-func (a *statsArena) growHist(n int) {
-	if n <= len(a.hist) {
-		return
-	}
-	if n <= cap(a.hist) {
-		a.hist = a.hist[:n]
-		return
-	}
-	grown := make([]int32, n, 2*n)
-	copy(grown, a.hist)
-	a.hist = grown
 }
 
 // resize returns s with length n, reusing its backing array when it is

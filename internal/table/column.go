@@ -286,7 +286,7 @@ type intColumn struct {
 	lo, hi    int64
 
 	// Distinct-value dictionary, computed lazily on first use by the
-	// chunked group-stats kernel and code remapping (same immutability
+	// group-statistics scan and code remapping (same immutability
 	// argument as rangeOnce).
 	dictOnce sync.Once
 	dict     *intDict

@@ -85,11 +85,11 @@ func extremeIntMicrodata(t *testing.T) *Table {
 }
 
 // TestGroupStatsExtremeIntConf: GroupStats with a full-domain int
-// confidential column must match the rowwise oracle instead of
-// panicking in the chunked kernel's dense-id projection.
+// confidential column must match the row-at-a-time reference instead of
+// panicking in the scan's dense-id projection.
 func TestGroupStatsExtremeIntConf(t *testing.T) {
 	tbl := extremeIntMicrodata(t)
-	want, err := tbl.GroupStatsRowwise([]string{"A"}, []string{"B"}, 1)
+	want, err := tbl.groupStatsRef([]string{"A"}, []string{"B"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGroupStatsExtremeIntConf(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: chunked and rowwise stats disagree on extreme int conf", workers)
+			t.Fatalf("workers=%d: GroupStats and the reference disagree on extreme int conf", workers)
 		}
 	}
 }
@@ -162,7 +162,7 @@ func TestGroupByExtremeIntKey(t *testing.T) {
 // int64 keeps the packed plan (map path, keys up to ~2^63+2^40). Such
 // keys used to turn negative when the arena cleared its flat key table
 // on release, panicking with an out-of-range index; every path must
-// instead agree with the rowwise kernel and the varint GroupBy.
+// instead agree with the row-at-a-time reference and the varint GroupBy.
 func TestPackedKeysAboveInt63(t *testing.T) {
 	schema := MustSchema(Field{Name: "A", Type: Int}, Field{Name: "B", Type: Int}, Field{Name: "S", Type: String})
 	b, err := NewBuilder(schema)
@@ -178,20 +178,20 @@ func TestPackedKeysAboveInt63(t *testing.T) {
 	}
 	cols := []Column{tbl.ColumnAt(0), tbl.ColumnAt(1)}
 	plan, ok := packedPlan(cols)
-	if !ok || plan.key(cols, 1) < 1<<63 {
+	if !ok || plan.pack([]int{cols[0].Code(1), cols[1].Code(1)}) < 1<<63 {
 		t.Fatalf("fixture no longer packs a key above 2^63 (plan ok=%v)", ok)
+	}
+	want, err := tbl.groupStatsRef([]string{"A", "B"}, []string{"S"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2} {
 		got, err := tbl.GroupStats([]string{"A", "B"}, []string{"S"}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tbl.GroupStatsRowwise([]string{"A", "B"}, []string{"S"}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: chunked and rowwise stats disagree", w)
+			t.Fatalf("workers=%d: GroupStats and the reference disagree", w)
 		}
 	}
 	groups, err := tbl.GroupBy("A", "B")

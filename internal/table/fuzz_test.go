@@ -87,27 +87,36 @@ func sameTable(t *testing.T, what string, want, got *Table) {
 	}
 }
 
-// FuzzRollup is the differential target of the group merge (regroup)
-// that Rollup, Project and the shard merge share. Each input decodes
-// into a table (rollupCase) and, under reflect.DeepEqual:
+// FuzzRollup is the differential target of the statistics scan and of
+// the group merge (regroup) that Rollup, Project and the shard merge
+// share. Each input decodes into a table (rollupCase) and, under
+// reflect.DeepEqual:
+//   - GroupStats at 1 worker equals groupStatsRef, the row-at-a-time
+//     reference, on that table;
 //   - Rollup through BuildCodeMap maps onto the coarsened table equals
-//     GroupStatsRowwise on that table;
-//   - Project onto the drawn key subset equals GroupStatsRowwise keyed
-//     by that subset;
+//     the reference on that table;
+//   - Project onto the drawn key subset equals the reference keyed by
+//     that subset;
 //   - GroupStats at 4 workers (shard merge) equals 1 worker.
 //
-// The column kinds reach every branch of the merge: packed keys through
-// the dense key table or the map, unpacked keys (an Int key spanning
-// more than 2^63), single-source targets, the dense histogram
-// accumulator and its map-indexed form (an Int confidential attribute
-// spanning more than 2^20, or near ±2^62), k-only statistics and the
-// empty table. Seed corpus under testdata/fuzz, one seed per branch.
+// The column kinds reach every branch of the scan and the merge: packed
+// keys through the dense key table or the map, unpacked keys (an Int
+// key spanning more than 2^63), single-source targets, the dense
+// histogram accumulator and its map-indexed form (an Int confidential
+// attribute spanning more than 2^20, or near ±2^62), k-only statistics
+// and the empty table. Seed corpus under testdata/fuzz, one seed per
+// branch.
 func FuzzRollup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeRollupCase(t, data)
 		base, err := c.tbl.GroupStats(c.qis, c.conf, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want, err := c.tbl.groupStatsRef(c.qis, c.conf); err != nil {
+			t.Fatal(err)
+		} else if !reflect.DeepEqual(base, want) {
+			t.Fatalf("GroupStats diverges from the reference\nscanned:   %+v\nreference: %+v", base, want)
 		}
 		maps := make([]*CodeMap, len(c.qis))
 		for i, q := range c.qis {
@@ -121,12 +130,12 @@ func FuzzRollup(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := c.coarse.GroupStatsRowwise(c.qis, c.conf, 1)
+		direct, err := c.coarse.groupStatsRef(c.qis, c.conf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rolled, direct) {
-			t.Fatalf("Rollup diverges from the coarsened table's rowwise stats\nrolled: %+v\ndirect: %+v", rolled, direct)
+			t.Fatalf("Rollup diverges from the coarsened table's reference stats\nrolled: %+v\ndirect: %+v", rolled, direct)
 		}
 
 		kept := make([]string, len(c.keep))
@@ -137,10 +146,10 @@ func FuzzRollup(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err := c.tbl.GroupStatsRowwise(kept, c.conf, 1); err != nil {
+		if want, err := c.tbl.groupStatsRef(kept, c.conf); err != nil {
 			t.Fatal(err)
 		} else if !reflect.DeepEqual(proj, want) {
-			t.Fatalf("Project(%v) diverges from rowwise stats keyed by %v\nprojected: %+v\ndirect:    %+v", c.keep, kept, proj, want)
+			t.Fatalf("Project(%v) diverges from reference stats keyed by %v\nprojected: %+v\ndirect:    %+v", c.keep, kept, proj, want)
 		}
 
 		sharded, err := c.tbl.GroupStats(c.qis, c.conf, 4)

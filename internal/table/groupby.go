@@ -34,15 +34,12 @@ func (g Group) KeyString() string {
 // single uint64 key: key = sum_i (code_i - off_i) * stride_i. A plan
 // exists only when every key column reports a code range and the ranges'
 // product fits in a uint64 (mixed-radix positional encoding, so distinct
-// code tuples map to distinct keys). The encoding is invertible —
-// code_i = off_i + (key / stride_i) mod span_i — which is how the
-// chunked stats kernel recovers group codes without touching rows.
+// code tuples map to distinct keys).
 type packPlan struct {
 	offs    []int
 	strides []uint64
-	spans   []uint64
 	// span is the total key-space size (the product of the per-column
-	// spans); keys lie in [0, span).
+	// code spans); keys lie in [0, span).
 	span uint64
 }
 
@@ -67,7 +64,6 @@ func packedPlan(cols []Column) (packPlan, bool) {
 func rangePlan(n int, codeRange func(i int) (lo, hi int, ok bool)) (packPlan, bool) {
 	offs := make([]int, n)
 	strides := make([]uint64, n)
-	spans := make([]uint64, n)
 	stride := uint64(1)
 	for i := range offs {
 		lo, hi, ok := codeRange(i)
@@ -88,19 +84,9 @@ func rangePlan(n int, codeRange func(i int) (lo, hi int, ok bool)) (packPlan, bo
 		}
 		offs[i] = lo
 		strides[i] = stride
-		spans[i] = span
 		stride *= span
 	}
-	return packPlan{offs: offs, strides: strides, spans: spans, span: stride}, true
-}
-
-// key packs row r's codes per the plan.
-func (p packPlan) key(cols []Column, r int) uint64 {
-	k := uint64(0)
-	for i, c := range cols {
-		k += uint64(c.Code(r)-p.offs[i]) * p.strides[i]
-	}
-	return k
+	return packPlan{offs: offs, strides: strides, span: stride}, true
 }
 
 // pack packs one key's codes, one per column, per the plan.
@@ -110,13 +96,6 @@ func (p packPlan) pack(codes []int) uint64 {
 		k += uint64(c-p.offs[i]) * p.strides[i]
 	}
 	return k
-}
-
-// codes inverts a packed key back into per-column codes.
-func (p packPlan) codes(k uint64, dst []int) {
-	for i := range dst {
-		dst[i] = p.offs[i] + int((k/p.strides[i])%p.spans[i])
-	}
 }
 
 // blockKeys computes the packed keys of rows [lo, hi) into
@@ -189,7 +168,7 @@ func (t *Table) GroupBy(names ...string) ([]Group, error) {
 	ar := getStatsArena()
 	defer ar.release()
 	gids := make([]int32, t.nrows)
-	ar.scanKeys(cols, t.nrows, func(blo int, ids []int32) {
+	ar.scanKeys(cols, 0, t.nrows, func(blo int, ids []int32) {
 		copy(gids[blo:], ids)
 	})
 	// The sizes are known now, so every group's rows are cut from one
@@ -260,7 +239,7 @@ func (t *Table) RowsBelow(names []string, k, limit int, want *GroupStats) (rows 
 	}
 	ar := getStatsArena()
 	defer ar.release()
-	ar.scanKeys(cols, t.nrows, func(int, []int32) {})
+	ar.scanKeys(cols, 0, t.nrows, func(int, []int32) {})
 	if err := matchStats(cols, ar.sizes, ar.reps, want); err != nil {
 		return nil, 0, err
 	}
@@ -278,7 +257,7 @@ func (t *Table) RowsBelow(names []string, k, limit int, want *GroupStats) (rows 
 	ar.target = sizes
 	copy(sizes, ar.sizes)
 	rows = make([]int, 0, below)
-	ar.scanKeys(cols, t.nrows, func(blo int, gids []int32) {
+	ar.scanKeys(cols, 0, t.nrows, func(blo int, gids []int32) {
 		for j, g := range gids {
 			if int(sizes[g]) < k {
 				rows = append(rows, blo+j)
@@ -334,27 +313,17 @@ func (t *Table) DistinctCount(name string) (int, error) {
 
 // ValueCounts returns the frequency of each distinct value in the named
 // column, sorted by descending frequency (ties broken by value order so
-// results are deterministic).
+// results are deterministic): each group of GroupStats over the column
+// alone, its size and the value at its first row.
 func (t *Table) ValueCounts(name string) ([]ValueCount, error) {
-	c, err := t.Column(name)
+	s, err := t.GroupStats([]string{name}, nil, 1)
 	if err != nil {
 		return nil, err
 	}
-	byCode := make(map[int]*ValueCount)
-	order := make([]int, 0)
-	for i := 0; i < c.Len(); i++ {
-		code := c.Code(i)
-		vc, ok := byCode[code]
-		if !ok {
-			vc = &ValueCount{Value: c.Value(i)}
-			byCode[code] = vc
-			order = append(order, code)
-		}
-		vc.Count++
-	}
-	out := make([]ValueCount, 0, len(order))
-	for _, code := range order {
-		out = append(out, *byCode[code])
+	c, _ := t.Column(name) // GroupStats has found it
+	out := make([]ValueCount, len(s.Groups))
+	for i, g := range s.Groups {
+		out[i] = ValueCount{Value: c.Value(g.Rep), Count: g.Size}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -247,15 +246,15 @@ func regroup(src []GroupStat, numRows, numQI, numConf int, codes func(g *GroupSt
 // A single-source target shares its source's histograms — both sides
 // stay immutable — so a roll-up pays nothing for groups that merely
 // translate their codes. The sources of the other targets are bucketed
-// by target with a counting sort. Per target and attribute, their
+// by target with a counting sort. Per attribute and target, their
 // counts add into an accumulator indexed by code - lo over the
 // attribute's code span in this roll-up, and only the codes the target
-// touched are sorted, emitted and reset: tens per target, where sorting
-// the sources' entries would order thousands. An attribute whose span
-// exceeds intDictMaxSpan (an Int attribute spread over more than a
-// million values) takes its slots from the arena's map instead, in the
-// same loop. The entries land, group by group, in one exact slab that
-// every merged histogram is cut from.
+// touched are sorted, emitted and reset (emitRun): tens per target,
+// where sorting the sources' entries would order thousands. An
+// attribute whose span exceeds intDictMaxSpan (an Int attribute spread
+// over more than a million values) takes its slots from the arena's
+// map instead, in the same loop. The entries land in one exact slab
+// that every merged histogram is cut from (cutHists).
 func mergeGroupHists(src []GroupStat, out *GroupStats, ar *statsArena) {
 	nt, numConf := len(out.Groups), out.NumConf
 	starts := resize(ar.starts, nt+1)
@@ -301,30 +300,30 @@ func mergeGroupHists(src []GroupStat, out *GroupStats, ar *statsArena) {
 		}
 	}
 
-	// A range places the attribute's segment in the accumulator, or
-	// marks it wide. An attribute with no entries needs neither.
+	// Attributes are summed one at a time, so the accumulator is as wide
+	// as the widest dense range; a wider range marks its attribute wide.
+	// An attribute with no entries needs neither.
 	width := 0
 	for a := range spans {
 		sp := &spans[a]
-		sp.off = width
 		if sp.hi < sp.lo {
 			continue
 		}
 		if d := uint64(sp.hi) - uint64(sp.lo); d < intDictMaxSpan {
-			width += int(d) + 1
+			width = max(width, int(d)+1)
 		} else {
 			sp.wide = true
 			clear(ar.idx)
 		}
 	}
 
-	// A wide attribute's slots follow the dense segments, handed out by
-	// the map as the target meets each code and given back after it.
+	// A wide attribute's slots follow the dense ones, handed out by the
+	// map as the target meets each code and given back after it.
 	acc := resize(ar.acc, width)
 	var sp accSpan
 	slot := func(code int) int {
 		if !sp.wide {
-			return sp.off + code - sp.lo
+			return code - sp.lo
 		}
 		s, ok := ar.idx[uint64(code)]
 		if !ok {
@@ -334,15 +333,15 @@ func mergeGroupHists(src []GroupStat, out *GroupStats, ar *statsArena) {
 		}
 		return int(s)
 	}
-	touched, ents, ends := ar.touched, ar.ents[:0], ar.ends[:0]
-	for j := 0; j < nt; j++ {
-		members := bucket[starts[j]:starts[j+1]]
-		if len(members) == 0 {
-			continue
-		}
-		for a := range spans {
-			sp = spans[a]
-			touched = touched[:0]
+	ar.ents, ar.ends = ar.ents[:0], ar.ends[:0]
+	for a := range spans {
+		sp = spans[a]
+		for j := 0; j < nt; j++ {
+			members := bucket[starts[j]:starts[j+1]]
+			if len(members) == 0 {
+				continue
+			}
+			touched := ar.touched[:0]
 			for _, gi := range members {
 				for _, e := range src[gi].Hists[a] {
 					s := slot(e.Code)
@@ -352,33 +351,19 @@ func mergeGroupHists(src []GroupStat, out *GroupStats, ar *statsArena) {
 					acc[s] += int32(e.Count)
 				}
 			}
-			slices.Sort(touched)
-			for _, code := range touched {
-				s := slot(code)
-				ents = append(ents, CodeCount{Code: code, Count: int(acc[s])})
-				acc[s] = 0
-			}
+			ar.touched = touched
+			ar.emitRun(acc, slot)
 			if sp.wide {
 				for _, code := range touched {
 					delete(ar.idx, uint64(code))
 				}
 				acc = acc[:width]
 			}
-			ends = append(ends, int32(len(ents)))
 		}
 	}
-	ar.acc, ar.touched, ar.ents, ar.ends = acc, touched, ents, ends
+	ar.acc = acc
 
-	// ends[i] closes the i-th (target, attribute) run, in the order of
-	// the header slab.
-	hdrs := make([]CodeHist, multi*numConf)
-	slab := make([]CodeCount, len(ents))
-	copy(slab, ents)
-	begin := int32(0)
-	for i, end := range ends {
-		hdrs[i] = slab[begin:end:end]
-		begin = end
-	}
+	hdrs := ar.cutHists(multi, numConf)
 	m := 0
 	for j := 0; j < nt; j++ {
 		if starts[j+1] > starts[j] {
@@ -390,12 +375,46 @@ func mergeGroupHists(src []GroupStat, out *GroupStats, ar *statsArena) {
 	}
 }
 
+// emitRun closes one (attribute, group) run of a histogram sum, in the
+// statistics scan and the roll-up merge alike. It sorts the codes the
+// group touched, appends each to ents with the count in its
+// accumulator slot, zeroes the slot, and records where the run ends. A
+// nil slot means the codes index acc directly.
+func (a *statsArena) emitRun(acc []int32, slot func(code int) int) {
+	slices.Sort(a.touched)
+	for _, code := range a.touched {
+		s := code
+		if slot != nil {
+			s = slot(code)
+		}
+		a.ents = append(a.ents, CodeCount{Code: code, Count: int(acc[s])})
+		acc[s] = 0
+	}
+	a.ends = append(a.ends, int32(len(a.ents)))
+}
+
+// cutHists copies the emitted entries into one exact slab and cuts it
+// into histograms. The runs were emitted attribute by attribute, each
+// attribute over the same groups in order; group g's histograms are
+// hdrs[g*numConf : (g+1)*numConf].
+func (a *statsArena) cutHists(groups, numConf int) []CodeHist {
+	hdrs := make([]CodeHist, groups*numConf)
+	slab := make([]CodeCount, len(a.ents))
+	copy(slab, a.ents)
+	begin := int32(0)
+	for i, end := range a.ends {
+		hdrs[i%groups*numConf+i/groups] = slab[begin:end:end]
+		begin = end
+	}
+	return hdrs
+}
+
 // accSpan is one confidential attribute's code range [lo, hi] over the
-// sources a roll-up merges, and where its counts accumulate: the
-// accumulator segment at off, or (wide) slots from the arena's map.
+// sources a roll-up merges, and where its counts accumulate: at
+// code - lo in the accumulator, or (wide) in slots from the arena's map.
 type accSpan struct {
-	lo, hi, off int
-	wide        bool
+	lo, hi int
+	wide   bool
 }
 
 // Project returns the statistics of grouping by only the kept key
@@ -434,32 +453,11 @@ func (s *GroupStats) Project(keep []int) (*GroupStats, error) {
 
 // GroupStats computes the roll-up aggregates of the table in one
 // sharded, parallel pass: rows are split into `workers` contiguous
-// shards, each shard groups its rows independently (through the same
-// packed-uint64 fast path as GroupBy when the key columns admit it),
-// and the shard results merge in row order — so the group order is
+// shards, each shard groups its rows independently (statShard), and
+// the shard results merge in row order — so the group order is
 // identical to the serial scan at every worker count. confidential may
 // be empty when only group sizes are needed (plain k-anonymity).
-//
-// When the key columns admit a packed plan and the confidential
-// columns have dictionaries, each shard runs the chunked kernel:
-// blocks of rows stream through arena-pooled key/id buffers into a
-// flat per-group histogram slab, so the base scan of a lattice search
-// allocates no per-row memory and reuses its scratch across nodes.
 func (t *Table) GroupStats(qis, confidential []string, workers int) (*GroupStats, error) {
-	return t.groupStats(qis, confidential, workers, false)
-}
-
-// GroupStatsRowwise is the pre-columnar reference implementation: the
-// same sharding and merge, but each shard scans row-at-a-time through
-// the Column interface into per-group histogram maps. It is retained
-// as the differential oracle for the chunked kernel (the two must be
-// byte-identical on every table) and as the baseline BenchmarkScale
-// measures the packed substrate against.
-func (t *Table) GroupStatsRowwise(qis, confidential []string, workers int) (*GroupStats, error) {
-	return t.groupStats(qis, confidential, workers, true)
-}
-
-func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool) (*GroupStats, error) {
 	if len(qis) == 0 {
 		return nil, fmt.Errorf("table: group stats with no key columns")
 	}
@@ -471,14 +469,11 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the packing plan once, before any shard goroutine starts;
-	// CodeRange memoization is concurrency-safe but doing it here keeps
-	// the shards allocation-free on the plan.
-	plan, packed := packedPlan(cols)
-
-	shard := buildStatShard
-	if rowwise {
-		shard = buildStatShardRowwise
+	// Planned once, before any shard starts, so an Int column builds
+	// its dictionary in one goroutine.
+	confs := make([]confPlan, len(confCols))
+	for i, c := range confCols {
+		confs[i] = confPlanFor(c)
 	}
 	if workers < 1 {
 		workers = 1
@@ -487,7 +482,7 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 		workers = t.nrows
 	}
 	if workers <= 1 {
-		return shard(cols, confCols, plan, packed, 0, t.nrows), nil
+		return statShard(cols, confs, 0, t.nrows), nil
 	}
 	shards := make([]*GroupStats, workers)
 	var wg sync.WaitGroup
@@ -497,204 +492,156 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			shards[w] = shard(cols, confCols, plan, packed, lo, hi)
+			shards[w] = statShard(cols, confs, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
 	return mergeStatShards(shards, len(qis), len(confidential))
 }
 
-// confPlan describes how the chunked kernel accumulates one
-// confidential column's histograms: the column's rows project onto
-// dense ids in [0, width) — extracted a block at a time by read — and
-// code translates an id back to the value the per-row Code method
-// reports, so emitted histograms match the rowwise scan exactly.
+// confPlan is how the statistics scan reads one confidential column:
+// each row's dense id in [0, width), a block at a time through read.
+// An id is the row's code, except in an Int column, whose ids are its
+// values' ranks and vals[id] the code. Ids ascend with codes, so
+// histograms summed by id come out sorted by code.
 type confPlan struct {
 	width int
 	read  func(dst []int32, lo, hi int) []int32
-	code  func(id int) int
+	vals  []int64
 }
 
-// confPlanFor builds the dense-id projection of a confidential column,
-// or reports false for column types without a dictionary.
-func confPlanFor(c Column) (confPlan, bool) {
+// confPlanFor builds the dense-id projection of a confidential column.
+// Every column type has a dictionary.
+func confPlanFor(c Column) confPlan {
 	switch col := c.(type) {
 	case *stringColumn:
-		return confPlan{
-			width: len(col.dict),
-			read:  col.codes32,
-			code:  func(id int) int { return id },
-		}, true
+		return confPlan{width: len(col.dict), read: col.codes32}
 	case *floatColumn:
 		return confPlan{
 			width: len(col.dict),
 			read: func(dst []int32, lo, hi int) []int32 {
 				return append(dst, col.codes[lo:hi]...)
 			},
-			code: func(id int) int { return id },
-		}, true
-	case *intColumn:
-		d := col.intDict()
-		return confPlan{
-			width: len(d.vals),
-			read: func(dst []int32, lo, hi int) []int32 {
-				for _, v := range col.vals[lo:hi] {
-					dst = append(dst, d.id(v))
-				}
-				return dst
-			},
-			code: func(id int) int { return int(d.vals[id]) },
-		}, true
-	}
-	return confPlan{}, false
-}
-
-// buildStatShard aggregates rows [lo, hi) into per-group stats, groups
-// ordered by first appearance within the shard. It prefers the chunked
-// kernel and falls back to the rowwise scan when the key columns have
-// no packed plan or a confidential column has no dense projection.
-func buildStatShard(cols, confCols []Column, plan packPlan, packed bool, lo, hi int) *GroupStats {
-	if packed {
-		if s, ok := buildStatShardChunked(cols, confCols, plan, lo, hi); ok {
-			return s
 		}
 	}
-	return buildStatShardRowwise(cols, confCols, plan, packed, lo, hi)
-}
-
-// buildStatShardChunked is the block-at-a-time kernel: it resolves
-// every row's packed key to a group id with statsArena.scanGroups (the
-// loop GroupBy shares), and per block bumps flat slab histogram
-// counters at [group*stride + confOffset + id]. All
-// scratch — key and id buffers, the key table, the slab — comes from
-// the arena pool, so repeated scans (the lattice search's base scans)
-// allocate only their O(#groups) output.
-func buildStatShardChunked(cols, confCols []Column, plan packPlan, lo, hi int) (*GroupStats, bool) {
-	confs := make([]confPlan, len(confCols))
-	stride := 0
-	for i, c := range confCols {
-		cp, ok := confPlanFor(c)
-		if !ok {
-			return nil, false
-		}
-		confs[i] = cp
-		stride += cp.width
-	}
-	if stride > maxDenseHistWidth {
-		return nil, false
-	}
-	s := &GroupStats{NumRows: hi - lo, NumQI: len(cols), NumConf: len(confCols)}
-	ar := getStatsArena()
-	defer ar.release()
-	ar.scanGroups(plan, cols, lo, hi, func(blo int, gids []int32) {
-		if stride == 0 {
-			return
-		}
-		ar.growHist(len(ar.gkeys) * stride)
-		off := 0
-		for a := range confs {
-			ar.ids = confs[a].read(ar.ids[:0], blo, blo+len(gids))
-			for j, id := range ar.ids {
-				ar.hist[int(gids[j])*stride+off+int(id)]++
+	col := c.(*intColumn)
+	d := col.intDict()
+	return confPlan{
+		width: len(d.vals),
+		read: func(dst []int32, lo, hi int) []int32 {
+			for _, v := range col.vals[lo:hi] {
+				dst = append(dst, d.id(v))
 			}
-			off += confs[a].width
+			return dst
+		},
+		vals: d.vals,
+	}
+}
+
+// statShard aggregates rows [lo, hi) into per-group statistics, groups
+// in order of first appearance within the shard. statsArena.scanKeys
+// gives every row its group id, on either key path, and every group its
+// size and first row, whose codes are the group's; sumHists sums the
+// histograms. Scratch is O(rows + Σ widths), all of it the arena's, and
+// the output is exact slabs cut into groups, so a scan makes a constant
+// number of allocations at any size.
+func statShard(cols []Column, confs []confPlan, lo, hi int) *GroupStats {
+	numQI, numConf := len(cols), len(confs)
+	s := &GroupStats{NumRows: hi - lo, NumQI: numQI, NumConf: numConf}
+	// Released by hand, not deferred: a panic mid-sum drops the arena
+	// instead of pooling an accumulator it left dirty.
+	ar := getStatsArena()
+	// Each row's group id, kept only when there are histograms to sum.
+	var rowGroup []int32
+	if numConf > 0 {
+		rowGroup = resize(ar.target, hi-lo)
+		ar.target = rowGroup
+	}
+	ar.scanKeys(cols, lo, hi, func(blo int, gids []int32) {
+		if rowGroup != nil {
+			copy(rowGroup[blo-lo:], gids)
 		}
 	})
-	if len(ar.gkeys) > 0 {
-		// Left nil when the shard is empty, matching the rowwise kernel.
-		s.Groups = make([]GroupStat, len(ar.gkeys))
+	ng := len(ar.reps)
+	if ng == 0 {
+		// Left nil when the shard is empty, as a row-at-a-time scan does.
+		ar.release()
+		return s
 	}
-	for g, k := range ar.gkeys {
-		gs := &s.Groups[g]
-		gs.Codes = make([]int, len(cols))
-		plan.codes(k, gs.Codes)
-		gs.Size = int(ar.sizes[g])
-		gs.Rep = int(ar.reps[g])
-		gs.Hists = make([]CodeHist, len(confCols))
-		off := 0
-		for a := range confs {
-			seg := ar.hist[g*stride+off : g*stride+off+confs[a].width]
-			nz := 0
-			for _, count := range seg {
-				if count != 0 {
-					nz++
-				}
-			}
-			h := make(CodeHist, 0, nz)
-			for id, count := range seg {
-				if count != 0 {
-					h = append(h, CodeCount{Code: confs[a].code(id), Count: int(count)})
-				}
-			}
-			gs.Hists[a] = h
-			off += confs[a].width
+	s.Groups = make([]GroupStat, ng)
+	keySlab := make([]int, ng*numQI)
+	for g, r := range ar.reps {
+		k := keySlab[g*numQI : (g+1)*numQI : (g+1)*numQI]
+		for i, c := range cols {
+			k[i] = c.Code(int(r))
 		}
+		s.Groups[g] = GroupStat{Codes: k, Size: int(ar.sizes[g]), Rep: int(r)}
 	}
-	return s, true
+	ar.ents, ar.ends = ar.ents[:0], ar.ends[:0]
+	if numConf > 0 {
+		ar.sumHists(confs, rowGroup, lo)
+	}
+	hdrs := ar.cutHists(ng, numConf)
+	for g := range s.Groups {
+		// A fresh non-nil vector even with no confidential columns.
+		s.Groups[g].Hists = hdrs[g*numConf : (g+1)*numConf : (g+1)*numConf]
+	}
+	ar.release()
+	return s
 }
 
-// buildStatShardRowwise aggregates rows [lo, hi) one row at a time
-// through the Column interface — the pre-columnar reference kernel.
-func buildStatShardRowwise(cols, confCols []Column, plan packPlan, packed bool, lo, hi int) *GroupStats {
-	s := &GroupStats{NumRows: hi - lo, NumQI: len(cols), NumConf: len(confCols)}
-	// histMaps[g][a] accumulates group g's histogram for confidential
-	// attribute a; converted to sorted CodeHists once the shard is done.
-	var histMaps [][]map[int]int
-	newGroup := func(r int) int {
-		codes := make([]int, len(cols))
-		for i, c := range cols {
-			codes[i] = c.Code(r)
-		}
-		s.Groups = append(s.Groups, GroupStat{Codes: codes, Rep: r})
-		hm := make([]map[int]int, len(confCols))
-		for a := range hm {
-			hm[a] = make(map[int]int, 4)
-		}
-		histMaps = append(histMaps, hm)
-		return len(s.Groups) - 1
+// sumHists emits every group's histograms, attribute by attribute, for
+// the rows from lo whose group ids rowGroup holds. It is a counting sort
+// of the rows by group: the group sizes cut one row-long buffer, bucket,
+// into a run per group. For each confidential attribute, each row's id
+// is scattered into its group's run, and each run is summed into an
+// accumulator as wide as the attribute's dictionary; emitRun sorts,
+// emits and resets only the ids the group touched, as the roll-up merge
+// does.
+func (a *statsArena) sumHists(confs []confPlan, rowGroup []int32, lo int) {
+	ng := len(a.sizes)
+	starts := resize(a.starts, ng+1)
+	a.starts = starts
+	pos := int32(0)
+	for g, n := range a.sizes {
+		starts[g] = pos
+		pos += n
 	}
-	account := func(g, r int) {
-		s.Groups[g].Size++
-		for a, c := range confCols {
-			histMaps[g][a][c.Code(r)]++
-		}
-	}
-	if packed {
-		idx := make(map[uint64]int, groupHint(hi-lo))
-		for r := lo; r < hi; r++ {
-			k := plan.key(cols, r)
-			g, ok := idx[k]
-			if !ok {
-				g = newGroup(r)
-				idx[k] = g
+	starts[ng] = pos
+	bucket := resize(a.bucket, len(rowGroup))
+	a.bucket = bucket
+	// The sizes are in the output now, so sizes holds the fill cursors.
+	next := a.sizes
+	for _, cp := range confs {
+		copy(next, starts)
+		for blo := 0; blo < len(rowGroup); blo += blockRows {
+			a.ids = cp.read(a.ids[:0], lo+blo, lo+min(blo+blockRows, len(rowGroup)))
+			for j, id := range a.ids {
+				g := rowGroup[blo+j]
+				bucket[next[g]] = id
+				next[g]++
 			}
-			account(g, r)
 		}
-	} else {
-		idx := make(map[string]int, groupHint(hi-lo))
-		key := make([]byte, 0, 16*len(cols))
-		for r := lo; r < hi; r++ {
-			key = varintKey(key[:0], cols, r)
-			g, ok := idx[string(key)]
-			if !ok {
-				g = newGroup(r)
-				idx[string(key)] = g
+		acc := resize(a.acc, cp.width)
+		a.acc = acc
+		first := len(a.ents)
+		for g := 0; g < ng; g++ {
+			touched := a.touched[:0]
+			for _, id := range bucket[starts[g]:starts[g+1]] {
+				if acc[id] == 0 {
+					touched = append(touched, int(id))
+				}
+				acc[id]++
 			}
-			account(g, r)
+			a.touched = touched
+			a.emitRun(acc, nil)
+		}
+		if cp.vals != nil {
+			for i := first; i < len(a.ents); i++ {
+				a.ents[i].Code = int(cp.vals[a.ents[i].Code])
+			}
 		}
 	}
-	for g := range s.Groups {
-		s.Groups[g].Hists = make([]CodeHist, len(confCols))
-		for a := range confCols {
-			h := make(CodeHist, 0, len(histMaps[g][a]))
-			for code, count := range histMaps[g][a] {
-				h = append(h, CodeCount{Code: code, Count: count})
-			}
-			sort.Slice(h, func(i, j int) bool { return h[i].Code < h[j].Code })
-			s.Groups[g].Hists[a] = h
-		}
-	}
-	return s
 }
 
 // mergeStatShards concatenates shard-local stats in shard order,

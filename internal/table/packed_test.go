@@ -263,7 +263,7 @@ func TestGatherMemBytesCountsDictOnce(t *testing.T) {
 }
 
 // randomScanMicrodata builds an n-row table spanning every column type
-// the chunked kernel specializes: string/int QIs (the int with negative
+// the scan kernels specialize: string/int QIs (the int with negative
 // values) and string/int/float confidential attributes.
 func randomScanMicrodata(t testing.TB, rng *rand.Rand, n int, wide bool) *Table {
 	t.Helper()
@@ -302,35 +302,116 @@ func randomScanMicrodata(t testing.TB, rng *rand.Rand, n int, wide bool) *Table 
 	return tbl
 }
 
-// TestChunkedGroupStatsMatchesRowwise is the differential test of the
-// chunked kernel: on random tables spanning every specialized column
-// type, dense and map-indexed key paths, and every worker count, the
-// chunked scan must be deep-equal to the rowwise reference — run under
-// -race by `make race`, which also makes it the serial-vs-parallel
+// wideStatsTable builds a rows-row table whose Int key Q puts row r in
+// group r mod groups and whose Int confidential attribute S holds
+// (r*7919) mod width: many groups over a dictionary as wide as the
+// table, where a histogram array per group would cost groups × width
+// counters for rows rows.
+func wideStatsTable(t testing.TB, rows, groups, width int) *Table {
+	t.Helper()
+	b, err := NewBuilder(MustSchema(Field{Name: "Q", Type: Int}, Field{Name: "S", Type: Int}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rows; r++ {
+		b.Append(IV(int64(r%groups)), IV(int64(r*7919%width)))
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// wideDictTable gathers a few hundred rows out of a table whose String
+// confidential attribute S holds more than 2^16 distinct values, so the
+// gathered column keeps the whole shared dictionary over far fewer
+// rows: an accumulator as wide as the dictionary, not the rows.
+func wideDictTable(t testing.TB) *Table {
+	t.Helper()
+	const card = 1<<16 + 100
+	b, err := NewBuilder(MustSchema(Field{Name: "A", Type: String}, Field{Name: "S", Type: String}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < card; r++ {
+		b.Append(SV(fmt.Sprintf("a%d", r%7)), SV(fmt.Sprintf("s%d", r)))
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, 300)
+	for i := range rows {
+		// Every third pick repeats a value, so histograms count past 1.
+		rows[i] = (i - i%3/2) * 211 % card
+	}
+	out, err := tbl.Gather(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGroupStatsMatchesReference is the differential test of the
+// statistics scan: on random tables spanning every column type, the
+// dense and map-indexed packed key paths and the varint key path, a
+// confidential dictionary wider than 2^16 over a few hundred rows, and
+// many groups over a dictionary as wide as the table, GroupStats must be
+// deep-equal to the row-at-a-time reference at every worker count — run
+// under -race by `make race`, which also makes it the serial-vs-parallel
 // equivalence witness.
-func TestChunkedGroupStatsMatchesRowwise(t *testing.T) {
+func TestGroupStatsMatchesReference(t *testing.T) {
+	type input struct {
+		name      string
+		tbl       *Table
+		qis, conf [][]string
+	}
 	rng := rand.New(rand.NewSource(31))
 	qiSets := [][]string{{"A"}, {"A", "B"}, {"A", "B", "C"}}
 	confSets := [][]string{nil, {"S1"}, {"S1", "S2", "S3"}, {"S3"}}
+	var inputs []input
 	for _, wide := range []bool{false, true} {
 		for trial := 0; trial < 3; trial++ {
-			n := 1 + rng.Intn(5000)
-			tbl := randomScanMicrodata(t, rng, n, wide)
-			for _, qis := range qiSets {
-				for _, conf := range confSets {
-					want, err := tbl.GroupStatsRowwise(qis, conf, 1)
+			tbl := randomScanMicrodata(t, rng, 1+rng.Intn(5000), wide)
+			inputs = append(inputs, input{fmt.Sprintf("random wide=%v n=%d", wide, tbl.NumRows()), tbl, qiSets, confSets})
+		}
+	}
+	// B spanning the whole int64 domain leaves no packed key, so the
+	// scan takes varint keys.
+	small := randomScanMicrodata(t, rng, 700, false)
+	full := &intColumn{vals: make([]int64, small.NumRows())}
+	for r := range full.vals {
+		full.vals[r] = int64(small.ColumnAt(1).Code(r)) * 1000
+	}
+	full.vals[0], full.vals[1] = math.MinInt64, math.MaxInt64
+	unpacked, err := small.WithColumn("B", full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := packedPlan([]Column{full}); ok {
+		t.Fatal("fixture: B still packs")
+	}
+	inputs = append(inputs,
+		input{"unpacked keys", unpacked, [][]string{{"B"}, {"A", "B"}}, confSets},
+		input{"wide dictionary", wideDictTable(t), [][]string{{"A"}}, [][]string{nil, {"S"}}},
+		input{"wide attribute", wideStatsTable(t, 8000, 4000, 8000), [][]string{{"Q"}}, [][]string{{"S"}}},
+	)
+	for _, in := range inputs {
+		for _, qis := range in.qis {
+			for _, conf := range in.conf {
+				want, err := in.tbl.groupStatsRef(qis, conf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					got, err := in.tbl.GroupStats(qis, conf, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, workers := range []int{1, 2, 3, 8} {
-						got, err := tbl.GroupStats(qis, conf, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("wide=%v n=%d qis=%v conf=%v workers=%d: chunked and rowwise stats disagree",
-								wide, n, qis, conf, workers)
-						}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s qis=%v conf=%v workers=%d: GroupStats and the reference disagree",
+							in.name, qis, conf, workers)
 					}
 				}
 			}

@@ -4,15 +4,16 @@ package table
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
 // TestRollupAllocsIndependentOfSources pins that a roll-up allocates per
 // output slab, not per source group or histogram entry: merging eight
 // times the source groups into the same handful of targets allocates
-// the same count. The arena a roll-up borrows comes from a sync.Pool,
-// which the race detector empties at random, so the file builds only
-// without -race.
+// the same count. The arena a roll-up or a scan borrows comes from a
+// sync.Pool, which the race detector empties at random, so the file
+// builds only without -race.
 func TestRollupAllocsIndependentOfSources(t *testing.T) {
 	allocs := func(sources int) float64 {
 		schema := MustSchema(
@@ -64,5 +65,60 @@ func TestRollupAllocsIndependentOfSources(t *testing.T) {
 	t.Logf("allocations of a roll-up into 4 targets: %.0f from 1,000 source groups, %.0f from 8,000", few, many)
 	if few != many {
 		t.Errorf("roll-up allocations grow with the source groups: %.0f from 1,000, %.0f from 8,000", few, many)
+	}
+}
+
+// TestGroupStatsAllocsIndependentOfRows pins that the statistics scan
+// allocates per output slab, not per group or histogram: eight times
+// the rows in eight times the groups, over a confidential dictionary
+// eight times as wide, allocates the same count.
+func TestGroupStatsAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(rows int) float64 {
+		tbl := wideStatsTable(t, rows, rows/2, rows)
+		var s *GroupStats
+		var err error
+		n := testing.AllocsPerRun(20, func() {
+			if s, err = tbl.GroupStats([]string{"Q"}, []string{"S"}, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if s.NumGroups() != rows/2 {
+			t.Fatalf("%d groups, want %d", s.NumGroups(), rows/2)
+		}
+		return n
+	}
+	few, many := allocs(1000), allocs(8000)
+	t.Logf("allocations of a statistics scan: %.0f over 1,000 rows, %.0f over 8,000", few, many)
+	if few != many {
+		t.Errorf("scan allocations grow with the rows: %.0f over 1,000, %.0f over 8,000", few, many)
+	}
+}
+
+// TestGroupStatsBytesBoundedByRows pins the scan's memory to its rows
+// and dictionaries: 8,000 rows in 4,000 groups over an 8,000-value
+// confidential attribute, scanned with a fresh arena, allocate a few
+// MiB. A per-group histogram slab would take 4,000 × 8,000 counters,
+// 122 MiB before it grows.
+func TestGroupStatsBytesBoundedByRows(t *testing.T) {
+	const limit = 8 << 20
+	tbl := wideStatsTable(t, 8000, 4000, 8000)
+	// Two collections empty the arena pool, so the call pays for its
+	// scratch as a fresh process would.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := tbl.GroupStats([]string{"Q"}, []string{"S"}, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumGroups() != 4000 {
+		t.Fatalf("%d groups, want 4000", s.NumGroups())
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one statistics scan of 8,000 rows in 4,000 groups allocated %.2f MiB", float64(bytes)/(1<<20))
+	if bytes > limit {
+		t.Errorf("one statistics scan allocated %.1f MiB, bound %d MiB", float64(bytes)/(1<<20), limit>>20)
 	}
 }

@@ -76,7 +76,10 @@ serve-smoke:
 # equal row-at-a-time grouping of the table, or of the coarsened or
 # projected table, on every key and histogram path,
 # Table.Gather's run copies must give the same tables, codes and
-# bit-packed words as gathering one row at a time, the two
+# bit-packed words as gathering one row at a time, every search
+# strategy's release must equal the row-scan oracle's, byte for byte,
+# on generated tables under every hierarchy kind and under the built-in
+# or a composite policy, the two
 # implementations of Definition 2 must agree on every generated table,
 # the incremental session must survive hostile delta files with exact
 # live-row accounting, and the service must answer any job body with a
@@ -90,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGather$$' -fuzztime $(FUZZTIME) ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEval$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzStrategiesMatchOracle$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # cover measures statement coverage across the module and fails below

@@ -14,9 +14,9 @@ import (
 // source table, the hierarchy walk over the attribute's distinct values
 // (table.Remap) and, when a node is materialized, the generalized column
 // translated from it. A lattice search derives every level map from two
-// walks in O(distinct values) without reading a row, and builds a
-// level's column only for the nodes it releases. A node's masked table
-// is assembled by swapping cached columns into the source table
+// walks in O(distinct values) without reading a row, and builds columns
+// only for the one node it releases, after its walk. A node's masked
+// table is assembled by swapping cached columns into the source table
 // (O(#QIs) pointer work) rather than re-walking hierarchies per row.
 //
 // A Cache is safe for concurrent use: each walk, column and level map is

@@ -24,10 +24,13 @@ type Budget struct {
 	// node-budget-stopped search returns byte-identical results at every
 	// worker count. Zero means unlimited.
 	MaxNodes int64
-	// MaxCacheBytes caps the estimated memory (table.MemBytes) held by
-	// the generalized-column cache. Checked between node evaluations;
-	// the search stops before evaluating the next node once the cache
-	// exceeds the cap. Zero means unlimited.
+	// MaxCacheBytes caps the estimated memory held by the
+	// generalized-column cache. Checked between node evaluations; the
+	// search stops before evaluating the next node once the cache
+	// exceeds the cap. During the walk the cache holds the hierarchy
+	// walks its level maps read (table.Remap.MemBytes); the release's
+	// columns are built after the walk's last check and are not gated.
+	// Zero means unlimited.
 	MaxCacheBytes int64
 }
 
@@ -52,7 +55,9 @@ const (
 	// StopNodeBudget: the Budget.MaxNodes allowance was consumed.
 	StopNodeBudget
 	// StopMemBudget: the generalized-column cache grew past
-	// Budget.MaxCacheBytes.
+	// Budget.MaxCacheBytes during the walk, counting the hierarchy
+	// walks level maps read; the release built after the walk is not
+	// gated.
 	StopMemBudget
 	// StopCancelled: Config.Context was cancelled (or hit its own
 	// deadline).

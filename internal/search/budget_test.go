@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -75,9 +76,11 @@ func TestCancelReturnsQuickly(t *testing.T) {
 				if d.StopReason != StopCancelled && d.StopReason != StopDone {
 					t.Fatalf("stop reason %v, want cancelled or done", d.StopReason)
 				}
-				// Whatever was found must be genuinely satisfying.
+				// Whatever was found must be genuinely satisfying, and the
+				// release must be Minimal[0]'s table.
+				checkReleased(t, src, cfg, d.Result)
 				for _, m := range d.Minimal {
-					ok, err := core.CheckBasic(m.Masked, cfg.QIs, cfg.Confidential, cfg.P, cfg.K)
+					ok, err := core.CheckBasic(rowScanRelease(t, src, cfg, m), cfg.QIs, cfg.Confidential, cfg.P, cfg.K)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -159,6 +162,36 @@ func TestNodeBudgetExhausts(t *testing.T) {
 	}
 }
 
+// TestNodeBudgetStillReleases pins the release of a budget-stopped
+// search: the limiter stops the walk, not the build after it, so a
+// search that found a node before MaxNodes ran out returns Found and
+// releases Minimal[0]'s table, the one the row-scan pipeline builds.
+func TestNodeBudgetStillReleases(t *testing.T) {
+	tbl, cfg := randomSearchFixture(t, rand.New(rand.NewSource(7)), 200)
+	cfg.K, cfg.P, cfg.MaxSuppress = 3, 2, 4
+	for s := range numStrategies {
+		t.Run(s.String(), func(t *testing.T) {
+			cfg := cfg
+			stopped := 0
+			for maxNodes := int64(1); maxNodes <= 48; maxNodes++ {
+				cfg.Budget.MaxNodes = maxNodes
+				res, err := Run(tbl, cfg, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkReleased(t, tbl, cfg, res)
+				if res.StopReason == StopNodeBudget && res.Found {
+					stopped++
+				}
+			}
+			t.Logf("%d budgets stopped after a find", stopped)
+			if stopped == 0 {
+				t.Fatal("no node budget stopped the search after it found a node")
+			}
+		})
+	}
+}
+
 // TestDeadlineStops pins Budget.Deadline: an already-expired deadline
 // stops every strategy before it evaluates a single node, without an
 // error, and the recorder counts one budget stop.
@@ -208,8 +241,8 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 // TestMemBudgetStops pins Budget.MaxCacheBytes: a 1-byte cap trips
-// StopMemBudget as soon as the first generalized column lands in the
-// cache, and the search still returns cleanly.
+// StopMemBudget as soon as the first hierarchy walk a level map reads
+// lands in the cache, and the search still returns cleanly.
 func TestMemBudgetStops(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 2)

@@ -60,7 +60,7 @@ type Config struct {
 	// preserves the serial, deterministic evaluation order; larger
 	// values fan node evaluation out over that many goroutines while
 	// still reducing per-node outcomes in deterministic node order, so
-	// found nodes, masked tables and stats are identical at every
+	// found nodes, the released table and stats are identical at every
 	// worker count. DefaultWorkers() returns the GOMAXPROCS-sized pool.
 	Workers int
 	// Cache, when non-nil, is a pre-built generalized-column cache the
@@ -209,7 +209,8 @@ func (c Config) effectivePolicy(bounds core.Bounds) core.Policy {
 type Stats struct {
 	// NodesEvaluated is the number of lattice nodes whose group
 	// statistics were checked against the suppression budget and the
-	// policy. Only satisfying nodes materialize masked microdata.
+	// policy. No node materializes masked microdata during the walk; a
+	// search builds one table, the release, after it.
 	NodesEvaluated int
 	// PrunedCondition1 counts Condition 1 rejections. For the built-in
 	// property it is 0 or 1 — the condition is a property of the dataset,

@@ -17,11 +17,11 @@ import (
 )
 
 // evaluator is the shared node-evaluation engine behind every lattice
-// search strategy: it runs the per-node property check (generalize,
-// suppress within budget, evaluate the policy) either serially
+// search strategy: it runs the per-node property check (the node's
+// statistics, suppression within budget, the policy) either serially
 // or on a bounded worker pool, and reduces per-node outcomes in
-// deterministic node order so that found nodes, masked tables and stats
-// never depend on goroutine scheduling.
+// deterministic node order so that found nodes and stats never depend
+// on goroutine scheduling.
 //
 // All shared state is immutable during evaluation: the source table and
 // hierarchies are read-only, the necessary-condition bounds were hoisted
@@ -49,16 +49,6 @@ type evaluator struct {
 	// Incognito's subset searches each get their own store (their nodes
 	// index different QI subsets) while sharing one column cache.
 	rollups *rollupStore
-	// noMaterialize tells evalNode the caller never reads outcome.masked
-	// (Incognito's non-final subsets only consume the verdict), so
-	// satisfying nodes skip building the masked table.
-	noMaterialize bool
-	// keepStats tells evalNode to retain the post-suppression group
-	// statistics and the policy verdict of satisfying nodes on the
-	// outcome (outcome.post / outcome.res). The frontier scan sets it so
-	// nodes can be scored from O(groups) statistics without
-	// materializing anything.
-	keepStats bool
 	// rec and tracer are the telemetry sinks (Config.Recorder/Tracer);
 	// both are nil-safe, so the hot path calls them unguarded and the
 	// disabled configuration costs one compare per call site.
@@ -112,28 +102,29 @@ func (e *evaluator) bind(bounds core.Bounds) *evaluator {
 	return e
 }
 
-// outcome is the result of evaluating one lattice node.
+// outcome is the result of evaluating one lattice node: a verdict plus
+// the statistics it was drawn from.
 type outcome struct {
 	// evaluated distinguishes real results from nodes skipped by early
 	// cancellation (only ever nodes ordered after the first hit).
-	evaluated  bool
-	ok         bool
-	masked     *table.Table
+	evaluated bool
+	ok        bool
+	// suppressed is the node's sub-k tuple count, TuplesBelow(k).
 	suppressed int
 	stats      Stats
 	err        error
-	// post and res are only retained when the evaluator's keepStats flag
-	// is set and the node satisfied: the post-suppression group
-	// statistics the verdict ran on, and the verdict itself. GroupStats
-	// returns plain heap data (its arena scratch is released internally),
-	// so retaining it here is safe.
+	// post and res are set when the node satisfied: the post-suppression
+	// group statistics the verdict ran on, and the verdict itself. The
+	// frontier scan scores nodes from them. GroupStats returns plain heap
+	// data (its arena scratch is released internally), so retaining it
+	// here is safe.
 	post *table.GroupStats
 	res  core.Result
 }
 
 // minimal is the outcome of a satisfying node as a found node.
 func (o outcome) minimal(node lattice.Node) MinimalNode {
-	return MinimalNode{Node: node, Masked: o.masked, Suppressed: o.suppressed}
+	return MinimalNode{Node: node, Suppressed: o.suppressed}
 }
 
 // evalNode runs the property check at one node on group statistics:
@@ -141,8 +132,8 @@ func (o outcome) minimal(node lattice.Node) MinimalNode {
 // scanned at most once per search, at the lattice bottom), suppression
 // is replayed on the statistics, and the policy verdict runs on
 // histograms. The bounds are reused across nodes per Theorems 1 and 2.
-// The masked table is only materialized for satisfying nodes, through
-// the ApplyQIs + SuppressWithin pipeline that defines a release.
+// No table is built here: Run materializes the one node it releases
+// after the walk (release).
 func (e *evaluator) evalNode(node lattice.Node) outcome {
 	var o outcome
 	o.evaluated = true
@@ -178,16 +169,8 @@ func (e *evaluator) evalNode(node lattice.Node) outcome {
 		o.err = err
 		return o
 	}
-	if !e.verdict(res, &o) {
-		return o
-	}
-	if e.noMaterialize {
-		o.ok, o.suppressed = true, violating
-	} else {
-		e.materialize(node, s, &o)
-	}
-	if o.ok && e.keepStats {
-		o.post, o.res = post, res
+	if e.verdict(res, &o) {
+		o.ok, o.suppressed, o.post, o.res = true, violating, post, res
 	}
 	return o
 }
@@ -209,29 +192,26 @@ func (e *evaluator) verdict(res core.Result, o *outcome) bool {
 	return res.Satisfied
 }
 
-// materialize builds the masked table for a node the statistics proved
+// materialize builds the masked table of a node the statistics proved
 // satisfying: generalize from the column cache, then suppress the
 // sub-k groups. The suppression pass checks the rows against pre, the
 // node's pre-suppression statistics the verdict was drawn from, group
 // for group, and the tuples it suppresses against pre's sub-k count:
 // a table the verdict never judged is an error, not a release.
-func (e *evaluator) materialize(node lattice.Node, pre *table.GroupStats, o *outcome) {
+func (e *evaluator) materialize(node lattice.Node, pre *table.GroupStats) (*table.Table, error) {
 	defer e.rec.PhaseEnd(obs.PhaseMaterialize, e.rec.Start())
 	g, err := e.cache.ApplyQIs(e.qis, node)
 	if err != nil {
-		o.err = err
-		return
+		return nil, err
 	}
 	mm, suppressed, within, err := e.m.SuppressMatching(g, e.cfg.K, e.cfg.MaxSuppress, pre)
 	if err != nil {
-		o.err = fmt.Errorf("search: materialize node %v: %w", node, err)
-		return
+		return nil, fmt.Errorf("search: materialize node %v: %w", node, err)
 	}
 	if want := pre.TuplesBelow(e.cfg.K); !within || suppressed != want {
-		o.err = fmt.Errorf("search: materialize node %v: the rows suppress %d tuples, the statistics %d (budget %d)", node, suppressed, want, e.cfg.MaxSuppress)
-		return
+		return nil, fmt.Errorf("search: materialize node %v: the rows suppress %d tuples, the statistics %d (budget %d)", node, suppressed, want, e.cfg.MaxSuppress)
 	}
-	o.ok, o.masked, o.suppressed = true, mm, suppressed
+	return mm, nil
 }
 
 // evalTimed wraps evalNode with the per-node telemetry: one verdict +

@@ -16,20 +16,15 @@ func exhaustive(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	if err != nil {
 		return err
 	}
-	var hits []MinimalNode
+	suppressed := make(map[string]int)
 	for i, o := range outs {
 		if o.ok {
-			hits = append(hits, o.minimal(nodes[i]))
 			res.Satisfying = append(res.Satisfying, nodes[i])
+			suppressed[nodes[i].Key()] = o.suppressed
 		}
 	}
 	for _, n := range lattice.Minimal(res.Satisfying) {
-		for _, h := range hits {
-			if h.Node.Equal(n) {
-				res.Minimal = append(res.Minimal, h)
-				break
-			}
-		}
+		res.Minimal = append(res.Minimal, MinimalNode{Node: n, Suppressed: suppressed[n.Key()]})
 	}
 	return nil
 }

@@ -128,10 +128,9 @@ func (f *FrontierEntry) objective(o Objective) float64 {
 // frontierScan walks the lattice level by level (AllMinimal's candidate
 // enumeration), scores every satisfying node from its post-suppression
 // statistics, and returns the dominance-reduced frontier. The walk runs
-// on a copy of the strategy's evaluator with keepStats set, sharing its
-// roll-up store, cache and limiter: nodes the search already evaluated
-// re-verdict from memoized statistics, and the whole strategy call
-// still spends one budget.
+// on the strategy's evaluator, sharing its roll-up store, cache and
+// limiter: nodes the search already evaluated re-verdict from memoized
+// statistics, and the whole strategy call still spends one budget.
 //
 // monotone marks strategies licensed to assume the paper's
 // generalization monotonicity (Samarati, AllMinimal, Incognito). For
@@ -157,9 +156,6 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss
 			hasMargin = true
 		}
 	}
-	fe := *e
-	fe.keepStats = true
-	fe.noMaterialize = true
 
 	rows := e.im.NumRows()
 	var entries []FrontierEntry
@@ -177,7 +173,7 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss
 			candIdx[i] = len(candidates)
 			candidates = append(candidates, node)
 		}
-		outs, err := fe.evalAll(candidates, stats)
+		outs, err := e.evalAll(candidates, stats)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +182,7 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss
 				continue
 			}
 			o := outs[candIdx[i]]
-			if !o.ok || o.post == nil {
+			if !o.ok {
 				continue
 			}
 			rep, err := loss.MeasureStats(loss.StatsInput{
@@ -206,7 +202,7 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss
 				tagUp(lat, node, cut)
 			}
 		}
-		if fe.lim.tripped() {
+		if e.lim.tripped() {
 			// Levels below completed in full; the reduced set over them is
 			// a valid frontier of the evaluated region.
 			break

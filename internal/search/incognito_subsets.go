@@ -17,7 +17,16 @@ import (
 // grow, and growing a group can lose neither members nor distinct
 // confidential values). Contrapositively, a node of the full lattice
 // whose projection onto any smaller subset failed cannot succeed, and
-// is pruned without materializing its masking.
+// is pruned without being evaluated.
+//
+// Suppression limits the property. A coarser grouping suppresses fewer
+// tuples, so a projection can release groups the node suppressed, and
+// those may fail the policy where the node's release satisfied (an
+// empty release satisfies vacuously). So when tuples may be suppressed,
+// only a projection over the suppression budget refutes the node: a
+// tuple in a sub-k group of the projection is in a sub-k group of the
+// node, so the node is over budget too. Plain k-anonymity fails only
+// over budget, so its pruning is unchanged by this.
 //
 // Subsets are processed in increasing size; within each subset's
 // lattice, nodes are visited bottom-up and upward tagging skips the
@@ -32,10 +41,12 @@ func incognito(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	mAttrs := len(qis)
 	fullDims := lat.Dims()
 
-	// satisfied[mask] is the set of satisfying node keys for the QI
-	// subset encoded by mask (bit i = qis[i] present). Node keys are
-	// over the subset's own coordinates, in ascending attribute order.
-	satisfied := make(map[uint32]map[string]bool)
+	// refuted[mask] is the set of node keys for the QI subset encoded by
+	// mask (bit i = qis[i] present) whose failure proves that every node
+	// projecting onto them fails. Node keys are over the subset's own
+	// coordinates, in ascending attribute order.
+	refuted := make(map[uint32]map[string]bool)
+	everyFailureRefutes := cfg.MaxSuppress == 0
 
 	// Enumerate masks grouped by popcount.
 	masks := make([][]uint32, mAttrs+1)
@@ -126,14 +137,11 @@ subsets:
 				// generalization computed for one subset is reused by every
 				// later subset that includes the attribute.
 				subEval = newLimitedEvaluator(e.im, subMasker, e.cache, subCfg, e.lim).bind(e.bounds)
-				// Smaller subsets exist purely to prune, so their
-				// evaluations stop at the verdict.
-				subEval.noMaterialize = true
 				subEval.rollups.seed(subLat.Bottom(), projStats[mask])
 			}
 
-			sat := make(map[string]bool)
-			satisfied[mask] = sat
+			ref := make(map[string]bool)
+			refuted[mask] = ref
 			tagged := make(map[string]bool)
 
 			for h := 0; h <= subLat.Height(); h++ {
@@ -147,17 +155,17 @@ subsets:
 				for i, node := range nodes {
 					key := node.Key()
 					if tagged[key] {
-						sat[key] = true
 						tagUp(subLat, node, tagged)
 						candIdx[i] = -1
 						continue
 					}
-					// Subset pruning: every (size-1)-projection must have
-					// satisfied.
-					if size > 1 && !projectionsSatisfied(mask, node, satisfied) {
+					// Subset pruning: a refuted (size-1)-projection
+					// refutes the node.
+					if size > 1 && projectionRefuted(mask, node, refuted) {
 						if size == mAttrs {
 							res.Stats.PrunedBySubsets++
 						}
+						ref[key] = true
 						candIdx[i] = -1
 						continue
 					}
@@ -172,12 +180,14 @@ subsets:
 					if candIdx[i] < 0 {
 						continue
 					}
-					if o := outs[candIdx[i]]; o.ok {
-						sat[node.Key()] = true
+					switch o := outs[candIdx[i]]; {
+					case o.ok:
 						if size == mAttrs {
 							res.Minimal = append(res.Minimal, o.minimal(node))
 						}
 						tagUp(subLat, node, tagged)
+					case o.evaluated && (everyFailureRefutes || nodeVerdict(o) == obs.VerdictOverBudget):
+						ref[node.Key()] = true
 					}
 				}
 				if e.lim.tripped() {
@@ -205,8 +215,9 @@ func subsetOf(qis []string, dims []int, mask uint32) ([]string, []int) {
 	return attrs, sub
 }
 
-// projectionsSatisfied checks every (|S|-1)-subset projection of node.
-func projectionsSatisfied(mask uint32, node lattice.Node, satisfied map[uint32]map[string]bool) bool {
+// projectionRefuted reports whether any (|S|-1)-subset projection of
+// node is refuted.
+func projectionRefuted(mask uint32, node lattice.Node, refuted map[uint32]map[string]bool) bool {
 	// Positions of set bits, ascending: coordinate j of node belongs to
 	// attribute bits[j].
 	var bits []uint
@@ -223,11 +234,11 @@ func projectionsSatisfied(mask uint32, node lattice.Node, satisfied map[uint32]m
 				proj = append(proj, node[j])
 			}
 		}
-		if !satisfied[subMask][proj.Key()] {
-			return false
+		if refuted[subMask][proj.Key()] {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 func popcount(x uint32) int {

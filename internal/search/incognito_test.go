@@ -91,7 +91,7 @@ func TestIncognitoOnAdult(t *testing.T) {
 		if !amSet[m.Node.Key()] {
 			t.Errorf("node %v not in AllMinimal set", m.Node)
 		}
-		chk, err := core.Check(m.Masked, cfg.QIs, cfg.Confidential, cfg.P, cfg.K)
+		chk, err := core.Check(rowScanRelease(t, im, cfg, m), cfg.QIs, cfg.Confidential, cfg.P, cfg.K)
 		if err != nil || !chk.Satisfied {
 			t.Errorf("minimal node %v output fails property: %+v, %v", m.Node, chk, err)
 		}

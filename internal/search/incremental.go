@@ -447,7 +447,6 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 	cfg.strategy = "incremental-repair"
 	lim := cfg.newLimiter()
 	eval := newLimitedEvaluator(s.led.Table(), s.m, nil, cfg, lim).bind(bounds)
-	eval.noMaterialize = true
 	lat := s.m.Lattice()
 	bottom := lat.Bottom()
 	eval.rollups.seed(bottom, s.base.Stats())

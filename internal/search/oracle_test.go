@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"psk/internal/core"
+	"psk/internal/generalize"
 	"psk/internal/hierarchy"
 	"psk/internal/lattice"
 	"psk/internal/loss"
@@ -52,14 +53,7 @@ func newRowScanOracle(t testing.TB, im *table.Table, cfg Config) rowScanOracle {
 	o := rowScanOracle{lat: m.Lattice(), out: make(map[string]oracleOutcome)}
 	for _, node := range o.lat.AllNodes() {
 		r := oracleOutcome{stats: Stats{NodesEvaluated: 1}}
-		g, err := m.Apply(im, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mm, suppressed, within, err := m.SuppressWithin(g, cfg.K, cfg.MaxSuppress)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mm, suppressed, within := rowScanMask(t, m, im, cfg, node)
 		if within {
 			r.stats.SuppressedRows = suppressed
 			v, err := core.NewStatsView(mm, cfg.QIs, conf, 1)
@@ -87,6 +81,38 @@ func newRowScanOracle(t testing.TB, im *table.Table, cfg Config) rowScanOracle {
 	return o
 }
 
+// rowScanMask builds node's masked table the oracle's way,
+// Masker.Apply then Masker.SuppressWithin, with the tuples it
+// suppresses and whether they are within the budget.
+func rowScanMask(t testing.TB, m *generalize.Masker, im *table.Table, cfg Config, node lattice.Node) (*table.Table, int, bool) {
+	t.Helper()
+	g, err := m.Apply(im, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, suppressed, within, err := m.SuppressWithin(g, cfg.K, cfg.MaxSuppress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mm, suppressed, within
+}
+
+// rowScanRelease is the table the oracle's pipeline releases at a node a
+// search found, built from im's rows alone. The rows must suppress
+// exactly the tuples the search reported for it, within the budget.
+func rowScanRelease(t testing.TB, im *table.Table, cfg Config, mn MinimalNode) *table.Table {
+	t.Helper()
+	m, err := cfg.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, suppressed, within := rowScanMask(t, m, im, cfg, mn.Node)
+	if !within || suppressed != mn.Suppressed {
+		t.Fatalf("node %v: the rows suppress %d tuples (within budget %v), the search reported %d", mn.Node, suppressed, within, mn.Suppressed)
+	}
+	return mm
+}
+
 // rowScanBounds computes the necessary-condition bounds the way the
 // paper states them, on the rows of the initial microdata
 // (core.ComputeBounds), for the configurations whose policy uses them;
@@ -104,8 +130,16 @@ func rowScanBounds(t testing.TB, im *table.Table, cfg Config) core.Bounds {
 }
 
 func (o rowScanOracle) minimalNode(n lattice.Node) MinimalNode {
-	r := o.out[n.Key()]
-	return MinimalNode{Node: n, Masked: r.masked, Suppressed: r.suppressed}
+	return MinimalNode{Node: n, Suppressed: o.out[n.Key()].suppressed}
+}
+
+// released gives a replayed result the table a search releases:
+// Minimal[0]'s.
+func (o rowScanOracle) released(res Result) Result {
+	if len(res.Minimal) > 0 {
+		res.Masked = o.out[res.Minimal[0].Node.Key()].masked
+	}
+	return res
 }
 
 // exhaustive: every node evaluated; Minimal is Definition 3 over the
@@ -122,7 +156,7 @@ func (o rowScanOracle) exhaustive() Result {
 	for _, n := range lattice.Minimal(res.Satisfying) {
 		res.Minimal = append(res.Minimal, o.minimalNode(n))
 	}
-	return res
+	return o.released(res)
 }
 
 // bottomUp: levels in ascending height up to the first one holding a
@@ -139,7 +173,7 @@ func (o rowScanOracle) bottomUp() Result {
 			}
 		}
 	}
-	return res
+	return o.released(res)
 }
 
 // allMinimal: the bottom-up walk that never evaluates a strict
@@ -164,7 +198,7 @@ func (o rowScanOracle) allMinimal() Result {
 			}
 		}
 	}
-	return res
+	return o.released(res)
 }
 
 // samarati: Algorithm 3's binary search on height, each probe scanning
@@ -199,7 +233,7 @@ func (o rowScanOracle) samarati() Result {
 	if found != nil {
 		res.Minimal = []MinimalNode{o.minimalNode(found)}
 	}
-	return res
+	return o.released(res)
 }
 
 // checkStrategiesAgainstOracle runs all five strategies under cfg and
@@ -212,6 +246,7 @@ func checkStrategiesAgainstOracle(t *testing.T, name string, im *table.Table, cf
 	// counters include subset passes the oracle does not replay.
 	incognito := Result{Minimal: o.allMinimal().Minimal}
 	sortMinimal(incognito.Minimal)
+	incognito = o.released(incognito)
 	wants := [numStrategies]Result{
 		StrategySamarati:   o.samarati(),
 		StrategyBottomUp:   o.bottomUp(),
@@ -239,7 +274,7 @@ func checkStrategiesAgainstOracle(t *testing.T, name string, im *table.Table, cf
 			}
 		}
 		if Strategy(s) == StrategyIncognito {
-			got = Result{Minimal: got.Minimal}
+			got = Result{Minimal: got.Minimal, Masked: got.Masked}
 		}
 		if fmtResult(got) != fmtResult(want) {
 			t.Errorf("%s: %s differs from the oracle:\n%s\nwant\n%s", name, Strategy(s), fmtResult(got), fmtResult(want))

@@ -8,8 +8,8 @@ import (
 )
 
 // The parallel engine promises results byte-identical to the serial
-// scan at every worker count: same found nodes, same masked microdata,
-// same stats totals. These tests exercise that promise across every
+// scan at every worker count: same found nodes, same released masked
+// microdata, same stats totals. These tests exercise that promise across every
 // strategy and worker counts beyond GOMAXPROCS; run them with -race to
 // also exercise the synchronization.
 
@@ -23,17 +23,18 @@ func fmtMasked(t *table.Table) string {
 func fmtMinimal(ms []MinimalNode) string {
 	s := ""
 	for _, m := range ms {
-		s += fmt.Sprintf("<%s> sup=%d\n%s\n", m.Node.Key(), m.Suppressed, fmtMasked(m.Masked))
+		s += fmt.Sprintf("<%s> sup=%d\n", m.Node.Key(), m.Suppressed)
 	}
 	return s
 }
 
 // fmtResult renders what a search pins — stop reason, stats, the
-// satisfying set and every minimal node with its masked bytes — for
-// byte-identical comparison. Found, Node, Masked and Suppressed are
-// Minimal[0], so they are covered too.
+// satisfying set, every minimal node with its suppressed count, and the
+// released masked bytes — for byte-identical comparison. Found, Node and
+// Suppressed are Minimal[0], so they are covered too.
 func fmtResult(r Result) string {
-	return fmt.Sprintf("stop=%v %+v\nsatisfying %v\n", r.StopReason, r.Stats, r.Satisfying) + fmtMinimal(r.Minimal)
+	return fmt.Sprintf("stop=%v %+v\nsatisfying %v\n", r.StopReason, r.Stats, r.Satisfying) +
+		fmtMinimal(r.Minimal) + "released:\n" + fmtMasked(r.Masked) + "\n"
 }
 
 // TestParallelMatchesSerial: for every strategy, every fixture

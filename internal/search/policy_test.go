@@ -100,7 +100,7 @@ func TestBoundedPolicyMatchesConditions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fmtMinimal(a.Minimal) != fmtMinimal(b.Minimal) {
+			if fmtMinimal(a.Minimal) != fmtMinimal(b.Minimal) || fmtMasked(a.Masked) != fmtMasked(b.Masked) {
 				t.Errorf("seed %d: bounded policy changed the %s solutions", seed, s)
 			}
 		}
@@ -131,7 +131,7 @@ func TestStrictCompositeSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range r.Minimal {
-			v, err := core.NewStatsView(m.Masked, base.QIs, []string{"Illness"}, 1)
+			v, err := core.NewStatsView(rowScanRelease(t, tbl, base, m), base.QIs, []string{"Illness"}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

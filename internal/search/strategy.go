@@ -88,10 +88,10 @@ func (s Strategy) CheckQIs(n int) error {
 }
 
 // MinimalNode is one p-k-minimal generalization a search found, with
-// its masked microdata.
+// the number of tuples its release suppresses. Only Minimal[0] is
+// materialized, as Result.Masked.
 type MinimalNode struct {
 	Node       lattice.Node
-	Masked     *table.Table
 	Suppressed int
 }
 
@@ -103,7 +103,8 @@ type Result struct {
 	// Node is the found (p-)k-minimal generalization node: Minimal[0].
 	Node lattice.Node
 	// Masked is the masked microdata at Node (generalized, then
-	// suppressed).
+	// suppressed): the one table a search builds, after the walk, and
+	// only once its rows match the statistics Node was judged on.
 	Masked *table.Table
 	// Suppressed is the number of tuples removed at Node.
 	Suppressed int
@@ -146,7 +147,7 @@ type ExhaustiveResult = Result
 
 // found makes m the result's single answer.
 func (r *Result) found(m MinimalNode) {
-	r.Found, r.Node, r.Masked, r.Suppressed = true, m.Node, m.Masked, m.Suppressed
+	r.Found, r.Node, r.Suppressed = true, m.Node, m.Suppressed
 }
 
 // Run searches im's generalization lattice with strategy s. It owns
@@ -154,14 +155,15 @@ func (r *Result) found(m MinimalNode) {
 // base statistics, the Condition 1 early stop on the initial microdata
 // (no node is evaluated when it fails, exactly as Algorithm 3 does), one
 // limiter and one full-lattice evaluator for the whole call, the
-// frontier pass, the utility report, the stop reason and the report
-// snapshot. The strategy's walk only appends to Result.Minimal; the
-// first minimal node becomes the result's Node. With cfg.Workers > 1 the
-// independent nodes of each step are evaluated concurrently; the result
-// is identical to the serial search.
+// frontier pass, the stop reason, the release and the report snapshot.
+// The strategy's walk decides every node on statistics and only appends
+// to Result.Minimal; the first minimal node becomes the result's Node,
+// and its table, built after the walk, the one table Run materializes.
+// With cfg.Workers > 1 the independent nodes of each step are evaluated
+// concurrently; the result is identical to the serial search.
 //
 // The lattice bottom's statistics are the only row scan Run starts,
-// apart from materializing the nodes it releases: the bounds, the loss
+// apart from materializing the node it releases: the bounds, the loss
 // baseline and Incognito's subset projections are read off them, and
 // every other node's statistics roll up from them.
 func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
@@ -214,15 +216,8 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 		return Result{}, err
 	}
 	res.StopReason = eval.lim.stopReason()
-	if len(res.Minimal) > 0 {
-		res.found(res.Minimal[0])
-		// An input without rows has nothing to measure loss against;
-		// the search itself still succeeds at the bottom.
-		if im.NumRows() > 0 {
-			if res.Utility, err = eval.utility(lat, res.Node, baseline); err != nil {
-				return Result{}, err
-			}
-		}
+	if err := eval.release(lat, baseline, &res); err != nil {
+		return Result{}, err
 	}
 	span.End()
 	res.Report = cfg.Recorder.Snapshot()
@@ -241,16 +236,36 @@ func statsBounds(cfg Config, base *table.GroupStats) (core.Bounds, error) {
 	return core.Bounds{MaxP: cfg.P, MaxGroups: base.NumRows, P: cfg.P}, nil
 }
 
-// utility measures the release at a found node from the node's
-// memoized statistics: suppression replayed on them, then
-// loss.MeasureStats against the base statistics' baseline.
-func (e *evaluator) utility(lat *lattice.Lattice, node lattice.Node, baseline *loss.Baseline) (loss.Report, error) {
-	s := e.rollups.lookup(node)
-	if s == nil {
-		return loss.Report{}, fmt.Errorf("search: found node %v has no statistics", node)
+// release makes the walk's first minimal node, if any, the result's
+// answer. It builds the node's masked table, the one table a search
+// materializes, checked against the node's pre-suppression statistics,
+// and reads the utility report off those statistics. The limiter does
+// not gate it, so a stopped walk still releases what it found. A node
+// without statistics, or rows that disagree with them, fail the search.
+func (e *evaluator) release(lat *lattice.Lattice, baseline *loss.Baseline, res *Result) error {
+	if len(res.Minimal) == 0 {
+		return nil
 	}
-	return loss.MeasureStats(loss.StatsInput{
-		Stats: s.SuppressBelow(e.cfg.K), Rows: e.im.NumRows(), Baseline: baseline,
-		Node: node, Lattice: lat, K: e.cfg.K,
-	})
+	node := res.Minimal[0].Node
+	pre := e.rollups.lookup(node)
+	if pre == nil {
+		return fmt.Errorf("search: found node %v has no statistics", node)
+	}
+	masked, err := e.materialize(node, pre)
+	if err != nil {
+		return err
+	}
+	// An input without rows has nothing to measure loss against; the
+	// search itself still succeeds at the bottom.
+	if e.im.NumRows() > 0 {
+		if res.Utility, err = loss.MeasureStats(loss.StatsInput{
+			Stats: pre.SuppressBelow(e.cfg.K), Rows: e.im.NumRows(), Baseline: baseline,
+			Node: node, Lattice: lat, K: e.cfg.K,
+		}); err != nil {
+			return err
+		}
+	}
+	res.found(res.Minimal[0])
+	res.Masked = masked
+	return nil
 }

@@ -1,6 +1,10 @@
 package table
 
-import "sync"
+import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+)
 
 // blockRows is the unit of the chunked scan kernels: group-by and
 // group-stats pull codes out of the packed columns one block at a time,
@@ -15,7 +19,7 @@ const maxDenseKeySpan = 1 << 22
 
 // statsArena is the reusable scratch of one chunked scan or one group
 // merge: block buffers, the key→group index (dense table or map, or a
-// string-keyed map for keys that do not pack into 64 bits), the
+// hashed byte slab for keys that do not pack into 64 bits), the
 // discovered group keys, and the counting sort and histogram
 // accumulator that the statistics scan and the merge share. Scans and
 // merges borrow an arena from a package-level pool and return it when
@@ -24,8 +28,8 @@ const maxDenseKeySpan = 1 << 22
 // node.
 //
 // Every structure is left zeroed/cleared on release, which is what
-// makes acquisition O(1): keyTable and acc are known-zero, idx and
-// strIdx are known-empty.
+// makes acquisition O(1): keyTable and acc are known-zero, idx and the
+// byte-key slab are known-empty.
 type statsArena struct {
 	keys    []uint64 // packed key per row of the current block
 	gids    []int32  // group id per row of the current block
@@ -33,11 +37,19 @@ type statsArena struct {
 	ids     []int32  // per-row confidential ids of the current block
 
 	keyTable []int32 // packed key -> group id + 1 (0 = absent)
-	idx      map[uint64]int32
-	strIdx   map[string]int32
-	gkeys    []uint64 // packed key of each discovered group, in order
-	sizes    []int32  // per-group row count (per-target source count in a roll-up)
-	reps     []int32  // per-group representative (first) row (first source in a roll-up)
+	// idx maps a packed key to its group, or the hash of a byte key to
+	// the newest group with that hash (byteGroup).
+	idx   map[uint64]int32
+	gkeys []uint64 // packed key of each discovered group, in order
+	sizes []int32  // per-group row count (per-target source count in a roll-up)
+	reps  []int32  // per-group representative (first) row (first source in a roll-up)
+
+	// The byte keys of keys that do not pack: every group's key bytes in
+	// one slab, keyEnds[g] the end of group g's, and next[g] the previous
+	// group with g's hash (-1 for none).
+	keyBytes []byte
+	keyEnds  []int
+	next     []int32
 
 	// Counting-sort and histogram scratch. A statistics scan sorts rows
 	// by group, a roll-up sorts source groups by target: target holds
@@ -83,8 +95,8 @@ func (a *statsArena) release() {
 	a.gkeys = a.gkeys[:0]
 	a.sizes = a.sizes[:0]
 	a.reps = a.reps[:0]
+	a.keyBytes, a.keyEnds, a.next = a.keyBytes[:0], a.keyEnds[:0], a.next[:0]
 	clear(a.idx)
-	clear(a.strIdx)
 	statsArenaPool.Put(a)
 }
 
@@ -129,6 +141,51 @@ func (a *statsArena) group(k uint64, dense bool, first int32) int32 {
 	return g
 }
 
+// keySeed seeds keyHash for the life of the process.
+var keySeed = maphash.MakeSeed()
+
+// keyHash is the hash byteGroup indexes byte keys by.
+func keyHash(key []byte) uint64 { return maphash.Bytes(keySeed, key) }
+
+// byteGroup is group for keys that do not pack into 64 bits, scanned as
+// varint byte strings. The caller appends the key's bytes to keyBytes,
+// past the last group's end; hash hashes them. idx holds the newest
+// group with that hash and next chains it to the older ones, so a
+// collision costs a byte comparison, never a wrong group. A key seen
+// before is cut off the slab again; a new one stays, as its group's
+// bytes. Ids follow first appearance, and the lookup allocates only
+// when the slab or the index grows, never per group.
+func (a *statsArena) byteGroup(hash func([]byte) uint64, first int32) int32 {
+	lo := a.keyStart(len(a.keyEnds))
+	key := a.keyBytes[lo:]
+	h := hash(key)
+	head, ok := a.idx[h]
+	if !ok {
+		head = -1
+	}
+	for g := head; g >= 0; g = a.next[g] {
+		if bytes.Equal(a.keyBytes[a.keyStart(int(g)):a.keyEnds[g]], key) {
+			a.keyBytes = a.keyBytes[:lo]
+			a.sizes[g]++
+			return g
+		}
+	}
+	g := a.newGroup(first)
+	a.keyEnds = append(a.keyEnds, len(a.keyBytes))
+	a.next = append(a.next, head)
+	a.idx[h] = g
+	a.sizes[g]++
+	return g
+}
+
+// keyStart is where group g's key bytes start: the end of group g-1's.
+func (a *statsArena) keyStart(g int) int {
+	if g == 0 {
+		return 0
+	}
+	return a.keyEnds[g-1]
+}
+
 // newGroup assigns the next group id to a key first seen at first.
 func (a *statsArena) newGroup(first int32) int32 {
 	a.sizes = append(a.sizes, 0)
@@ -156,30 +213,20 @@ func (a *statsArena) scanGroups(plan packPlan, cols []Column, lo, hi int, visit 
 
 // scanKeys is scanGroups for any key columns over rows [lo, hi). Keys
 // that pack into 64 bits go through scanGroups; the others are resolved
-// row by row through varint byte-string keys into the same fields
-// (sizes, reps) and visited a block at a time the same way, with ids in
-// first-appearance order. A second scan over the same columns resolves
-// every row to the id the first gave it.
+// row by row through varint byte-string keys (byteGroup) into the same
+// fields (sizes, reps) and visited a block at a time the same way, with
+// ids in first-appearance order. A second scan over the same columns
+// resolves every row to the id the first gave it.
 func (a *statsArena) scanKeys(cols []Column, lo, hi int, visit func(blo int, gids []int32)) {
 	if plan, ok := packedPlan(cols); ok {
 		a.scanGroups(plan, cols, lo, hi, visit)
 		return
 	}
-	if a.strIdx == nil {
-		a.strIdx = make(map[string]int32)
-	}
-	key := make([]byte, 0, 16*len(cols))
 	for blo := lo; blo < hi; blo += blockRows {
 		gids := a.gids[:min(blockRows, hi-blo)]
 		for j := range gids {
-			key = varintKey(key[:0], cols, blo+j)
-			g, seen := a.strIdx[string(key)]
-			if !seen {
-				g = a.newGroup(int32(blo + j))
-				a.strIdx[string(key)] = g
-			}
-			a.sizes[g]++
-			gids[j] = g
+			a.keyBytes = varintKey(a.keyBytes, cols, blo+j)
+			gids[j] = a.byteGroup(keyHash, int32(blo+j))
 		}
 		visit(blo, gids)
 	}

@@ -207,20 +207,11 @@ func regroup(src []GroupStat, numRows, numQI, numConf int, codes func(g *GroupSt
 			target[gi] = ar.group(plan.pack(keys[gi*numQI:(gi+1)*numQI]), dense, int32(gi))
 		}
 	} else {
-		idx := make(map[string]int32, groupHint(len(src)))
-		key := make([]byte, 0, 16*numQI)
 		for gi := range src {
-			key = key[:0]
 			for _, c := range keys[gi*numQI : (gi+1)*numQI] {
-				key = binary.AppendVarint(key, int64(c))
+				ar.keyBytes = binary.AppendVarint(ar.keyBytes, int64(c))
 			}
-			g, ok := idx[string(key)]
-			if !ok {
-				g = ar.newGroup(int32(gi))
-				idx[string(key)] = g
-			}
-			ar.sizes[g]++
-			target[gi] = g
+			target[gi] = ar.byteGroup(keyHash, int32(gi))
 		}
 	}
 	out.Groups = make([]GroupStat, len(ar.reps))

@@ -261,7 +261,9 @@ const (
 	StopDeadline = search.StopDeadline
 	// StopNodeBudget: Budget.MaxNodes was consumed.
 	StopNodeBudget = search.StopNodeBudget
-	// StopMemBudget: the column cache exceeded Budget.MaxCacheBytes.
+	// StopMemBudget: the column cache exceeded Budget.MaxCacheBytes
+	// during the walk, counting the hierarchy walks level maps read;
+	// the release built after the walk is not gated.
 	StopMemBudget = search.StopMemBudget
 	// StopCancelled: Config.Context was cancelled.
 	StopCancelled = search.StopCancelled

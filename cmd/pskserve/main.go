@@ -12,8 +12,8 @@
 // (verdicts — positive or negative — are 200, input errors 400),
 // backpressures with 429 + Retry-After when the queue is full, dedups
 // identical in-flight requests (single-flight), caches completed
-// results by content key, and shares one generalized-column cache
-// across concurrent searches over the same dataset. Each job exposes
+// results by content key, and shares one parsed table and its
+// hierarchies across searches over the same dataset. Each job exposes
 // the live observatory under /v1/jobs/{id}/ (metrics, progress,
 // healthz, debug/pprof); service-level /metrics, /progress, /healthz
 // and /debug/pprof cover the queue and caches.

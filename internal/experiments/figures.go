@@ -146,8 +146,9 @@ func RunFigure3() (Figure3Result, error) {
 		return Figure3Result{}, err
 	}
 	res := Figure3Result{K: 3}
+	c := m.NewCache(tbl, nil)
 	for _, node := range m.Lattice().AllNodes() {
-		g, err := m.Apply(tbl, node)
+		g, err := c.Apply(node)
 		if err != nil {
 			return Figure3Result{}, err
 		}

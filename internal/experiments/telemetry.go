@@ -12,9 +12,8 @@ import (
 // E17: the telemetry replay — the Adult search of the earlier
 // experiments re-run with the observability layer attached, comparing
 // what each strategy's instrumentation reports: how hard the necessary
-// conditions prune, how well the generalized-column cache serves, how
-// often the roll-up store saves a row scan, and where the wall time
-// goes phase by phase.
+// conditions prune, how often the roll-up store saves a row scan, and
+// where the wall time goes phase by phase.
 
 // TelemetryRow is one strategy's recorded search.
 type TelemetryRow struct {
@@ -123,7 +122,7 @@ func phaseNs(rep *obs.Report, phase obs.Phase) int64 {
 	return 0
 }
 
-// Format renders the prune-rate, cache-efficiency and phase-time
+// Format renders the prune-rate, roll-up and phase-time
 // tables.
 func (r TelemetryResult) Format() string {
 	rows := make([][]string, len(r.Rows))
@@ -134,7 +133,6 @@ func (r TelemetryResult) Format() string {
 			row.Strategy, row.Node,
 			fmt.Sprint(rep.Nodes.Evaluated),
 			fmt.Sprintf("%.1f%%", 100*rep.Nodes.PruneRate()),
-			fmt.Sprintf("%.1f%%", 100*rep.Cache.HitRate()),
 			fmt.Sprint(rep.Rollup.Merges),
 			fmt.Sprint(rep.Rollup.RowScans),
 			fmt.Sprint(rep.SuppressedRows),
@@ -150,7 +148,7 @@ func (r TelemetryResult) Format() string {
 	}
 	out := fmt.Sprintf("Telemetry replay on Adult n=%d (%d-sensitive %d-anonymity, E17):\n%s",
 		r.Size, r.P, r.K,
-		renderTable([]string{"Strategy", "node", "evaluated", "prune rate", "cache hits", "rollup merges", "row scans", "suppressed"}, rows))
+		renderTable([]string{"Strategy", "node", "evaluated", "prune rate", "rollup merges", "row scans", "suppressed"}, rows))
 	out += "\nPhase wall time (ms):\n" +
 		renderTable([]string{"Strategy", "group-by", "rollup", "suppress", "policy", "materialize"}, phases)
 	if r.TraceEvents >= 0 {

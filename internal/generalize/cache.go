@@ -12,36 +12,32 @@ import (
 
 // Cache memoizes, for each (QI attribute, hierarchy level) pair of one
 // source table, the hierarchy walk over the attribute's distinct values
-// (table.Remap) and, when a node is materialized, the generalized column
-// translated from it. A lattice search derives every level map from two
-// walks in O(distinct values) without reading a row, and builds columns
-// only for the one node it releases, after its walk. A node's masked
-// table is assembled by swapping cached columns into the source table
-// (O(#QIs) pointer work) rather than re-walking hierarchies per row.
+// (table.Remap), and the level maps read off two walks. A lattice
+// search derives every level map in O(distinct values) without reading
+// a row; Column and ApplyQIs translate rows through a walk, which a
+// search does once, for the node it releases.
 //
-// A Cache is safe for concurrent use: each walk, column and level map is
-// computed exactly once behind a per-entry sync.Once, and entries are
-// immutable afterwards, which is what lets the parallel search engine
-// share one Cache across its whole worker pool without further locking.
+// A Cache is per-search state: every search builds its own, and
+// Incognito's subset passes share their search's. It is safe for
+// concurrent use: each walk and level map is computed exactly once
+// behind a per-entry sync.Once, and entries are immutable afterwards,
+// which is what lets the parallel search engine share one Cache across
+// its whole worker pool without further locking.
 type Cache struct {
 	src *table.Table
 	m   *Masker
+	// rec is the telemetry sink the cache was built with; nil disables
+	// collection (obs methods are nil-safe).
+	rec *obs.Recorder
 
-	mu      sync.Mutex
-	walks   map[colKey]*walkEntry
-	entries map[colKey]*colEntry
-	maps    map[mapKey]*mapEntry
+	mu    sync.Mutex
+	walks map[colKey]*walkEntry
+	maps  map[mapKey]*mapEntry
 
-	// rec is the telemetry sink, if any. An atomic pointer because
-	// Incognito shares one cache across sub-searches that may attach a
-	// recorder while workers from an earlier phase still read it.
-	rec atomic.Pointer[obs.Recorder]
-
-	// bytes is the estimated memory of all walks (Remap.MemBytes) and
-	// columns (table.MemBytes) built so far, maintained unconditionally —
-	// unlike the telemetry counters — because Budget.MaxCacheBytes
-	// enforcement reads it between node evaluations whether or not a
-	// recorder is attached.
+	// bytes is the estimated memory of all walks built so far
+	// (Remap.MemBytes), maintained whether or not a recorder is attached
+	// because Budget.MaxCacheBytes enforcement reads it between node
+	// evaluations.
 	bytes atomic.Int64
 }
 
@@ -56,13 +52,6 @@ type walkEntry struct {
 	err   error
 }
 
-type colEntry struct {
-	once  sync.Once
-	col   table.Column
-	bytes int64
-	err   error
-}
-
 type mapKey struct {
 	attr     string
 	from, to int
@@ -74,31 +63,17 @@ type mapEntry struct {
 	err  error
 }
 
-// NewCache binds a cache to one source table. The cache serves every QI
-// subset of the masker (Incognito's sub-searches share it), because
-// entries are keyed by attribute name, not by QI position.
-func (m *Masker) NewCache(src *table.Table) *Cache {
+// NewCache binds a cache to one source table and reports the walks it
+// builds and its level-map accesses to rec (nil for none). The cache
+// serves every QI subset of the masker (Incognito's sub-searches share
+// it), because entries are keyed by attribute name, not by QI position.
+func (m *Masker) NewCache(src *table.Table, rec *obs.Recorder) *Cache {
 	return &Cache{
-		src: src, m: m,
-		walks:   make(map[colKey]*walkEntry),
-		entries: make(map[colKey]*colEntry),
-		maps:    make(map[mapKey]*mapEntry),
+		src: src, m: m, rec: rec,
+		walks: make(map[colKey]*walkEntry),
+		maps:  make(map[mapKey]*mapEntry),
 	}
 }
-
-// Source returns the table the cache generalizes.
-func (c *Cache) Source() *table.Table { return c.src }
-
-// Observe attaches a telemetry recorder; column hits and misses and the
-// bytes of built walks and columns are reported to it from then on. A
-// nil recorder detaches.
-func (c *Cache) Observe(rec *obs.Recorder) {
-	c.rec.Store(rec)
-}
-
-// recorder returns the attached recorder (nil when telemetry is off;
-// obs methods are nil-safe so callers don't guard).
-func (c *Cache) recorder() *obs.Recorder { return c.rec.Load() }
 
 // walk returns attr's hierarchy walk to the given level (level >= 1),
 // computing and memoizing it on first use: the generalized label and
@@ -127,51 +102,29 @@ func (c *Cache) walk(attr string, level int) (*table.Remap, error) {
 		}
 		bytes := e.remap.MemBytes()
 		c.bytes.Add(bytes)
-		c.recorder().CacheWalk(bytes)
+		c.rec.CacheWalk(bytes)
 	})
 	return e.remap, e.err
 }
 
 // Column returns the source column for attr generalized to the given
-// hierarchy level, translating the rows through the level's walk and
-// memoizing the column on first use.
+// hierarchy level (level >= 1), translating the rows through the
+// level's memoized walk: per row, two array lookups, no string built,
+// and the column bit-packed from the start. The column is not kept.
 func (c *Cache) Column(attr string, level int) (table.Column, error) {
-	c.mu.Lock()
-	e, ok := c.entries[colKey{attr, level}]
-	if !ok {
-		e = &colEntry{}
-		c.entries[colKey{attr, level}] = e
+	r, err := c.walk(attr, level)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		r, err := c.walk(attr, level)
-		if err != nil {
-			e.err = err
-			return
-		}
-		// Per row, two array lookups: no string is built, and the
-		// column is bit-packed from the start.
-		if e.col, e.err = r.Column(); e.err != nil {
-			e.err = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.err)
-			return
-		}
-		e.bytes = table.MemBytes(e.col)
-		c.bytes.Add(e.bytes)
-	})
-	if rec := c.recorder(); rec != nil {
-		// The goroutine that inserted the entry reports the miss (and
-		// the built column's size); every later access is a hit.
-		if ok {
-			rec.CacheColumn(true, 0)
-		} else {
-			rec.CacheColumn(false, e.bytes)
-		}
+	col, err := r.Column()
+	if err != nil {
+		return nil, fmt.Errorf("generalize: cache %s level %d: %w", attr, level, err)
 	}
-	return e.col, e.err
+	return col, nil
 }
 
-// Bytes returns the estimated memory currently held by walks and built
-// columns, the quantity search budgets cap with Budget.MaxCacheBytes.
+// Bytes returns the estimated memory held by the hierarchy walks built
+// so far, the quantity search budgets cap with Budget.MaxCacheBytes.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 
 // levelWalk returns attr's walk to level, nil at level 0: ApplyQIs
@@ -211,7 +164,7 @@ func (c *Cache) LevelMap(attr string, from, to int) (*table.CodeMap, error) {
 		c.maps[mapKey{attr, from, to}] = e
 	}
 	c.mu.Unlock()
-	c.recorder().CacheLevelMap(ok)
+	c.rec.CacheLevelMap(ok)
 	e.once.Do(func() {
 		e.cm, e.err = c.levelMap(attr, from, to)
 		if e.err != nil {
@@ -238,8 +191,9 @@ func (c *Cache) levelMap(attr string, from, to int) (*table.CodeMap, error) {
 }
 
 // Apply recodes the masker's quasi-identifier columns to the levels of
-// the lattice node, equivalent to Masker.Apply on the cached source
-// table but served from memoized columns.
+// the lattice node, equivalent to Masker.Apply on the cache's source
+// table but translated through memoized walks: one hierarchy call per
+// distinct value instead of one per row.
 func (c *Cache) Apply(node lattice.Node) (*table.Table, error) {
 	if !c.m.lat.Contains(node) {
 		return nil, fmt.Errorf("generalize: node %v outside lattice with dims %v", node, c.m.lat.Dims())
@@ -248,8 +202,8 @@ func (c *Cache) Apply(node lattice.Node) (*table.Table, error) {
 }
 
 // ApplyQIs recodes the given quasi-identifier subset (node[i] is the
-// level for qis[i]); Incognito's subset lattices use this with one
-// shared cache.
+// level for qis[i]), swapping each generalized column into the source
+// table; level-0 attributes keep the source column.
 func (c *Cache) ApplyQIs(qis []string, node lattice.Node) (*table.Table, error) {
 	if len(qis) != len(node) {
 		return nil, fmt.Errorf("generalize: node %v has %d levels for %d attributes", node, len(node), len(qis))

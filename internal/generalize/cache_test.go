@@ -14,7 +14,7 @@ import (
 func TestCacheApplyMatchesMasker(t *testing.T) {
 	tbl := figure3Table(t)
 	m := figure3Masker(t)
-	c := m.NewCache(tbl)
+	c := m.NewCache(tbl, nil)
 	for _, node := range m.Lattice().AllNodes() {
 		want, err := m.Apply(tbl, node)
 		if err != nil {
@@ -47,7 +47,7 @@ func TestCacheApplyMatchesMasker(t *testing.T) {
 func TestCacheMaskMatchesMasker(t *testing.T) {
 	tbl := figure3Table(t)
 	m := figure3Masker(t)
-	c := m.NewCache(tbl)
+	c := m.NewCache(tbl, nil)
 	for _, node := range m.Lattice().AllNodes() {
 		g, err := m.Apply(tbl, node)
 		if err != nil {
@@ -72,12 +72,11 @@ func TestCacheMaskMatchesMasker(t *testing.T) {
 }
 
 // TestCacheConcurrent hammers one cache from many goroutines; run with
-// -race. Every goroutine must observe identical column pointers (each
-// entry computed exactly once).
+// -race. Every goroutine must build a column with identical values.
 func TestCacheConcurrent(t *testing.T) {
 	tbl := figure3Table(t)
 	m := figure3Masker(t)
-	c := m.NewCache(tbl)
+	c := m.NewCache(tbl, nil)
 	nodes := m.Lattice().AllNodes()
 	var wg sync.WaitGroup
 	cols := make([]table.Column, 8)
@@ -101,8 +100,10 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < 8; i++ {
-		if cols[i] != cols[0] {
-			t.Fatalf("goroutine %d saw a different cached column", i)
+		for r := 0; r < tbl.NumRows(); r++ {
+			if got, want := cols[i].Value(r).Str(), cols[0].Value(r).Str(); got != want {
+				t.Fatalf("goroutine %d row %d: column holds %q, goroutine 0's %q", i, r, got, want)
+			}
 		}
 	}
 }
@@ -151,7 +152,7 @@ func TestSuppressWithin(t *testing.T) {
 func TestLevelMap(t *testing.T) {
 	tbl := figure3Table(t)
 	m := figure3Masker(t)
-	c := m.NewCache(tbl)
+	c := m.NewCache(tbl, nil)
 	dims := m.Lattice().Dims()
 	for qi, attr := range m.QuasiIdentifiers() {
 		maxLevel := dims[qi] - 1
@@ -167,11 +168,11 @@ func TestLevelMap(t *testing.T) {
 					}
 					continue
 				}
-				fromCol, err := levelColumn(c, attr, from)
+				fromCol, err := levelColumn(c, tbl, attr, from)
 				if err != nil {
 					t.Fatal(err)
 				}
-				toCol, err := levelColumn(c, attr, to)
+				toCol, err := levelColumn(c, tbl, attr, to)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,11 +197,11 @@ func TestLevelMap(t *testing.T) {
 	}
 }
 
-// levelColumn returns attr generalized to level through the cache,
-// where level 0 is the source column itself.
-func levelColumn(c *Cache, attr string, level int) (table.Column, error) {
+// levelColumn returns attr generalized to level through the cache over
+// src, where level 0 is the source column itself.
+func levelColumn(c *Cache, src *table.Table, attr string, level int) (table.Column, error) {
 	if level == 0 {
-		return c.Source().Column(attr)
+		return src.Column(attr)
 	}
 	return c.Column(attr, level)
 }
@@ -211,7 +212,7 @@ func levelColumn(c *Cache, attr string, level int) (table.Column, error) {
 func TestLevelMapConcurrent(t *testing.T) {
 	tbl := figure3Table(t)
 	m := figure3Masker(t)
-	c := m.NewCache(tbl)
+	c := m.NewCache(tbl, nil)
 	var wg sync.WaitGroup
 	maps := make([]*table.CodeMap, 8)
 	for i := 0; i < 8; i++ {
@@ -240,23 +241,24 @@ func TestLevelMapConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheTelemetryBytes: the built bytes the cache reports to its
-// recorder are what it counts against the memory budget, walks
-// included: level maps alone build walks but no column.
+// TestCacheTelemetryBytes: the built bytes the cache reports to the
+// recorder it was built with are what it counts against the memory
+// budget: the walks. A level map builds walks; a column reads one and
+// adds nothing.
 func TestCacheTelemetryBytes(t *testing.T) {
-	c := figure3Masker(t).NewCache(figure3Table(t))
 	rec := obs.NewRecorder()
-	c.Observe(rec)
+	c := figure3Masker(t).NewCache(figure3Table(t), rec)
 	if _, err := c.LevelMap("ZipCode", 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Snapshot().Cache; got.Misses != 0 || got.Bytes == 0 || got.Bytes != c.Bytes() {
-		t.Fatalf("after a level map: telemetry %+v, cache holds %d bytes", got, c.Bytes())
+	walks := c.Bytes()
+	if got := rec.Snapshot().Cache; got.Bytes == 0 || got.Bytes != walks {
+		t.Fatalf("after a level map: telemetry %+v, cache holds %d bytes", got, walks)
 	}
 	if _, err := c.Column("ZipCode", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Snapshot().Cache; got.Misses != 1 || got.Bytes != c.Bytes() {
-		t.Fatalf("after a column: telemetry %+v, cache holds %d bytes", got, c.Bytes())
+	if got := rec.Snapshot().Cache; got.Bytes != walks || c.Bytes() != walks {
+		t.Fatalf("after a column: telemetry %+v, cache holds %d bytes, want %d", got, c.Bytes(), walks)
 	}
 }

@@ -159,11 +159,11 @@ func checkLevelMaps(t *testing.T, tbl *table.Table, h hierarchy.Hierarchy, gathe
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, ref := m.NewCache(tbl), m.NewCache(tbl)
+	derived, ref := m.NewCache(tbl, nil), m.NewCache(tbl, nil)
 	cols := make([]table.Column, h.Height()+1)
 	colErrs := make([]error, h.Height()+1)
 	for level := range cols {
-		cols[level], colErrs[level] = levelColumn(ref, "Q", level)
+		cols[level], colErrs[level] = levelColumn(ref, tbl, "Q", level)
 		applied, err := m.Apply(tbl, lattice.Node{level})
 		if (err == nil) != (colErrs[level] == nil) {
 			t.Fatalf("%T level %d: column error %v, Masker.Apply error %v", h, level, colErrs[level], err)

@@ -54,6 +54,10 @@ func (m *Masker) Lattice() *lattice.Lattice { return m.lat }
 // by the lattice node: column i is mapped through its hierarchy at level
 // node[i]. Non-QI columns (in particular all confidential attributes)
 // are untouched, which is what makes Theorems 1 and 2 of the paper hold.
+//
+// Apply calls the hierarchy once per row. Cache.Apply gives the same
+// table with one call per distinct value, and the library's own paths
+// use it; Apply stays as the reference it is tested against.
 func (m *Masker) Apply(t *table.Table, node lattice.Node) (*table.Table, error) {
 	if !m.lat.Contains(node) {
 		return nil, fmt.Errorf("generalize: node %v outside lattice with dims %v", node, m.lat.Dims())

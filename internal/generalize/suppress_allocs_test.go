@@ -50,7 +50,7 @@ func TestSuppressAllocsIndependentOfRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := m.NewCache(tbl).Apply(lattice.Node{1, 0})
+		g, err := m.NewCache(tbl, nil).Apply(lattice.Node{1, 0})
 		if err != nil {
 			t.Fatal(err)
 		}

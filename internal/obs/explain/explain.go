@@ -2,11 +2,11 @@
 // JSONL node trace and the final metrics Report — into an audit: per
 // lattice level, why nodes were dismissed (necessary-condition 1,
 // necessary-condition 2, over the suppression budget) versus scanned in
-// detail; how the node budget was consumed over time; and how well the
-// column cache and roll-up store amortized work. The audit reconciles
-// exactly against the Report's node counters, so a mismatch (a trace
-// truncated mid-run, events from a different search) is an error, not a
-// silently wrong table.
+// detail; how the node budget was consumed over time; and how much the
+// generalization cache built and the roll-up store saved. The audit
+// reconciles exactly against the Report's node counters, so a mismatch
+// (a trace truncated mid-run, events from a different search) is an
+// error, not a silently wrong table.
 package explain
 
 import (
@@ -250,16 +250,16 @@ func (a *Audit) WriteText(w io.Writer) error {
 
 	if r := a.Report; r != nil {
 		fmt.Fprintln(w, "\nefficiency (from metrics report):")
-		fmt.Fprintf(w, "  column cache: %.1f%% hit rate (%d hits / %d misses), ~%d KiB built\n",
-			100*r.Cache.HitRate(), r.Cache.Hits, r.Cache.Misses, r.Cache.Bytes/1024)
+		fmt.Fprintf(w, "  hierarchy walks: ~%d KiB built; level maps: %d hits, %d misses\n",
+			r.Cache.Bytes/1024, r.Cache.MapHits, r.Cache.MapMisses)
 		ru := r.Rollup
 		if tot := ru.Merges + ru.Reuses + ru.RowScans; tot > 0 {
 			fmt.Fprintf(w, "  rollup store: %.1f%% scans avoided (%d merges, %d reuses, %d row scans)\n",
 				100*float64(ru.Merges+ru.Reuses)/float64(tot), ru.Merges, ru.Reuses, ru.RowScans)
 		}
-		if fr := r.Frontier; fr.Scored > 0 || fr.CutSkipped > 0 {
-			fmt.Fprintf(w, "  frontier: %d scored, %d members, %d dominated, %d cut-skipped\n",
-				fr.Scored, fr.Members, fr.Dominated, fr.CutSkipped)
+		if fr := r.Frontier; fr.Scored > 0 {
+			fmt.Fprintf(w, "  frontier: %d scored, %d members, %d dominated\n",
+				fr.Scored, fr.Members, fr.Dominated)
 		}
 		if r.BudgetStops > 0 {
 			fmt.Fprintf(w, "  budget stops: %d (search ended early)\n", r.BudgetStops)

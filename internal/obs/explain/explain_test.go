@@ -156,7 +156,7 @@ func TestAuditDownsample(t *testing.T) {
 // timeline and the efficiency block, and String must match it.
 func TestWriteText(t *testing.T) {
 	rep := testReport()
-	rep.Cache = obs.CacheStats{Hits: 3, Misses: 1, Bytes: 4096}
+	rep.Cache = obs.CacheStats{Bytes: 4096, MapHits: 3, MapMisses: 1}
 	rep.Rollup = obs.RollupStats{Merges: 2, Reuses: 1, RowScans: 1}
 	a, err := FromReader(trace(t, testEvents()), rep)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestWriteText(t *testing.T) {
 		"5 trace events (schema v2)",
 		"prune attribution by lattice level:",
 		"budget consumption timeline:",
-		"75.0% hit rate",
+		"hierarchy walks: ~4 KiB built; level maps: 3 hits, 1 misses",
 		"75.0% scans avoided",
 		"total",
 	} {

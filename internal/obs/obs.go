@@ -152,8 +152,8 @@ type Recorder struct {
 	phaseSelfNs [numPhases]atomic.Int64
 	phaseCount  [numPhases]atomic.Int64
 
-	colHits, colMisses, colBytes atomic.Int64
-	mapHits, mapMisses           atomic.Int64
+	walkBytes          atomic.Int64
+	mapHits, mapMisses atomic.Int64
 
 	rollupMerges, rollupReuses, rollupScans atomic.Int64
 
@@ -165,8 +165,7 @@ type Recorder struct {
 
 	groupsRecheck, repairAscents, coldFallbacks atomic.Int64
 
-	frontierScored, frontierMembers     atomic.Int64
-	frontierDominated, frontierCutSkips atomic.Int64
+	frontierScored, frontierMembers, frontierDominated atomic.Int64
 
 	// Progress gauges: the live-observability view (obs.Server's
 	// /progress endpoint) reads these while a search is in flight.
@@ -263,30 +262,15 @@ func (r *Recorder) SetPoolSize(n int) {
 	}
 }
 
-// CacheColumn records one generalized-column cache access: a hit
-// (entry already present) or a miss, with the freshly built column's
-// estimated size in bytes (0 on hits).
-func (r *Recorder) CacheColumn(hit bool, bytes int64) {
-	if r == nil {
-		return
-	}
-	if hit {
-		r.colHits.Add(1)
-		return
-	}
-	r.colMisses.Add(1)
-	r.colBytes.Add(bytes)
-}
-
 // CacheWalk records the estimated size in bytes of a freshly built
 // hierarchy walk, the per-distinct-value table level maps and columns
-// are read off. It counts toward the built bytes but not as a column
-// access.
+// are read off: what the generalization cache holds and its memory
+// budget counts.
 func (r *Recorder) CacheWalk(bytes int64) {
 	if r == nil {
 		return
 	}
-	r.colBytes.Add(bytes)
+	r.walkBytes.Add(bytes)
 }
 
 // CacheLevelMap records one level-map cache access (the code
@@ -395,15 +379,6 @@ func (r *Recorder) FrontierScored() {
 	r.frontierScored.Add(1)
 }
 
-// FrontierCutSkip records one lattice node the frontier scan skipped
-// because it lies in the dominated up-set of an already-scored node.
-func (r *Recorder) FrontierCutSkip() {
-	if r == nil {
-		return
-	}
-	r.frontierCutSkips.Add(1)
-}
-
 // FrontierReduced records one dominance reduction: scored entries in,
 // kept frontier members out.
 func (r *Recorder) FrontierReduced(scored, kept int64) {
@@ -498,8 +473,8 @@ func (r *Recorder) NoteDeadline(t time.Time) {
 	r.deadlineUnixNs.Store(t.UnixNano())
 }
 
-// NoteMem publishes the generalized-column cache's estimated bytes
-// against its budget (budget 0 = unlimited).
+// NoteMem publishes the estimated bytes of the search's hierarchy
+// walks against its budget (budget 0 = unlimited).
 func (r *Recorder) NoteMem(used, budget int64) {
 	if r == nil {
 		return

@@ -19,8 +19,8 @@ import (
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	// Adding a method to *Recorder must add its call below.
-	if n := reflect.TypeOf(r).NumMethod(); n != 30 {
-		t.Fatalf("*Recorder has %d exported methods, the calls below cover 30", n)
+	if n := reflect.TypeOf(r).NumMethod(); n != 28 {
+		t.Fatalf("*Recorder has %d exported methods, the calls below cover 28", n)
 	}
 	calls := func() {
 		t0 := r.Start()
@@ -29,8 +29,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		r.NodeEvaluated(VerdictSatisfied, time.Millisecond)
 		r.WorkerBusy(3, time.Millisecond)
 		r.SetPoolSize(8)
-		r.CacheColumn(true, 0)
-		r.CacheColumn(false, 100)
 		r.CacheWalk(100)
 		r.CacheLevelMap(true)
 		r.RollupMerge()
@@ -43,7 +41,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		r.RepairAscent()
 		r.ColdFallback()
 		r.FrontierScored()
-		r.FrontierCutSkip()
 		r.FrontierReduced(6, 2)
 		root := r.StartSpan(PhaseSearch, nil)
 		child := r.StartSpan(PhaseRollup, &root)
@@ -81,10 +78,8 @@ func TestRecorderCounters(t *testing.T) {
 	r.NodeEvaluated(VerdictViolated, 10*time.Microsecond)
 	r.NodeEvaluated(VerdictPrunedCondition2, time.Microsecond)
 	r.NodeEvaluated(VerdictOverBudget, time.Microsecond)
-	r.CacheColumn(false, 4096)
-	r.CacheColumn(true, 0)
-	r.CacheColumn(true, 0)
-	r.CacheWalk(512) // bytes only, no column access
+	r.CacheWalk(4096)
+	r.CacheWalk(512)
 	r.CacheLevelMap(false)
 	r.CacheLevelMap(true)
 	r.RollupMerge()
@@ -107,7 +102,7 @@ func TestRecorderCounters(t *testing.T) {
 	if got := rep.Nodes.PruneRate(); got != 0.5 {
 		t.Fatalf("prune rate = %v, want 0.5", got)
 	}
-	if rep.Cache.Hits != 2 || rep.Cache.Misses != 1 || rep.Cache.Bytes != 4096+512 {
+	if rep.Cache.Hits != 0 || rep.Cache.Misses != 0 || rep.Cache.Bytes != 4096+512 {
 		t.Fatalf("cache = %+v", rep.Cache)
 	}
 	if rep.Cache.MapHits != 1 || rep.Cache.MapMisses != 1 {
@@ -152,7 +147,7 @@ func TestRecorderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.NodeEvaluated(Verdict(i%int(numVerdicts)), time.Duration(i)*time.Microsecond)
-				r.CacheColumn(i%2 == 0, 8)
+				r.CacheLevelMap(i%2 == 0)
 				r.RollupMerge()
 				r.AddSuppressedRows(1)
 				r.WorkerBusy(w, time.Microsecond)
@@ -168,8 +163,8 @@ func TestRecorderConcurrency(t *testing.T) {
 	if rep.Rollup.Merges != workers*per || rep.SuppressedRows != workers*per {
 		t.Fatalf("merges/suppressed = %d/%d", rep.Rollup.Merges, rep.SuppressedRows)
 	}
-	if got := rep.Cache.Hits + rep.Cache.Misses; got != workers*per {
-		t.Fatalf("cache accesses = %d", got)
+	if got := rep.Cache.MapHits + rep.Cache.MapMisses; got != workers*per {
+		t.Fatalf("level-map accesses = %d", got)
 	}
 	if rep.Policies[0].Count != workers*per {
 		t.Fatalf("policy evals = %d", rep.Policies[0].Count)

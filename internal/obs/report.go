@@ -17,7 +17,7 @@ type Report struct {
 	NodeLatency HistSnapshot `json:"node_latency"`
 	// Phases is the per-phase wall-time table, in pipeline order.
 	Phases []PhaseStat `json:"phases"`
-	// Cache summarizes the generalized-column cache.
+	// Cache summarizes the search's generalization cache.
 	Cache CacheStats `json:"cache"`
 	// Rollup summarizes the group-statistics roll-up store.
 	Rollup RollupStats `json:"rollup"`
@@ -65,7 +65,8 @@ type FrontierStats struct {
 	Members int64 `json:"members"`
 	// Dominated: scored entries the reduction eliminated.
 	Dominated int64 `json:"dominated"`
-	// CutSkipped: nodes skipped as members of a dominated up-set.
+	// CutSkipped reads 0: the scan skips no node. It stays a field
+	// because the end-to-end benchmark reads it.
 	CutSkipped int64 `json:"cut_skipped"`
 }
 
@@ -101,24 +102,17 @@ type PhaseStat struct {
 	SelfNs  int64  `json:"self_ns"`
 }
 
-// CacheStats summarizes the generalized-column cache: column accesses
-// (Hits/Misses), the estimated memory of the hierarchy walks and
-// columns it built (Bytes, what the cache's memory budget counts) and
-// level-map accesses.
+// CacheStats summarizes the search's generalization cache: the
+// estimated memory of the hierarchy walks it built (Bytes, what the
+// cache's memory budget counts) and level-map accesses. Hits and Misses
+// read 0: the cache keeps no columns to hit. They stay fields because
+// the end-to-end benchmark reads them.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Bytes     int64 `json:"bytes"`
 	MapHits   int64 `json:"map_hits"`
 	MapMisses int64 `json:"map_misses"`
-}
-
-// HitRate is the column hit fraction (0 when the cache was untouched).
-func (c CacheStats) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
 }
 
 // RollupStats summarizes how node statistics were obtained.
@@ -175,8 +169,7 @@ func (r *Recorder) Snapshot() *Report {
 		}
 	}
 	rep.Cache = CacheStats{
-		Hits: r.colHits.Load(), Misses: r.colMisses.Load(), Bytes: r.colBytes.Load(),
-		MapHits: r.mapHits.Load(), MapMisses: r.mapMisses.Load(),
+		Bytes: r.walkBytes.Load(), MapHits: r.mapHits.Load(), MapMisses: r.mapMisses.Load(),
 	}
 	rep.Rollup = RollupStats{
 		Merges: r.rollupMerges.Load(), Reuses: r.rollupReuses.Load(), RowScans: r.rollupScans.Load(),
@@ -202,10 +195,9 @@ func (r *Recorder) Snapshot() *Report {
 		ColdFallbacks: r.coldFallbacks.Load(),
 	}
 	rep.Frontier = FrontierStats{
-		Scored:     r.frontierScored.Load(),
-		Members:    r.frontierMembers.Load(),
-		Dominated:  r.frontierDominated.Load(),
-		CutSkipped: r.frontierCutSkips.Load(),
+		Scored:    r.frontierScored.Load(),
+		Members:   r.frontierMembers.Load(),
+		Dominated: r.frontierDominated.Load(),
 	}
 	return rep
 }
@@ -217,7 +209,7 @@ func (r *Recorder) Snapshot() *Report {
 // suppressed rows, row scans, and policy/suppress evaluation counts.
 // The telemetry determinism tests pin serial == parallel on exactly
 // this view; latencies, worker tables, and counters whose attribution
-// depends on completion order (cache hit split, rollup merge sources)
+// depends on completion order (level-map hit split, rollup merge sources)
 // are deliberately excluded.
 func (r *Report) DeterministicCounters() map[string]int64 {
 	out := map[string]int64{
@@ -236,7 +228,6 @@ func (r *Report) DeterministicCounters() map[string]int64 {
 		"frontier.scored":            r.Frontier.Scored,
 		"frontier.members":           r.Frontier.Members,
 		"frontier.dominated":         r.Frontier.Dominated,
-		"frontier.cut_skipped":       r.Frontier.CutSkipped,
 	}
 	for _, p := range r.Phases {
 		if p.Phase == PhaseSuppress.String() || p.Phase == PhasePolicy.String() {
@@ -341,8 +332,8 @@ func (r *Report) String() string {
 		}
 	}
 	c := r.Cache
-	fmt.Fprintf(&b, "column cache: %d hits, %d misses (%.1f%% hit rate), ~%d KiB built; level maps: %d hits, %d misses\n",
-		c.Hits, c.Misses, 100*c.HitRate(), c.Bytes/1024, c.MapHits, c.MapMisses)
+	fmt.Fprintf(&b, "hierarchy walks: ~%d KiB built; level maps: %d hits, %d misses\n",
+		c.Bytes/1024, c.MapHits, c.MapMisses)
 	fmt.Fprintf(&b, "rollup store: %d merges, %d reuses, %d row scans\n",
 		r.Rollup.Merges, r.Rollup.Reuses, r.Rollup.RowScans)
 	if r.BudgetStops > 0 || r.PanicsRecovered > 0 {
@@ -353,9 +344,9 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "incremental: %d groups rechecked, %d repair ascents, %d cold fallbacks\n",
 			inc.GroupsRecheck, inc.RepairAscents, inc.ColdFallbacks)
 	}
-	if fr := r.Frontier; fr.Scored > 0 || fr.CutSkipped > 0 {
-		fmt.Fprintf(&b, "frontier: %d scored, %d members, %d dominated, %d cut-skipped\n",
-			fr.Scored, fr.Members, fr.Dominated, fr.CutSkipped)
+	if fr := r.Frontier; fr.Scored > 0 {
+		fmt.Fprintf(&b, "frontier: %d scored, %d members, %d dominated\n",
+			fr.Scored, fr.Members, fr.Dominated)
 	}
 	if len(r.Policies) > 0 {
 		b.WriteString("policies:\n")

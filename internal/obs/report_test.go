@@ -63,8 +63,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	rec.PhaseEnd(PhaseGroupBy, start)
 	sp := rec.StartSpan(PhaseSearch, nil)
 	sp.End()
-	rec.CacheColumn(true, 0)
-	rec.CacheColumn(false, 2048)
+	rec.CacheWalk(2048)
 	rec.CacheLevelMap(true)
 	rec.RollupMerge()
 	rec.RollupReuse()

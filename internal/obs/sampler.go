@@ -6,8 +6,8 @@ import (
 )
 
 // Sample is one timestamped snapshot of Recorder deltas: the rates a
-// live dashboard wants (nodes/sec, cache hit ratio, roll-up reuse) plus
-// the gauges that bound them (cache bytes, memory-budget headroom).
+// live dashboard wants (nodes/sec, roll-up reuse) plus the gauges that
+// bound them (cache bytes, memory-budget headroom).
 // Rates are computed over the interval since the previous sample, so a
 // flat-lining NodesPerSec during a long run is visible immediately
 // instead of being averaged away by cumulative counters.
@@ -18,14 +18,11 @@ type Sample struct {
 	Nodes int64 `json:"nodes"`
 	// NodesPerSec is the evaluation rate over the sampling interval.
 	NodesPerSec float64 `json:"nodes_per_sec"`
-	// CacheHitRate is the generalized-column cache hit fraction over the
-	// interval (0 when the cache was untouched).
-	CacheHitRate float64 `json:"cache_hit_rate"`
 	// RollupReuseRate is the fraction of interval stats lookups served
 	// without a row scan (merges + reuses over all three sources).
 	RollupReuseRate float64 `json:"rollup_reuse_rate"`
 	// CacheBytes is the cumulative estimated bytes of built hierarchy
-	// walks and columns.
+	// walks.
 	CacheBytes int64 `json:"cache_bytes"`
 	// MemUsedBytes / MemBudgetBytes mirror the cache-memory budget
 	// gauges; MemHeadroom is 1 - used/budget (1 when unbudgeted).
@@ -38,12 +35,11 @@ type Sample struct {
 
 // samplerView is the cumulative counter set a rate is computed from.
 type samplerView struct {
-	atNs                      int64
-	nodes                     int64
-	colHits, colMisses        int64
-	merges, reuses, scans     int64
-	colBytes, memUsed, memMax int64
-	suppressed                int64
+	atNs                       int64
+	nodes                      int64
+	merges, reuses, scans      int64
+	walkBytes, memUsed, memMax int64
+	suppressed                 int64
 }
 
 // Sampler periodically snapshots a Recorder into a fixed-size ring
@@ -135,12 +131,10 @@ func (s *Sampler) Poll() {
 	r := s.rec
 	cur := samplerView{
 		atNs:       time.Since(s.epoch).Nanoseconds(),
-		colHits:    r.colHits.Load(),
-		colMisses:  r.colMisses.Load(),
 		merges:     r.rollupMerges.Load(),
 		reuses:     r.rollupReuses.Load(),
 		scans:      r.rollupScans.Load(),
-		colBytes:   r.colBytes.Load(),
+		walkBytes:  r.walkBytes.Load(),
 		memUsed:    r.memUsed.Load(),
 		memMax:     r.memBudget.Load(),
 		suppressed: r.suppressedRows.Load(),
@@ -157,7 +151,7 @@ func (s *Sampler) Poll() {
 	smp := Sample{
 		AtNs:           cur.atNs,
 		Nodes:          cur.nodes,
-		CacheBytes:     cur.colBytes,
+		CacheBytes:     cur.walkBytes,
 		MemUsedBytes:   cur.memUsed,
 		MemBudgetBytes: cur.memMax,
 		MemHeadroom:    1,
@@ -165,9 +159,6 @@ func (s *Sampler) Poll() {
 	}
 	if dt := cur.atNs - prev.atNs; dt > 0 {
 		smp.NodesPerSec = float64(cur.nodes-prev.nodes) / (float64(dt) / 1e9)
-	}
-	if acc := (cur.colHits - prev.colHits) + (cur.colMisses - prev.colMisses); acc > 0 {
-		smp.CacheHitRate = float64(cur.colHits-prev.colHits) / float64(acc)
 	}
 	warm := (cur.merges - prev.merges) + (cur.reuses - prev.reuses)
 	if tot := warm + (cur.scans - prev.scans); tot > 0 {

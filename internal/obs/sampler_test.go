@@ -66,31 +66,26 @@ func TestSamplerIntervalDeltas(t *testing.T) {
 	rec := NewRecorder()
 	s := NewSampler(rec, time.Second, 8)
 
-	rec.CacheColumn(true, 0)
-	rec.CacheColumn(false, 100)
-	s.Poll() // interval 1: 1 hit / 2 accesses
+	rec.RollupMerge()
+	rec.RollupRowScan()
+	s.Poll() // interval 1: 1 merge / 2 lookups
 
-	rec.CacheColumn(true, 0)
-	rec.CacheColumn(true, 0)
-	rec.CacheColumn(true, 0)
-	rec.CacheColumn(false, 100)
+	rec.RollupMerge()
+	rec.RollupReuse()
 	rec.RollupMerge()
 	rec.RollupRowScan()
 	rec.NoteMem(50, 200)
-	s.Poll() // interval 2: 3 hits / 4 accesses, 1 merge / 2 lookups
+	s.Poll() // interval 2: 2 merges + 1 reuse / 4 lookups
 
 	got := s.Samples()
 	if len(got) != 2 {
 		t.Fatalf("samples = %d", len(got))
 	}
-	if got[0].CacheHitRate != 0.5 {
-		t.Fatalf("interval-1 hit rate = %v, want 0.5", got[0].CacheHitRate)
+	if got[0].RollupReuseRate != 0.5 {
+		t.Fatalf("interval-1 rollup reuse = %v, want 0.5", got[0].RollupReuseRate)
 	}
-	if got[1].CacheHitRate != 0.75 {
-		t.Fatalf("interval-2 hit rate = %v, want 0.75 (delta, not cumulative)", got[1].CacheHitRate)
-	}
-	if got[1].RollupReuseRate != 0.5 {
-		t.Fatalf("interval-2 rollup reuse = %v, want 0.5", got[1].RollupReuseRate)
+	if got[1].RollupReuseRate != 0.75 {
+		t.Fatalf("interval-2 rollup reuse = %v, want 0.75 (delta, not cumulative)", got[1].RollupReuseRate)
 	}
 	if got[0].MemHeadroom != 1 {
 		t.Fatalf("unbudgeted headroom = %v, want 1", got[0].MemHeadroom)

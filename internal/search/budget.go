@@ -24,13 +24,12 @@ type Budget struct {
 	// node-budget-stopped search returns byte-identical results at every
 	// worker count. Zero means unlimited.
 	MaxNodes int64
-	// MaxCacheBytes caps the estimated memory held by the
-	// generalized-column cache. Checked between node evaluations; the
-	// search stops before evaluating the next node once the cache
-	// exceeds the cap. During the walk the cache holds the hierarchy
-	// walks its level maps read (table.Remap.MemBytes); the release's
-	// columns are built after the walk's last check and are not gated.
-	// Zero means unlimited.
+	// MaxCacheBytes caps the estimated memory of the hierarchy walks
+	// the search's generalization cache builds (table.Remap.MemBytes),
+	// the per-value tables its level maps are read off. Checked between
+	// node evaluations; the search stops before evaluating the next node
+	// once the walks exceed the cap. The cache is the search's own, so
+	// no other search's walks count. Zero means unlimited.
 	MaxCacheBytes int64
 }
 
@@ -54,10 +53,9 @@ const (
 	StopDeadline
 	// StopNodeBudget: the Budget.MaxNodes allowance was consumed.
 	StopNodeBudget
-	// StopMemBudget: the generalized-column cache grew past
-	// Budget.MaxCacheBytes during the walk, counting the hierarchy
-	// walks level maps read; the release built after the walk is not
-	// gated.
+	// StopMemBudget: the hierarchy walks of the search's
+	// generalization cache grew past Budget.MaxCacheBytes during the
+	// walk.
 	StopMemBudget
 	// StopCancelled: Config.Context was cancelled (or hit its own
 	// deadline).

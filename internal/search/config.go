@@ -63,17 +63,6 @@ type Config struct {
 	// found nodes, the released table and stats are identical at every
 	// worker count. DefaultWorkers() returns the GOMAXPROCS-sized pool.
 	Workers int
-	// Cache, when non-nil, is a pre-built generalized-column cache the
-	// search reuses instead of building its own — the sharing hook for
-	// services that run many concurrent searches over one dataset
-	// (cmd/pskserve keeps one cache per (dataset, hierarchy) pair, so a
-	// tenant's search finds the columns earlier tenants already
-	// generalized). The cache must have been built by a Masker over the
-	// same hierarchies as this config. Every strategy uses it, Incognito's
-	// subset passes included; it is ignored when its Source is not the
-	// searched table (an incremental session searches its own copy of
-	// the rows, so it always builds a private cache).
-	Cache *generalize.Cache
 	// Recorder, when non-nil, collects telemetry for the search: per-node
 	// verdicts and latencies, phase wall times, cache and roll-up
 	// counters, per-policy evaluation stats and worker utilization. Run

@@ -27,7 +27,7 @@ import (
 // hierarchies are read-only, the necessary-condition bounds were hoisted
 // out of the loop once per search (Theorems 1-2 make them valid for
 // every derived masking, so workers share them without locks), and the
-// generalized-column cache synchronizes internally with per-entry
+// search's generalization cache synchronizes internally with per-entry
 // sync.Once. Each node evaluation accumulates its own Stats delta;
 // merging happens single-threaded at reduction time.
 type evaluator struct {
@@ -47,7 +47,7 @@ type evaluator struct {
 	// statistics so ancestor nodes are checked by merging groups
 	// (rollup.go) instead of re-scanning rows. It is per-search state:
 	// Incognito's subset searches each get their own store (their nodes
-	// index different QI subsets) while sharing one column cache.
+	// index different QI subsets) while sharing the search's cache.
 	rollups *rollupStore
 	// rec and tracer are the telemetry sinks (Config.Recorder/Tracer);
 	// both are nil-safe, so the hot path calls them unguarded and the
@@ -62,27 +62,20 @@ type evaluator struct {
 	lim *limiter
 }
 
-// newEvaluator builds the engine for one search. m's quasi-identifiers
-// must match cfg.QIs (Incognito passes subset maskers with a matching
-// subset config). cache may be shared across evaluators of the same
-// source table; pass nil to build a fresh one. The evaluator computes
-// statistics at once but judges nodes only after bind.
-func newEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config) *evaluator {
-	return newLimitedEvaluator(im, m, cache, cfg, cfg.newLimiter())
+// newEvaluator builds the engine for one search, with the search's own
+// generalization cache and limiter. The evaluator computes statistics
+// at once but judges nodes only after bind.
+func newEvaluator(im *table.Table, m *generalize.Masker, cfg Config) *evaluator {
+	return newLimitedEvaluator(im, m, m.NewCache(im, cfg.Recorder), cfg, cfg.newLimiter())
 }
 
-// newLimitedEvaluator is newEvaluator with an explicit limiter, for
-// strategies that build several evaluators per call and need them to
-// draw on one shared budget (Incognito's subset passes).
+// newLimitedEvaluator is newEvaluator with an explicit cache and
+// limiter, for searches that build several evaluators and need them to
+// share one cache and draw on one budget (Incognito's subset passes),
+// or that search a table of their own (the incremental repair). m's
+// quasi-identifiers must match cfg.QIs; the cache must be built over
+// im with the hierarchies cfg names.
 func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, lim *limiter) *evaluator {
-	if cache == nil {
-		if cfg.Cache != nil && cfg.Cache.Source() == im {
-			cache = cfg.Cache
-		} else {
-			cache = m.NewCache(im)
-		}
-	}
-	cache.Observe(cfg.Recorder)
 	lim.attachMem(cache.Bytes)
 	return &evaluator{
 		im: im, m: m, cache: cache, qis: cfg.QIs, cfg: cfg,
@@ -193,7 +186,7 @@ func (e *evaluator) verdict(res core.Result, o *outcome) bool {
 }
 
 // materialize builds the masked table of a node the statistics proved
-// satisfying: generalize from the column cache, then suppress the
+// satisfying: generalize through the cache's walks, then suppress the
 // sub-k groups. The suppression pass checks the rows against pre, the
 // node's pre-suppression statistics the verdict was drawn from, group
 // for group, and the tuples it suppresses against pre's sub-k count:

@@ -130,58 +130,26 @@ func (f *FrontierEntry) objective(o Objective) float64 {
 // statistics, and returns the dominance-reduced frontier. The walk runs
 // on the strategy's evaluator, sharing its roll-up store, cache and
 // limiter: nodes the search already evaluated re-verdict from memoized
-// statistics, and the whole strategy call still spends one budget.
-//
-// monotone marks strategies licensed to assume the paper's
-// generalization monotonicity (Samarati, AllMinimal, Incognito). For
-// those, the up-set of a node that satisfied with zero suppression is
-// cut: climbing from such a node merges groups, which can only keep
-// suppression at zero and weakly worsen every loss axis — so every
-// ancestor is dominated by (or exactly ties, and ties lose to) the node
-// itself. The one axis merging can improve is the margin; when ObjMargin
-// is in play the cut therefore additionally requires the node to
-// already be a single group, which pins the margin at its maximum.
-func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss.Baseline, stats *Stats) ([]FrontierEntry, error) {
+// statistics, and the whole strategy call still spends one budget. It
+// scores every satisfying node under every strategy, so a ranked
+// frontier does not depend on the strategy that ran.
+func (e *evaluator) frontierScan(lat *lattice.Lattice, base *loss.Baseline, stats *Stats) ([]FrontierEntry, error) {
 	fc := e.cfg.Frontier
 	objs := fc.Objectives
 	if len(objs) == 0 {
 		objs = DefaultObjectives()
 	}
-	hasMargin := false
-	for _, o := range objs {
-		if o >= numObjectives {
-			return nil, fmt.Errorf("search: unknown frontier objective %d", uint8(o))
-		}
-		if o == ObjMargin {
-			hasMargin = true
-		}
-	}
 
 	rows := e.im.NumRows()
 	var entries []FrontierEntry
-	cut := make(map[string]bool) // dominated up-set, never scored
 	for h := 0; h <= lat.Height(); h++ {
 		nodes := lat.NodesAtHeight(h)
-		var candidates []lattice.Node
-		candIdx := make([]int, len(nodes))
-		for i, node := range nodes {
-			if cut[node.Key()] {
-				candIdx[i] = -1
-				e.rec.FrontierCutSkip()
-				continue
-			}
-			candIdx[i] = len(candidates)
-			candidates = append(candidates, node)
-		}
-		outs, err := e.evalAll(candidates, stats)
+		outs, err := e.evalAll(nodes, stats)
 		if err != nil {
 			return nil, err
 		}
 		for i, node := range nodes {
-			if candIdx[i] < 0 {
-				continue
-			}
-			o := outs[candIdx[i]]
+			o := outs[i]
 			if !o.ok {
 				continue
 			}
@@ -198,9 +166,6 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss
 				Suppressed: o.suppressed,
 			})
 			e.rec.FrontierScored()
-			if monotone && o.suppressed == 0 && (!hasMargin || o.post.NumGroups() == 1) {
-				tagUp(lat, node, cut)
-			}
 		}
 		if e.lim.tripped() {
 			// Levels below completed in full; the reduced set over them is
@@ -220,13 +185,13 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, base *loss
 // search's root span (may be nil or disabled): the scan runs under a
 // nested frontier-scan span, so the report's phase table attributes the
 // pass's wall time to the frontier, not to the search's self time.
-func attachFrontier(e *evaluator, lat *lattice.Lattice, monotone bool, base *loss.Baseline, stats *Stats, dst *[]FrontierEntry, parent *obs.Span) error {
+func attachFrontier(e *evaluator, lat *lattice.Lattice, base *loss.Baseline, stats *Stats, dst *[]FrontierEntry, parent *obs.Span) error {
 	if !e.cfg.Frontier.Enabled {
 		return nil
 	}
 	sp := e.rec.StartSpan(obs.PhaseFrontier, parent)
 	defer sp.End()
-	fr, err := e.frontierScan(lat, monotone, base, stats)
+	fr, err := e.frontierScan(lat, base, stats)
 	if err != nil {
 		return err
 	}

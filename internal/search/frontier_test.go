@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -217,11 +218,8 @@ func TestFrontierProperties(t *testing.T) {
 		if !reflect.DeepEqual(fr, fr4) {
 			t.Errorf("%s: serial and 4-worker frontiers differ", s.name)
 		}
-		// Every strategy reduces the same satisfying set: the up-set cut
-		// removes only beaten entries (each cut node is beaten by its cut
-		// root, and beats is transitive), so the rank-0 frontier is
-		// identical whether the scan cut (Samarati/AllMinimal/Incognito)
-		// or scored everything (Exhaustive/BottomUp).
+		// Every strategy's scan scores the same satisfying set, so the
+		// frontier is identical whichever strategy ran.
 		if reference == nil {
 			reference = fr
 		} else if !reflect.DeepEqual(reference, fr) {
@@ -230,9 +228,48 @@ func TestFrontierProperties(t *testing.T) {
 	}
 }
 
+// TestRankedFrontierStrategyIndependent: a ranked frontier holds the
+// same entries under every strategy and worker count. The objective
+// sets are ones on which a node that satisfies with no suppression beats
+// its whole up-set, so ranks above 0 differ if any strategy skips
+// scoring that up-set.
+func TestRankedFrontierStrategyIndependent(t *testing.T) {
+	objSets := [][]Objective{
+		{ObjHeight, ObjPrecision},
+		{ObjDiscernibility, ObjEntropy, ObjSuppression},
+	}
+	for _, n := range []int{300, 800} {
+		im, base := frontierAdult(t, n)
+		base.Frontier.MaxRank = 3
+		for _, objs := range objSets {
+			var ref []FrontierEntry
+			refName := ""
+			for _, s := range frontierStrategies() {
+				for _, w := range []int{1, 4} {
+					cfg := base
+					cfg.Frontier.Objectives = objs
+					cfg.Workers = w
+					fr, err := s.run(im, cfg)
+					if err != nil {
+						t.Fatalf("n=%d %v %s/w%d: %v", n, objs, s.name, w, err)
+					}
+					name := fmt.Sprintf("%s/w%d", s.name, w)
+					if refName == "" {
+						ref, refName = fr, name
+						continue
+					}
+					if !reflect.DeepEqual(ref, fr) {
+						t.Errorf("n=%d %v: %s frontier has %d entries, %s's %d, or they differ",
+							n, objs, name, len(fr), refName, len(ref))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFrontierCounters pins the telemetry of a frontier pass: scored =
-// members + dominated, members = len(frontier), and the monotone scan
-// actually skips cut nodes.
+// members + dominated and members = len(frontier).
 func TestFrontierCounters(t *testing.T) {
 	im, cfg := frontierAdult(t, 800)
 	cfg.Recorder = obs.NewRecorder()
@@ -251,7 +288,7 @@ func TestFrontierCounters(t *testing.T) {
 		t.Error("no nodes scored")
 	}
 	counters := r.Report.DeterministicCounters()
-	for _, k := range []string{"frontier.scored", "frontier.members", "frontier.dominated", "frontier.cut_skipped"} {
+	for _, k := range []string{"frontier.scored", "frontier.members", "frontier.dominated"} {
 		if _, ok := counters[k]; !ok {
 			t.Errorf("DeterministicCounters missing %q", k)
 		}

@@ -33,7 +33,7 @@ import (
 // up-set of every satisfying node (as in AllMinimal). The final pass
 // over the full QI set yields the complete p-k-minimal antichain. The
 // smaller QI subsets get their own evaluators, sharing the run's limiter
-// and column cache; the final pass over the full QI set runs on the
+// and generalization cache; the final pass over the full QI set runs on the
 // run's evaluator.
 func incognito(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	cfg := e.cfg
@@ -131,11 +131,11 @@ subsets:
 				if err != nil {
 					return err
 				}
-				// One generalized-column cache serves every subset: it is
-				// keyed by attribute name and hierarchy level, both
-				// independent of the QI subset a node ranges over, so a
-				// generalization computed for one subset is reused by every
-				// later subset that includes the attribute.
+				// The run's cache serves every subset: it is keyed by
+				// attribute name and hierarchy level, both independent of
+				// the QI subset a node ranges over, so a walk or level map
+				// computed for one subset is reused by every later subset
+				// that includes the attribute.
 				subEval = newLimitedEvaluator(e.im, subMasker, e.cache, subCfg, e.lim).bind(e.bounds)
 				subEval.rollups.seed(subLat.Bottom(), projStats[mask])
 			}

@@ -446,7 +446,8 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 	cfg := s.cfg
 	cfg.strategy = "incremental-repair"
 	lim := cfg.newLimiter()
-	eval := newLimitedEvaluator(s.led.Table(), s.m, nil, cfg, lim).bind(bounds)
+	tbl := s.led.Table()
+	eval := newLimitedEvaluator(tbl, s.m, s.m.NewCache(tbl, cfg.Recorder), cfg, lim).bind(bounds)
 	lat := s.m.Lattice()
 	bottom := lat.Bottom()
 	eval.rollups.seed(bottom, s.base.Stats())
@@ -600,7 +601,7 @@ func (s *Incremental) Materialize() (*table.Table, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	g, err := s.m.Apply(snap, s.pub)
+	g, err := s.m.NewCache(snap, nil).Apply(s.pub)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -113,7 +113,7 @@ func TestMaterializeChecksStatistics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			good, err := newEvaluator(im, m, nil, cfg).statsFor(clean.Node)
+			good, err := newEvaluator(im, m, cfg).statsFor(clean.Node)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestMaterializeChecksStatistics(t *testing.T) {
 			bad.Groups[moved[0]].Size++
 			bad.Groups[moved[1]].Size--
 
-			e := newEvaluator(im, m, nil, cfg)
+			e := newEvaluator(im, m, cfg)
 			e.rollups.seed(clean.Node, &bad)
 			lat := m.Lattice()
 			base, err := e.statsFor(lat.Bottom())

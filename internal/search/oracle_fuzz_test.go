@@ -22,10 +22,12 @@ import (
 // one of them Float, searched for the built-in verdict or a
 // core.Composite policy. checkStrategiesAgainstOracle compares all five
 // strategies, at workers 1 and 4, with the oracle's replay, released
-// bytes included; and the bounds read off the base statistics
+// bytes included; the bounds read off the base statistics
 // (core.BoundsFromStats) must equal the ones computed on the rows
-// (core.ComputeBounds). Seed corpus under testdata/fuzz, covering every
-// hierarchy kind.
+// (core.ComputeBounds); an incremental session's first Republish must
+// equal Run with its fallback strategy (checkFirstRepublish); and
+// Theorems 1-2 must hold at every satisfying node (checkTheorems).
+// Seed corpus under testdata/fuzz, covering every hierarchy kind.
 func FuzzStrategiesMatchOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, cfg := decodeOracleCase(t, data)
@@ -42,6 +44,11 @@ func FuzzStrategiesMatchOracle(f *testing.F) {
 				t.Fatalf("p=%d: bounds from statistics %+v (err %v), from rows %+v", p, got, err, want)
 			}
 		}
+		for _, w := range []int{1, 4} {
+			cfg.Workers = w
+			checkFirstRepublish(t, fmt.Sprintf("w=%d", w), im, cfg)
+		}
+		cfg.Workers = 0
 		if !rowScanBounds(t, im, cfg).Feasible() {
 			// Condition 1 fails on the rows: every strategy must stop
 			// before evaluating a node.
@@ -54,11 +61,63 @@ func FuzzStrategiesMatchOracle(f *testing.F) {
 			return
 		}
 		o := newRowScanOracle(t, im, cfg)
+		checkTheorems(t, im, cfg, o)
 		for _, w := range []int{1, 4} {
 			cfg.Workers = w
 			checkStrategiesAgainstOracle(t, fmt.Sprintf("w=%d", w), im, cfg, o)
 		}
 	})
+}
+
+// checkFirstRepublish pins incremental to batch: for every fallback
+// strategy, a session's first Republish over im is Run of that strategy
+// on im, with the same answer, minimal nodes and released bytes.
+func checkFirstRepublish(t *testing.T, name string, im *table.Table, cfg Config) {
+	t.Helper()
+	for s := range numStrategies {
+		want, err := Run(im, cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := OpenIncremental(im, cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Republish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Found != want.Found || !reflect.DeepEqual(got.Node, want.Node) || got.Suppressed != want.Suppressed ||
+			fmtMinimal(got.Minimal) != fmtMinimal(want.Minimal) || fmtMasked(got.Masked) != fmtMasked(want.Masked) {
+			t.Fatalf("%s: %s session's first republish differs from Run:\n%s\nwant\n%s", name, s, fmtResult(got), fmtResult(want))
+		}
+	}
+}
+
+// checkTheorems asserts Theorems 1 and 2 as properties: at every node
+// the row-scan oracle found satisfying, the bounds computed on the
+// released rows are no greater than on the input rows, for p = 1..3.
+func checkTheorems(t *testing.T, im *table.Table, cfg Config, o rowScanOracle) {
+	t.Helper()
+	for p := 1; p <= 3; p++ {
+		in, err := core.ComputeBounds(im, cfg.Confidential, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, node := range o.lat.AllNodes() {
+			out := o.out[node.Key()]
+			if !out.ok {
+				continue
+			}
+			got, err := core.ComputeBounds(out.masked, cfg.Confidential, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.MaxP > in.MaxP || got.MaxGroups > in.MaxGroups {
+				t.Fatalf("p=%d node %v: released bounds %+v exceed the input's %+v", p, node, got, in)
+			}
+		}
+	}
 }
 
 // decodeOracleCase reads, in order: the row count (two bytes, 1 + mod

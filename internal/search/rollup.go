@@ -209,7 +209,7 @@ func (e *evaluator) computeStats(node lattice.Node) (*table.GroupStats, error) {
 }
 
 // levelMaps assembles the per-QI code translations from one node's
-// levels to another's, served from the shared generalized-column cache.
+// levels to another's, served from the search's generalization cache.
 func (e *evaluator) levelMaps(from, to lattice.Node) ([]*table.CodeMap, error) {
 	if len(from) != len(to) || len(from) != len(e.qis) {
 		return nil, fmt.Errorf("search: level maps between nodes %v and %v over %d attributes", from, to, len(e.qis))

@@ -23,7 +23,7 @@ func TestRollupStoreScansOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEvaluator(tbl, m, nil, cfg).bind(rowScanBounds(t, tbl, cfg))
+	e := newEvaluator(tbl, m, cfg).bind(rowScanBounds(t, tbl, cfg))
 	nodes := m.Lattice().AllNodes()
 	for _, node := range nodes {
 		if o := e.evalNode(node); o.err != nil {

@@ -37,23 +37,20 @@ const (
 
 // strategies holds what tells the strategies apart: the name the CLI,
 // the service and the psk_strategy pprof label spell, the lattice walk
-// that appends to Result.Minimal, whether the walk may assume the
-// paper's generalization monotonicity (which licenses the frontier
-// pass to cut dominated up-sets), and the most quasi-identifiers it
+// that appends to Result.Minimal, and the most quasi-identifiers it
 // accepts (0 = no limit). Incognito walks all 2^m − 1 nonempty QI
 // subsets, projecting the base statistics onto each, so it is capped
 // at 16.
 var strategies = [numStrategies]struct {
-	name     string
-	walk     func(e *evaluator, lat *lattice.Lattice, res *Result) error
-	monotone bool
-	maxQIs   int
+	name   string
+	walk   func(e *evaluator, lat *lattice.Lattice, res *Result) error
+	maxQIs int
 }{
-	StrategySamarati:   {"samarati", samarati, true, 0},
-	StrategyBottomUp:   {"bottomup", bottomUp, false, 0},
-	StrategyExhaustive: {"exhaustive", exhaustive, false, 0},
-	StrategyAllMinimal: {"allminimal", allMinimal, true, 0},
-	StrategyIncognito:  {"incognito", incognito, true, 16},
+	StrategySamarati:   {"samarati", samarati, 0},
+	StrategyBottomUp:   {"bottomup", bottomUp, 0},
+	StrategyExhaustive: {"exhaustive", exhaustive, 0},
+	StrategyAllMinimal: {"allminimal", allMinimal, 0},
+	StrategyIncognito:  {"incognito", incognito, 16},
 }
 
 // String names the strategy as the CLI spells it.
@@ -183,7 +180,7 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	eval := newEvaluator(im, m, nil, cfg)
+	eval := newEvaluator(im, m, cfg)
 	lat := m.Lattice()
 	base, err := eval.statsFor(lat.Bottom())
 	if err != nil {
@@ -212,7 +209,7 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if err := attachFrontier(eval, lat, st.monotone, baseline, &res.Stats, &res.Frontier, &span); err != nil {
+	if err := attachFrontier(eval, lat, baseline, &res.Stats, &res.Frontier, &span); err != nil {
 		return Result{}, err
 	}
 	res.StopReason = eval.lim.stopReason()

@@ -9,7 +9,6 @@ import (
 
 	"psk/internal/config"
 	"psk/internal/core"
-	"psk/internal/generalize"
 	"psk/internal/hierarchy"
 	"psk/internal/obs"
 	"psk/internal/risk"
@@ -106,16 +105,14 @@ func (r *JobResult) exitCode() int {
 // the execution's cancellable context and private recorder.
 type runFunc func(ctx context.Context, rec *obs.Recorder) (*JobResult, search.StopReason, error)
 
-// sharedData is one entry of the server's dataset cache: everything
-// derivable from (dataset bytes, types, hierarchies, QI list) that
-// concurrent searches can share — the parsed table, built hierarchies,
-// masker and above all the generalized-column cache, so a tenant's
-// search finds the columns earlier tenants already generalized.
+// sharedData is one entry of the server's dataset cache: what
+// concurrent searches over one (dataset bytes, types, hierarchies, QI
+// list) can share — the parsed table and the built hierarchies. Each
+// search builds its own generalization cache from them, so its
+// telemetry and memory budget are its own.
 type sharedData struct {
-	tbl    *table.Table
-	hiers  *hierarchy.Set
-	masker *generalize.Masker
-	cache  *generalize.Cache
+	tbl   *table.Table
+	hiers *hierarchy.Set
 }
 
 // execution is one underlying computation, shared by every job whose
@@ -325,12 +322,6 @@ func (s *Server) prepareSearch(r *JobRequest, key Key, eff search.Budget, worker
 			Recorder:      rec,
 			Context:       ctx,
 			Budget:        eff,
-		}
-		if eff.MaxCacheBytes == 0 {
-			// A private memory budget opts out of sharing: the shared
-			// cache's bytes belong to every tenant at once and must not
-			// trip one request's limit.
-			cfg.Cache = sd.cache
 		}
 		if kind == KindFrontier {
 			cfg.Frontier = search.FrontierConfig{Enabled: true}

@@ -7,8 +7,9 @@
 // backpressure (429 + Retry-After), per-request budgets clamped by
 // server-side caps, a result cache keyed by (dataset fingerprint,
 // hierarchy hash, config hash) with single-flight dedup of identical
-// in-flight requests, a shared generalize.Cache across concurrent
-// searches over the same dataset, and per-job obs endpoints.
+// in-flight requests, a dataset cache that shares one parsed table and
+// its hierarchies across searches over the same dataset, and per-job
+// obs endpoints.
 package serve
 
 import (
@@ -70,9 +71,8 @@ type BudgetRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxNodes bounds the number of lattice nodes evaluated.
 	MaxNodes int64 `json:"max_nodes,omitempty"`
-	// MaxCacheBytes bounds the generalized-column cache. A job with a
-	// private memory budget opts out of the shared dataset cache (the
-	// shared cache's bytes are not attributable to one tenant).
+	// MaxCacheBytes bounds the hierarchy walks of the job's search
+	// (search.Budget.MaxCacheBytes).
 	MaxCacheBytes int64 `json:"max_cache_bytes,omitempty"`
 }
 
@@ -131,10 +131,9 @@ type Key struct {
 	// attack jobs).
 	Dataset string `json:"dataset"`
 	// Hierarchy hashes the data-preparation inputs: column types,
-	// hierarchy specs and the QI list. It doubles as the shared
-	// generalize.Cache key component — equal (Dataset, Hierarchy) means
-	// the parsed table, hierarchies, masker and generalized columns are
-	// all reusable.
+	// hierarchy specs and the QI list. It doubles as the dataset cache's
+	// key component — equal (Dataset, Hierarchy) means the parsed table
+	// and the hierarchies are reusable.
 	Hierarchy string `json:"hierarchy"`
 	// Config hashes everything else that selects the result: kind,
 	// parameters, policy extensions, algorithm and the effective

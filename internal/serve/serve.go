@@ -40,7 +40,7 @@ type Options struct {
 	// Default 128.
 	ResultCacheEntries int
 	// DatasetCacheEntries bounds the shared dataset cache (LRU over
-	// parsed tables + generalized-column caches). Default 8.
+	// parsed tables and their hierarchies). Default 8.
 	DatasetCacheEntries int
 	// RetryAfter is the hint returned with 429/503. Default 1s.
 	RetryAfter time.Duration
@@ -271,10 +271,10 @@ func (s *Server) finishExecution(ex *execution, res *JobResult, stop search.Stop
 }
 
 // sharedDataset resolves (or builds and caches) the shared entry for a
-// search request: parsed typed table, hierarchies, masker and the
-// generalized-column cache concurrent searches share. The parse runs
-// outside the server lock; a submit race builds the entry twice and the
-// second insert wins — wasted work, never wrong results.
+// search request: the parsed typed table and the hierarchies. It builds
+// a masker only so that a QI without a hierarchy fails at submit. The
+// parse runs outside the server lock; a submit race builds the entry
+// twice and the second insert wins — wasted work, never wrong results.
 func (s *Server) sharedDataset(key Key, rawCSV string, job *config.Job) (*sharedData, error) {
 	dk := [2]string{key.Dataset, key.Hierarchy}
 	s.mu.Lock()
@@ -301,11 +301,10 @@ func (s *Server) sharedDataset(key Key, rawCSV string, job *config.Job) (*shared
 	if err != nil {
 		return nil, inputError{err}
 	}
-	masker, err := generalize.NewMasker(job.QuasiIdentifiers, hiers)
-	if err != nil {
+	if _, err := generalize.NewMasker(job.QuasiIdentifiers, hiers); err != nil {
 		return nil, inputError{err}
 	}
-	sd := &sharedData{tbl: tbl, hiers: hiers, masker: masker, cache: masker.NewCache(tbl)}
+	sd := &sharedData{tbl: tbl, hiers: hiers}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

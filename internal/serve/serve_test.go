@@ -786,6 +786,86 @@ func TestSharedDatasetCacheReuse(t *testing.T) {
 	}
 }
 
+// patientsRows is the patients fixture's shape at n rows: every
+// value lies in the job's hierarchies, and the rows repeat with
+// different periods so the lattice has work at every level.
+func patientsRows(n int) string {
+	zips := []string{"41076", "41099", "43102", "43103", "41075", "43188"}
+	ills := []string{"Flu", "Asthma", "Diabetes", "Heart Disease"}
+	var b strings.Builder
+	b.WriteString("Age,ZipCode,Sex,Illness\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d,%s,%s,%s\n", 20+i*7%50, zips[i*5%len(zips)], []string{"M", "F"}[i%2], ills[i*3%len(ills)])
+	}
+	return b.String()
+}
+
+// jobCache submits req, waits for it and returns its report's cache
+// section.
+func jobCache(t *testing.T, ts *httptest.Server, req JobRequest) any {
+	t.Helper()
+	id, _ := submit(t, ts, req)
+	_, payload := pollDone(t, ts, id)
+	rep, _ := payload["report"].(map[string]any)
+	if rep == nil {
+		t.Fatalf("job %s has no report: %v", id, payload)
+	}
+	return rep["cache"]
+}
+
+// TestJobCacheTelemetryIsOwn: a job's report.cache describes its own
+// search, because every search builds its own generalization cache.
+// Run after another job over the same dataset, or started beside one
+// on the other queue worker, job B reports what it reports on a fresh
+// server.
+func TestJobCacheTelemetryIsOwn(t *testing.T) {
+	for _, c := range []struct {
+		csv, kind, algorithm string
+	}{
+		{patientsCSV, KindAnonymize, ""},
+		{patientsRows(3000), KindFrontier, "exhaustive"},
+	} {
+		a := anonRequest(t)
+		a.CSV, a.Kind, a.Algorithm = c.csv, c.kind, c.algorithm
+		b := a
+		b.Job = testJob(t)
+		b.Job.K = 2
+		csv := c.csv
+
+		_, solo := newTestServer(t, Options{})
+		want := jobCache(t, solo, b)
+
+		_, ts := newTestServer(t, Options{})
+		jobCache(t, ts, a)
+		if got := jobCache(t, ts, b); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d rows, B after A: cache %v, B alone %v", strings.Count(csv, "\n")-1, got, want)
+		}
+
+		for round := 0; round < 4; round++ {
+			s, ts := newTestServer(t, Options{Workers: 2})
+			// Hold both queue workers, queue A and B, then release the
+			// workers together so the two searches start at once.
+			var blocks []chan struct{}
+			for i := 0; i < 2; i++ {
+				ex, block := blockingExecution(fmt.Sprint("hold-", i))
+				s.queue <- ex
+				waitStarted(t, ex)
+				blocks = append(blocks, block)
+			}
+			idA, _ := submit(t, ts, a)
+			idB, _ := submit(t, ts, b)
+			for _, block := range blocks {
+				close(block)
+			}
+			_, pb := pollDone(t, ts, idB)
+			pollDone(t, ts, idA)
+			if got := pb["report"].(map[string]any)["cache"]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%d rows, round %d, B beside A: cache %v, B alone %v", strings.Count(csv, "\n")-1, round, got, want)
+			}
+		}
+	}
+}
+
 func TestBudgetClamp(t *testing.T) {
 	cap := search.Budget{Deadline: 10 * time.Second, MaxNodes: 100}
 	cases := []struct {

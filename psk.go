@@ -244,7 +244,7 @@ func (c Config) searchConfig() search.Config {
 }
 
 // Budget bounds a search by wall-clock deadline, lattice nodes
-// consumed and generalized-column cache bytes; the zero value is
+// consumed and the bytes of its hierarchy walks; the zero value is
 // unlimited. See the search package for the deterministic partial-
 // result guarantees each limit carries.
 type Budget = search.Budget
@@ -261,9 +261,8 @@ const (
 	StopDeadline = search.StopDeadline
 	// StopNodeBudget: Budget.MaxNodes was consumed.
 	StopNodeBudget = search.StopNodeBudget
-	// StopMemBudget: the column cache exceeded Budget.MaxCacheBytes
-	// during the walk, counting the hierarchy walks level maps read;
-	// the release built after the walk is not gated.
+	// StopMemBudget: the search's hierarchy walks exceeded
+	// Budget.MaxCacheBytes during the walk.
 	StopMemBudget = search.StopMemBudget
 	// StopCancelled: Config.Context was cancelled.
 	StopCancelled = search.StopCancelled
@@ -560,7 +559,7 @@ func LocalSuppress(im *Table, cfg Config, node Node) (*Table, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	g, err := m.Apply(im, node)
+	g, err := m.NewCache(im, nil).Apply(node)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -101,15 +101,7 @@ func Anon(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return inputErr(err)
 	}
-	header, err := csvHeader(*in)
-	if err != nil {
-		return inputErr(err)
-	}
-	schema, err := job.Schema(header)
-	if err != nil {
-		return inputErr(err)
-	}
-	data, err := psk.ReadCSVFile(*in, &schema)
+	data, err := readInput(*in, job)
 	if err != nil {
 		return inputErr(err)
 	}
@@ -499,13 +491,16 @@ func Gen(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func csvHeader(path string) ([]string, error) {
+// readInput reads the job's input table from path, typed by the job's
+// schema for its header. The header and the rows come through one open
+// and one reader, so path may name a pipe.
+func readInput(path string, job *config.Job) (*table.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return table.ReadCSVHeader(f)
+	return table.ReadCSVWith(f, job.Schema)
 }
 
 func splitList(s string) []string {

@@ -285,15 +285,7 @@ func (s *Server) sharedDataset(key Key, rawCSV string, job *config.Job) (*shared
 	}
 	s.mu.Unlock()
 
-	header, err := table.ReadCSVHeader(strings.NewReader(rawCSV))
-	if err != nil {
-		return nil, inputError{err}
-	}
-	schema, err := job.Schema(header)
-	if err != nil {
-		return nil, inputError{err}
-	}
-	tbl, err := table.ReadCSV(strings.NewReader(rawCSV), &schema)
+	tbl, err := table.ReadCSVWith(strings.NewReader(rawCSV), job.Schema)
 	if err != nil {
 		return nil, inputError{err}
 	}

@@ -64,6 +64,47 @@ type freezer interface {
 	freeze()
 }
 
+// reserveRows sets aside storage for rows rows in each of the empty
+// columns NewColumn returned, as ReadCSV does once when it can estimate
+// the rows of its input.
+func reserveRows(cols []Column, rows int) {
+	for _, c := range cols {
+		switch c := c.(type) {
+		case *stringColumn:
+			c.codes = make([]int32, 0, rows)
+		case *intColumn:
+			c.vals = make([]int64, 0, rows)
+		case *floatColumn:
+			c.vals = make([]float64, 0, rows)
+			c.codes = make([]int32, 0, rows)
+		}
+	}
+}
+
+// rowBytes is the storage reserveRows sets aside per row in a column of
+// type t: a string code, an int value, or a float value and its code.
+func rowBytes(t Type) int64 {
+	switch t {
+	case Int:
+		return 8
+	case Float:
+		return 12
+	default:
+		return 4
+	}
+}
+
+// fitReserved returns s copied down to its length when s still has the
+// capacity of its reservation, rows, and more than 1/fitSlack of it went
+// unused. Capacity that appends grew past a reservation is the slack any
+// append leaves, and stays.
+func fitReserved[T any](s []T, rows int) []T {
+	if cap(s) != rows || cap(s)-len(s) <= cap(s)/fitSlack {
+		return s
+	}
+	return append([]T(nil), s...)
+}
+
 // MemBytes estimates the heap memory held by a column: backing slices
 // plus dictionary storage, ignoring fixed struct overhead. Columns
 // without an estimate report 0.

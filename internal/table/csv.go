@@ -16,54 +16,86 @@ import (
 // through.
 const csvBufSize = 64 << 10
 
+// ReadCSV sizes its columns once when it knows how many bytes its input
+// holds: it estimates the records from the line breaks buffered after
+// the header and reserves each column's rows up front. The estimate is
+// raised by 1/reserveMargin, its bytes are capped at reserveCap times
+// the unread input's, and a column whose reservation its rows left more
+// than 1/fitSlack unused is copied down to its length before Build.
+const (
+	reserveMargin = 16
+	reserveCap    = 2
+	fitSlack      = 8
+)
+
+// probeMax is the largest string dictionary a cell is compared against
+// value by value; a larger one is looked up in its map.
+const probeMax = 8
+
 // ReadCSV reads a comma-separated stream with a header row into a table.
 // If schema is nil, every column is typed String and names come from the
 // header. If a schema is supplied, the header must contain exactly its
 // field names (order may differ; columns are matched by name). Records
 // are read as encoding/csv reads them with TrimLeadingSpace set, and
 // every cell is trimmed of surrounding white space.
+//
+// The columns are sized once for a regular *os.File, a *bytes.Reader, a
+// *strings.Reader or a *bytes.Buffer, whose unread length ReadCSV can
+// take; from any other reader they grow as rows arrive.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
+	return ReadCSVWith(r, func(header []string) (Schema, error) {
+		if schema != nil {
+			return *schema, nil
+		}
+		fields := make([]Field, len(header))
+		for i, h := range header {
+			fields[i] = Field{Name: h, Type: String}
+		}
+		return NewSchema(fields...)
+	})
+}
+
+// ReadCSVWith reads like ReadCSV, with the schema schemaOf returns for
+// the header's names, trimmed as ReadCSV trims them. It reads the header
+// and the rows through one reader, so r may be a pipe. An error from
+// schemaOf is returned as it is.
+func ReadCSVWith(r io.Reader, schemaOf func(header []string) (Schema, error)) (*Table, error) {
+	size := unreadLen(r)
 	rr := newRecordReader(r)
 	header, err := rr.header()
 	if err != nil {
 		return nil, err
 	}
-
-	var sch Schema
+	sch, err := schemaOf(header)
+	if err != nil {
+		return nil, err
+	}
+	if len(header) != sch.Len() {
+		return nil, fmt.Errorf("table: csv has %d columns, schema has %d", len(header), sch.Len())
+	}
 	// perm[i] is the schema position of csv column i.
 	perm := make([]int, len(header))
-	if schema == nil {
-		fields := make([]Field, len(header))
-		for i, h := range header {
-			fields[i] = Field{Name: h, Type: String}
-			perm[i] = i
+	seen := make([]bool, sch.Len())
+	for i, h := range header {
+		pos := sch.Index(h)
+		if pos < 0 {
+			return nil, fmt.Errorf("table: csv column %q not in schema", h)
 		}
-		sch, err = NewSchema(fields...)
-		if err != nil {
-			return nil, err
+		if seen[pos] {
+			return nil, fmt.Errorf("table: csv column %q repeated", h)
 		}
-	} else {
-		sch = *schema
-		if len(header) != sch.Len() {
-			return nil, fmt.Errorf("table: csv has %d columns, schema has %d", len(header), sch.Len())
-		}
-		seen := make([]bool, sch.Len())
-		for i, h := range header {
-			pos := sch.Index(h)
-			if pos < 0 {
-				return nil, fmt.Errorf("table: csv column %q not in schema", h)
-			}
-			if seen[pos] {
-				return nil, fmt.Errorf("table: csv column %q repeated", h)
-			}
-			seen[pos] = true
-			perm[i] = pos
-		}
+		seen[pos] = true
+		perm[i] = pos
 	}
 
 	b, err := NewBuilder(sch)
 	if err != nil {
 		return nil, err
+	}
+	reserved := 0
+	if size >= 0 {
+		reserved = rr.estimateRows(size, sch)
+		reserveRows(b.cols, reserved)
 	}
 	for {
 		cells, err := rr.next()
@@ -83,36 +115,106 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 		}
 		b.nrows++
 	}
-	// appendCell grows int columns without invalidating their memos;
-	// drop them once here.
+	// String codes need no fit: Build packs them.
 	for _, c := range b.cols {
-		if ic, ok := c.(*intColumn); ok {
-			ic.invalidate()
+		switch c := c.(type) {
+		case *intColumn:
+			// appendCell grows int columns without invalidating their
+			// memos; drop them once here.
+			c.invalidate()
+			c.vals = fitReserved(c.vals, reserved)
+		case *floatColumn:
+			c.vals = fitReserved(c.vals, reserved)
+			c.codes = fitReserved(c.codes, reserved)
 		}
 	}
 	return b.Build()
 }
 
-// ReadCSVHeader reads the header row of a CSV stream: the column names
-// ReadCSV matches against a schema, trimmed the same way.
-func ReadCSVHeader(r io.Reader) ([]string, error) {
-	return newRecordReader(r).header()
+// unreadLen reports how many bytes r has left to read, or -1 when it
+// cannot tell: what a regular file holds past its offset, or the unread
+// length of an in-memory reader.
+func unreadLen(r io.Reader) int64 {
+	switch r := r.(type) {
+	case *bytes.Reader:
+		return int64(r.Len())
+	case *strings.Reader:
+		return int64(r.Len())
+	case *bytes.Buffer:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
+}
+
+// estimateRows estimates the records left in an input of size bytes,
+// after the header: the line breaks buffered so far, scaled up to the
+// unread bytes and raised by 1/reserveMargin, or the buffered line count
+// itself when the whole input is buffered. The estimate is capped at
+// reserveCap times the unread bytes' worth of sch's rows.
+func (r *recordReader) estimateRows(size int64, sch Schema) int {
+	rest := size - r.off
+	n := r.br.Buffered()
+	if rest <= 0 || n == 0 {
+		return 0
+	}
+	buf, _ := r.br.Peek(n)
+	lines := float64(bytes.Count(buf, []byte{'\n'}))
+	if int64(n) >= rest {
+		if buf[n-1] != '\n' {
+			lines++
+		}
+		return int(lines)
+	}
+	est := lines * float64(rest) / float64(n)
+	est += est / reserveMargin
+	var row int64
+	for _, f := range sch.Fields {
+		row += rowBytes(f.Type)
+	}
+	return int(min(est, float64(reserveCap*rest/row)))
 }
 
 // appendCell parses one trimmed cell into its column without copying
-// it: a string cell allocates only when it adds a dictionary value.
+// it: a string cell allocates only when it adds a dictionary value. A
+// dictionary of at most probeMax values is probed in code order before
+// any map lookup, and a cell of 1 to 18 digits is parsed in place; any
+// other cell, and every miss, takes the general path, so codes, values
+// and errors are those of intern and strconv.
 func appendCell(col Column, cell []byte) error {
 	switch c := col.(type) {
 	case *stringColumn:
-		code, ok := c.index[string(cell)]
-		if !ok {
+		code := int32(-1)
+		if len(c.dict) <= probeMax {
+			for i, s := range c.dict {
+				if s == string(cell) {
+					code = int32(i)
+					break
+				}
+			}
+		} else if v, ok := c.index[string(cell)]; ok {
+			code = v
+		}
+		if code < 0 {
 			code = c.intern(string(cell))
 		}
 		c.codes = append(c.codes, code)
 	case *intColumn:
-		n, err := strconv.ParseInt(string(cell), 10, 64)
-		if err != nil {
-			return fmt.Errorf("cannot parse %q as int: %w", cell, err)
+		n, ok := parseDigits(cell)
+		if !ok {
+			var err error
+			if n, err = strconv.ParseInt(string(cell), 10, 64); err != nil {
+				return fmt.Errorf("cannot parse %q as int: %w", cell, err)
+			}
 		}
 		c.vals = append(c.vals, n)
 	case *floatColumn:
@@ -127,15 +229,33 @@ func appendCell(col Column, cell []byte) error {
 	return nil
 }
 
+// parseDigits parses a cell of 1 to 18 ASCII digits, which cannot
+// overflow an int64; ok is false for any other cell.
+func parseDigits(cell []byte) (n int64, ok bool) {
+	if len(cell) == 0 || len(cell) > 18 {
+		return 0, false
+	}
+	for _, b := range cell {
+		d := b - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	return n, true
+}
+
 // recordReader splits a CSV stream into records of trimmed cells, the
 // records encoding/csv reads with TrimLeadingSpace set. Physical lines
 // follow encoding/csv's rules: CRLF reads as LF, a CR just before EOF
 // is dropped and an empty line is skipped. A line with no quote byte is
-// split at its commas in place. A line with one starts a quoted record,
-// which encoding/csv itself parses, so quoting follows it exactly.
+// split at its commas in place, in one scan that also looks for the
+// quote. A line with one starts a quoted record, which encoding/csv
+// itself parses, so quoting follows it exactly.
 type recordReader struct {
 	br    *bufio.Reader
 	line  int      // physical lines read so far
+	off   int64    // bytes of those lines
 	start int      // the physical line the last record started on
 	long  []byte   // a line longer than br's buffer, joined
 	cells [][]byte // the last record's cells
@@ -181,20 +301,30 @@ func (r *recordReader) next() ([][]byte, error) {
 		line = chomp(raw)
 	}
 	r.start = r.line
-	if bytes.IndexByte(line, '"') >= 0 {
-		return r.quoted(raw)
-	}
-	r.cells = r.cells[:0]
-	for {
-		i := bytes.IndexByte(line, ',')
-		if i < 0 {
-			break
+	cells := r.cells[:0]
+	from := 0
+	for i, b := range line {
+		switch b {
+		case ',':
+			cells = append(cells, trimCell(line[from:i]))
+			from = i + 1
+		case '"':
+			r.cells = cells
+			return r.quoted(raw)
 		}
-		r.cells = append(r.cells, bytes.TrimSpace(line[:i]))
-		line = line[i+1:]
 	}
-	r.cells = append(r.cells, bytes.TrimSpace(line))
+	r.cells = append(cells, trimCell(line[from:]))
 	return r.cells, nil
+}
+
+// trimCell is bytes.TrimSpace for a cell. A cell whose first and last
+// bytes are printable ASCII (0x21-0x7F) has no white space to trim, and
+// is returned without the call.
+func trimCell(cell []byte) []byte {
+	if n := len(cell); n > 0 && cell[0]-0x21 < 0x5f && cell[n-1]-0x21 < 0x5f {
+		return cell
+	}
+	return bytes.TrimSpace(cell)
 }
 
 // readLine returns the next physical line with its line break, or
@@ -219,6 +349,7 @@ func (r *recordReader) readLine() ([]byte, error) {
 		return nil, err
 	}
 	r.line++
+	r.off += int64(len(line))
 	return line, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,14 +12,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
-// FuzzReadCSV drives ReadCSV with arbitrary bytes. ReadCSV must agree
+// FuzzReadCSV drives ReadCSV with arbitrary bytes, through three
+// readers: a strings.Reader, whose length sizes the columns up front,
+// the same reader with its length hidden, and iotest.OneByteReader over
+// it, which serves one byte per read. Through each, ReadCSV must agree
 // with readCSVRef, the encoding/csv-based reader it replaced: both fail,
 // or both give equal tables — same schema and rows, same Str() and
-// Code() per cell, so even first-appearance dictionary order matches.
-// WriteCSV must write the bytes writeCSVRef writes, and what it writes
-// must read back as an equal table. typed picks the schema: nil (every
+// Code() per cell, so even first-appearance dictionary order matches —
+// and the three readers must return the same error. WriteCSV must
+// write the bytes writeCSVRef writes, and what it writes must read back
+// as an equal table. typed picks the schema: nil (every
 // column String, names from the header) or a String/Int/Float schema
 // whose columns the header may list in any order. Seed corpus under
 // testdata/fuzz.
@@ -36,15 +42,29 @@ func FuzzReadCSV(f *testing.F) {
 			)
 			schema = &s
 		}
-		tbl, err := ReadCSV(strings.NewReader(data), schema)
 		ref, refErr := readCSVRef(strings.NewReader(data), schema)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("ReadCSV error %v, reference error %v", err, refErr)
+		var (
+			tbl      *Table
+			sizedErr string
+		)
+		for i, rd := range csvReaders(data) {
+			var err error
+			tbl, err = ReadCSV(rd.r, schema)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s: ReadCSV error %v, reference error %v", rd.name, err, refErr)
+			}
+			if i == 0 {
+				sizedErr = fmt.Sprint(err)
+			} else if got := fmt.Sprint(err); got != sizedErr {
+				t.Fatalf("%s: ReadCSV error %q, sized reader's %q", rd.name, got, sizedErr)
+			}
+			if err == nil {
+				sameTable(t, rd.name+" reader against the reference", ref, tbl)
+			}
 		}
-		if err != nil {
+		if refErr != nil {
 			return
 		}
-		sameTable(t, "reference", ref, tbl)
 
 		var buf, refBuf bytes.Buffer
 		if err := tbl.WriteCSV(&buf); err != nil {
@@ -62,6 +82,22 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		sameTable(t, "read back", tbl, back)
 	})
+}
+
+type namedReader struct {
+	name string
+	r    io.Reader
+}
+
+// csvReaders returns the readers FuzzReadCSV reads data through: a
+// strings.Reader, the same reader with its length hidden, and
+// iotest.OneByteReader over it.
+func csvReaders(data string) []namedReader {
+	return []namedReader{
+		{"sized", strings.NewReader(data)},
+		{"unsized", struct{ io.Reader }{strings.NewReader(data)}},
+		{"one byte", iotest.OneByteReader(strings.NewReader(data))},
+	}
 }
 
 // sameTable fails unless got has want's schema, rows, and Str() and

@@ -285,7 +285,10 @@ func (r *JobRequest) key(eff search.Budget) (Key, error) {
 		ID: r.ID, Budget: eff,
 	}
 	pk := prepKey{}
-	if r.Job != nil {
+	// Only a search reads the job description; check and attack jobs
+	// ignore one they carry, so it must not stand in for their own
+	// parameters in their key.
+	if r.Job != nil && (r.Kind == KindAnonymize || r.Kind == KindFrontier) {
 		ck.QIs = r.Job.QuasiIdentifiers
 		ck.Conf = r.Job.Confidential
 		ck.K = r.Job.K

@@ -632,7 +632,7 @@ func TestCancelRunningJob(t *testing.T) {
 	ex.refs.Add(1)
 	s.execs[ex.key] = ex
 	s.nextID++
-	j := &job{id: fmt.Sprintf("j-%06d", s.nextID), kind: ex.kind, key: ex.key, exec: ex}
+	j := &job{id: fmt.Sprintf("j-%06d", s.nextID), seq: s.nextID, exec: ex}
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 	s.queue <- ex
@@ -665,8 +665,8 @@ func TestCoalescedFollowerKeepsSearchAlive(t *testing.T) {
 	s.mu.Lock()
 	ex.refs.Add(2) // leader + follower
 	s.execs[ex.key] = ex
-	leader := &job{id: "j-900001", kind: ex.kind, key: ex.key, exec: ex, coalesced: false}
-	follower := &job{id: "j-900002", kind: ex.kind, key: ex.key, exec: ex, coalesced: true}
+	leader := &job{id: "j-900001", exec: ex, coalesced: false}
+	follower := &job{id: "j-900002", exec: ex, coalesced: true}
 	s.jobs[leader.id] = leader
 	s.jobs[follower.id] = follower
 	s.mu.Unlock()

@@ -98,7 +98,9 @@ serve-smoke:
 # node, the two
 # implementations of Definition 2 must agree on every generated table,
 # the incremental session must survive hostile delta files with exact
-# live-row accounting, and the service must answer any job body with a
+# live-row accounting and, after every batch it absorbs whole or in
+# part, confidential totals and Condition 1–2 bounds equal to a fresh
+# scan of the live rows, and the service must answer any job body with a
 # prepared job or an input error (400), never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTable$$' -fuzztime $(FUZZTIME) ./internal/dataset

@@ -790,9 +790,12 @@ func benchPerRow(b *testing.B, rows int, fn func() error) {
 // ladder of 0.1% / 1% / 10% rows per batch. Warm is the incremental
 // loop — Apply the delta, Republish the maintained node — whose cost
 // is proportional to the delta (the allocs/op column scales with the
-// churn, not the table). Cold is the same delta absorbed into a plain
-// ledger followed by a full Samarati re-search of the live snapshot,
-// the O(rows) pipeline a batch publisher would re-run. SpeedupPin
+// churn, not the table). Republish reads the Condition 1–2 bounds off
+// the confidential totals the session keeps, so no step of a batch
+// reads the base statistics whole. Cold is the same delta absorbed
+// into a plain ledger followed by a full Samarati re-search of the live
+// snapshot, the O(rows) pipeline a batch publisher would re-run.
+// SpeedupPin
 // fails the benchmark if the warm path is not at least 10x faster per
 // batch at 0.1% churn, and `make check` runs it. The repeated-sample
 // per-batch figures come from the bench/ republish workload.

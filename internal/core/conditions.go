@@ -46,25 +46,88 @@ func MaxGroups(t *table.Table, confidential []string, p int) (int, error) {
 	if p == 1 {
 		return n, nil
 	}
-	cf, err := CFMax(t, confidential)
+	totals, err := frequencyTotals(t, confidential)
 	if err != nil {
 		return 0, err
 	}
-	if p-1 > len(cf) {
-		return 0, fmt.Errorf("core: p = %d exceeds the defined cumulative frequency range (maxP = %d)", p, len(cf))
+	maxP, maxGroups := conditions(totals, n, p)
+	if p-1 > maxP {
+		return 0, fmt.Errorf("core: p = %d exceeds the defined cumulative frequency range (maxP = %d)", p, maxP)
 	}
-	best := math.MaxInt
-	for i := 1; i <= p-1; i++ {
-		// cf is 0-indexed; the paper's cf_{p-i} is cf[p-i-1].
-		v := (n - cf[p-i-1]) / i
-		if v < best {
-			best = v
+	return maxGroups, nil
+}
+
+// frequencyTotals holds each confidential attribute's FrequencySet as a
+// histogram: one entry per distinct value, its count, coded by rank.
+// The conditions read counts only.
+func frequencyTotals(t *table.Table, confidential []string) ([]table.CodeHist, error) {
+	if len(confidential) == 0 {
+		return nil, fmt.Errorf("core: no confidential attributes")
+	}
+	totals := make([]table.CodeHist, len(confidential))
+	for a, attr := range confidential {
+		f, err := FrequencySet(t, attr)
+		if err != nil {
+			return nil, err
+		}
+		h := make(table.CodeHist, len(f))
+		for i, c := range f {
+			h[i] = table.CodeCount{Code: i, Count: c}
+		}
+		totals[a] = h
+	}
+	return totals, nil
+}
+
+// conditions is the one evaluation of Conditions 1 and 2. totals holds
+// each confidential attribute's value counts, one entry per distinct
+// value in any order, over n rows. maxP is the least number of distinct
+// values. maxGroups is Condition 2's bound for p, defined only when
+// p-1 <= maxP, where every cf_{p-i} exists (p == 1 gives n):
+//
+//	maxGroups = min_{i=1..p-1} floor((n - cf_{p-i}) / i)
+//
+// cf_j is the largest sum of j counts of one attribute, and the floor
+// falls as cf_j grows, so the bound is the least of each attribute's own
+// bound over its j largest counts. Those are read off in runs of equal
+// counts, largest first, one pass over the attribute per run: the cost
+// is O(p * distinct values), with no sort and no allocation.
+func conditions(totals []table.CodeHist, n, p int) (maxP, maxGroups int) {
+	maxP = math.MaxInt
+	for _, h := range totals {
+		maxP = min(maxP, len(h))
+	}
+	maxGroups = n
+	if p-1 > maxP {
+		return maxP, 0
+	}
+	for _, h := range totals {
+		// j counts taken so far, summing to sum; the next run is the
+		// largest count below prev.
+		j, sum, prev := 0, 0, math.MaxInt
+		for j < p-1 {
+			next, mult := 0, 0
+			for _, e := range h {
+				switch {
+				case e.Count >= prev:
+				case e.Count > next:
+					next, mult = e.Count, 1
+				case e.Count == next:
+					mult++
+				}
+			}
+			if next == 0 {
+				break // no count is left that could lower the bound
+			}
+			for ; mult > 0 && j < p-1; mult-- {
+				j++
+				sum += next
+				maxGroups = min(maxGroups, (n-sum)/(p-j))
+			}
+			prev = next
 		}
 	}
-	if best < 0 {
-		best = 0
-	}
-	return best, nil
+	return maxP, max(maxGroups, 0)
 }
 
 // Bounds packages the two necessary-condition values. Theorems 1 and 2
@@ -86,17 +149,41 @@ type Bounds struct {
 // microdata for a target p. If p exceeds MaxP, the returned bounds have
 // Feasible() == false and MaxGroups is 0.
 func ComputeBounds(t *table.Table, confidential []string, p int) (Bounds, error) {
-	maxP, err := MaxP(t, confidential)
+	totals, err := frequencyTotals(t, confidential)
 	if err != nil {
 		return Bounds{}, err
 	}
+	return BoundsFromTotals(totals, t.NumRows(), p)
+}
+
+// BoundsFromStats computes the Theorem 1–2 bounds from group statistics
+// instead of a table: the confidential histograms carry exactly the
+// per-value counts MaxP and MaxGroups need, summed by Totals. The result
+// matches ComputeBounds on the table the statistics describe (zero-size
+// tombstone groups carry empty histograms and so contribute nothing).
+func BoundsFromStats(s *table.GroupStats, p int) (Bounds, error) {
+	if s == nil || s.NumConf == 0 {
+		return Bounds{}, fmt.Errorf("core: no confidential attributes")
+	}
+	return BoundsFromTotals(s.Totals(), s.NumRows, p)
+}
+
+// BoundsFromTotals computes the Theorem 1–2 bounds for p from each
+// confidential attribute's value counts over n rows — a whole-table
+// histogram per attribute, as GroupStats.Totals sums it — so a
+// streaming session that keeps the histograms up to date refreshes its
+// bounds without reading its group statistics. It allocates nothing.
+func BoundsFromTotals(totals []table.CodeHist, n, p int) (Bounds, error) {
+	if len(totals) == 0 {
+		return Bounds{}, fmt.Errorf("core: no confidential attributes")
+	}
+	if p < 1 {
+		return Bounds{}, fmt.Errorf("core: p must be >= 1, got %d", p)
+	}
+	maxP, maxGroups := conditions(totals, n, p)
 	b := Bounds{MaxP: maxP, P: p}
-	if p > maxP {
-		return b, nil
-	}
-	b.MaxGroups, err = MaxGroups(t, confidential, p)
-	if err != nil {
-		return Bounds{}, err
+	if p <= maxP {
+		b.MaxGroups = maxGroups
 	}
 	return b, nil
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"psk/internal/table"
 )
@@ -135,75 +133,4 @@ func localCheck(p Policy, v StatsView, groups []int) (Result, error) {
 		res.Group = groups[res.Group]
 	}
 	return res, nil
-}
-
-// BoundsFromStats computes the Theorem 1–2 bounds from group statistics
-// instead of a table: the confidential histograms carry exactly the
-// per-value counts MaxP and MaxGroups need, so a streaming session can
-// refresh its bounds from maintained statistics without rescanning
-// rows. The result matches ComputeBounds on the table the statistics
-// describe (zero-size tombstone groups carry empty histograms and so
-// contribute nothing).
-func BoundsFromStats(s *table.GroupStats, p int) (Bounds, error) {
-	if s == nil || s.NumConf == 0 {
-		return Bounds{}, fmt.Errorf("core: no confidential attributes")
-	}
-	if p < 1 {
-		return Bounds{}, fmt.Errorf("core: p must be >= 1, got %d", p)
-	}
-	maxP := -1
-	var cfs [][]int
-	minLen := -1
-	for a := 0; a < s.NumConf; a++ {
-		counts := make(map[int]int)
-		for i := range s.Groups {
-			for _, e := range s.Groups[i].Hists[a] {
-				counts[e.Code] += e.Count
-			}
-		}
-		if maxP == -1 || len(counts) < maxP {
-			maxP = len(counts)
-		}
-		f := make([]int, 0, len(counts))
-		for _, c := range counts {
-			f = append(f, c)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(f)))
-		cf := Cumulative(f)
-		cfs = append(cfs, cf)
-		if minLen == -1 || len(cf) < minLen {
-			minLen = len(cf)
-		}
-	}
-	b := Bounds{MaxP: maxP, P: p}
-	if p > maxP {
-		return b, nil
-	}
-	if p == 1 {
-		b.MaxGroups = s.NumRows
-		return b, nil
-	}
-	cf := make([]int, minLen)
-	for i := 0; i < minLen; i++ {
-		for _, c := range cfs {
-			if c[i] > cf[i] {
-				cf[i] = c[i]
-			}
-		}
-	}
-	if p-1 > len(cf) {
-		return Bounds{}, fmt.Errorf("core: p = %d exceeds the defined cumulative frequency range (maxP = %d)", p, len(cf))
-	}
-	best := math.MaxInt
-	for i := 1; i <= p-1; i++ {
-		v := (s.NumRows - cf[p-i-1]) / i
-		if v < best {
-			best = v
-		}
-	}
-	if best < 0 {
-		best = 0
-	}
-	b.MaxGroups = best
-	return b, nil
 }

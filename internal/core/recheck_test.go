@@ -224,3 +224,60 @@ func TestBoundsFromStatsMatchesComputeBounds(t *testing.T) {
 		t.Fatal("p = 0 accepted")
 	}
 }
+
+// TestBoundsFromTotalsMatchesCumulative: the one Condition 1–2 formula,
+// which reads each attribute's largest counts without sorting them,
+// must equal the paper's formula over CFMax's sorted cumulative
+// frequencies whatever order the counts come in, for BoundsFromTotals
+// and for MaxGroups one p past maxP, and must allocate nothing.
+func TestBoundsFromTotalsMatchesCumulative(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	conf := []string{"Ill", "Inc"}
+	for round := 0; round < 6; round++ {
+		tbl := recheckTable(t, rng, 5+40*round)
+		n := tbl.NumRows()
+		cf, err := CFMax(tbl, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := tbl.GroupStats([]string{"Q1"}, conf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals := stats.Totals()
+		for _, h := range totals {
+			rng.Shuffle(len(h), func(i, j int) { h[i], h[j] = h[j], h[i] })
+		}
+		for p := 1; p <= len(cf)+2; p++ {
+			// The paper's formula, wherever every cf_{p-i} is defined.
+			ref := n
+			for i := 1; i <= p-1 && p-1 <= len(cf); i++ {
+				ref = min(ref, max((n-cf[p-i-1])/i, 0))
+			}
+			want := Bounds{MaxP: len(cf), P: p}
+			if p <= len(cf) {
+				want.MaxGroups = ref
+			}
+			if got, err := BoundsFromTotals(totals, n, p); err != nil || got != want {
+				t.Fatalf("round %d p=%d: BoundsFromTotals = %+v (err %v), want %+v", round, p, got, err, want)
+			}
+			got, err := MaxGroups(tbl, conf, p)
+			if p-1 > len(cf) {
+				if err == nil {
+					t.Fatalf("round %d: MaxGroups accepted p = %d past maxP = %d + 1", round, p, len(cf))
+				}
+			} else if err != nil || got != ref {
+				t.Fatalf("round %d p=%d: MaxGroups = %d (err %v), want %d", round, p, got, err, ref)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = BoundsFromTotals(totals, n, len(cf)) }); allocs != 0 {
+			t.Fatalf("BoundsFromTotals allocates %.0f times per call", allocs)
+		}
+	}
+	if _, err := BoundsFromTotals(nil, 3, 2); err == nil {
+		t.Fatal("no confidential attributes accepted")
+	}
+	if _, err := BoundsFromTotals([]table.CodeHist{{{Code: 0, Count: 3}}}, 3, 0); err == nil {
+		t.Fatal("p = 0 accepted")
+	}
+}

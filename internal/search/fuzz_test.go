@@ -15,7 +15,10 @@ import (
 // session must never panic — malformed lines, schema mismatches,
 // unknown or doubled retire ids and oversized rows must all surface as
 // errors — and the live-row accounting must stay exact across every
-// accepted batch. Seed corpus under testdata/fuzz.
+// accepted batch. After every accepted batch, and every rejected one
+// that left the session unpoisoned, the maintained confidential totals
+// and bounds must equal a fresh scan of the live rows (checkTotals).
+// Seed corpus under testdata/fuzz.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(`{"append":[["M","41076","Flu"]],"retire":[0]}` + "\n")
 	f.Add(`{"columns":["Sex","ZipCode","Illness"],"append":[["F","43103","Cold"]]}` + "\n" + `{"retire":[1,2]}` + "\n")
@@ -48,6 +51,9 @@ func FuzzApplyDelta(f *testing.F) {
 				// them, then check the session still answers or reports its
 				// poisoning honestly.
 				live, rows = s.NumLive(), s.NumRows()
+				if s.err == nil {
+					checkTotals(t, s, "rejected batch")
+				}
 				if _, err := s.Republish(); err == nil {
 					if got := s.NumLive(); got != live {
 						t.Fatalf("republish moved NumLive %d -> %d", live, got)
@@ -60,6 +66,7 @@ func FuzzApplyDelta(f *testing.F) {
 			if s.NumLive() != live || s.NumRows() != rows {
 				t.Fatalf("accounting drift: live %d want %d, rows %d want %d", s.NumLive(), live, s.NumRows(), rows)
 			}
+			checkTotals(t, s, "accepted batch")
 			if _, err := s.Republish(); err != nil {
 				t.Fatalf("republish after accepted batch: %v", err)
 			}

@@ -19,9 +19,12 @@ import (
 //     group statistics under row churn, and a second StatsDelta
 //     maintains the published node's statistics through a per-session
 //     code translation (pubMap), so each batch costs O(rows in batch).
+//     Beside them the session keeps each confidential attribute's
+//     whole-table histogram, which the Condition 1–2 bounds read.
 //   - Republish re-verdicts only the groups the batch touched
 //     (core.RecheckGroups), so an unchanged verdict costs O(changed
-//     groups), never O(rows).
+//     groups), never O(rows), and reads its bounds off the maintained
+//     histograms, never the base statistics.
 //   - When the incumbent node stops satisfying, repair climbs the
 //     lattice from it — evaluating only its ancestors, height by
 //     height, through the ordinary engine seeded with the maintained
@@ -83,6 +86,16 @@ type Incremental struct {
 	// rescans rows either.
 	base *table.StatsDelta
 
+	// totals holds each confidential attribute's histogram over the live
+	// rows, what Conditions 1–2 read. Every node's statistics sum to the
+	// same totals, so one copy moves with each row the base absorbs.
+	totals []table.CodeHist
+
+	// keyBuf, confBuf and pubBuf hold the codes of the row Apply is
+	// absorbing: base QI codes, confidential codes and published-node QI
+	// codes. StatsDelta copies the key codes it keeps.
+	keyBuf, confBuf, pubBuf []int
+
 	// pub is the currently published node; nil before the first
 	// publication and after a republish that found nothing. pubStats
 	// maintains the published node's statistics and its changed-group
@@ -99,8 +112,9 @@ type Incremental struct {
 }
 
 // OpenIncremental starts a streaming session: the table is deep-copied
-// into a ledger, its base statistics are scanned once, and every later
-// batch is absorbed in O(batch) time. The fallback strategy serves the
+// into a ledger, its base statistics are scanned once and their
+// confidential totals summed, and every later batch is absorbed in
+// O(batch) time. The fallback strategy serves the
 // initial publication and any republish the repair ascent cannot
 // settle. Repair derives every ancestor's statistics from the
 // maintained base statistics by roll-up, so the ledger — retired rows
@@ -149,9 +163,13 @@ func OpenIncremental(im *table.Table, cfg Config, fallback Strategy) (*Increment
 	if err != nil {
 		return nil, err
 	}
+	s.totals = bs.Totals()
 	if s.base, err = table.NewStatsDelta(bs); err != nil {
 		return nil, err
 	}
+	s.keyBuf = make([]int, len(cfg.QIs))
+	s.confBuf = make([]int, len(s.conf))
+	s.pubBuf = make([]int, len(cfg.QIs))
 	return s, nil
 }
 
@@ -177,16 +195,16 @@ func (s *Incremental) Published() lattice.Node {
 // Apply absorbs one delta batch: retires first (ids must name live rows
 // that existed before this batch), then appends (textual cells in
 // schema order; each appended row's id is its position in NumRows
-// order). The ledger and both maintained statistics move together; on
-// error the batch stops at the failing row — rows before it are fully
-// absorbed, the failing row not at all — and an error that can leave
-// the layers disagreeing poisons the session permanently.
+// order). The ledger, both maintained statistics and the confidential
+// totals move together; on error the batch stops at the failing row —
+// rows before it are fully absorbed, the failing row not at all — and
+// an error that can leave the layers disagreeing poisons the session
+// permanently.
 func (s *Incremental) Apply(appends [][]string, retires []int) error {
 	if s.err != nil {
 		return s.err
 	}
-	keyCodes := make([]int, len(s.qiCols))
-	confCodes := make([]int, len(s.confCols))
+	keyCodes, confCodes := s.keyBuf, s.confBuf
 	for _, id := range retires {
 		if err := s.led.Retire(id); err != nil {
 			return err
@@ -196,6 +214,13 @@ func (s *Incremental) Apply(appends [][]string, retires []int) error {
 		s.rowCodes(id, keyCodes, confCodes)
 		if _, err := s.base.Retire(keyCodes, confCodes); err != nil {
 			return s.poison(err)
+		}
+		for a, c := range confCodes {
+			h, err := s.totals[a].Sub(c)
+			if err != nil {
+				return s.poison(fmt.Errorf("search: confidential totals: %w", err))
+			}
+			s.totals[a] = h
 		}
 		if s.pubStats != nil {
 			pubCodes, err := s.translateKnown(keyCodes)
@@ -218,6 +243,9 @@ func (s *Incremental) Apply(appends [][]string, retires []int) error {
 		s.rowCodes(id, keyCodes, confCodes)
 		if _, err := s.base.Append(keyCodes, confCodes, id); err != nil {
 			return s.poison(err)
+		}
+		for a, c := range confCodes {
+			s.totals[a] = s.totals[a].Add(c)
 		}
 		if s.pubStats != nil {
 			pubCodes, err := s.translateNew(keyCodes, id)
@@ -270,12 +298,12 @@ func (s *Incremental) poison(err error) error {
 	return s.err
 }
 
-// translateKnown maps base QI codes to published-node codes for a row
-// the statistics have already absorbed; every code is necessarily in
-// the translation (adoption seeds it from all groups ever seen, and
-// appends extend it), so a miss is an internal error.
+// translateKnown maps base QI codes to published-node codes, in pubBuf,
+// for a row the statistics have already absorbed; every code is
+// necessarily in the translation (adoption seeds it from all groups ever
+// seen, and appends extend it), so a miss is an internal error.
 func (s *Incremental) translateKnown(keyCodes []int) ([]int, error) {
-	out := make([]int, len(keyCodes))
+	out := s.pubBuf
 	for i, c := range keyCodes {
 		pm := s.pubMaps[i]
 		if pm.level == 0 {
@@ -291,12 +319,13 @@ func (s *Incremental) translateKnown(keyCodes []int) ([]int, error) {
 	return out, nil
 }
 
-// translateNew maps base QI codes to published-node codes for a freshly
-// appended row, extending the translation when the row introduced a new
-// value: the value's generalized label at the published level is
-// interned, so values that generalize alike share a pub code.
+// translateNew maps base QI codes to published-node codes, in pubBuf,
+// for a freshly appended row, extending the translation when the row
+// introduced a new value: the value's generalized label at the
+// published level is interned, so values that generalize alike share a
+// pub code.
 func (s *Incremental) translateNew(keyCodes []int, rowID int) ([]int, error) {
-	out := make([]int, len(keyCodes))
+	out := s.pubBuf
 	for i, c := range keyCodes {
 		pm := s.pubMaps[i]
 		if pm.level == 0 {
@@ -425,9 +454,11 @@ func (s *Incremental) changedSurvivors(stats *table.GroupStats) []int {
 }
 
 // currentBounds refreshes the necessary-condition bounds from the
-// maintained base statistics, as Run reads them off its base scan.
+// maintained confidential totals and the live row count, as Run reads
+// them off its base scan. It reads no group statistics, so it leaves
+// the base histograms owned: the next Apply copies none of them again.
 func (s *Incremental) currentBounds() (core.Bounds, error) {
-	return statsBounds(s.cfg, s.base.Stats())
+	return conditionBounds(s.cfg, s.led.NumLive(), func() []table.CodeHist { return s.totals })
 }
 
 // repair climbs the lattice from the violating incumbent: strict

@@ -155,6 +155,32 @@ func freshNodeStats(t *testing.T, s *Incremental, node lattice.Node) (violating 
 	return violating, res.Satisfied, stats
 }
 
+// checkTotals pins the session's confidential totals, and the
+// Condition 1–2 bounds it reads off them, to a fresh scan of the live
+// rows: the totals of GroupStats on the snapshot, and core.ComputeBounds
+// on it.
+func checkTotals(t *testing.T, s *Incremental, what string) {
+	t.Helper()
+	snap, err := s.led.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := snap.GroupStats(s.cfg.QIs, s.conf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(s.totals), fmt.Sprint(fresh.Totals()); got != want {
+		t.Fatalf("%s: maintained totals %s, fresh scan %s", what, got, want)
+	}
+	want, err := core.ComputeBounds(snap, s.conf, s.cfg.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.currentBounds(); err != nil || got != want {
+		t.Fatalf("%s: maintained bounds %+v (err %v), ComputeBounds on the live rows %+v", what, got, err, want)
+	}
+}
+
 // TestIncrementalInitialPublishMatchesBatch: the first Republish must
 // be byte-identical to running the fallback strategy directly on the
 // same rows — node, verdict, suppression, stats, and the masked table —
@@ -197,8 +223,9 @@ func TestIncrementalInitialPublishMatchesBatch(t *testing.T) {
 
 // TestIncrementalStreamMatchesFreshScan is the differential core: a
 // long churn stream where, after every batch, the incremental verdict,
-// suppression count, maintained statistics and materialized table must
-// all agree with a fresh batch pipeline on the live rows.
+// suppression count, maintained statistics, confidential totals and
+// bounds, and materialized table must all agree with a fresh batch
+// pipeline on the live rows.
 func TestIncrementalStreamMatchesFreshScan(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
@@ -218,6 +245,7 @@ func TestIncrementalStreamMatchesFreshScan(t *testing.T) {
 				if err := s.Apply(appends, retires); err != nil {
 					t.Fatal(err)
 				}
+				checkTotals(t, s, fmt.Sprintf("batch %d", batch))
 				res, err := s.Republish()
 				if err != nil {
 					t.Fatal(err)
@@ -286,6 +314,91 @@ func TestIncrementalStreamMatchesFreshScan(t *testing.T) {
 				t.Fatal("initial publish did not count as a cold fallback")
 			}
 		})
+	}
+}
+
+// TestIncrementalCondition1FollowsTotals retires, batch by batch, every
+// row whose Illness is not Flu, so Condition 1 fails for p = 2 once the
+// last of them goes. Each Republish must report PrunedCondition1 exactly
+// when ComputeBounds on the live rows is infeasible — from a published
+// node, on the session's own totals, with no repair ascent or cold
+// search — and appending a second Illness value must publish again.
+func TestIncrementalCondition1FollowsTotals(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cfg := incrConfig(t, 3, 2, 4, 1)
+	rec := obs.NewRecorder()
+	cfg.Recorder = rec
+	s, err := OpenIncremental(streamTable(t, rng, 60), cfg, StrategySamarati)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Republish(); err != nil || !res.Found {
+		t.Fatalf("initial publish: found %v, err %v", res.Found, err)
+	}
+	ill := s.confCols[0] // Illness
+	found, pruned := 0, 0
+	for batch := 0; ; batch++ {
+		var retires []int
+		for id := 0; id < s.NumRows() && len(retires) < 8; id++ {
+			if s.led.Live(id) && ill.Value(id).Str() != "Flu" {
+				retires = append(retires, id)
+			}
+		}
+		if len(retires) == 0 {
+			break
+		}
+		if err := s.Apply([][]string{{"M", "41076", "Flu"}, {"F", "43102", "Flu"}}, retires); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("batch %d", batch)
+		checkTotals(t, s, what)
+		snap, err := s.led.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds, err := core.ComputeBounds(snap, s.conf, s.cfg.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published, before := s.Published() != nil, rec.Snapshot().Incremental
+		res, err := s.Republish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Stats.PrunedCondition1 > 0) != !bounds.Feasible() {
+			t.Fatalf("%s: PrunedCondition1 = %d with bounds %+v on the live rows", what, res.Stats.PrunedCondition1, bounds)
+		}
+		if res.Found {
+			found++
+		}
+		if !bounds.Feasible() {
+			pruned++
+			if res.Found || s.Published() != nil {
+				t.Fatalf("%s: published %v under an infeasible p", what, res.Node)
+			}
+			after := rec.Snapshot().Incremental
+			if published && (after.RepairAscents != before.RepairAscents || after.ColdFallbacks != before.ColdFallbacks) {
+				t.Fatalf("%s: the published node was pruned by a search (repair ascents %d -> %d, cold fallbacks %d -> %d), not by the session's totals",
+					what, before.RepairAscents, after.RepairAscents, before.ColdFallbacks, after.ColdFallbacks)
+			}
+		}
+	}
+	if found == 0 || pruned == 0 {
+		t.Fatalf("the stream published after %d batches and was pruned after %d; it must do both", found, pruned)
+	}
+	if err := s.Apply([][]string{{"M", "41076", "Cold"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkTotals(t, s, "second value")
+	res, err := s.Republish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || res.Stats.PrunedCondition1 != 0 {
+		t.Fatalf("a second Illness value did not publish again: found %v, stats %+v", res.Found, res.Stats)
+	}
+	if _, satisfied, _ := freshNodeStats(t, s, res.Node); !satisfied {
+		t.Fatalf("fresh scan rejects the republished node %v", res.Node)
 	}
 }
 

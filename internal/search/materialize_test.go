@@ -138,7 +138,7 @@ func TestMaterializeChecksStatistics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bounds, err := statsBounds(cfg, base)
+			bounds, err := conditionBounds(cfg, base.NumRows, base.Totals)
 			if err != nil {
 				t.Fatal(err)
 			}

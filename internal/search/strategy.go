@@ -186,7 +186,7 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	bounds, err := statsBounds(cfg, base)
+	bounds, err := conditionBounds(cfg, base.NumRows, base.Totals)
 	if err != nil {
 		return Result{}, err
 	}
@@ -221,16 +221,17 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 	return res, nil
 }
 
-// statsBounds computes the necessary-condition bounds from base
-// statistics — Theorems 1–2 make them properties of the initial
-// microdata — when the built-in property is searched with conditions
-// enabled and p >= 2; otherwise it returns permissive bounds that never
-// reject. A custom Policy brings its own bounds (core.WithBounds).
-func statsBounds(cfg Config, base *table.GroupStats) (core.Bounds, error) {
+// conditionBounds computes the necessary-condition bounds from the
+// confidential value counts of the rows — Theorems 1–2 make them
+// properties of the initial microdata — when the built-in property is
+// searched with conditions enabled and p >= 2, the one case that calls
+// totals; otherwise it returns permissive bounds that never reject. A
+// custom Policy brings its own bounds (core.WithBounds).
+func conditionBounds(cfg Config, rows int, totals func() []table.CodeHist) (core.Bounds, error) {
 	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 {
-		return core.BoundsFromStats(base, cfg.P)
+		return core.BoundsFromTotals(totals(), rows, cfg.P)
 	}
-	return core.Bounds{MaxP: cfg.P, MaxGroups: base.NumRows, P: cfg.P}, nil
+	return core.Bounds{MaxP: cfg.P, MaxGroups: rows, P: cfg.P}, nil
 }
 
 // release makes the walk's first minimal node, if any, the result's

@@ -239,7 +239,7 @@ func (d *StatsDelta) Append(keyCodes, confCodes []int, rowID int) (int, error) {
 	gr := &d.stats.Groups[g]
 	gr.Size++
 	for a, c := range confCodes {
-		gr.Hists[a] = histAdd(gr.Hists[a], c)
+		gr.Hists[a] = gr.Hists[a].Add(c)
 	}
 	d.stats.NumRows++
 	d.changed[g] = struct{}{}
@@ -265,7 +265,7 @@ func (d *StatsDelta) Retire(keyCodes, confCodes []int) (int, error) {
 	d.own(g)
 	gr = &d.stats.Groups[g]
 	for a, c := range confCodes {
-		h, err := histSub(gr.Hists[a], c)
+		h, err := gr.Hists[a].Sub(c)
 		if err != nil {
 			return 0, fmt.Errorf("table: stats delta: group %d attribute %d: %w", g, a, err)
 		}
@@ -311,9 +311,10 @@ func (d *StatsDelta) own(g int) {
 	d.owned[g] = true
 }
 
-// histAdd increments code's count in a sorted histogram, inserting the
-// entry if absent.
-func histAdd(h CodeHist, code int) CodeHist {
+// Add increments code's count in the histogram, inserting the entry if
+// absent, and returns the histogram, as append does: the caller must own
+// it.
+func (h CodeHist) Add(code int) CodeHist {
 	i := sort.Search(len(h), func(i int) bool { return h[i].Code >= code })
 	if i < len(h) && h[i].Code == code {
 		h[i].Count++
@@ -325,9 +326,10 @@ func histAdd(h CodeHist, code int) CodeHist {
 	return h
 }
 
-// histSub decrements code's count, removing the entry at zero; an
-// absent code is an error.
-func histSub(h CodeHist, code int) (CodeHist, error) {
+// Sub decrements code's count, removing the entry at zero, and returns
+// the histogram; an absent code is an error. The caller must own the
+// histogram.
+func (h CodeHist) Sub(code int) (CodeHist, error) {
 	i := sort.Search(len(h), func(i int) bool { return h[i].Code >= code })
 	if i >= len(h) || h[i].Code != code {
 		return nil, fmt.Errorf("confidential code %d is not in the histogram", code)

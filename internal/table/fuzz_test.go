@@ -133,7 +133,9 @@ func sameTable(t *testing.T, what string, want, got *Table) {
 //     the reference on that table;
 //   - Project onto the drawn key subset equals the reference keyed by
 //     that subset;
-//   - GroupStats at 4 workers (shard merge) equals 1 worker.
+//   - GroupStats at 4 workers (shard merge) equals 1 worker;
+//   - Totals of the scan and of the roll-up equal a row-at-a-time count
+//     (compared as printed, where a nil and an empty histogram agree).
 //
 // The column kinds reach every branch of the scan and the merge: packed
 // keys through the dense key table or the map, unpacked keys (an Int
@@ -154,6 +156,10 @@ func FuzzRollup(f *testing.F) {
 		} else if !reflect.DeepEqual(base, want) {
 			t.Fatalf("GroupStats diverges from the reference\nscanned:   %+v\nreference: %+v", base, want)
 		}
+		totals := fmt.Sprint(totalsRef(t, c.tbl, c.conf))
+		if got := fmt.Sprint(base.Totals()); got != totals {
+			t.Fatalf("Totals diverge from a row-at-a-time count\nsummed:    %s\nreference: %s", got, totals)
+		}
 		maps := make([]*CodeMap, len(c.qis))
 		for i, q := range c.qis {
 			from, _ := c.tbl.Column(q)
@@ -172,6 +178,9 @@ func FuzzRollup(f *testing.F) {
 		}
 		if !reflect.DeepEqual(rolled, direct) {
 			t.Fatalf("Rollup diverges from the coarsened table's reference stats\nrolled: %+v\ndirect: %+v", rolled, direct)
+		}
+		if got := fmt.Sprint(rolled.Totals()); got != totals {
+			t.Fatalf("a roll-up's Totals diverge from its source's\nrolled:    %s\nreference: %s", got, totals)
 		}
 
 		kept := make([]string, len(c.keep))

@@ -135,6 +135,36 @@ func (s *GroupStats) SuppressBelow(k int) *GroupStats {
 	return out
 }
 
+// Totals returns each confidential attribute's histogram over all the
+// groups' rows, sorted by code: the value counts of the whole table.
+// The groups are summed as the sources of one roll-up target, in the
+// merge's accumulator (mergeGroupHists), so a total costs the groups'
+// histogram entries and no map unless an attribute's codes span more
+// than a dense accumulator holds. The histograms are the caller's own;
+// none is shared with the receiver.
+func (s *GroupStats) Totals() []CodeHist {
+	if len(s.Groups) < 2 {
+		// mergeGroupHists would share a lone source's histograms.
+		out := make([]CodeHist, s.NumConf)
+		for _, g := range s.Groups {
+			for a, h := range g.Hists {
+				out[a] = slices.Clone(h)
+			}
+		}
+		return out
+	}
+	ar := getStatsArena()
+	target := resize(ar.target, len(s.Groups))
+	clear(target)
+	ar.target = target
+	ar.newGroup(0)
+	ar.sizes[0] = int32(len(s.Groups))
+	all := &GroupStats{NumConf: s.NumConf, Groups: make([]GroupStat, 1)}
+	mergeGroupHists(s.Groups, all, ar)
+	ar.release()
+	return all.Groups[0].Hists
+}
+
 // Rollup maps the receiver's groups onto a more generalized lattice
 // node's groups: maps[i] translates QI column i's codes from the
 // receiver's level to the target level (nil meaning the level did not

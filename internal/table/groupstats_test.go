@@ -298,6 +298,88 @@ func TestCodeHistHelpers(t *testing.T) {
 	}
 }
 
+// totalsRef is Totals the row-at-a-time way: the histograms of the one
+// group that a key of no columns puts every row in.
+func totalsRef(t testing.TB, tbl *Table, conf []string) []CodeHist {
+	t.Helper()
+	s, err := tbl.groupStatsRef(nil, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Groups) == 0 {
+		return make([]CodeHist, len(conf))
+	}
+	return s.Groups[0].Hists
+}
+
+// TestGroupStatsTotals: the whole-table histograms summed from group
+// statistics must equal a row-at-a-time count on every path — no group,
+// one group, the merge's dense accumulator and its wide fallback — and
+// must be the caller's own.
+func TestGroupStatsTotals(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	conf := []string{"S1", "S2"}
+	for _, n := range []int{0, 1, 7, 503} {
+		tbl := randomMicrodata(t, rng, n)
+		for _, qis := range [][]string{{"A", "B", "C"}, {"A"}} {
+			stats, err := tbl.GroupStats(qis, conf, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := stats.Totals(), totalsRef(t, tbl, conf)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("n=%d key %v: Totals = %v, want %v", n, qis, got, want)
+			}
+		}
+	}
+
+	// An Int attribute spread wider than a dense accumulator sums
+	// through the map.
+	sch := MustSchema(Field{Name: "Q", Type: String}, Field{Name: "W", Type: Int})
+	b, err := NewBuilder(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []int64{0, 1 << 40, 0, -(1 << 40), 7, 1 << 40} {
+		b.Append(SV(fmt.Sprintf("q%d", i%3)), IV(v))
+	}
+	wide, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := wide.GroupStats([]string{"Q"}, []string{"W"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stats.Totals(), totalsRef(t, wide, []string{"W"}); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("wide Totals = %v, want %v", got, want)
+	}
+
+	// Writing to the totals leaves the statistics alone, also when one
+	// group (key W over rows 0 and 2) would otherwise lend its histograms.
+	two, err := wide.Gather([]int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][]string{{"Q"}, {"W"}} {
+		for _, tb := range []*Table{wide, two} {
+			stats, err := tb.GroupStats(key, []string{"W"}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := fmt.Sprint(stats.Groups)
+			totals := stats.Totals()
+			for i := range totals[0] {
+				totals[0][i].Count += 100
+			}
+			totals[0] = totals[0].Add(5)
+			if after := fmt.Sprint(stats.Groups); after != before {
+				t.Fatalf("key %v: writing the totals changed the statistics: %s -> %s", key, before, after)
+			}
+		}
+	}
+}
+
 // TestGroupStatsProject: projecting statistics onto a subset of the
 // key columns must be byte-identical to computing them directly with
 // that subset as the key — the roll-up across QI subsets Incognito

@@ -79,10 +79,12 @@ serve-smoke:
 # input generation on top of its committed seed corpus: the loaders
 # (dataset, hierarchy) must never panic on hostile bytes, the table's
 # hand-written CSV reader, through a sized reader, the same reader with
-# its length hidden and a one-byte-per-read reader, and its writer must
-# agree with the encoding/csv reference they replaced (same accepted
-# inputs, same tables, same written bytes) and any CSV the reader
-# accepts must write and read
+# its length hidden, a one-byte-per-read reader and a sized reader
+# forced into three concurrently parsed record ranges, and its writer,
+# on the calling goroutine and on three workers formatting one-row
+# blocks, must agree with the encoding/csv reference they replaced (same
+# accepted inputs, same tables, same written bytes) and any CSV the
+# reader accepts must write and read
 # back as an equal table, the level maps the generalization cache derives from
 # per-value hierarchy walks must equal the ones built from materialized
 # columns on every row under every hierarchy kind, the base statistics

@@ -135,6 +135,7 @@ func TestPolicyParamsAreInputErrors(t *testing.T) {
 // listeners, pskserve's and the live observatory's, instead of holding
 // a connection and its goroutine for as long as it likes.
 func TestSlowHeaderClientDisconnected(t *testing.T) {
+	t.Parallel()
 	listeners := []struct {
 		name  string
 		start func(t *testing.T) (addr string)
@@ -192,6 +193,67 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 				t.Fatalf("connection still open %v after a partial request line", time.Since(start).Round(time.Second))
 			}
 		})
+	}
+}
+
+// TestSlowBodyClientDisconnected: a client that declares a 1 MiB submit
+// body, sends 16 KiB of it and stalls is disconnected by pskserve after
+// obs.ReadHeaderTimeout instead of pinning its buffer for as long as it
+// likes, and a prompt submit to the same server still gets its 202.
+func TestSlowBodyClientDisconnected(t *testing.T) {
+	t.Parallel()
+	stderr := newObsAddrWriter()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeContext(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1"}, io.Discard, stderr)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	var addr string
+	select {
+	case addr = <-stderr.addrC:
+	case err := <-done:
+		t.Fatalf("ServeContext finished before announcing: %v\nstderr: %s", err, stderr.String())
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no listen address announced\nstderr: %s", stderr.String())
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, 1<<20)
+	if _, err := conn.Write(bytes.Repeat([]byte(" "), 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+
+	job, err := config.Parse([]byte(jobJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &smokeClient{t: t, base: "http://" + addr, c: &http.Client{Timeout: 30 * time.Second}}
+	req := serve.JobRequest{Kind: serve.KindAnonymize, CSV: patientsCSV, Job: job}
+	if status, raw := sc.do("POST", "/v1/jobs", req); status != http.StatusAccepted {
+		t.Errorf("prompt submit beside a stalled one: got %d, want 202: %s", status, raw)
+	}
+
+	if err := conn.SetReadDeadline(start.Add(obs.ReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 400 before it closes; only a read that
+	// outlives the deadline means the connection was kept.
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled body", time.Since(start).Round(time.Second))
+	}
+	if held := time.Since(start); held < obs.ReadHeaderTimeout-time.Second {
+		t.Errorf("stalled body cut off after %v, before the %v deadline", held.Round(time.Millisecond), obs.ReadHeaderTimeout)
 	}
 }
 

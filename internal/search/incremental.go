@@ -392,7 +392,10 @@ func (s *Incremental) Republish() (Result, error) {
 	}
 	var res Result
 	res.Stats.NodesEvaluated = 1
-	stats := s.pubStats.Stats()
+	// Nothing built from the statistics here outlives the call, so they
+	// are read without marking their histograms shared: the next Apply
+	// copies none of them again.
+	stats := s.pubStats.View()
 	violating := stats.TuplesBelow(s.cfg.K)
 	if violating > s.cfg.MaxSuppress {
 		// The engine's over-budget verdict: rejected before any policy

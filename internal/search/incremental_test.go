@@ -317,6 +317,52 @@ func TestIncrementalStreamMatchesFreshScan(t *testing.T) {
 	}
 }
 
+// TestIncrementalRepublishKeepsHistogramsOwned: a fast-path Republish
+// reads the published statistics without marking their histograms
+// shared, so a one-row batch after it copies none of them. The batch
+// retires and re-appends a row of a group the previous batch touched,
+// which the delta already owns; a copy would give the group a new
+// histogram slice.
+func TestIncrementalRepublishKeepsHistogramsOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cfg := incrConfig(t, 3, 2, 8, 1)
+	rec := obs.NewRecorder()
+	cfg.Recorder = rec
+	s, err := OpenIncremental(streamTable(t, rng, 300), cfg, StrategySamarati)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Republish(); err != nil || !res.Found {
+		t.Fatalf("initial publish: found %v, err %v", res.Found, err)
+	}
+	row := []string{"M", streamZips[0], streamIlls[0]}
+	if err := s.Apply([][]string{row}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := rec.Snapshot().Incremental
+	if res, err := s.Republish(); err != nil || !res.Found {
+		t.Fatalf("republish: found %v, err %v", res.Found, err)
+	}
+	after := rec.Snapshot().Incremental
+	if after.GroupsRecheck == before.GroupsRecheck || after.RepairAscents != before.RepairAscents || after.ColdFallbacks != before.ColdFallbacks {
+		t.Fatalf("republish left the fast path: %+v, then %+v", before, after)
+	}
+
+	groups := s.pubStats.View().Groups
+	hists := make([]*table.CodeHist, len(groups))
+	for g := range groups {
+		hists[g] = &groups[g].Hists[0]
+	}
+	if err := s.Apply([][]string{row}, []int{s.NumRows() - 1}); err != nil {
+		t.Fatal(err)
+	}
+	for g, h := range hists {
+		if got := &s.pubStats.View().Groups[g].Hists[0]; got != h {
+			t.Errorf("group %d: the one-row batch copied its histograms", g)
+		}
+	}
+}
+
 // TestIncrementalCondition1FollowsTotals retires, batch by batch, every
 // row whose Illness is not Flu, so Condition 1 fails for p = 2 once the
 // last of them goes. Each Republish must report PrunedCondition1 exactly

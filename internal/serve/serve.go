@@ -423,7 +423,16 @@ func readBody(r io.Reader, declared int64) ([]byte, error) {
 // attaches to the execution of its key or queues a new one.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.stats.submitted.Add(1)
+	// A client that stalls mid-body is cut off after the time a client
+	// has to send its headers. The deadline is this read's alone: a
+	// server-wide ReadTimeout would also fail net/http's background read
+	// while the handler runs, which cancels the request's context. A
+	// writer with no connection beneath it, such as a test recorder, has
+	// no deadline to set, and its body is read without one.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(obs.ReadHeaderTimeout))
 	body, err := readBody(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes), r.ContentLength)
+	_ = rc.SetReadDeadline(time.Time{})
 	if err != nil {
 		s.rejectInput(w, "bad request body: "+err.Error())
 		return

@@ -65,8 +65,8 @@ type freezer interface {
 }
 
 // reserveRows sets aside storage for rows rows in each of the empty
-// columns NewColumn returned, as ReadCSV does once when it can estimate
-// the rows of its input.
+// columns NewColumn returned, as ReadCSV does once it has counted the
+// records of a sized input.
 func reserveRows(cols []Column, rows int) {
 	for _, c := range cols {
 		switch c := c.(type) {
@@ -81,28 +81,77 @@ func reserveRows(cols []Column, rows int) {
 	}
 }
 
-// rowBytes is the storage reserveRows sets aside per row in a column of
-// type t: a string code, an int value, or a float value and its code.
-func rowBytes(t Type) int64 {
-	switch t {
-	case Int:
-		return 8
-	case Float:
-		return 12
-	default:
-		return 4
+// window returns an empty column of c's type that appends into rows
+// [lo, hi) of the storage reserveRows set aside in c: its slices alias
+// c's, with their capacity capped at hi, so no append can move them.
+// Its dictionary is its own until absorb merges it into c's.
+func window(c Column, lo, hi int) Column {
+	switch c := c.(type) {
+	case *stringColumn:
+		return &stringColumn{index: make(map[string]int32), codes: c.codes[lo:lo:hi]}
+	case *intColumn:
+		return &intColumn{vals: c.vals[lo:lo:hi]}
+	case *floatColumn:
+		return &floatColumn{nanCode: -1, vals: c.vals[lo:lo:hi], codes: c.codes[lo:lo:hi]}
+	}
+	panic(fmt.Sprintf("table: no row window of a %T", c))
+}
+
+// absorb merges the dictionary of w, a window of c, into c's: the first
+// window's becomes c's, and a later one's values are interned in code
+// order, so c's dictionary stays in first-appearance order, and its rows'
+// codes are remapped in place. Windows are absorbed in row order.
+func absorb(c, w Column, first bool) {
+	switch c := c.(type) {
+	case *stringColumn:
+		w := w.(*stringColumn)
+		if first {
+			c.dict, c.index = w.dict, w.index
+			return
+		}
+		remap := make([]int32, len(w.dict))
+		for i, s := range w.dict {
+			remap[i] = c.intern(s)
+		}
+		remapCodes(w.codes, remap)
+	case *floatColumn:
+		w := w.(*floatColumn)
+		if first {
+			c.dict, c.index, c.nanCode = w.dict, w.index, w.nanCode
+			return
+		}
+		remap := make([]int32, len(w.dict))
+		for i, f := range w.dict {
+			remap[i] = c.code(f)
+		}
+		remapCodes(w.codes, remap)
 	}
 }
 
-// fitReserved returns s copied down to its length when s still has the
-// capacity of its reservation, rows, and more than 1/fitSlack of it went
-// unused. Capacity that appends grew past a reservation is the slack any
-// append leaves, and stays.
-func fitReserved[T any](s []T, rows int) []T {
-	if cap(s) != rows || cap(s)-len(s) <= cap(s)/fitSlack {
-		return s
+// remapCodes replaces each code with remap[code], unless remap is the
+// identity.
+func remapCodes(codes, remap []int32) {
+	for i, to := range remap {
+		if to != int32(i) {
+			for j, c := range codes {
+				codes[j] = remap[c]
+			}
+			return
+		}
 	}
-	return append([]T(nil), s...)
+}
+
+// setLen extends the columns' slices over rows rows of the storage
+// reserveRows set aside, which their windows have filled.
+func setLen(c Column, rows int) {
+	switch c := c.(type) {
+	case *stringColumn:
+		c.codes = c.codes[:rows]
+	case *intColumn:
+		c.vals = c.vals[:rows]
+	case *floatColumn:
+		c.vals, c.codes = c.vals[:rows], c.codes[:rows]
+	}
 }
 
 // MemBytes estimates the heap memory held by a column: backing slices
@@ -511,27 +560,29 @@ func (c *floatColumn) CodeRange() (int, int, bool) {
 }
 
 func (c *floatColumn) append(f float64) {
+	c.vals = append(c.vals, f)
+	c.codes = append(c.codes, c.code(f))
+}
+
+// code returns the code for f, adding f to the dictionary if absent.
+func (c *floatColumn) code(f float64) int32 {
 	if c.index == nil {
 		c.index = make(map[float64]int32)
 	}
-	var code int32
 	if math.IsNaN(f) {
 		if c.nanCode < 0 {
 			c.nanCode = int32(len(c.dict))
 			c.dict = append(c.dict, f)
 		}
-		code = c.nanCode
-	} else {
-		var ok bool
-		code, ok = c.index[f]
-		if !ok {
-			code = int32(len(c.dict))
-			c.dict = append(c.dict, f)
-			c.index[f] = code
-		}
+		return c.nanCode
 	}
-	c.vals = append(c.vals, f)
-	c.codes = append(c.codes, code)
+	code, ok := c.index[f]
+	if !ok {
+		code = int32(len(c.dict))
+		c.dict = append(c.dict, f)
+		c.index[f] = code
+	}
+	return code
 }
 
 func (c *floatColumn) AppendValue(v Value) error {

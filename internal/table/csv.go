@@ -8,24 +8,23 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // csvBufSize is the buffer ReadCSV reads through and WriteCSV writes
 // through.
 const csvBufSize = 64 << 10
 
-// ReadCSV sizes its columns once when it knows how many bytes its input
-// holds: it estimates the records from the line breaks buffered after
-// the header and reserves each column's rows up front. The estimate is
-// raised by 1/reserveMargin, its bytes are capped at reserveCap times
-// the unread input's, and a column whose reservation its rows left more
-// than 1/fitSlack unused is copied down to its length before Build.
+// A sized input is counted through countBufSize buffers and split into
+// at most one range per GOMAXPROCS and per splitBytes of its bytes after
+// the header, so an input below splitBytes is read in one range.
 const (
-	reserveMargin = 16
-	reserveCap    = 2
-	fitSlack      = 8
+	countBufSize = 32 << 10
+	splitBytes   = 1 << 20
 )
 
 // probeMax is the largest string dictionary a cell is compared against
@@ -39,11 +38,21 @@ const probeMax = 8
 // are read as encoding/csv reads them with TrimLeadingSpace set, and
 // every cell is trimmed of surrounding white space.
 //
-// The columns are sized once for a regular *os.File, a *bytes.Reader, a
-// *strings.Reader or a *bytes.Buffer, whose unread length ReadCSV can
-// take; from any other reader they grow as rows arrive.
+// A regular *os.File, a *bytes.Reader, a *strings.Reader or a
+// *bytes.Buffer is a sized input: its records after the header are
+// counted once, its columns are reserved at that count, and an input of
+// a megabyte or more is parsed in record ranges on up to GOMAXPROCS
+// goroutines. The table, errors included, is the one a single pass
+// reads, and a sized reader is left at its end. Any other reader is
+// read in one pass, its columns growing as rows arrive.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
-	return ReadCSVWith(r, func(header []string) (Schema, error) {
+	return ReadCSVWith(r, schemaOr(schema))
+}
+
+// schemaOr returns the schemaOf with which ReadCSV reads a schema:
+// schema, or when it is nil a String column per header name.
+func schemaOr(schema *Schema) func(header []string) (Schema, error) {
+	return func(header []string) (Schema, error) {
 		if schema != nil {
 			return *schema, nil
 		}
@@ -52,7 +61,7 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 			fields[i] = Field{Name: h, Type: String}
 		}
 		return NewSchema(fields...)
-	})
+	}
 }
 
 // ReadCSVWith reads like ReadCSV, with the schema schemaOf returns for
@@ -60,7 +69,13 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 // and the rows through one reader, so r may be a pipe. An error from
 // schemaOf is returned as it is.
 func ReadCSVWith(r io.Reader, schemaOf func(header []string) (Schema, error)) (*Table, error) {
-	size := unreadLen(r)
+	return readCSV(r, schemaOf, 0)
+}
+
+// readCSV is ReadCSVWith reading a sized input in ranges ranges, or,
+// when ranges is 0, in one per GOMAXPROCS and per splitBytes.
+func readCSV(r io.Reader, schemaOf func(header []string) (Schema, error), ranges int) (*Table, error) {
+	ra, from, to, sized := sizedInput(r)
 	rr := newRecordReader(r)
 	header, err := rr.header()
 	if err != nil {
@@ -73,8 +88,7 @@ func ReadCSVWith(r io.Reader, schemaOf func(header []string) (Schema, error)) (*
 	if len(header) != sch.Len() {
 		return nil, fmt.Errorf("table: csv has %d columns, schema has %d", len(header), sch.Len())
 	}
-	// perm[i] is the schema position of csv column i.
-	perm := make([]int, len(header))
+	p := csvParse{header: header, perm: make([]int, len(header))}
 	seen := make([]bool, sch.Len())
 	for i, h := range header {
 		pos := sch.Index(h)
@@ -85,103 +99,384 @@ func ReadCSVWith(r io.Reader, schemaOf func(header []string) (Schema, error)) (*
 			return nil, fmt.Errorf("table: csv column %q repeated", h)
 		}
 		seen[pos] = true
-		perm[i] = pos
+		p.perm[i] = pos
 	}
 
 	b, err := NewBuilder(sch)
 	if err != nil {
 		return nil, err
 	}
-	reserved := 0
-	if size >= 0 {
-		reserved = rr.estimateRows(size, sch)
-		reserveRows(b.cols, reserved)
+	if sized {
+		from += rr.off
+		if ranges == 0 {
+			ranges = int(max(1, min(int64(runtime.GOMAXPROCS(0)), (to-from)/splitBytes)))
+		}
+		b.nrows, err = p.split(rr, ra, from, to, ranges, b.cols)
+		leaveAtEnd(r)
+	} else {
+		b.nrows, err = p.run(rr, b.cols, -1)
 	}
-	for {
-		cells, err := rr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(cells) != len(perm) {
-			return nil, fmt.Errorf("table: csv line %d: %w: got %d cells, want %d", rr.start, ErrArity, len(cells), len(perm))
-		}
-		for i, cell := range cells {
-			if err := appendCell(b.cols[perm[i]], cell); err != nil {
-				return nil, fmt.Errorf("table: csv line %d: column %q: %w", rr.start, header[i], err)
-			}
-		}
-		b.nrows++
+	if err != nil {
+		return nil, err
 	}
-	// String codes need no fit: Build packs them.
 	for _, c := range b.cols {
-		switch c := c.(type) {
-		case *intColumn:
+		if c, ok := c.(*intColumn); ok {
 			// appendCell grows int columns without invalidating their
 			// memos; drop them once here.
 			c.invalidate()
-			c.vals = fitReserved(c.vals, reserved)
-		case *floatColumn:
-			c.vals = fitReserved(c.vals, reserved)
-			c.codes = fitReserved(c.codes, reserved)
 		}
 	}
 	return b.Build()
 }
 
-// unreadLen reports how many bytes r has left to read, or -1 when it
-// cannot tell: what a regular file holds past its offset, or the unread
-// length of an in-memory reader.
-func unreadLen(r io.Reader) int64 {
+// sizedInput returns what ReadCSV reads of r at offsets: its unread
+// bytes, [from, to) of ra. ok is false for a reader that is not a sized
+// input.
+func sizedInput(r io.Reader) (ra io.ReaderAt, from, to int64, ok bool) {
 	switch r := r.(type) {
 	case *bytes.Reader:
-		return int64(r.Len())
+		return r, r.Size() - int64(r.Len()), r.Size(), true
 	case *strings.Reader:
-		return int64(r.Len())
+		return r, r.Size() - int64(r.Len()), r.Size(), true
 	case *bytes.Buffer:
-		return int64(r.Len())
+		return bytes.NewReader(r.Bytes()), 0, int64(r.Len()), true
 	case *os.File:
 		fi, err := r.Stat()
 		if err != nil || !fi.Mode().IsRegular() {
-			return -1
+			return nil, 0, 0, false
 		}
 		off, err := r.Seek(0, io.SeekCurrent)
 		if err != nil {
-			return -1
+			return nil, 0, 0, false
 		}
-		return fi.Size() - off
+		return r, off, fi.Size(), true
 	}
-	return -1
+	return nil, 0, 0, false
 }
 
-// estimateRows estimates the records left in an input of size bytes,
-// after the header: the line breaks buffered so far, scaled up to the
-// unread bytes and raised by 1/reserveMargin, or the buffered line count
-// itself when the whole input is buffered. The estimate is capped at
-// reserveCap times the unread bytes' worth of sch's rows.
-func (r *recordReader) estimateRows(size int64, sch Schema) int {
-	rest := size - r.off
-	n := r.br.Buffered()
-	if rest <= 0 || n == 0 {
-		return 0
+// leaveAtEnd leaves a sized input where a one-pass read leaves it: at
+// its end, and a *bytes.Buffer drained.
+func leaveAtEnd(r io.Reader) {
+	switch r := r.(type) {
+	case *bytes.Buffer:
+		r.Reset()
+	case io.Seeker:
+		// The table is read whatever the offset; a reader that cannot
+		// seek to its end is left where its last read stopped.
+		_, _ = r.Seek(0, io.SeekEnd)
 	}
-	buf, _ := r.br.Peek(n)
-	lines := float64(bytes.Count(buf, []byte{'\n'}))
-	if int64(n) >= rest {
-		if buf[n-1] != '\n' {
-			lines++
+}
+
+// csvParse appends a CSV stream's records to a table's columns: cell i
+// of a record, in the column the header names header[i], goes to column
+// perm[i].
+type csvParse struct {
+	header []string
+	perm   []int
+}
+
+// run appends the next records rr reads to cols, up to limit of them or
+// all when limit is negative, and returns how many it appended.
+func (p *csvParse) run(rr *recordReader, cols []Column, limit int) (int, error) {
+	perm, n := p.perm, 0
+	for ; n != limit; n++ {
+		cells, err := rr.next()
+		if err == io.EOF {
+			break
 		}
-		return int(lines)
+		if err != nil {
+			return n, err
+		}
+		if len(cells) != len(perm) {
+			return n, fmt.Errorf("table: csv line %d: %w: got %d cells, want %d", rr.start, ErrArity, len(cells), len(perm))
+		}
+		for i, cell := range cells {
+			if err := appendCell(cols[perm[i]], cell); err != nil {
+				return n, fmt.Errorf("table: csv line %d: column %q: %w", rr.start, p.header[i], err)
+			}
+		}
 	}
-	est := lines * float64(rest) / float64(n)
-	est += est / reserveMargin
-	var row int64
-	for _, f := range sch.Fields {
-		row += rowBytes(f.Type)
+	return n, nil
+}
+
+// split reads the records of a sized input, bytes [from, to) of ra, into
+// cols, reserved at their count, and returns the count. rr, which has
+// read the header, reads the first of up to ranges record ranges, and
+// goroutines started here read the others, each into its own window of
+// the columns' rows. Each column then absorbs its windows: the later
+// ranges' dictionaries are merged in range order and their codes
+// remapped, so every code is the one a single pass gives. The error is
+// that of the first range that failed. One range is read on the calling
+// goroutine alone.
+func (p *csvParse) split(rr *recordReader, ra io.ReaderAt, from, to int64, ranges int, cols []Column) (int, error) {
+	rows, parts, err := countRecords(ra, from, to, ranges, rr.line)
+	if err != nil {
+		return 0, err
 	}
-	return int(min(est, float64(reserveCap*rest/row)))
+	reserveRows(cols, rows)
+	if len(parts) == 1 {
+		return p.run(rr, cols, -1)
+	}
+	wins := make([][]Column, len(parts))
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i := len(parts) - 1; i >= 0; i-- {
+		lo, hi, end := parts[i].row, rows, to
+		if i+1 < len(parts) {
+			hi, end = parts[i+1].row, parts[i+1].off
+		}
+		wins[i] = make([]Column, len(cols))
+		for c, col := range cols {
+			wins[i][c] = window(col, lo, hi)
+		}
+		if i == 0 {
+			// ReadAt leaves rr's reader where the header left it; it reads
+			// on past the range, so the range stops at its count.
+			errs[0] = p.runWindow(rr, wins[0], hi-lo, parts[0].line)
+			break
+		}
+		sub := &recordReader{br: bufio.NewReaderSize(io.NewSectionReader(ra, parts[i].off, end-parts[i].off), csvBufSize), line: parts[i].line}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.runWindow(sub, wins[i], hi-lo, parts[i].line)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	// The columns absorb their windows, and are frozen as Build would
+	// freeze them, on as many goroutines as there were ranges.
+	var next atomic.Int64
+	finish := func() {
+		for c := int(next.Add(1)) - 1; c < len(cols); c = int(next.Add(1)) - 1 {
+			for i, win := range wins {
+				absorb(cols[c], win[c], i == 0)
+			}
+			setLen(cols[c], rows)
+			if f, ok := cols[c].(freezer); ok {
+				f.freeze()
+			}
+		}
+	}
+	for range parts[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			finish()
+		}()
+	}
+	finish()
+	wg.Wait()
+	return rows, nil
+}
+
+// runWindow reads a range of want records, which started after line
+// physical lines, into its windows.
+func (p *csvParse) runWindow(rr *recordReader, win []Column, want, line int) error {
+	n, err := p.run(rr, win, want)
+	if err == nil && n != want {
+		err = fmt.Errorf("table: csv changed while read: %d records counted after line %d, %d read", want, line, n)
+	}
+	return err
+}
+
+// csvRange is where a record range of a sized input starts: its first
+// byte, the row of its first record and the physical lines before it.
+type csvRange struct {
+	off  int64
+	row  int
+	line int
+}
+
+// countRecords counts the records in bytes [from, to) of ra as
+// recordReader reads them, after line physical lines, and splits them
+// into at most ranges record ranges of about equal bytes. The bytes are
+// cut at the line start at or after each equal share, and the pieces
+// are counted in parallel, each as if it started outside a record. That
+// holds while every earlier piece ends outside one; from the first
+// piece that does not, the rest is counted again in one pass, which
+// starts each later range at the first line start outside a record at
+// or after its cut.
+func countRecords(ra io.ReaderAt, from, to int64, ranges, line int) (int, []csvRange, error) {
+	bufs := make([]byte, ranges*countBufSize)
+	cuts, err := lineCuts(ra, bufs[:countBufSize], from, to, ranges)
+	if err != nil {
+		return 0, nil, err
+	}
+	pieces := len(cuts) - 1
+	counts := make([]csvCount, pieces)
+	errs := make([]error, pieces)
+	var wg sync.WaitGroup
+	for i := pieces - 1; i >= 0; i-- {
+		buf := bufs[i*countBufSize : (i+1)*countBufSize]
+		if i == 0 {
+			_, errs[0] = counts[0].scan(ra, buf, cuts[0], cuts[1], nil, nil)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = counts[i].scan(ra, buf, cuts[i], cuts[i+1], nil, nil)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, nil, err
+		}
+	}
+	parts := []csvRange{{off: from, line: line}}
+	rows, line := counts[0].rows, line+counts[0].lines
+	for i := 1; i < pieces; i++ {
+		if counts[i-1].odd {
+			c := csvCount{rows: rows, lines: line, odd: true}
+			parts, err = c.scan(ra, bufs[:countBufSize], cuts[i], to, cuts[i:pieces], parts)
+			return c.rows, parts, err
+		}
+		parts = append(parts, csvRange{off: cuts[i], row: rows, line: line})
+		rows, line = rows+counts[i].rows, line+counts[i].lines
+	}
+	return rows, parts, nil
+}
+
+// lineCuts returns from, the line start at or after each of the
+// ranges-1 points that cut [from, to) into equal shares, and to, without
+// repeats.
+func lineCuts(ra io.ReaderAt, buf []byte, from, to int64, ranges int) ([]int64, error) {
+	cuts := []int64{from}
+	for i := 1; i < ranges; i++ {
+		at := from + (to-from)*int64(i)/int64(ranges)
+		if at <= cuts[len(cuts)-1] {
+			continue
+		}
+		// The first line start at or after at follows the first line
+		// break at or after at-1.
+		for off := at - 1; ; {
+			n, err := ra.ReadAt(buf[:min(int64(len(buf)), to-off)], off)
+			if j := bytes.IndexByte(buf[:n], '\n'); j >= 0 {
+				at = off + int64(j) + 1
+				break
+			}
+			if off += int64(n); off >= to || err == io.EOF {
+				at = to
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("table: read csv: %w", err)
+			}
+		}
+		if at < to {
+			cuts = append(cuts, at)
+		}
+	}
+	return append(cuts, to), nil
+}
+
+// csvCount is a record count under way: the records begun and the line
+// breaks passed, whether the record under way has an odd number of
+// quote bytes behind it, and the line under way: its bytes so far, its
+// first byte and the parity of its quote bytes.
+type csvCount struct {
+	rows, lines int
+	odd         bool
+	n           int
+	first       byte
+	q           bool
+}
+
+// scan counts bytes [from, to) of ra, read through buf, as recordReader
+// reads them: CRLF reads as LF, an empty line is skipped, and a record
+// ends at the first line end with an even number of quote bytes behind
+// it. At the first line start before to that is at or after cuts[0] and
+// outside any record, scan starts a range, appended to parts, and drops
+// every cut it passed.
+func (c *csvCount) scan(ra io.ReaderAt, buf []byte, from, to int64, cuts []int64, parts []csvRange) ([]csvRange, error) {
+	for off := from; off < to; {
+		n, err := ra.ReadAt(buf[:min(int64(len(buf)), to-off)], off)
+		b := buf[:n]
+		quotes := bytes.IndexByte(b, '"') >= 0
+		plain := !quotes && len(cuts) == 0
+		for {
+			if plain && c.n == 0 && !c.odd {
+				// Each of the whole lines left is a record or empty.
+				end := bytes.LastIndexByte(b, '\n') + 1
+				rows, lines := plainLines(b[:end])
+				c.rows, c.lines = c.rows+rows, c.lines+lines
+				b, plain = b[end:], false
+			}
+			i := bytes.IndexByte(b, '\n')
+			line := b
+			if i >= 0 {
+				line = b[:i]
+			}
+			if len(line) > 0 {
+				if c.n == 0 {
+					c.first = line[0]
+				}
+				c.n += len(line)
+				if quotes && bytes.Count(line, []byte{'"'})%2 == 1 {
+					c.q = !c.q
+				}
+			}
+			if i < 0 {
+				break
+			}
+			c.endLine()
+			c.lines++
+			b = b[i+1:]
+			if at := off + int64(n-len(b)); len(cuts) > 0 && at >= cuts[0] && at < to && !c.odd {
+				parts = append(parts, csvRange{off: at, row: c.rows, line: c.lines})
+				for len(cuts) > 0 && cuts[0] <= at {
+					cuts = cuts[1:]
+				}
+			}
+		}
+		off += int64(n)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return parts, fmt.Errorf("table: read csv: %w", err)
+		}
+	}
+	if c.n > 0 {
+		// The last line has no line break.
+		c.endLine()
+	}
+	return parts, nil
+}
+
+// plainLines counts the line breaks in b, which starts a line and
+// holds no quote byte, and the lines among them that are not empty once
+// a CR before their break is dropped.
+func plainLines(b []byte) (rows, lines int) {
+	for {
+		i := bytes.IndexByte(b, '\n')
+		if i < 0 {
+			return rows, lines
+		}
+		if i > 1 || i == 1 && b[0] != '\r' {
+			rows++
+		}
+		lines++
+		b = b[i+1:]
+	}
+}
+
+// endLine ends the line under way. Outside a record, a line that is not
+// empty once its CR is dropped begins one.
+func (c *csvCount) endLine() {
+	if c.odd {
+		c.odd = !c.q
+	} else if c.n > 1 || c.n == 1 && c.first != '\r' {
+		c.rows++
+		c.odd = c.q
+	}
+	c.n, c.q = 0, false
 }
 
 // appendCell parses one trimmed cell into its column without copying
@@ -424,73 +719,52 @@ func ReadCSVFile(path string, schema *Schema) (*Table, error) {
 	return ReadCSV(f, schema)
 }
 
+// WriteCSV formats a table of at least parallelWriteRows rows in blocks
+// of writeBlockRows rows on GOMAXPROCS goroutines; a smaller table, or
+// any at GOMAXPROCS 1, is written row by row on the calling goroutine.
+const (
+	writeBlockRows    = 512
+	parallelWriteRows = 16 * writeBlockRows
+)
+
 // WriteCSV writes the table with a header row. Any table ReadCSV
 // returns writes back to a stream ReadCSV reads as an equal table.
 // Fields are written exactly as encoding/csv writes them; a string
-// column's dictionary entry is rendered once, the first time a row
-// holds it, so a row costs byte appends.
+// column's dictionary entry is rendered once per formatting goroutine,
+// the first time a row it formats holds it, so a row costs byte
+// appends. A large table is formatted in row blocks on up to GOMAXPROCS
+// goroutines and written in row order; the bytes are the same.
 func (t *Table) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, csvBufSize)
-	var field bytes.Buffer
-	cw := csv.NewWriter(&field)
-	// appendField appends s as encoding/csv writes it as a field, and a
-	// comma. encoding/csv reads a CRLF inside a quoted field back as LF,
-	// but reads "\r\r\n" as CRLF, so a CRLF is written doubled.
-	appendField := func(dst []byte, s string) []byte {
-		field.Reset()
-		cw.Write([]string{strings.ReplaceAll(s, "\r\n", "\r\r\n")})
-		cw.Flush()
-		b := field.Bytes()
-		return append(append(dst, b[:len(b)-1]...), ',')
+	workers := 1
+	if t.nrows >= parallelWriteRows {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	return t.writeCSV(w, workers, writeBlockRows)
+}
+
+// writeCSV is WriteCSV formatting blocks of block rows on workers
+// goroutines, or every row on the calling goroutine when workers is 1
+// or the rows fill only one block.
+func (t *Table) writeCSV(w io.Writer, workers, block int) error {
+	bw := bufio.NewWriterSize(w, csvBufSize)
+	f := newRowFormatter(t)
 	var row []byte
 	for _, name := range t.schema.Names() {
-		row = appendField(row, name)
+		row = f.appendField(row, name)
 	}
-	if _, err := bw.Write(endRow(row)); err != nil {
+	if _, err := bw.Write(endRow(row, 0)); err != nil {
 		return fmt.Errorf("table: write csv header: %w", err)
 	}
-
-	// cells[c][code] is string column c's entry code rendered with its
-	// trailing comma, or nil until a row holds it. Rendered entries share
-	// one arena.
-	cells := make([][][]byte, len(t.cols))
-	for c, col := range t.cols {
-		if sc, ok := col.(*stringColumn); ok {
-			cells[c] = make([][]byte, len(sc.dict))
-		}
-	}
-	var arena []byte
-	for r := 0; r < t.nrows; r++ {
-		row = row[:0]
-		for c, col := range t.cols {
-			switch col := col.(type) {
-			case *stringColumn:
-				code := col.Code(r)
-				cell := cells[c][code]
-				if cell == nil {
-					start := len(arena)
-					arena = appendField(arena, col.dict[code])
-					cell = arena[start:len(arena):len(arena)]
-					cells[c][code] = cell
-				}
-				row = append(row, cell...)
-			case *intColumn:
-				row = append(strconv.AppendInt(row, col.vals[r], 10), ',')
-			case *floatColumn:
-				row = append(strconv.AppendFloat(row, col.vals[r], 'g', -1, 64), ',')
-			default:
-				row = appendField(row, col.Value(r).Str())
+	// No worker is started without a block of its own.
+	if workers = min(workers, (t.nrows+block-1)/block); workers < 2 {
+		for r := 0; r < t.nrows; r++ {
+			row = f.appendRows(row[:0], r, r+1)
+			if _, err := bw.Write(row); err != nil {
+				return fmt.Errorf("table: write csv row %d: %w", r, err)
 			}
 		}
-		if len(row) == 1 {
-			// encoding/csv writes a lone empty field as an empty line,
-			// which its reader skips; quote it so the row reads back.
-			row = append(row[:0], `"",`...)
-		}
-		if _, err := bw.Write(endRow(row)); err != nil {
-			return fmt.Errorf("table: write csv row %d: %w", r, err)
-		}
+	} else if err := t.writeBlocks(bw, f, workers, block); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("table: write csv: %w", err)
@@ -498,9 +772,136 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// endRow turns the comma after a row's last field into its line break.
-func endRow(row []byte) []byte {
-	if len(row) == 0 {
+// writeBlocks formats the rows in blocks of block rows on workers
+// goroutines, the first through f and each other through a formatter of
+// its own, and writes the blocks through bw in row order. At most two
+// blocks per worker are in flight, and their buffers are reused. A
+// write error stops the dispatch; every worker has returned before
+// writeBlocks does.
+func (t *Table) writeBlocks(bw *bufio.Writer, f *rowFormatter, workers, block int) error {
+	type rowBlock struct {
+		lo, hi int
+		buf    []byte
+		done   chan struct{}
+	}
+	// A block's buffer is reserved at a quarter more than the first
+	// row's bytes times the block's rows, so it is seldom grown.
+	size := block * len(f.appendRows(nil, 0, 1)) * 5 / 4
+	// Both queues hold every block in flight, so a dispatch never waits.
+	work := make(chan *rowBlock, 2*workers)
+	order := make(chan *rowBlock, 2*workers)
+	free := make([]*rowBlock, 2*workers)
+	for i := range free {
+		free[i] = &rowBlock{buf: make([]byte, 0, size), done: make(chan struct{}, 1)}
+	}
+	var wg sync.WaitGroup
+	defer func() {
+		close(work)
+		wg.Wait()
+	}()
+	for i := 0; i < workers; i++ {
+		if i > 0 {
+			f = newRowFormatter(t)
+		}
+		wg.Add(1)
+		go func(f *rowFormatter) {
+			defer wg.Done()
+			for b := range work {
+				b.buf = f.appendRows(b.buf[:0], b.lo, b.hi)
+				b.done <- struct{}{}
+			}
+		}(f)
+	}
+	for next := 0; next < t.nrows || len(order) > 0; {
+		for ; next < t.nrows && len(free) > 0; next += block {
+			b := free[len(free)-1]
+			free = free[:len(free)-1]
+			b.lo, b.hi = next, min(next+block, t.nrows)
+			work <- b
+			order <- b
+		}
+		b := <-order
+		<-b.done
+		if _, err := bw.Write(b.buf); err != nil {
+			return fmt.Errorf("table: write csv row %d: %w", b.lo, err)
+		}
+		free = append(free, b)
+	}
+	return nil
+}
+
+// rowFormatter formats a table's rows as WriteCSV writes them.
+// cells[c][code] is string column c's entry code rendered with its
+// trailing comma, or nil until a row holds it; rendered entries share
+// one arena. Fields are rendered through one reused csv.Writer.
+type rowFormatter struct {
+	t     *Table
+	cells [][][]byte
+	arena []byte
+	field bytes.Buffer
+	cw    *csv.Writer
+}
+
+func newRowFormatter(t *Table) *rowFormatter {
+	f := &rowFormatter{t: t, cells: make([][][]byte, len(t.cols))}
+	f.cw = csv.NewWriter(&f.field)
+	for c, col := range t.cols {
+		if sc, ok := col.(*stringColumn); ok {
+			f.cells[c] = make([][]byte, len(sc.dict))
+		}
+	}
+	return f
+}
+
+// appendField appends s as encoding/csv writes it as a field, and a
+// comma. encoding/csv reads a CRLF inside a quoted field back as LF, but
+// reads "\r\r\n" as CRLF, so a CRLF is written doubled.
+func (f *rowFormatter) appendField(dst []byte, s string) []byte {
+	f.field.Reset()
+	f.cw.Write([]string{strings.ReplaceAll(s, "\r\n", "\r\r\n")})
+	f.cw.Flush()
+	b := f.field.Bytes()
+	return append(append(dst, b[:len(b)-1]...), ',')
+}
+
+// appendRows appends rows [lo, hi), each with its line break.
+func (f *rowFormatter) appendRows(dst []byte, lo, hi int) []byte {
+	for r := lo; r < hi; r++ {
+		start := len(dst)
+		for c, col := range f.t.cols {
+			switch col := col.(type) {
+			case *stringColumn:
+				code := col.Code(r)
+				cell := f.cells[c][code]
+				if cell == nil {
+					at := len(f.arena)
+					f.arena = f.appendField(f.arena, col.dict[code])
+					cell = f.arena[at:len(f.arena):len(f.arena)]
+					f.cells[c][code] = cell
+				}
+				dst = append(dst, cell...)
+			case *intColumn:
+				dst = append(strconv.AppendInt(dst, col.vals[r], 10), ',')
+			case *floatColumn:
+				dst = append(strconv.AppendFloat(dst, col.vals[r], 'g', -1, 64), ',')
+			default:
+				dst = f.appendField(dst, col.Value(r).Str())
+			}
+		}
+		if len(dst)-start == 1 {
+			// encoding/csv writes a lone empty field as an empty line,
+			// which its reader skips; quote it so the row reads back.
+			dst = append(dst[:start], `"",`...)
+		}
+		dst = endRow(dst, start)
+	}
+	return dst
+}
+
+// endRow turns the comma after the last field of the row that starts at
+// start into its line break.
+func endRow(row []byte, start int) []byte {
+	if len(row) == start {
 		return append(row, '\n')
 	}
 	row[len(row)-1] = '\n'

@@ -2,16 +2,22 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCSVLinesLongerThanBuffer reads and writes quoted and unquoted
 // lines longer than the read buffer, which arrive in several pieces,
-// and compares both directions with the reference reader and writer.
+// through each reader FuzzReadCSV uses, and compares both directions
+// with the reference reader and writer.
 func TestCSVLinesLongerThanBuffer(t *testing.T) {
 	long := strings.Repeat("x", csvBufSize+10)
 	quoted := strings.Repeat(`a,""b`+"\n", csvBufSize/3)
@@ -26,15 +32,17 @@ func TestCSVLinesLongerThanBuffer(t *testing.T) {
 		Field{Name: "I", Type: Int},
 		Field{Name: "F", Type: Float},
 	)
-	tbl, err := ReadCSV(strings.NewReader(in), &schema)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
 	ref, err := readCSVRef(strings.NewReader(in), &schema)
 	if err != nil {
 		t.Fatalf("reference ReadCSV: %v", err)
 	}
-	sameTable(t, "reference", ref, tbl)
+	var tbl *Table
+	for _, rd := range csvReaders(in) {
+		if tbl, err = rd.read(&schema); err != nil {
+			t.Fatalf("%s reader: ReadCSV: %v", rd.name, err)
+		}
+		sameTable(t, rd.name+" reader against the reference", ref, tbl)
+	}
 	if tbl.NumRows() != 5 {
 		t.Fatalf("%d rows, want 5", tbl.NumRows())
 	}
@@ -51,6 +59,80 @@ func TestCSVLinesLongerThanBuffer(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
 		t.Fatal("WriteCSV and the reference writer disagree on long lines")
+	}
+}
+
+// TestReadCSVRangesMatchOnePass reads inputs of many count buffers,
+// mixing plain records, quoted ones that span lines, CRLF and blank
+// lines, in one to five record ranges, from a strings.Reader, a
+// bytes.Buffer and a file, and compares each table with the reference's;
+// the buffer is left drained and the file at its end. A bad cell late in
+// the input must give every range count the one-range read's error.
+func TestReadCSVRangesMatchOnePass(t *testing.T) {
+	schema := MustSchema(Field{Name: "S", Type: String}, Field{Name: "I", Type: Int}, Field{Name: "F", Type: Float})
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 4; trial++ {
+		var in strings.Builder
+		in.WriteString("S,I,F\n")
+		for in.Len() < 6*countBufSize {
+			s := fmt.Sprintf("v%d", rng.Intn(40+trial*400))
+			switch rng.Intn(8) {
+			case 0:
+				s = fmt.Sprintf("\"%s,\n%s\r\n\"\"x\"", s, strings.Repeat("q\n", rng.Intn(4)))
+			case 1:
+				in.WriteString("\n")
+			case 2:
+				in.WriteString("\r\n")
+			}
+			end := "\n"
+			if trial%2 == 1 {
+				end = "\r\n"
+			}
+			fmt.Fprintf(&in, "%s,%d,%g%s", s, rng.Intn(100), float64(rng.Intn(9))/4, end)
+		}
+		ref, err := readCSVRef(strings.NewReader(in.String()), &schema)
+		if err != nil {
+			t.Fatalf("trial %d: reference ReadCSV: %v", trial, err)
+		}
+		path := filepath.Join(t.TempDir(), "in.csv")
+		if err := os.WriteFile(path, []byte(in.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		bad := in.String() + "late,x,1\n"
+		_, want := readCSV(strings.NewReader(bad), schemaOr(&schema), 1)
+		for ranges := 1; ranges <= 5; ranges++ {
+			tbl, err := readCSV(strings.NewReader(in.String()), schemaOr(&schema), ranges)
+			if err != nil {
+				t.Fatalf("trial %d, %d ranges: ReadCSV: %v", trial, ranges, err)
+			}
+			sameTable(t, fmt.Sprintf("trial %d, %d ranges", trial, ranges), ref, tbl)
+			buf := bytes.NewBufferString(in.String())
+			if tbl, err = readCSV(buf, schemaOr(&schema), ranges); err != nil {
+				t.Fatalf("trial %d, %d ranges: ReadCSV of a bytes.Buffer: %v", trial, ranges, err)
+			}
+			sameTable(t, fmt.Sprintf("trial %d, %d ranges of a bytes.Buffer", trial, ranges), ref, tbl)
+			if buf.Len() != 0 {
+				t.Fatalf("trial %d, %d ranges: bytes.Buffer left %d bytes unread", trial, ranges, buf.Len())
+			}
+			if tbl, err = readCSV(file, schemaOr(&schema), ranges); err != nil {
+				t.Fatalf("trial %d, %d ranges: ReadCSV of a file: %v", trial, ranges, err)
+			}
+			sameTable(t, fmt.Sprintf("trial %d, %d ranges of a file", trial, ranges), ref, tbl)
+			if off, err := file.Seek(0, io.SeekCurrent); err != nil || off != int64(in.Len()) {
+				t.Fatalf("trial %d, %d ranges: file left at offset %d of %d (%v)", trial, ranges, off, in.Len(), err)
+			}
+			if _, err := file.Seek(0, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readCSV(strings.NewReader(bad), schemaOr(&schema), ranges); fmt.Sprint(err) != fmt.Sprint(want) || want == nil {
+				t.Fatalf("trial %d, %d ranges: error %v, one range's %v", trial, ranges, err, want)
+			}
+		}
 	}
 }
 
@@ -110,6 +192,54 @@ func TestCSVAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// TestWriteCSVStopsOnWriteError: a writer that fails partway through
+// gets its error back from WriteCSV, from the calling goroutine and from
+// three workers formatting 16-row blocks alike, and no goroutine the
+// write started outlives it.
+func TestWriteCSVStopsOnWriteError(t *testing.T) {
+	schema := MustSchema(Field{Name: "S", Type: String}, Field{Name: "I", Type: Int})
+	rows := make([][]Value, 20000)
+	for r := range rows {
+		rows[r] = []Value{SV(fmt.Sprintf("value-%d", r%13)), IV(int64(r))}
+	}
+	tbl, err := FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("disk full")
+	start := runtime.NumGoroutine()
+	for _, workers := range []int{1, 3} {
+		w := &failingWriter{room: 100 << 10, err: full}
+		if err := tbl.writeCSV(w, workers, 16); !errors.Is(err, full) {
+			t.Errorf("%d workers: WriteCSV returned %v, want the writer's error", workers, err)
+		}
+	}
+	// A worker has returned before the write does, but may not have
+	// left the scheduler's count yet.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Errorf("%d goroutines after the failed writes, %d before", n, start)
+	}
+}
+
+// failingWriter accepts room bytes, then fails every write with err.
+type failingWriter struct {
+	room int
+	err  error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		n := w.room
+		w.room = 0
+		return n, w.err
+	}
+	w.room -= len(p)
+	return len(p), nil
+}
+
 // bytesPerRun is testing.AllocsPerRun for bytes: the average bytes f
 // allocates per call, after one warm-up call.
 func bytesPerRun(runs int, f func()) float64 {
@@ -124,15 +254,17 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestReadCSVEstimateShapes reads inputs whose first buffer misjudges
-// the rows after it, through each reader FuzzReadCSV uses, and compares
-// them with the reference. Too high: 64 KiB of "a,1" lines, then 20,000
-// lines holding one 200-byte string, estimated at about a million rows.
-// The reservation is capped, and each column is copied down to its
-// rows, so capacity exceeds length by at most 1/8 and the read
-// allocates at most 2.5 times its input. Too low: 64 KiB of the long
-// lines, then 100,000 "a,2" lines, which outgrow the reservation. An
-// input held whole in the first buffer reserves exactly its rows.
+// TestReadCSVEstimateShapes reads two inputs whose first buffer
+// misjudges the rows after it, which sized their columns wrongly while
+// ReadCSV estimated its rows from that buffer: 64 KiB of "a,1" lines,
+// then 20,000 lines holding one 200-byte string (too many rows
+// estimated), and 64 KiB of the long lines, then 100,000 "a,2" lines
+// (too few). Through each reader FuzzReadCSV uses, the tables must equal
+// the reference's. A sized read counts its records, so from a
+// strings.Reader, and in two ranges, each column's storage is reserved
+// at exactly its rows, and the read allocates the columns' storage (a
+// String code 4 B and an Int 8 B per row, and the packed codes) and its
+// read and count buffers, with at most 16 KiB besides.
 func TestReadCSVEstimateShapes(t *testing.T) {
 	schema := MustSchema(Field{Name: "S", Type: String}, Field{Name: "I", Type: Int})
 	long := strings.Repeat("b", 200) + ",1\n"
@@ -157,43 +289,45 @@ func TestReadCSVEstimateShapes(t *testing.T) {
 			t.Fatalf("%s: reference ReadCSV: %v", shape.name, err)
 		}
 		for _, rd := range csvReaders(shape.in) {
-			tbl, err := ReadCSV(rd.r, &schema)
+			tbl, err := rd.read(&schema)
 			if err != nil {
 				t.Fatalf("%s, %s reader: ReadCSV: %v", shape.name, rd.name, err)
 			}
 			sameTable(t, shape.name+", "+rd.name+" reader", ref, tbl)
 		}
+
+		rows := ref.NumRows()
+		for _, ranges := range []int{1, 2} {
+			tbl, err := readCSV(strings.NewReader(shape.in), schemaOr(&schema), ranges)
+			if err != nil {
+				t.Fatalf("%s, %d ranges: ReadCSV: %v", shape.name, ranges, err)
+			}
+			codes := tbl.ColumnAt(0).(*stringColumn).packed
+			vals := tbl.ColumnAt(1).(*intColumn).vals
+			if cap(vals) != rows || 64*cap(codes.words) >= rows*int(codes.width)+64 {
+				t.Errorf("%s, %d ranges: %d rows kept capacity for %d int values and %d code bits", shape.name, ranges, rows, cap(vals), 64*cap(codes.words))
+			}
+		}
+		allocated := bytesPerRun(1, func() {
+			if _, err := ReadCSV(strings.NewReader(shape.in), &schema); err != nil {
+				t.Fatalf("ReadCSV: %v", err)
+			}
+		})
+		packed := (rows*int(codeWidth(2)) + 63) / 64 * 8
+		want := rows*(4+8) + packed + csvBufSize + countBufSize
+		t.Logf("%s: %d rows: reading %d bytes allocated %.0f bytes, %d of them columns and buffers", shape.name, rows, len(shape.in), allocated, want)
+		if allocated > float64(want+16<<10) {
+			t.Errorf("%s: reading %d rows allocated %.0f bytes, bound %d (columns and buffers %d, and 16 KiB)", shape.name, rows, allocated, want+16<<10, want)
+		}
 	}
 
-	// An input the first buffer holds whole reserves its line count, a
+	// An input the first buffer holds whole reserves its rows exactly, a
 	// last line without a line break included.
 	whole, err := ReadCSV(strings.NewReader("S,I\na,1\nb,2\nc,3"), &schema)
 	if err != nil {
 		t.Fatalf("ReadCSV: %v", err)
 	}
-	if vals := whole.ColumnAt(1).(*intColumn).vals; cap(vals) != len(vals) {
+	if vals := whole.ColumnAt(1).(*intColumn).vals; cap(vals) != len(vals) || len(vals) != 3 {
 		t.Errorf("3 rows held whole in the first buffer kept capacity for %d", cap(vals))
-	}
-
-	in := high.String()
-	tbl, err := ReadCSV(strings.NewReader(in), &schema)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	rows := tbl.NumRows()
-	codes := tbl.ColumnAt(0).(*stringColumn).packed
-	vals := tbl.ColumnAt(1).(*intColumn).vals
-	t.Logf("%d rows: packed codes hold %d bits, int column capacity %d", rows, 64*cap(codes.words), cap(vals))
-	if limit := rows + rows/8; cap(vals) > limit || 64*cap(codes.words) > limit*int(codes.width) {
-		t.Errorf("%d rows kept capacity for %d int values and %d code bits, bound %d rows", rows, cap(vals), 64*cap(codes.words), limit)
-	}
-	allocated := bytesPerRun(1, func() {
-		if _, err := ReadCSV(strings.NewReader(in), &schema); err != nil {
-			t.Fatalf("ReadCSV: %v", err)
-		}
-	})
-	t.Logf("reading %d bytes allocated %.0f bytes (%.2f times)", len(in), allocated, allocated/float64(len(in)))
-	if allocated > 2.5*float64(len(in)) {
-		t.Errorf("reading %d bytes allocated %.0f bytes, bound 2.5 times the input", len(in), allocated)
 	}
 }

@@ -143,6 +143,8 @@ func truncateColumn(c Column, n int) {
 //     copied before the first mutation. Stats marks every histogram
 //     shared, because the returned pointer may be rolled up or seeded
 //     elsewhere; the delta then copies again before its next write.
+//     View, for a read that keeps nothing past the next mutation, marks
+//     none.
 //
 // A group whose size returns to zero is kept as a tombstone: its key
 // stays claimed, so a later re-append finds it again. Tombstones are
@@ -193,6 +195,14 @@ func (d *StatsDelta) Stats() *GroupStats {
 	}
 	return d.stats
 }
+
+// View returns the maintained statistics for reading only. Unlike
+// Stats it leaves every histogram the delta owns owned, so the next
+// mutation copies none of them; in exchange the statistics, and
+// anything that shares their groups or histograms (a SuppressBelow view,
+// say), are valid only until the next Append or Retire, and must not be
+// kept or shared past it.
+func (d *StatsDelta) View() *GroupStats { return d.stats }
 
 // NumChanged reports the number of groups touched since the last Reset.
 func (d *StatsDelta) NumChanged() int { return len(d.changed) }

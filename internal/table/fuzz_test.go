@@ -15,19 +15,21 @@ import (
 	"testing/iotest"
 )
 
-// FuzzReadCSV drives ReadCSV with arbitrary bytes, through three
-// readers: a strings.Reader, whose length sizes the columns up front,
-// the same reader with its length hidden, and iotest.OneByteReader over
-// it, which serves one byte per read. Through each, ReadCSV must agree
-// with readCSVRef, the encoding/csv-based reader it replaced: both fail,
-// or both give equal tables — same schema and rows, same Str() and
-// Code() per cell, so even first-appearance dictionary order matches —
-// and the three readers must return the same error. WriteCSV must
-// write the bytes writeCSVRef writes, and what it writes must read back
-// as an equal table. typed picks the schema: nil (every
-// column String, names from the header) or a String/Int/Float schema
-// whose columns the header may list in any order. Seed corpus under
-// testdata/fuzz.
+// FuzzReadCSV drives ReadCSV with arbitrary bytes, through four
+// readers: a strings.Reader, whose records are counted up front, the
+// same reader with its length hidden, iotest.OneByteReader over it,
+// which serves one byte per read, and a strings.Reader read in three
+// record ranges whatever its size, which parses them concurrently and
+// merges their dictionaries. Through each, ReadCSV must agree with
+// readCSVRef, the encoding/csv-based reader it replaced: both fail, or
+// both give equal tables — same schema and rows, same Str() and Code()
+// per cell, so even first-appearance dictionary order matches — and the
+// four readers must return the same error. WriteCSV, on the calling
+// goroutine and on three workers formatting one-row blocks, must write
+// the bytes writeCSVRef writes, and what it writes must read back as an
+// equal table. typed picks the schema: nil (every column String, names
+// from the header) or a String/Int/Float schema whose columns the
+// header may list in any order. Seed corpus under testdata/fuzz.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("A,B\n1,x\n, \n", false)
 	f.Add("S,I,F\nx,1,1.5\n\"a,\"\"b\"\"\",-3,1e300\n", true)
@@ -49,7 +51,7 @@ func FuzzReadCSV(f *testing.F) {
 		)
 		for i, rd := range csvReaders(data) {
 			var err error
-			tbl, err = ReadCSV(rd.r, schema)
+			tbl, err = rd.read(schema)
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("%s: ReadCSV error %v, reference error %v", rd.name, err, refErr)
 			}
@@ -60,43 +62,67 @@ func FuzzReadCSV(f *testing.F) {
 			}
 			if err == nil {
 				sameTable(t, rd.name+" reader against the reference", ref, tbl)
+				if sr, ok := rd.r.(*strings.Reader); ok && sr.Len() != 0 {
+					t.Fatalf("%s: reader left %d bytes unread", rd.name, sr.Len())
+				}
 			}
 		}
 		if refErr != nil {
 			return
 		}
 
-		var buf, refBuf bytes.Buffer
-		if err := tbl.WriteCSV(&buf); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
-		}
+		var refBuf bytes.Buffer
 		if err := tbl.writeCSVRef(&refBuf); err != nil {
 			t.Fatalf("reference WriteCSV: %v", err)
 		}
-		if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
-			t.Fatalf("WriteCSV wrote %q, reference wrote %q", buf.String(), refBuf.String())
+		for _, wr := range []struct {
+			name  string
+			write func(io.Writer) error
+		}{
+			{"WriteCSV", tbl.WriteCSV},
+			{"WriteCSV on three workers", func(w io.Writer) error { return tbl.writeCSV(w, 3, 1) }},
+		} {
+			var buf bytes.Buffer
+			if err := wr.write(&buf); err != nil {
+				t.Fatalf("%s: %v", wr.name, err)
+			}
+			if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
+				t.Fatalf("%s wrote %q, reference wrote %q", wr.name, buf.String(), refBuf.String())
+			}
 		}
-		back, err := ReadCSV(bytes.NewReader(buf.Bytes()), schema)
+		back, err := ReadCSV(bytes.NewReader(refBuf.Bytes()), schema)
 		if err != nil {
-			t.Fatalf("written table does not read back: %v\nwritten: %q", err, buf.String())
+			t.Fatalf("written table does not read back: %v\nwritten: %q", err, refBuf.String())
 		}
 		sameTable(t, "read back", tbl, back)
 	})
 }
 
+// namedReader is a reader of FuzzReadCSV's data; ranges, when not 0,
+// forces a sized read into that many record ranges.
 type namedReader struct {
-	name string
-	r    io.Reader
+	name   string
+	r      io.Reader
+	ranges int
+}
+
+func (rd namedReader) read(schema *Schema) (*Table, error) {
+	if rd.ranges == 0 {
+		return ReadCSV(rd.r, schema)
+	}
+	return readCSV(rd.r, schemaOr(schema), rd.ranges)
 }
 
 // csvReaders returns the readers FuzzReadCSV reads data through: a
-// strings.Reader, the same reader with its length hidden, and
-// iotest.OneByteReader over it.
+// strings.Reader, the same reader with its length hidden,
+// iotest.OneByteReader over it, and a strings.Reader read in three
+// record ranges.
 func csvReaders(data string) []namedReader {
 	return []namedReader{
-		{"sized", strings.NewReader(data)},
-		{"unsized", struct{ io.Reader }{strings.NewReader(data)}},
-		{"one byte", iotest.OneByteReader(strings.NewReader(data))},
+		{name: "sized", r: strings.NewReader(data)},
+		{name: "unsized", r: struct{ io.Reader }{strings.NewReader(data)}},
+		{name: "one byte", r: iotest.OneByteReader(strings.NewReader(data))},
+		{name: "three ranges", r: strings.NewReader(data), ranges: 3},
 	}
 }
 

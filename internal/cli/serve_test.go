@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -199,7 +200,9 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 // TestSlowBodyClientDisconnected: a client that declares a 1 MiB submit
 // body, sends 16 KiB of it and stalls is disconnected by pskserve after
 // obs.ReadHeaderTimeout instead of pinning its buffer for as long as it
-// likes, and a prompt submit to the same server still gets its 202.
+// likes. A prompt submit to the same server still gets its 202, and so
+// does one whose body arrives 16 KiB at a time over longer than that
+// deadline, never pausing for as long.
 func TestSlowBodyClientDisconnected(t *testing.T) {
 	t.Parallel()
 	stderr := newObsAddrWriter()
@@ -236,8 +239,18 @@ func TestSlowBodyClientDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &smokeClient{t: t, base: "http://" + addr, c: &http.Client{Timeout: 30 * time.Second}}
 	req := serve.JobRequest{Kind: serve.KindAnonymize, CSV: patientsCSV, Job: job}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nine pieces of leading white space, each sent an eighth of the
+	// deadline after the last, then the request.
+	slow := append(bytes.Repeat([]byte(" "), 9*16<<10), payload...)
+	trickled := make(chan error, 1)
+	go func() { trickled <- trickleSubmit(addr, slow, 16<<10, obs.ReadHeaderTimeout/8) }()
+
+	sc := &smokeClient{t: t, base: "http://" + addr, c: &http.Client{Timeout: 30 * time.Second}}
 	if status, raw := sc.do("POST", "/v1/jobs", req); status != http.StatusAccepted {
 		t.Errorf("prompt submit beside a stalled one: got %d, want 202: %s", status, raw)
 	}
@@ -255,6 +268,46 @@ func TestSlowBodyClientDisconnected(t *testing.T) {
 	if held := time.Since(start); held < obs.ReadHeaderTimeout-time.Second {
 		t.Errorf("stalled body cut off after %v, before the %v deadline", held.Round(time.Millisecond), obs.ReadHeaderTimeout)
 	}
+	if err := <-trickled; err != nil {
+		t.Errorf("body sent 16 KiB at a time: %v", err)
+	}
+}
+
+// trickleSubmit posts body to addr's /v1/jobs in pieces of piece bytes,
+// pause apart, and fails unless the answer is 202 and the body took
+// longer than obs.ReadHeaderTimeout to send.
+func trickleSubmit(addr string, body []byte, piece int, pause time.Duration) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+	for len(body) > 0 {
+		n := min(piece, len(body))
+		if _, err := conn.Write(body[:n]); err != nil {
+			return err
+		}
+		if body = body[n:]; len(body) > 0 {
+			time.Sleep(pause)
+		}
+	}
+	if took := time.Since(start); took <= obs.ReadHeaderTimeout {
+		return fmt.Errorf("sent in %v, within the %v deadline", took.Round(time.Millisecond), obs.ReadHeaderTimeout)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		return err
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("got %d, want 202", resp.StatusCode)
+	}
+	return nil
 }
 
 // smokeClient wraps the tiny HTTP vocabulary the smoke test needs.

@@ -417,21 +417,33 @@ func readBody(r io.Reader, declared int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// idleReader reads r with a read deadline obs.ReadHeaderTimeout after
+// each Read starts, so a request body is cut off only where it stalls.
+type idleReader struct {
+	r  io.Reader
+	rc *http.ResponseController
+}
+
+func (ir idleReader) Read(p []byte) (int, error) {
+	_ = ir.rc.SetReadDeadline(time.Now().Add(obs.ReadHeaderTimeout))
+	return ir.r.Read(p)
+}
+
 // handleSubmit answers POST /v1/jobs. A body byte-identical to the one
 // that created a cached or in-flight execution is answered from its
 // SHA-256, undecoded. Any other body is decoded and prepared, and then
 // attaches to the execution of its key or queues a new one.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.stats.submitted.Add(1)
-	// A client that stalls mid-body is cut off after the time a client
-	// has to send its headers. The deadline is this read's alone: a
+	// A client that sends nothing of its body for the time a client has
+	// to send its headers is cut off; a body that keeps arriving is read
+	// however long it takes. The deadline is this read's alone: a
 	// server-wide ReadTimeout would also fail net/http's background read
 	// while the handler runs, which cancels the request's context. A
 	// writer with no connection beneath it, such as a test recorder, has
 	// no deadline to set, and its body is read without one.
 	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(obs.ReadHeaderTimeout))
-	body, err := readBody(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes), r.ContentLength)
+	body, err := readBody(idleReader{http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes), rc}, r.ContentLength)
 	_ = rc.SetReadDeadline(time.Time{})
 	if err != nil {
 		s.rejectInput(w, "bad request body: "+err.Error())

@@ -19,12 +19,16 @@ import (
 // through.
 const csvBufSize = 64 << 10
 
-// A sized input is counted through countBufSize buffers and split into
-// at most one range per GOMAXPROCS and per splitBytes of its bytes after
-// the header, so an input below splitBytes is read in one range.
+// A sized input is counted through a countBufSize buffer and split into
+// at most one record range per GOMAXPROCS and per splitBytes of its bytes
+// after the header. In BenchmarkReadCSVRanges on two vCPUs, two ranges
+// read a 16 KiB input 26 % slower than one, and inputs of 32 to 192 KiB
+// 12 to 20 % faster, but not in every run; from 256 KiB they were 25 to
+// 31 % faster in every run. So a range gets 128 KiB, and the smallest
+// input split is 256 KiB.
 const (
 	countBufSize = 32 << 10
-	splitBytes   = 1 << 20
+	splitBytes   = 128 << 10
 )
 
 // probeMax is the largest string dictionary a cell is compared against
@@ -41,7 +45,7 @@ const probeMax = 8
 // A regular *os.File, a *bytes.Reader, a *strings.Reader or a
 // *bytes.Buffer is a sized input: its records after the header are
 // counted once, its columns are reserved at that count, and an input of
-// a megabyte or more is parsed in record ranges on up to GOMAXPROCS
+// 256 KiB or more is parsed in record ranges on up to GOMAXPROCS
 // goroutines. The table, errors included, is the one a single pass
 // reads, and a sized reader is left at its end. Any other reader is
 // read in one pass, its columns growing as rows arrive.
@@ -200,10 +204,10 @@ func (p *csvParse) run(rr *recordReader, cols []Column, limit int) (int, error) 
 }
 
 // split reads the records of a sized input, bytes [from, to) of ra, into
-// cols, reserved at their count, and returns the count. rr, which has
-// read the header, reads the first of up to ranges record ranges, and
-// goroutines started here read the others, each into its own window of
-// the columns' rows. Each column then absorbs its windows: the later
+// cols, reserved at their count, and returns how many it read. rr, which
+// has read the header, reads the first of up to ranges record ranges,
+// and goroutines started here read the others, each into its own window
+// of the columns' rows. Each column then absorbs its windows: the later
 // ranges' dictionaries are merged in range order and their codes
 // remapped, so every code is the one a single pass gives. The error is
 // that of the first range that failed. One range is read on the calling
@@ -213,16 +217,25 @@ func (p *csvParse) split(rr *recordReader, ra io.ReaderAt, from, to int64, range
 	if err != nil {
 		return 0, err
 	}
+	// A record's commas and line break take a byte per header name, but
+	// for a last record with no line break. A count past what the bytes
+	// hold can only come from records the read rejects, or from empty
+	// lines; no storage is set aside for them.
+	if most := int((to - from + 1) / int64(len(p.perm))); rows > most {
+		rows, parts = most, parts[:1]
+	}
 	reserveRows(cols, rows)
 	if len(parts) == 1 {
 		return p.run(rr, cols, -1)
 	}
+	last := len(parts) - 1
 	wins := make([][]Column, len(parts))
+	read := make([]int, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for i := len(parts) - 1; i >= 0; i-- {
+	for i := last; i >= 0; i-- {
 		lo, hi, end := parts[i].row, rows, to
-		if i+1 < len(parts) {
+		if i < last {
 			hi, end = parts[i+1].row, parts[i+1].off
 		}
 		wins[i] = make([]Column, len(cols))
@@ -232,14 +245,14 @@ func (p *csvParse) split(rr *recordReader, ra io.ReaderAt, from, to int64, range
 		if i == 0 {
 			// ReadAt leaves rr's reader where the header left it; it reads
 			// on past the range, so the range stops at its count.
-			errs[0] = p.runWindow(rr, wins[0], hi-lo, parts[0].line)
+			read[0], errs[0] = p.runWindow(rr, wins[0], hi-lo, false, parts[0].line)
 			break
 		}
 		sub := &recordReader{br: bufio.NewReaderSize(io.NewSectionReader(ra, parts[i].off, end-parts[i].off), csvBufSize), line: parts[i].line}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = p.runWindow(sub, wins[i], hi-lo, parts[i].line)
+			read[i], errs[i] = p.runWindow(sub, wins[i], hi-lo, i == last, parts[i].line)
 		}()
 	}
 	wg.Wait()
@@ -248,6 +261,7 @@ func (p *csvParse) split(rr *recordReader, ra io.ReaderAt, from, to int64, range
 			return 0, err
 		}
 	}
+	rows = parts[last].row + read[last]
 	// The columns absorb their windows, and are frozen as Build would
 	// freeze them, on as many goroutines as there were ranges.
 	var next atomic.Int64
@@ -274,14 +288,19 @@ func (p *csvParse) split(rr *recordReader, ra io.ReaderAt, from, to int64, range
 	return rows, nil
 }
 
-// runWindow reads a range of want records, which started after line
-// physical lines, into its windows.
-func (p *csvParse) runWindow(rr *recordReader, win []Column, want, line int) error {
-	n, err := p.run(rr, win, want)
-	if err == nil && n != want {
+// runWindow reads a range, which started after line physical lines, into
+// its windows, which hold want records: all of its records, or for the
+// last range, which reads to the end of the input, at least as many.
+func (p *csvParse) runWindow(rr *recordReader, win []Column, want int, last bool, line int) (int, error) {
+	limit := want
+	if last {
+		limit = -1
+	}
+	n, err := p.run(rr, win, limit)
+	if err == nil && (n > want || n < want && !last) {
 		err = fmt.Errorf("table: csv changed while read: %d records counted after line %d, %d read", want, line, n)
 	}
-	return err
+	return n, err
 }
 
 // csvRange is where a record range of a sized input starts: its first
@@ -293,87 +312,23 @@ type csvRange struct {
 }
 
 // countRecords counts the records in bytes [from, to) of ra as
-// recordReader reads them, after line physical lines, and splits them
-// into at most ranges record ranges of about equal bytes. The bytes are
-// cut at the line start at or after each equal share, and the pieces
-// are counted in parallel, each as if it started outside a record. That
-// holds while every earlier piece ends outside one; from the first
-// piece that does not, the rest is counted again in one pass, which
-// starts each later range at the first line start outside a record at
-// or after its cut.
+// recordReader reads them, after line physical lines, in one pass, and
+// splits them into at most ranges record ranges: each range after the
+// first starts at the first line start outside a record at or after its
+// equal share of the bytes. The count is exact up to the last range's
+// start. In the last range, a stretch of whole lines with no quote byte
+// counts a record per line break, so the count bounds its records and
+// exceeds them only by the empty lines there.
 func countRecords(ra io.ReaderAt, from, to int64, ranges, line int) (int, []csvRange, error) {
-	bufs := make([]byte, ranges*countBufSize)
-	cuts, err := lineCuts(ra, bufs[:countBufSize], from, to, ranges)
-	if err != nil {
-		return 0, nil, err
-	}
-	pieces := len(cuts) - 1
-	counts := make([]csvCount, pieces)
-	errs := make([]error, pieces)
-	var wg sync.WaitGroup
-	for i := pieces - 1; i >= 0; i-- {
-		buf := bufs[i*countBufSize : (i+1)*countBufSize]
-		if i == 0 {
-			_, errs[0] = counts[0].scan(ra, buf, cuts[0], cuts[1], nil, nil)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = counts[i].scan(ra, buf, cuts[i], cuts[i+1], nil, nil)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-	parts := []csvRange{{off: from, line: line}}
-	rows, line := counts[0].rows, line+counts[0].lines
-	for i := 1; i < pieces; i++ {
-		if counts[i-1].odd {
-			c := csvCount{rows: rows, lines: line, odd: true}
-			parts, err = c.scan(ra, bufs[:countBufSize], cuts[i], to, cuts[i:pieces], parts)
-			return c.rows, parts, err
-		}
-		parts = append(parts, csvRange{off: cuts[i], row: rows, line: line})
-		rows, line = rows+counts[i].rows, line+counts[i].lines
-	}
-	return rows, parts, nil
-}
-
-// lineCuts returns from, the line start at or after each of the
-// ranges-1 points that cut [from, to) into equal shares, and to, without
-// repeats.
-func lineCuts(ra io.ReaderAt, buf []byte, from, to int64, ranges int) ([]int64, error) {
-	cuts := []int64{from}
+	var cuts []int64
 	for i := 1; i < ranges; i++ {
-		at := from + (to-from)*int64(i)/int64(ranges)
-		if at <= cuts[len(cuts)-1] {
-			continue
-		}
-		// The first line start at or after at follows the first line
-		// break at or after at-1.
-		for off := at - 1; ; {
-			n, err := ra.ReadAt(buf[:min(int64(len(buf)), to-off)], off)
-			if j := bytes.IndexByte(buf[:n], '\n'); j >= 0 {
-				at = off + int64(j) + 1
-				break
-			}
-			if off += int64(n); off >= to || err == io.EOF {
-				at = to
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("table: read csv: %w", err)
-			}
-		}
-		if at < to {
+		if at := from + (to-from)*int64(i)/int64(ranges); at > from {
 			cuts = append(cuts, at)
 		}
 	}
-	return append(cuts, to), nil
+	c := csvCount{lines: line}
+	parts, err := c.scan(ra, make([]byte, countBufSize), from, to, cuts, []csvRange{{off: from, line: line}})
+	return c.rows, parts, err
 }
 
 // csvCount is a record count under way: the records begun and the line
@@ -391,22 +346,42 @@ type csvCount struct {
 // scan counts bytes [from, to) of ra, read through buf, as recordReader
 // reads them: CRLF reads as LF, an empty line is skipped, and a record
 // ends at the first line end with an even number of quote bytes behind
-// it. At the first line start before to that is at or after cuts[0] and
-// outside any record, scan starts a range, appended to parts, and drops
-// every cut it passed.
+// it. At the first line start that is at or after cuts[0] and outside
+// any record, scan starts a range, appended to parts, and drops every
+// cut it passed. Once no cut is left, whole lines with no quote byte
+// count a record per line break, empty or not.
 func (c *csvCount) scan(ra io.ReaderAt, buf []byte, from, to int64, cuts []int64, parts []csvRange) ([]csvRange, error) {
 	for off := from; off < to; {
 		n, err := ra.ReadAt(buf[:min(int64(len(buf)), to-off)], off)
 		b := buf[:n]
 		quotes := bytes.IndexByte(b, '"') >= 0
-		plain := !quotes && len(cuts) == 0
-		for {
-			if plain && c.n == 0 && !c.odd {
-				// Each of the whole lines left is a record or empty.
+		for len(b) > 0 {
+			at := off + int64(n-len(b))
+			if c.n == 0 && !c.odd && len(cuts) > 0 && cuts[0] <= at {
+				parts = append(parts, csvRange{off: at, row: c.rows, line: c.lines})
+				for len(cuts) > 0 && cuts[0] <= at {
+					cuts = cuts[1:]
+				}
+			}
+			if !quotes && c.n == 0 && !c.odd {
+				// Each whole line before the next cut is a record or empty.
 				end := bytes.LastIndexByte(b, '\n') + 1
-				rows, lines := plainLines(b[:end])
-				c.rows, c.lines = c.rows+rows, c.lines+lines
-				b, plain = b[end:], false
+				if len(cuts) > 0 && cuts[0]-at < int64(end) {
+					cut := int(cuts[0] - at)
+					end = cut + bytes.IndexByte(b[cut-1:], '\n')
+				}
+				if end > 0 {
+					var rows, lines int
+					if len(cuts) > 0 {
+						rows, lines = plainLines(b[:end])
+					} else {
+						lines = bytes.Count(b[:end], []byte{'\n'})
+						rows = lines
+					}
+					c.rows, c.lines = c.rows+rows, c.lines+lines
+					b = b[end:]
+					continue
+				}
 			}
 			i := bytes.IndexByte(b, '\n')
 			line := b
@@ -428,12 +403,6 @@ func (c *csvCount) scan(ra io.ReaderAt, buf []byte, from, to int64, cuts []int64
 			c.endLine()
 			c.lines++
 			b = b[i+1:]
-			if at := off + int64(n-len(b)); len(cuts) > 0 && at >= cuts[0] && at < to && !c.odd {
-				parts = append(parts, csvRange{off: at, row: c.rows, line: c.lines})
-				for len(cuts) > 0 && cuts[0] <= at {
-					cuts = cuts[1:]
-				}
-			}
 		}
 		off += int64(n)
 		if err == io.EOF {
@@ -722,18 +691,21 @@ func ReadCSVFile(path string, schema *Schema) (*Table, error) {
 // WriteCSV formats a table of at least parallelWriteRows rows in blocks
 // of writeBlockRows rows on GOMAXPROCS goroutines; a smaller table, or
 // any at GOMAXPROCS 1, is written row by row on the calling goroutine.
+// In BenchmarkWriteCSVBlocks on two vCPUs, two blocks (1,024 rows) were
+// written about as fast on two workers as on one, and from three blocks
+// (1,536 rows) 27 to 47 % faster in every run.
 const (
 	writeBlockRows    = 512
-	parallelWriteRows = 16 * writeBlockRows
+	parallelWriteRows = 3 * writeBlockRows
 )
 
 // WriteCSV writes the table with a header row. Any table ReadCSV
 // returns writes back to a stream ReadCSV reads as an equal table.
 // Fields are written exactly as encoding/csv writes them; a string
-// column's dictionary entry is rendered once per formatting goroutine,
-// the first time a row it formats holds it, so a row costs byte
-// appends. A large table is formatted in row blocks on up to GOMAXPROCS
-// goroutines and written in row order; the bytes are the same.
+// column's dictionary entry is rendered once, the first time a row
+// holds it, so a row costs byte appends. A large table is formatted in
+// row blocks on up to GOMAXPROCS goroutines and written in row order;
+// the bytes are the same.
 func (t *Table) WriteCSV(w io.Writer) error {
 	workers := 1
 	if t.nrows >= parallelWriteRows {
@@ -773,11 +745,11 @@ func (t *Table) writeCSV(w io.Writer, workers, block int) error {
 }
 
 // writeBlocks formats the rows in blocks of block rows on workers
-// goroutines, the first through f and each other through a formatter of
-// its own, and writes the blocks through bw in row order. At most two
-// blocks per worker are in flight, and their buffers are reused. A
-// write error stops the dispatch; every worker has returned before
-// writeBlocks does.
+// goroutines, the first through f and each other through a formatter
+// that shares f's rendered entries, and writes the blocks through bw in
+// row order. At most two blocks per worker are in flight, and their
+// buffers are reused. A write error stops the dispatch; every worker has
+// returned before writeBlocks does.
 func (t *Table) writeBlocks(bw *bufio.Writer, f *rowFormatter, workers, block int) error {
 	type rowBlock struct {
 		lo, hi int
@@ -801,7 +773,7 @@ func (t *Table) writeBlocks(bw *bufio.Writer, f *rowFormatter, workers, block in
 	}()
 	for i := 0; i < workers; i++ {
 		if i > 0 {
-			f = newRowFormatter(t)
+			f = f.sharing()
 		}
 		wg.Add(1)
 		go func(f *rowFormatter) {
@@ -831,26 +803,39 @@ func (t *Table) writeBlocks(bw *bufio.Writer, f *rowFormatter, workers, block in
 }
 
 // rowFormatter formats a table's rows as WriteCSV writes them.
-// cells[c][code] is string column c's entry code rendered with its
-// trailing comma, or nil until a row holds it; rendered entries share
-// one arena. Fields are rendered through one reused csv.Writer.
+// cells[c][code] points at string column c's entry code rendered with
+// its trailing comma, or is nil until a row holds it. The formatters of
+// one write share cells: an entry is rendered by the first formatter to
+// meet it, into that formatter's arena, and published to the others;
+// formatters that meet it at once render the same bytes, and either
+// copy serves. Fields are rendered through one reused csv.Writer.
 type rowFormatter struct {
-	t     *Table
-	cells [][][]byte
-	arena []byte
-	field bytes.Buffer
-	cw    *csv.Writer
+	t        *Table
+	cells    [][]atomic.Pointer[[]byte]
+	arena    []byte
+	rendered [][]byte
+	field    bytes.Buffer
+	cw       *csv.Writer
 }
 
 func newRowFormatter(t *Table) *rowFormatter {
-	f := &rowFormatter{t: t, cells: make([][][]byte, len(t.cols))}
-	f.cw = csv.NewWriter(&f.field)
+	cells := make([][]atomic.Pointer[[]byte], len(t.cols))
 	for c, col := range t.cols {
 		if sc, ok := col.(*stringColumn); ok {
-			f.cells[c] = make([][]byte, len(sc.dict))
+			cells[c] = make([]atomic.Pointer[[]byte], len(sc.dict))
 		}
 	}
+	f := &rowFormatter{t: t, cells: cells}
+	f.cw = csv.NewWriter(&f.field)
 	return f
+}
+
+// sharing returns a formatter of f's table that shares f's rendered
+// entries.
+func (f *rowFormatter) sharing() *rowFormatter {
+	g := &rowFormatter{t: f.t, cells: f.cells}
+	g.cw = csv.NewWriter(&g.field)
+	return g
 }
 
 // appendField appends s as encoding/csv writes it as a field, and a
@@ -864,6 +849,17 @@ func (f *rowFormatter) appendField(dst []byte, s string) []byte {
 	return append(append(dst, b[:len(b)-1]...), ',')
 }
 
+// render renders a dictionary entry into f's arena and returns where it
+// is kept. An entry's bytes, and where it is kept, are never written
+// again: the arena and the list of kept entries only grow, into new
+// arrays when they are full.
+func (f *rowFormatter) render(s string) *[]byte {
+	at := len(f.arena)
+	f.arena = f.appendField(f.arena, s)
+	f.rendered = append(f.rendered, f.arena[at:len(f.arena):len(f.arena)])
+	return &f.rendered[len(f.rendered)-1]
+}
+
 // appendRows appends rows [lo, hi), each with its line break.
 func (f *rowFormatter) appendRows(dst []byte, lo, hi int) []byte {
 	for r := lo; r < hi; r++ {
@@ -872,14 +868,12 @@ func (f *rowFormatter) appendRows(dst []byte, lo, hi int) []byte {
 			switch col := col.(type) {
 			case *stringColumn:
 				code := col.Code(r)
-				cell := f.cells[c][code]
+				cell := f.cells[c][code].Load()
 				if cell == nil {
-					at := len(f.arena)
-					f.arena = f.appendField(f.arena, col.dict[code])
-					cell = f.arena[at:len(f.arena):len(f.arena)]
-					f.cells[c][code] = cell
+					cell = f.render(col.dict[code])
+					f.cells[c][code].Store(cell)
 				}
-				dst = append(dst, cell...)
+				dst = append(dst, *cell...)
 			case *intColumn:
 				dst = append(strconv.AppendInt(dst, col.vals[r], 10), ',')
 			case *floatColumn:

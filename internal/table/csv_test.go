@@ -136,6 +136,34 @@ func TestReadCSVRangesMatchOnePass(t *testing.T) {
 	}
 }
 
+// TestReadCSVReservesWhatTheBytesHold: a record takes a byte per header
+// name at least, its commas and line break, so a 50-name header over
+// 100,000 one-cell lines, which the read rejects at its first record, is
+// not reserved 100,000 rows of 50 columns (20 MB): the String columns'
+// 4 B codes get at most 4 B per input byte, beside the read and count
+// buffers.
+func TestReadCSVReservesWhatTheBytesHold(t *testing.T) {
+	var in strings.Builder
+	for c := 0; c < 50; c++ {
+		if c > 0 {
+			in.WriteByte(',')
+		}
+		fmt.Fprintf(&in, "c%d", c)
+	}
+	in.WriteByte('\n')
+	for r := 0; r < 100000; r++ {
+		in.WriteString("1\n")
+	}
+	allocated := bytesPerRun(1, func() {
+		if _, err := ReadCSV(strings.NewReader(in.String()), nil); !errors.Is(err, ErrArity) {
+			t.Fatalf("ReadCSV returned %v, want an arity error", err)
+		}
+	})
+	if limit := 4*in.Len() + csvBufSize + countBufSize + 64<<10; allocated > float64(limit) {
+		t.Errorf("rejecting %d bytes allocated %.0f bytes, bound %d", in.Len(), allocated, limit)
+	}
+}
+
 // TestCSVAllocsIndependentOfRows pins that reading and writing allocate
 // per buffer and per dictionary value, not per cell. A sized read
 // reserves each column once: eight times the rows add at most two
@@ -221,6 +249,46 @@ func TestWriteCSVStopsOnWriteError(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > start {
 		t.Errorf("%d goroutines after the failed writes, %d before", n, start)
+	}
+}
+
+// TestWriteCSVSharesRenderedEntries: a gathered table keeps its
+// source's dictionary, and the formatters of one write share a single
+// index of its rendered entries, 8 B per dictionary value. So 10,000 rows
+// gathered from 200,000 values instead of 40,000 and written on three
+// workers allocate one more 8 B slot per added value, and a quarter more
+// at most; an index per worker would allocate three.
+func TestWriteCSVSharesRenderedEntries(t *testing.T) {
+	schema := MustSchema(Field{Name: "ID", Type: String}, Field{Name: "I", Type: Int})
+	const rows = 10000
+	written := func(dict int) float64 {
+		values := make([][]Value, dict)
+		for r := range values {
+			values[r] = []Value{SV(fmt.Sprintf("id-%d", r)), IV(int64(r))}
+		}
+		src, err := FromRows(schema, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := make([]int, rows)
+		for i := range pick {
+			pick[i] = i * (dict / rows)
+		}
+		tbl, err := src.Gather(pick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytesPerRun(3, func() {
+			if err := tbl.writeCSV(io.Discard, 3, writeBlockRows); err != nil {
+				t.Fatalf("WriteCSV: %v", err)
+			}
+		})
+	}
+	small, large := written(40000), written(200000)
+	added, slots := large-small, 8.0*(200000-40000)
+	t.Logf("writing %d gathered rows on three workers: %.0f bytes from 40,000 values, %.0f from 200,000", rows, small, large)
+	if added > 1.25*slots {
+		t.Errorf("160,000 more dictionary values added %.0f bytes to the write, bound %.0f (1.25 times one 8 B slot each)", added, 1.25*slots)
 	}
 }
 
@@ -329,5 +397,83 @@ func TestReadCSVEstimateShapes(t *testing.T) {
 	}
 	if vals := whole.ColumnAt(1).(*intColumn).vals; cap(vals) != len(vals) || len(vals) != 3 {
 		t.Errorf("3 rows held whole in the first buffer kept capacity for %d", cap(vals))
+	}
+}
+
+// adultSchema and adultShaped give benchmark input in the shape of the
+// Adult extract the release workload reads: an Int age, four small
+// String domains, and three Int columns that are mostly zero.
+var adultSchema = MustSchema(
+	Field{Name: "Age", Type: Int}, Field{Name: "MaritalStatus", Type: String},
+	Field{Name: "Race", Type: String}, Field{Name: "Sex", Type: String},
+	Field{Name: "Pay", Type: String}, Field{Name: "CapitalGain", Type: Int},
+	Field{Name: "CapitalLoss", Type: Int}, Field{Name: "TaxPeriod", Type: Int},
+)
+
+func adultShaped(size int) []byte {
+	marital := []string{"Never-married", "Married-civ-spouse", "Divorced", "Separated", "Widowed", "Married-spouse-absent", "Married-AF-spouse"}
+	race := []string{"White", "Black", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other"}
+	rng := rand.New(rand.NewSource(1))
+	var b bytes.Buffer
+	b.WriteString("Age,MaritalStatus,Race,Sex,Pay,CapitalGain,CapitalLoss,TaxPeriod\n")
+	for b.Len() < size {
+		gain, loss := 0, 0
+		if rng.Intn(12) == 0 {
+			gain = rng.Intn(99999)
+		} else if rng.Intn(20) == 0 {
+			loss = rng.Intn(4356)
+		}
+		fmt.Fprintf(&b, "%d,%s,%s,%s,%s,%d,%d,%d\n", 17+rng.Intn(74), marital[rng.Intn(len(marital))],
+			race[rng.Intn(len(race))], [...]string{"Female", "Male"}[rng.Intn(2)],
+			[...]string{"<=50K", ">50K"}[rng.Intn(2)], gain, loss, 1+rng.Intn(12))
+	}
+	return b.Bytes()
+}
+
+// BenchmarkReadCSVRanges reads Adult-shaped inputs of 16 KiB to 1 MiB in
+// one record range and in two: the sizes at which two ranges start to
+// win set splitBytes.
+func BenchmarkReadCSVRanges(b *testing.B) {
+	for _, kib := range []int{16, 32, 64, 128, 192, 256, 512, 1024} {
+		in := adultShaped(kib << 10)
+		for _, ranges := range []int{1, 2} {
+			b.Run(fmt.Sprintf("kib=%d/ranges=%d", kib, ranges), func(b *testing.B) {
+				b.SetBytes(int64(len(in)))
+				for i := 0; i < b.N; i++ {
+					if _, err := readCSV(bytes.NewReader(in), schemaOr(&adultSchema), ranges); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWriteCSVBlocks writes 512 to 8,192 Adult-shaped rows on the
+// calling goroutine and in writeBlockRows blocks on two workers: the
+// rows at which the blocks start to win set parallelWriteRows.
+func BenchmarkWriteCSVBlocks(b *testing.B) {
+	tbl, err := ReadCSV(bytes.NewReader(adultShaped(8192*48)), &adultSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rows := range []int{512, 1024, 1536, 2048, 4096, 8192} {
+		pick := make([]int, rows)
+		for i := range pick {
+			pick[i] = i
+		}
+		part, err := tbl.Gather(pick)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := part.writeCSV(io.Discard, workers, writeBlockRows); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

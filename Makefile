@@ -87,10 +87,12 @@ serve-smoke:
 # reader accepts must write and read
 # back as an equal table, the level maps the generalization cache derives from
 # per-value hierarchy walks must equal the ones built from materialized
-# columns on every row under every hierarchy kind, the base statistics
-# scan and the roll-up merge (Rollup, Project, the shard merge) must
-# equal row-at-a-time grouping of the table, or of the coarsened or
-# projected table, on every key and histogram path,
+# columns on every row under every hierarchy kind and at the dropped
+# level above each top, the base statistics scan and the roll-up merge
+# (Rollup, the shard merge) must equal row-at-a-time grouping of the
+# table, or of the coarsened table, and a Rollup that maps key columns
+# to one code must equal grouping without them, on every key and
+# histogram path,
 # Table.Gather's run copies must give the same tables, codes and
 # bit-packed words as gathering one row at a time, every search
 # strategy's release must equal the row-scan oracle's, byte for byte,

@@ -233,13 +233,6 @@ func TestTableCheckValidation(t *testing.T) {
 	if _, err := CheckExtended(ill, []string{"Zip"}, "Illness", 1, 2, flat); err == nil {
 		t.Error("CheckExtended with a negative MaxLevel accepted")
 	}
-	if _, err := ExtendedSensitivity(ill, []string{"Zip"}, "Illness", flat); err == nil {
-		t.Error("ExtendedSensitivity with a negative MaxLevel accepted")
-	}
-	high := ExtendedConfig{Hierarchy: illnessHierarchy(t), MaxLevel: 9}
-	if _, err := ExtendedSensitivity(ill, []string{"Zip"}, "Illness", high); err == nil {
-		t.Error("ExtendedSensitivity with MaxLevel beyond the height accepted")
-	}
 }
 
 // example1Table builds the synthetic 1000-tuple microdata of the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"psk/internal/hierarchy"
 	"psk/internal/table"
@@ -102,43 +101,4 @@ func CheckExtended(t *table.Table, qis []string, confidential string, p, k int, 
 	}
 	res, err := ExtendedPolicy{Attr: confidential, P: p, K: k, MaxLevel: maxLevel, LevelMaps: levelMaps}.Evaluate(v)
 	return res.Satisfied, err
-}
-
-// ExtendedSensitivity computes the largest p for which CheckExtended
-// would succeed (ignoring the k side condition): the minimum, over
-// QI-groups and hierarchy levels 0..MaxLevel, of the distinct label
-// count. An empty table has extended sensitivity 0.
-func ExtendedSensitivity(t *table.Table, qis []string, confidential string, cfg ExtendedConfig) (int, error) {
-	if cfg.Hierarchy == nil {
-		return 0, fmt.Errorf("core: extended sensitivity requires a confidential-attribute hierarchy")
-	}
-	if t.NumRows() == 0 {
-		return 0, nil
-	}
-	maxLevel := cfg.maxLevel()
-	if maxLevel < 0 {
-		return 0, fmt.Errorf("core: extended sensitivity requires MaxLevel >= 0, got %d", maxLevel)
-	}
-	levelMaps, err := ConfLevelMaps(t, confidential, cfg.Hierarchy, maxLevel)
-	if err != nil {
-		return 0, fmt.Errorf("core: extended sensitivity: %w", err)
-	}
-	s, err := t.GroupStats(qis, []string{confidential}, 1)
-	if err != nil {
-		return 0, err
-	}
-	min := -1
-	seen := make(map[int]struct{})
-	for i := range s.Groups {
-		for lvl := 0; lvl <= maxLevel; lvl++ {
-			n, err := levelCategories(s.Groups[i].Hists[0], levelMaps[lvl], lvl, math.MaxInt, seen)
-			if err != nil {
-				return 0, err
-			}
-			if min == -1 || n < min {
-				min = n
-			}
-		}
-	}
-	return min, nil
 }

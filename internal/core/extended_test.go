@@ -62,10 +62,6 @@ func TestSimilarityAttackDetected(t *testing.T) {
 	if ext {
 		t.Error("extended check should fail: every value generalizes to Cancer")
 	}
-	s, err := ExtendedSensitivity(tbl, qis, "Illness", cfg)
-	if err != nil || s != 1 {
-		t.Errorf("extended sensitivity = %d, %v; want 1", s, err)
-	}
 }
 
 // TestExtendedSatisfied: values from different categories pass.
@@ -76,10 +72,6 @@ func TestExtendedSatisfied(t *testing.T) {
 	ok, err := CheckExtended(tbl, qis, "Illness", 3, 3, cfg)
 	if err != nil || !ok {
 		t.Errorf("extended 3-sensitivity = %v, %v; want true", ok, err)
-	}
-	s, err := ExtendedSensitivity(tbl, qis, "Illness", cfg)
-	if err != nil || s != 3 {
-		t.Errorf("extended sensitivity = %d, %v; want 3", s, err)
 	}
 }
 
@@ -139,20 +131,12 @@ func TestExtendedValidation(t *testing.T) {
 		ExtendedConfig{Hierarchy: h, MaxLevel: 9}); err == nil {
 		t.Error("MaxLevel beyond height accepted")
 	}
-	if _, err := ExtendedSensitivity(tbl, []string{"Zip"}, "Illness", ExtendedConfig{}); err == nil {
-		t.Error("sensitivity with nil hierarchy accepted")
-	}
 	// Unknown ground value surfaces the hierarchy error (two rows so
 	// the k-anonymity gate passes and the hierarchy is consulted).
 	bad := similarityTable(t, []string{"Mystery", "Mystery"})
 	if _, err := CheckExtended(bad, []string{"Zip"}, "Illness", 1, 2,
 		ExtendedConfig{Hierarchy: h, MaxLevel: 1}); err == nil {
 		t.Error("unknown ground value accepted")
-	}
-	empty := tbl.Filter(func(int) bool { return false })
-	s, err := ExtendedSensitivity(empty, []string{"Zip"}, "Illness", ExtendedConfig{Hierarchy: h})
-	if err != nil || s != 0 {
-		t.Errorf("empty sensitivity = %d, %v", s, err)
 	}
 }
 
@@ -308,7 +292,9 @@ func TestCheckPAlpha(t *testing.T) {
 }
 
 // TestExtendedSensitivityBelowPlain: category-level diversity can only
-// be lower than value-level diversity.
+// be lower than value-level diversity. Five distinct illnesses in three
+// categories are plainly 5-sensitive, and extended-p-sensitive for p up
+// to 3 only.
 func TestExtendedSensitivityBelowPlain(t *testing.T) {
 	tbl := similarityTable(t, []string{"Colon Cancer", "Lung Cancer", "Flu", "HIV", "Diabetes"})
 	qis := []string{"Zip"}
@@ -316,15 +302,17 @@ func TestExtendedSensitivityBelowPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ExtendedSensitivity(tbl, qis, "Illness",
-		ExtendedConfig{Hierarchy: illnessHierarchy(t), MaxLevel: 1})
-	if err != nil {
-		t.Fatal(err)
+	cfg := ExtendedConfig{Hierarchy: illnessHierarchy(t), MaxLevel: 1}
+	for p := 1; p <= plain; p++ {
+		ok, err := CheckExtended(tbl, qis, "Illness", p, plain, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != (p <= 3) {
+			t.Errorf("extended %d-sensitivity = %v, want %v", p, ok, p <= 3)
+		}
 	}
-	if ext > plain {
-		t.Errorf("extended sensitivity %d > plain %d", ext, plain)
-	}
-	if plain != 5 || ext != 3 {
-		t.Errorf("plain=%d ext=%d, want 5/3", plain, ext)
+	if plain != 5 {
+		t.Errorf("plain sensitivity %d, want 5", plain)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"psk/internal/hierarchy"
 	"psk/internal/lattice"
 	"psk/internal/obs"
 	"psk/internal/table"
@@ -17,9 +18,8 @@ import (
 // a row; Column and ApplyQIs translate rows through a walk, which a
 // search does once, for the node it releases.
 //
-// A Cache is per-search state: every search builds its own, and
-// Incognito's subset passes share their search's. It is safe for
-// concurrent use: each walk and level map is computed exactly once
+// A Cache is per-search state: every search builds its own. It is safe
+// for concurrent use: each walk and level map is computed exactly once
 // behind a per-entry sync.Once, and entries are immutable afterwards,
 // which is what lets the parallel search engine share one Cache across
 // its whole worker pool without further locking.
@@ -64,9 +64,8 @@ type mapEntry struct {
 }
 
 // NewCache binds a cache to one source table and reports the walks it
-// builds and its level-map accesses to rec (nil for none). The cache
-// serves every QI subset of the masker (Incognito's sub-searches share
-// it), because entries are keyed by attribute name, not by QI position.
+// builds and its level-map accesses to rec (nil for none). Entries are
+// keyed by attribute name, not by QI position.
 func (m *Masker) NewCache(src *table.Table, rec *obs.Recorder) *Cache {
 	return &Cache{
 		src: src, m: m, rec: rec,
@@ -78,7 +77,9 @@ func (m *Masker) NewCache(src *table.Table, rec *obs.Recorder) *Cache {
 // walk returns attr's hierarchy walk to the given level (level >= 1),
 // computing and memoizing it on first use: the generalized label and
 // code of every distinct source value. Columns and level maps are both
-// read off it, so they assign the same codes.
+// read off it, so they assign the same codes. The level one above the
+// hierarchy's top is the dropped level, which labels every value
+// hierarchy.Suppressed without consulting the hierarchy.
 func (c *Cache) walk(attr string, level int) (*table.Remap, error) {
 	c.mu.Lock()
 	e, ok := c.walks[colKey{attr, level}]
@@ -93,9 +94,11 @@ func (c *Cache) walk(attr string, level int) (*table.Remap, error) {
 			e.err = fmt.Errorf("generalize: %w", err)
 			return
 		}
-		e.remap, e.err = c.src.Remap(attr, func(v table.Value) (string, error) {
-			return h.Generalize(v.Str(), level)
-		})
+		gen := func(v table.Value) (string, error) { return h.Generalize(v.Str(), level) }
+		if level == h.Height()+1 {
+			gen = func(table.Value) (string, error) { return hierarchy.Suppressed, nil }
+		}
+		e.remap, e.err = c.src.Remap(attr, gen)
 		if e.err != nil {
 			e.err = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.err)
 			return
@@ -121,6 +124,27 @@ func (c *Cache) Column(attr string, level int) (table.Column, error) {
 		return nil, fmt.Errorf("generalize: cache %s level %d: %w", attr, level, err)
 	}
 	return col, nil
+}
+
+// DropLevel returns the level at which attr's column holds one value,
+// so a node that puts attr there groups rows exactly as a node over
+// the other attributes alone: the hierarchy's top when its walk sends
+// every value to one label, as a "*" top does, otherwise the dropped
+// level one above the top. A node at the dropped level lies outside
+// the lattice but generalizes each of its nodes, so level maps,
+// columns and row scans serve it as they serve any node.
+func (c *Cache) DropLevel(attr string) (int, error) {
+	h, err := c.m.hiers.Get(attr)
+	if err != nil {
+		return 0, fmt.Errorf("generalize: %w", err)
+	}
+	top := h.Height()
+	if top > 0 {
+		if r, err := c.walk(attr, top); err == nil && r.Single() {
+			return top, nil
+		}
+	}
+	return top + 1, nil
 }
 
 // Bytes returns the estimated memory held by the hierarchy walks built

@@ -19,9 +19,11 @@ import (
 // table, so a string column's shared dictionary holds values no row
 // carries. For each hierarchy kind — Flat, Prefix, PrefixSteps,
 // Interval, Tree, and one that is not nested — and every ordered pair
-// of levels, the derived map must equal BuildCodeMap's on every row, or
-// both must fail; every materialized column must hold the labels
-// Masker.Apply writes row by row. checkLevelMaps names the two outcomes
+// of levels, the dropped level one above the top included, the derived
+// map must equal BuildCodeMap's on every row, or both must fail; every
+// materialized column must hold the labels Masker.Apply writes row by
+// row, and the dropped level's column one label. Cache.DropLevel may
+// name the top only where the top's column holds one value. checkLevelMaps names the two outcomes
 // that differ from BuildCodeMap's by design. Seed corpus under
 // testdata/fuzz.
 func FuzzLevelMap(f *testing.F) {
@@ -160,10 +162,23 @@ func checkLevelMaps(t *testing.T, tbl *table.Table, h hierarchy.Hierarchy, gathe
 		t.Fatal(err)
 	}
 	derived, ref := m.NewCache(tbl, nil), m.NewCache(tbl, nil)
-	cols := make([]table.Column, h.Height()+1)
-	colErrs := make([]error, h.Height()+1)
+	top := h.Height()
+	cols := make([]table.Column, top+2)
+	colErrs := make([]error, top+2)
 	for level := range cols {
 		cols[level], colErrs[level] = levelColumn(ref, tbl, "Q", level)
+		if level > top {
+			// The dropped level puts every row in one group.
+			if colErrs[level] != nil {
+				t.Fatalf("%T dropped level %d: %v", h, level, colErrs[level])
+			}
+			for r := 0; r < tbl.NumRows(); r++ {
+				if got := cols[level].Value(r).Str(); got != hierarchy.Suppressed {
+					t.Fatalf("%T dropped level %d row %d: column holds %q", h, level, r, got)
+				}
+			}
+			continue
+		}
 		applied, err := m.Apply(tbl, lattice.Node{level})
 		if (err == nil) != (colErrs[level] == nil) {
 			t.Fatalf("%T level %d: column error %v, Masker.Apply error %v", h, level, colErrs[level], err)
@@ -180,6 +195,18 @@ func checkLevelMaps(t *testing.T, tbl *table.Table, h hierarchy.Hierarchy, gathe
 				t.Fatalf("%T level %d row %d: column holds %q, Masker.Apply %q", h, level, r, got, want.Value(r).Str())
 			}
 		}
+	}
+	// DropLevel may name the top only where the top's column holds one
+	// value on every row.
+	switch drop, err := derived.DropLevel("Q"); {
+	case err != nil:
+		t.Fatal(err)
+	case drop == top:
+		if colErrs[top] != nil || !oneCode(cols[top], tbl.NumRows()) {
+			t.Fatalf("%T: DropLevel names the top, whose column (error %v) holds more than one value", h, colErrs[top])
+		}
+	case drop != top+1:
+		t.Fatalf("%T: DropLevel = %d, want %d or %d", h, drop, top, top+1)
 	}
 	_, nonNested := h.(crossHierarchy)
 	for from := range cols {
@@ -221,6 +248,16 @@ func checkLevelMaps(t *testing.T, tbl *table.Table, h hierarchy.Hierarchy, gathe
 			}
 		}
 	}
+}
+
+// oneCode reports whether every row of col holds the same code.
+func oneCode(col table.Column, n int) bool {
+	for r := 1; r < n; r++ {
+		if col.Code(r) != col.Code(0) {
+			return false
+		}
+	}
+	return true
 }
 
 // mapsEveryRow reports whether cm translates every row's code in col.

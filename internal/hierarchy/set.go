@@ -1,9 +1,6 @@
 package hierarchy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Set is a collection of hierarchies keyed by attribute name — the
 // per-dataset configuration a data owner supplies before masking.
@@ -47,16 +44,6 @@ func (s *Set) Get(attr string) (Hierarchy, error) {
 
 // Has reports whether the set covers the attribute.
 func (s *Set) Has(attr string) bool { _, ok := s.byAttr[attr]; return ok }
-
-// Attributes returns the covered attribute names, sorted.
-func (s *Set) Attributes() []string {
-	names := make([]string, 0, len(s.byAttr))
-	for a := range s.byAttr {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Heights returns the hierarchy heights for the given attributes in
 // order — the dimension vector of the generalization lattice.

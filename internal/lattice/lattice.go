@@ -11,6 +11,7 @@ package lattice
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -67,16 +68,18 @@ func (n Node) StrictGeneralizationOf(o Node) bool {
 	return n.GeneralizationOf(o) && !n.Equal(o)
 }
 
-// Key returns a compact string key for maps.
+// Key returns a compact string key for maps. Searches key a node for
+// every tag, refutation and roll-up store lookup, so it formats the
+// levels without fmt.
 func (n Node) Key() string {
-	var b strings.Builder
+	b := make([]byte, 0, 2*len(n))
 	for i, l := range n {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", l)
+		b = strconv.AppendInt(b, int64(l), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the node in the paper's notation using the given
@@ -138,9 +141,6 @@ func (l *Lattice) Dims() []int {
 	return c
 }
 
-// NumAttrs returns the number of attributes (vector length).
-func (l *Lattice) NumAttrs() int { return len(l.dims) }
-
 // Height returns height(GL): the sum of all dimension heights.
 func (l *Lattice) Height() int {
 	h := 0
@@ -196,20 +196,6 @@ func (l *Lattice) Successors(n Node) []Node {
 	return out
 }
 
-// Predecessors returns the immediate specializations of n (one level
-// down in a single coordinate).
-func (l *Lattice) Predecessors(n Node) []Node {
-	var out []Node
-	for i := range n {
-		if n[i] > 0 {
-			p := n.Clone()
-			p[i]--
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // NodesAtHeight enumerates all nodes with the given height, in
 // lexicographic order. Heights outside [0, Height()] yield nil. The
 // enumeration is stable: repeated calls return the same shared slice,
@@ -224,8 +210,22 @@ func (l *Lattice) NodesAtHeight(h int) []Node {
 	if nodes, ok := l.byHeight[h]; ok {
 		return nodes
 	}
+	out := l.NodesAbove(l.Bottom(), h)
+	if l.byHeight == nil {
+		l.byHeight = make(map[int][]Node)
+	}
+	l.byHeight[h] = out
+	return out
+}
+
+// NodesAbove enumerates the nodes of height h that generalize lo, in
+// lexicographic order: one level of the sublattice above lo. Pinning a
+// coordinate of lo at its top confines the enumeration to the nodes
+// that leave that attribute there. Unlike NodesAtHeight it memoizes
+// nothing; every call returns fresh nodes.
+func (l *Lattice) NodesAbove(lo Node, h int) []Node {
 	var out []Node
-	cur := make(Node, len(l.dims))
+	cur := lo.Clone()
 	var rec func(i, remaining int)
 	rec = func(i, remaining int) {
 		if i == len(l.dims) {
@@ -234,21 +234,13 @@ func (l *Lattice) NodesAtHeight(h int) []Node {
 			}
 			return
 		}
-		max := l.dims[i]
-		if max > remaining {
-			max = remaining
-		}
-		for v := 0; v <= max; v++ {
+		for v := lo[i]; v <= l.dims[i] && v-lo[i] <= remaining; v++ {
 			cur[i] = v
-			rec(i+1, remaining-v)
+			rec(i+1, remaining-(v-lo[i]))
 		}
-		cur[i] = 0
+		cur[i] = lo[i]
 	}
-	rec(0, h)
-	if l.byHeight == nil {
-		l.byHeight = make(map[int][]Node)
-	}
-	l.byHeight[h] = out
+	rec(0, h-lo.Height())
 	return out
 }
 
@@ -259,18 +251,6 @@ func (l *Lattice) AllNodes() []Node {
 		out = append(out, l.NodesAtHeight(h)...)
 	}
 	return out
-}
-
-// Walk visits every node bottom-up (by height, lexicographic within a
-// height) until fn returns false.
-func (l *Lattice) Walk(fn func(Node) bool) {
-	for h := 0; h <= l.Height(); h++ {
-		for _, n := range l.NodesAtHeight(h) {
-			if !fn(n) {
-				return
-			}
-		}
-	}
 }
 
 // Minimal filters a set of nodes down to its minimal elements under the

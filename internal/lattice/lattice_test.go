@@ -111,12 +111,16 @@ func TestSuccessorsPredecessors(t *testing.T) {
 	if got := l.Successors(l.Top()); len(got) != 0 {
 		t.Errorf("top successors = %v", got)
 	}
-	pred := l.Predecessors(Node{1, 1})
+	// The immediate specializations of <1,1> are the two nodes one level
+	// below that it generalizes.
+	var pred []Node
+	for _, p := range l.NodesAtHeight(1) {
+		if (Node{1, 1}).GeneralizationOf(p) {
+			pred = append(pred, p)
+		}
+	}
 	if len(pred) != 2 {
 		t.Fatalf("predecessors = %v", pred)
-	}
-	if got := l.Predecessors(l.Bottom()); len(got) != 0 {
-		t.Errorf("bottom predecessors = %v", got)
 	}
 }
 
@@ -165,18 +169,6 @@ func TestMinimal(t *testing.T) {
 	}
 }
 
-func TestWalkStopsEarly(t *testing.T) {
-	l := figure2(t)
-	visited := 0
-	l.Walk(func(n Node) bool {
-		visited++
-		return visited < 3
-	})
-	if visited != 3 {
-		t.Errorf("visited = %d, want 3", visited)
-	}
-}
-
 // latticeGen generates random small lattices for property tests.
 type latticeGen struct {
 	l *Lattice
@@ -213,24 +205,25 @@ func TestHeightPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: successors/predecessors are inverse relations and adjust
-// height by exactly one.
+// Property: the successors of n are exactly the nodes one level up
+// that generalize n, so n is an immediate specialization of each.
 func TestSuccessorPredecessorDuality(t *testing.T) {
 	f := func(g latticeGen) bool {
 		for _, n := range g.l.AllNodes() {
-			for _, s := range g.l.Successors(n) {
+			succ := g.l.Successors(n)
+			for _, s := range succ {
 				if s.Height() != n.Height()+1 || !s.StrictGeneralizationOf(n) {
 					return false
 				}
-				found := false
-				for _, p := range g.l.Predecessors(s) {
-					if p.Equal(n) {
-						found = true
-					}
+			}
+			up := 0
+			for _, m := range g.l.NodesAtHeight(n.Height() + 1) {
+				if m.GeneralizationOf(n) {
+					up++
 				}
-				if !found {
-					return false
-				}
+			}
+			if up != len(succ) {
+				return false
 			}
 		}
 		return true
@@ -291,5 +284,29 @@ func TestAdultLatticeShape(t *testing.T) {
 	}
 	if l.Height() != 9 {
 		t.Errorf("Adult lattice height = %d, want 9", l.Height())
+	}
+}
+
+// Property: NodesAbove(lo, h) lists, in NodesAtHeight's order, exactly
+// the nodes of height h that generalize lo.
+func TestNodesAboveProperty(t *testing.T) {
+	f := func(g latticeGen, pick uint) bool {
+		all := g.l.AllNodes()
+		lo := all[int(pick%uint(len(all)))]
+		for h := 0; h <= g.l.Height(); h++ {
+			var want []Node
+			for _, n := range g.l.NodesAtHeight(h) {
+				if n.GeneralizationOf(lo) {
+					want = append(want, n)
+				}
+			}
+			if got := g.l.NodesAbove(lo, h); !reflect.DeepEqual(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }

@@ -90,8 +90,8 @@ func TestPaperCondition1Query(t *testing.T) {
 func TestSelectStar(t *testing.T) {
 	cat := patientCatalog(t)
 	out := mustRun(t, cat, "SELECT * FROM Patient WHERE Sex = 'M'")
-	if out.NumRows() != 4 || out.NumCols() != 5 {
-		t.Errorf("dims = %dx%d", out.NumRows(), out.NumCols())
+	if out.NumRows() != 4 || out.Schema().Len() != 5 {
+		t.Errorf("dims = %dx%d", out.NumRows(), out.Schema().Len())
 	}
 	out = mustRun(t, cat, "SELECT * FROM Patient WHERE Age >= 30 AND Sex = 'F'")
 	if out.NumRows() != 2 {
@@ -114,8 +114,8 @@ func TestSelectStar(t *testing.T) {
 func TestProjection(t *testing.T) {
 	cat := patientCatalog(t)
 	out := mustRun(t, cat, "SELECT Illness, Age FROM Patient WHERE Income > 25000")
-	if out.NumRows() != 2 || out.NumCols() != 2 {
-		t.Fatalf("dims = %dx%d", out.NumRows(), out.NumCols())
+	if out.NumRows() != 2 || out.Schema().Len() != 2 {
+		t.Fatalf("dims = %dx%d", out.NumRows(), out.Schema().Len())
 	}
 	v, _ := out.Value(0, "Illness")
 	if v.Str() != "HIV" {

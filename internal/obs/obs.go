@@ -249,7 +249,8 @@ func (r *Recorder) WorkerBusy(id int, d time.Duration) {
 }
 
 // SetPoolSize records the evaluation pool width (a gauge; the maximum
-// observed value wins, so nested subset searches don't shrink it).
+// observed value wins, so a small batch late in a search doesn't
+// shrink it).
 func (r *Recorder) SetPoolSize(n int) {
 	if r == nil {
 		return

@@ -329,9 +329,6 @@ func TestMeasures(t *testing.T) {
 	if m.AtRisk != 6 {
 		t.Errorf("at risk = %d (all groups < 5)", m.AtRisk)
 	}
-	if m.SatisfiesThreshold(0.5) != true || m.SatisfiesThreshold(0.2) != false {
-		t.Error("threshold checks broken")
-	}
 }
 
 func TestMeasuresSingletons(t *testing.T) {
@@ -349,9 +346,6 @@ func TestMeasuresSingletons(t *testing.T) {
 	if m.UniqueRecords != 1 || m.MinGroup != 1 || m.ProsecutorMax != 1 {
 		t.Errorf("measures = %+v", m)
 	}
-	if m.SatisfiesThreshold(0.9) {
-		t.Error("singleton should violate any threshold < 1")
-	}
 }
 
 func TestMeasuresEmptyAndErrors(t *testing.T) {
@@ -363,9 +357,6 @@ func TestMeasuresEmptyAndErrors(t *testing.T) {
 	m, err := Measure(empty, []string{"Q"})
 	if err != nil || m.Groups != 0 {
 		t.Errorf("empty measures = %+v, %v", m, err)
-	}
-	if !m.SatisfiesThreshold(0.01) {
-		t.Error("empty release should satisfy every threshold")
 	}
 	if _, err := Measure(empty, nil); err == nil {
 		t.Error("no QIs accepted")

@@ -81,13 +81,3 @@ func Measure(mm *table.Table, qis []string) (Measures, error) {
 	m.ProsecutorAvg = m.MarketerRisk // avg over records of 1/|group| = groups/n
 	return m, nil
 }
-
-// SatisfiesThreshold reports whether every record's re-identification
-// risk is at most maxRisk (e.g. 0.2 for the HIPAA-style "groups of at
-// least five" rule; 1/k for k-anonymity).
-func (m Measures) SatisfiesThreshold(maxRisk float64) bool {
-	if m.Records == 0 {
-		return true
-	}
-	return m.ProsecutorMax <= maxRisk
-}

@@ -20,9 +20,10 @@ type Budget struct {
 	Deadline time.Duration
 	// MaxNodes caps the number of lattice nodes the search may consume.
 	// Nodes are charged in deterministic reduction order — speculative
-	// parallel work past a hit is free, exactly as in Stats — so a
-	// node-budget-stopped search returns byte-identical results at every
-	// worker count. Zero means unlimited.
+	// parallel work past a hit is free, exactly as in Stats, and so is
+	// a node the search already judged — so a node-budget-stopped
+	// search returns byte-identical results at every worker count. Zero
+	// means unlimited.
 	MaxNodes int64
 	// MaxCacheBytes caps the estimated memory of the hierarchy walks
 	// the search's generalization cache builds (table.Remap.MemBytes),
@@ -84,10 +85,11 @@ func (s StopReason) String() string {
 func (s StopReason) Partial() bool { return s != StopDone }
 
 // limiter is the per-search enforcement of Config.Context and
-// Config.Budget, shared by every evaluator of one strategy call
-// (Samarati's height probes, Incognito's subset evaluators). A nil
-// limiter — the common unbudgeted case — costs one pointer compare per
-// node, preserving the engine's ≤2% disabled-overhead contract.
+// Config.Budget, held by the one evaluator of a strategy call and so
+// shared by all of its walks (Samarati's height probes, Incognito's
+// subset passes, the frontier scan). A nil limiter — the common
+// unbudgeted case — costs one pointer compare per node, preserving the
+// engine's ≤2% disabled-overhead contract.
 //
 // Node accounting is deliberately split in two: checkpoint (called
 // concurrently by workers before claiming a node) covers the
@@ -130,8 +132,7 @@ func (c Config) newLimiter() *limiter {
 }
 
 // attachMem wires the cache-size probe once the evaluator knows its
-// cache. Incognito's subset evaluators share one cache, so repeated
-// attachment is harmless.
+// cache.
 func (l *limiter) attachMem(mem func() int64) {
 	if l != nil && l.maxBytes > 0 {
 		l.mem = mem

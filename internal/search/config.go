@@ -227,8 +227,8 @@ type Stats struct {
 // every node evaluation its own Stats and merges the deltas in
 // deterministic node order, which keeps totals race-free and identical
 // to the serial scan at any worker count. Exported so callers that run
-// several searches (experiment sweeps, the Incognito subset phases) can
-// total their work the same way.
+// several searches (experiment sweeps) can total their work the same
+// way.
 func (s *Stats) Merge(o Stats) {
 	s.NodesEvaluated += o.NodesEvaluated
 	s.PrunedCondition1 += o.PrunedCondition1

@@ -44,10 +44,11 @@ type evaluator struct {
 	policy core.Policy
 	conf   []string
 	// rollups holds each evaluated node's pre-suppression group
-	// statistics so ancestor nodes are checked by merging groups
-	// (rollup.go) instead of re-scanning rows. It is per-search state:
-	// Incognito's subset searches each get their own store (their nodes
-	// index different QI subsets) while sharing the search's cache.
+	// statistics, so ancestor nodes are checked by merging groups
+	// (rollup.go) instead of re-scanning rows, and its verdict, so no
+	// node is judged twice. It is per-search state: every walk of the
+	// search, Incognito's subset passes and the frontier scan included,
+	// reads and fills the one store.
 	rollups *rollupStore
 	// rec and tracer are the telemetry sinks (Config.Recorder/Tracer);
 	// both are nil-safe, so the hot path calls them unguarded and the
@@ -55,10 +56,9 @@ type evaluator struct {
 	rec    *obs.Recorder
 	tracer *obs.Tracer
 	// lim enforces Config.Context and Config.Budget (budget.go). Nil —
-	// the unbudgeted default — costs one compare per node. Strategies
-	// that build several evaluators (Samarati's probes share one;
-	// Incognito builds one per subset) share a single limiter so the
-	// whole strategy call spends one budget.
+	// the unbudgeted default — costs one compare per node. One
+	// evaluator, and so one limiter, serves the whole strategy call, so
+	// it spends one budget.
 	lim *limiter
 }
 
@@ -70,11 +70,9 @@ func newEvaluator(im *table.Table, m *generalize.Masker, cfg Config) *evaluator 
 }
 
 // newLimitedEvaluator is newEvaluator with an explicit cache and
-// limiter, for searches that build several evaluators and need them to
-// share one cache and draw on one budget (Incognito's subset passes),
-// or that search a table of their own (the incremental repair). m's
-// quasi-identifiers must match cfg.QIs; the cache must be built over
-// im with the hierarchies cfg names.
+// limiter, for a search over a table of its own (the incremental
+// repair). m's quasi-identifiers must match cfg.QIs; the cache must be
+// built over im with the hierarchies cfg names.
 func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, lim *limiter) *evaluator {
 	lim.attachMem(cache.Bytes)
 	return &evaluator{
@@ -95,24 +93,32 @@ func (e *evaluator) bind(bounds core.Bounds) *evaluator {
 	return e
 }
 
-// outcome is the result of evaluating one lattice node: a verdict plus
-// the statistics it was drawn from.
-type outcome struct {
-	// evaluated distinguishes real results from nodes skipped by early
-	// cancellation (only ever nodes ordered after the first hit).
-	evaluated bool
-	ok        bool
-	// suppressed is the node's sub-k tuple count, TuplesBelow(k).
+// judgement is what judging a node decides, and all that a revisit of
+// the node answers with: whether it satisfied, the tuples its release
+// suppresses (set when it satisfied), the policy result and the
+// verdict class. The roll-up store keeps it beside the node's
+// statistics.
+type judgement struct {
+	ok         bool
 	suppressed int
-	stats      Stats
-	err        error
-	// post and res are set when the node satisfied: the post-suppression
-	// group statistics the verdict ran on, and the verdict itself. The
-	// frontier scan scores nodes from them. GroupStats returns plain heap
-	// data (its arena scratch is released internally), so retaining it
-	// here is safe.
-	post *table.GroupStats
-	res  core.Result
+	res        core.Result
+	class      obs.Verdict
+}
+
+// outcome is the result of evaluating one lattice node: its judgement
+// plus the work it cost.
+type outcome struct {
+	judgement
+	// evaluated distinguishes real results from nodes skipped by early
+	// cancellation (only ever nodes ordered after the first hit) or by a
+	// tripped limiter.
+	evaluated bool
+	// revisit marks a node the search had already judged: run answered
+	// it from the store, so it costs no work, moves no counter, emits no
+	// trace event and spends no node budget.
+	revisit bool
+	stats   Stats
+	err     error
 }
 
 // minimal is the outcome of a satisfying node as a found node.
@@ -133,7 +139,7 @@ func (e *evaluator) evalNode(node lattice.Node) outcome {
 
 	s, err := e.statsFor(node)
 	if err != nil {
-		o.err = err
+		o.err, o.class = err, obs.VerdictError
 		return o
 	}
 
@@ -146,6 +152,7 @@ func (e *evaluator) evalNode(node lattice.Node) outcome {
 	violating := s.TuplesBelow(e.cfg.K)
 	if violating > e.cfg.MaxSuppress {
 		e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
+		o.class = obs.VerdictOverBudget
 		return o
 	}
 	post := s.SuppressBelow(e.cfg.K)
@@ -159,30 +166,36 @@ func (e *evaluator) evalNode(node lattice.Node) outcome {
 	res, err := e.policy.Evaluate(core.StatsView{Stats: post, Conf: e.conf})
 	e.rec.PhaseEnd(obs.PhasePolicy, polStart)
 	if err != nil {
-		o.err = err
+		o.err, o.class = err, obs.VerdictError
 		return o
 	}
-	if e.verdict(res, &o) {
-		o.ok, o.suppressed, o.post, o.res = true, violating, post, res
+	o.res = res
+	verdict(&o)
+	if o.ok {
+		o.suppressed = violating
 	}
 	return o
 }
 
-// verdict folds a policy result into the outcome's stats counters and
-// reports whether the node satisfies the policy. The counter mapping
-// mirrors Algorithm 3: bounds rejections are prunes that skipped the
-// detailed scan; everything else — satisfied or a real violation —
-// paid for one.
-func (e *evaluator) verdict(res core.Result, o *outcome) bool {
-	switch res.Reason {
+// verdict folds the outcome's policy result into its stats counters
+// and its verdict class. The counter mapping mirrors Algorithm 3:
+// bounds rejections are prunes that skipped the detailed scan;
+// everything else — satisfied or a real violation — paid for one.
+func verdict(o *outcome) {
+	switch o.res.Reason {
 	case core.FailedCondition1:
 		o.stats.PrunedCondition1++
+		o.class = obs.VerdictPrunedCondition1
 	case core.FailedCondition2:
 		o.stats.PrunedCondition2++
+		o.class = obs.VerdictPrunedCondition2
 	default:
 		o.stats.GroupScans++
+		o.class = obs.VerdictViolated
 	}
-	return res.Satisfied
+	if o.res.Satisfied {
+		o.ok, o.class = true, obs.VerdictSatisfied
+	}
 }
 
 // materialize builds the masked table of a node the statistics proved
@@ -223,7 +236,7 @@ func (e *evaluator) evalTimed(node lattice.Node, worker int) outcome {
 	if o.stats.NodesEvaluated == 0 {
 		return o
 	}
-	v := nodeVerdict(o)
+	v := o.class
 	e.rec.NodeEvaluated(v, d)
 	e.rec.WorkerBusy(worker, d)
 	e.rec.AddSuppressedRows(int64(o.stats.SuppressedRows))
@@ -250,55 +263,53 @@ func (e *evaluator) evalSafe(node lattice.Node, worker int) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.rec.PanicRecovered()
-			o = outcome{evaluated: true, err: fmt.Errorf("search: node %v: panic recovered: %v", node, r)}
+			o = outcome{judgement: judgement{class: obs.VerdictError}, evaluated: true,
+				err: fmt.Errorf("search: node %v: panic recovered: %v", node, r)}
 		}
 	}()
 	return e.evalTimed(node, worker)
 }
 
-// nodeVerdict classifies an outcome from its stats delta: each
-// evaluated node increments exactly one of the prune/scan counters, so
-// the delta plus the ok/err flags fully determine the verdict.
-func nodeVerdict(o outcome) obs.Verdict {
-	switch {
-	case o.err != nil:
-		return obs.VerdictError
-	case o.ok:
-		return obs.VerdictSatisfied
-	case o.stats.PrunedCondition1 > 0:
-		return obs.VerdictPrunedCondition1
-	case o.stats.PrunedCondition2 > 0:
-		return obs.VerdictPrunedCondition2
-	case o.stats.GroupScans > 0:
-		return obs.VerdictViolated
-	default:
-		return obs.VerdictOverBudget
-	}
-}
-
-// run evaluates the nodes, serially or on the worker pool. With
-// cancelEarly, nodes ordered after an already-observed hit (or error)
-// are skipped: the reduction only ever consumes outcomes up to the
-// first hit in node order, and every node before it is guaranteed to be
-// evaluated, so cancellation can never change the reduced result — it
-// only avoids wasted work.
+// run evaluates the nodes, serially or on the worker pool. A node the
+// search already judged is not evaluated again: the store's judgement
+// answers it as a revisit. With cancelEarly, nodes ordered after an
+// already-observed hit (or error) are skipped: the reduction only ever
+// consumes outcomes up to the first hit in node order, and every node
+// before it is guaranteed to be evaluated, so cancellation can never
+// change the reduced result — it only avoids wasted work. (The walks
+// that cancel early, Samarati's probes and the incremental repair,
+// never revisit a node, so no revisit is a hit to cancel on.)
 //
 // The limiter bounds the batch two ways. The node budget truncates it
-// up front to the prefix nodes[:limit] — a property of node order
-// alone, so serial and parallel runs evaluate the same prefix. The
-// time-dependent limits (context, deadline, cache bytes) gate each
-// claim via checkpoint; once tripped, no further node starts, leaving
-// arbitrary gaps the reductions already tolerate. run returns limit so
-// the reduction can tell budget truncation from completion.
+// up front to the prefix nodes[:cut] that holds as many unjudged nodes
+// as the budget has left — a property of node order and of the
+// judgements earlier batches reduced, so serial and parallel runs
+// evaluate the same prefix. The time-dependent limits (context,
+// deadline, cache bytes) gate each claim via checkpoint; once tripped,
+// no further node starts, leaving arbitrary gaps the reductions
+// already tolerate. run returns cut so the reduction can tell budget
+// truncation from completion.
 func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int) {
 	n := len(nodes)
 	outs := make([]outcome, n)
-	limit := e.lim.allowance(n)
-	w := e.cfg.workerCount(limit)
+	var pending []int // indices of the nodes to evaluate
+	for i, node := range nodes {
+		if j, ok := e.rollups.judged(node); ok {
+			outs[i] = outcome{judgement: j, evaluated: true, revisit: true}
+		} else {
+			pending = append(pending, i)
+		}
+	}
+	cut := n
+	if limit := e.lim.allowance(len(pending)); limit < len(pending) {
+		cut, pending = pending[limit], pending[:limit]
+		clear(outs[cut:])
+	}
+	w := e.cfg.workerCount(len(pending))
 	e.rec.SetPoolSize(w)
 	if w <= 1 {
 		e.labeled(0, func() {
-			for i := 0; i < limit; i++ {
+			for _, i := range pending {
 				if !e.lim.checkpoint() {
 					break
 				}
@@ -308,10 +319,10 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 				}
 			}
 		})
-		return outs, limit
+		return outs, cut
 	}
 	var next int64
-	barrier := int64(limit) // lowest index seen to hit or fail hard
+	barrier := int64(cut) // lowest index seen to hit or fail hard
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
 		wg.Add(1)
@@ -319,13 +330,14 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 			defer wg.Done()
 			e.labeled(worker, func() {
 				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= limit {
+					j := int(atomic.AddInt64(&next, 1)) - 1
+					if j >= len(pending) {
 						return
 					}
 					if !e.lim.checkpoint() {
 						return
 					}
+					i := pending[j]
 					if cancelEarly && int64(i) > atomic.LoadInt64(&barrier) {
 						continue
 					}
@@ -344,7 +356,7 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 		}(g)
 	}
 	wg.Wait()
-	return outs, limit
+	return outs, cut
 }
 
 // labeled runs fn under pprof goroutine labels identifying the
@@ -365,25 +377,40 @@ func (e *evaluator) labeled(worker int, fn func()) {
 	), func(context.Context) { fn() })
 }
 
+// consume folds the outcome of nodes[i] into the batch's stats, in the
+// reductions' node order, and returns the node budget it spends: a
+// fresh evaluation merges its stats delta, spends one node and leaves
+// its judgement in the store, so no later batch judges the node again;
+// a revisit does none of that.
+func (e *evaluator) consume(node lattice.Node, o outcome, stats *Stats) int {
+	if o.revisit {
+		return 0
+	}
+	stats.Merge(o.stats)
+	if o.err == nil {
+		e.rollups.judge(node, o.judgement)
+	}
+	return 1
+}
+
 // firstHit returns the index and outcome of the first satisfying node
 // in node order, or index -1. Stats are merged exactly as the serial
 // scan would: deltas accumulate in node order up to and including the
-// first hit (or error); speculative work past it is discarded, so
-// totals are identical at every worker count. The node budget is
-// charged with the same consumed count, making budget spend equally
-// scheduling-independent; a truncated batch that found no hit trips
-// StopNodeBudget (a hit inside the prefix means the truncation never
-// mattered).
+// first hit (or error); speculative work past it is discarded, and its
+// judgements with it, so totals are identical at every worker count.
+// The node budget is charged with the same consumed count, making
+// budget spend equally scheduling-independent; a truncated batch that
+// found no hit trips StopNodeBudget (a hit inside the prefix means the
+// truncation never mattered).
 func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, error) {
-	outs, limit := e.run(nodes, true)
+	outs, cut := e.run(nodes, true)
 	consumed := 0
 	for i := range outs {
 		o := outs[i]
 		if !o.evaluated {
 			continue
 		}
-		stats.Merge(o.stats)
-		consumed++
+		consumed += e.consume(nodes[i], o, stats)
 		if o.err != nil {
 			e.lim.charge(consumed)
 			return -1, outcome{}, o.err
@@ -397,7 +424,7 @@ func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, 
 		}
 	}
 	e.lim.charge(consumed)
-	if limit < len(nodes) && !e.lim.tripped() {
+	if cut < len(nodes) && !e.lim.tripped() {
 		e.lim.trip(StopNodeBudget)
 	}
 	return -1, outcome{}, nil
@@ -409,15 +436,14 @@ func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, 
 // slice; callers treat them as non-satisfying, which keeps partial
 // results valid (everything reported satisfying really was evaluated).
 func (e *evaluator) evalAll(nodes []lattice.Node, stats *Stats) ([]outcome, error) {
-	outs, limit := e.run(nodes, false)
+	outs, cut := e.run(nodes, false)
 	consumed := 0
 	noted := false
 	for i := range outs {
 		if !outs[i].evaluated {
 			continue
 		}
-		stats.Merge(outs[i].stats)
-		consumed++
+		consumed += e.consume(nodes[i], outs[i], stats)
 		if outs[i].err != nil {
 			e.lim.charge(consumed)
 			return nil, outs[i].err
@@ -431,7 +457,7 @@ func (e *evaluator) evalAll(nodes []lattice.Node, stats *Stats) ([]outcome, erro
 		}
 	}
 	e.lim.charge(consumed)
-	if limit < len(nodes) && !e.lim.tripped() {
+	if cut < len(nodes) && !e.lim.tripped() {
 		e.lim.trip(StopNodeBudget)
 	}
 	return outs, nil

@@ -73,9 +73,10 @@ func DefaultObjectives() []Objective {
 // FrontierConfig switches a search into frontier mode.
 type FrontierConfig struct {
 	// Enabled adds a frontier pass after the strategy's own search: the
-	// lattice is re-walked (memoized roll-up statistics make re-visits
-	// O(groups)), every satisfying node is scored, and Result.Frontier
-	// receives the dominance-reduced set. The pass draws on the same
+	// lattice is re-walked (a node the search already judged answers
+	// from the roll-up store, so no node is judged twice), every
+	// satisfying node is scored, and Result.Frontier receives the
+	// dominance-reduced set. The pass draws on the same
 	// budget limiter as the search proper.
 	Enabled bool
 	// Objectives are the axes of the dominance reduction; empty selects
@@ -129,10 +130,13 @@ func (f *FrontierEntry) objective(o Objective) float64 {
 // enumeration), scores every satisfying node from its post-suppression
 // statistics, and returns the dominance-reduced frontier. The walk runs
 // on the strategy's evaluator, sharing its roll-up store, cache and
-// limiter: nodes the search already evaluated re-verdict from memoized
-// statistics, and the whole strategy call still spends one budget. It
-// scores every satisfying node under every strategy, so a ranked
-// frontier does not depend on the strategy that ran.
+// limiter: nodes the search already judged answer from the store
+// without being judged again, and the whole strategy call still spends
+// one budget. A scored node's post-suppression statistics are its
+// stored pre-suppression ones with the sub-k groups dropped, exactly
+// what its verdict ran on. It scores every satisfying node under every
+// strategy, so a ranked frontier does not depend on the strategy that
+// ran.
 func (e *evaluator) frontierScan(lat *lattice.Lattice, base *loss.Baseline, stats *Stats) ([]FrontierEntry, error) {
 	fc := e.cfg.Frontier
 	objs := fc.Objectives
@@ -153,8 +157,13 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, base *loss.Baseline, stat
 			if !o.ok {
 				continue
 			}
+			pre := e.rollups.lookup(node)
+			if pre == nil {
+				return nil, fmt.Errorf("search: frontier node %v has no statistics", node)
+			}
+			post := pre.SuppressBelow(e.cfg.K)
 			rep, err := loss.MeasureStats(loss.StatsInput{
-				Stats: o.post, Rows: rows, Baseline: base,
+				Stats: post, Rows: rows, Baseline: base,
 				Node: node, Lattice: lat, K: e.cfg.K,
 			})
 			if err != nil {
@@ -162,7 +171,7 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, base *loss.Baseline, stat
 			}
 			entries = append(entries, FrontierEntry{
 				Node: node.Clone(), Verdict: o.res, Loss: rep,
-				MinGroup: o.post.MinGroupSize(), Groups: o.post.NumGroups(),
+				MinGroup: post.MinGroupSize(), Groups: post.NumGroups(),
 				Suppressed: o.suppressed,
 			})
 			e.rec.FrontierScored()

@@ -5,7 +5,6 @@ import (
 
 	"psk/internal/lattice"
 	"psk/internal/obs"
-	"psk/internal/table"
 )
 
 // incognito is the walk of StrategyIncognito, the subset-lattice search
@@ -31,22 +30,36 @@ import (
 // Subsets are processed in increasing size; within each subset's
 // lattice, nodes are visited bottom-up and upward tagging skips the
 // up-set of every satisfying node (as in AllMinimal). The final pass
-// over the full QI set yields the complete p-k-minimal antichain. The
-// smaller QI subsets get their own evaluators, sharing the run's limiter
-// and generalization cache; the final pass over the full QI set runs on the
-// run's evaluator.
+// over the full QI set yields the complete p-k-minimal antichain.
+//
+// Every pass walks the one lattice on the run's evaluator. A subset's
+// lattice is the sublattice above the node that pins each attribute
+// outside the subset at its top, and a subset node is judged as the
+// grouping it stands for: the node with those attributes at their drop
+// level (generalize.Cache.DropLevel), where each holds one value. Where
+// the drop level is the top, as for a "*" top, that grouping is the
+// pinned node itself, so a subset node shares its statistics and its
+// judgement with the full node of the same grouping, and no grouping
+// is judged twice.
 func incognito(e *evaluator, lat *lattice.Lattice, res *Result) error {
-	cfg := e.cfg
-	qis := cfg.QIs
+	qis := e.cfg.QIs
 	mAttrs := len(qis)
-	fullDims := lat.Dims()
+	dims := lat.Dims()
+	drop := make([]int, mAttrs)
+	for i, attr := range qis {
+		level, err := e.cache.DropLevel(attr)
+		if err != nil {
+			return err
+		}
+		drop[i] = level
+	}
 
 	// refuted[mask] is the set of node keys for the QI subset encoded by
 	// mask (bit i = qis[i] present) whose failure proves that every node
-	// projecting onto them fails. Node keys are over the subset's own
-	// coordinates, in ascending attribute order.
+	// projecting onto them fails. A subset node's key is its pinned
+	// full-lattice node's.
 	refuted := make(map[uint32]map[string]bool)
-	everyFailureRefutes := cfg.MaxSuppress == 0
+	everyFailureRefutes := e.cfg.MaxSuppress == 0
 
 	// Enumerate masks grouped by popcount.
 	masks := make([][]uint32, mAttrs+1)
@@ -55,113 +68,52 @@ func incognito(e *evaluator, lat *lattice.Lattice, res *Result) error {
 		masks[pc] = append(masks[pc], mask)
 	}
 
-	// Frequency sets roll up across QI subsets too — the classic
-	// Incognito formulation: the base-level statistics over the full QI
-	// set, which Run computed on the run's evaluator, are every subset
-	// lattice's bottom once projected, so no subset search ever re-scans
-	// rows. Projections chain by descending subset size — each mask
-	// projects from a one-attribute-larger superset with the fewest
-	// groups — so most merge a few hundred groups instead of the full
-	// base-level group set.
-	fullMask := uint32(1<<mAttrs) - 1
-	projStats := make(map[uint32]*table.GroupStats, fullMask)
-	projStats[fullMask] = e.rollups.lookup(lat.Bottom())
-	// The 2^m − 2 projections are work before any node is evaluated, so
-	// the loop passes the limiter's checkpoint itself: a cancelled,
-	// expired or over-budget search stops here with the limiter's reason.
-	for size := mAttrs - 1; size >= 1; size-- {
-		for _, mask := range masks[size] {
-			if !e.lim.checkpoint() {
-				return nil
-			}
-			var parent *table.GroupStats
-			var parentMask uint32
-			for i := 0; i < mAttrs; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					continue
-				}
-				if ps := projStats[mask|1<<uint(i)]; parent == nil || ps.NumGroups() < parent.NumGroups() {
-					parent, parentMask = ps, mask|1<<uint(i)
-				}
-			}
-			// keep holds the positions of mask's attributes among the
-			// parent's key columns (the parent mask's set bits,
-			// ascending).
-			keep := make([]int, 0, size)
-			col := 0
-			for i := 0; i < mAttrs; i++ {
-				if parentMask&(1<<uint(i)) == 0 {
-					continue
-				}
-				if mask&(1<<uint(i)) != 0 {
-					keep = append(keep, col)
-				}
-				col++
-			}
-			projStart := cfg.Recorder.Start()
-			proj, err := parent.Project(keep)
-			cfg.Recorder.PhaseEnd(obs.PhaseRollup, projStart)
-			if err != nil {
-				return err
-			}
-			projStats[mask] = proj
-		}
-	}
-
 subsets:
 	for size := 1; size <= mAttrs; size++ {
 		for _, mask := range masks[size] {
 			if !e.lim.checkpoint() {
 				break subsets
 			}
-			subLat, subEval := lat, e
-			if size < mAttrs {
-				attrs, dims := subsetOf(qis, fullDims, mask)
-				var err error
-				if subLat, err = lattice.New(dims); err != nil {
-					return err
+			// lo pins the attributes outside the subset at their top; the
+			// subset's lattice is the sublattice above it.
+			lo := make(lattice.Node, mAttrs)
+			subSize := 1
+			for i := range lo {
+				if mask&(1<<uint(i)) == 0 {
+					lo[i] = dims[i]
+				} else {
+					subSize *= dims[i] + 1
 				}
+			}
+			if size < mAttrs {
 				// Progress denominator: each subset lattice adds its own
 				// node count (Run added the full lattice's), so the
 				// /progress fraction tracks the whole multi-pass strategy.
-				cfg.Recorder.AddLatticeNodes(int64(subLat.Size()))
-				subCfg := cfg
-				subCfg.QIs = attrs
-				subMasker, err := subCfg.validate()
-				if err != nil {
-					return err
-				}
-				// The run's cache serves every subset: it is keyed by
-				// attribute name and hierarchy level, both independent of
-				// the QI subset a node ranges over, so a walk or level map
-				// computed for one subset is reused by every later subset
-				// that includes the attribute.
-				subEval = newLimitedEvaluator(e.im, subMasker, e.cache, subCfg, e.lim).bind(e.bounds)
-				subEval.rollups.seed(subLat.Bottom(), projStats[mask])
+				e.rec.AddLatticeNodes(int64(subSize))
 			}
 
 			ref := make(map[string]bool)
 			refuted[mask] = ref
 			tagged := make(map[string]bool)
 
-			for h := 0; h <= subLat.Height(); h++ {
+			for h := lo.Height(); h <= lat.Height(); h++ {
 				// Pre-filter the level serially: tagging only marks
 				// strictly higher nodes and projection checks read only
 				// smaller, already-completed subsets, so the survivors
 				// are independent and can be evaluated concurrently.
-				nodes := subLat.NodesAtHeight(h)
-				var candidates []lattice.Node
+				nodes := lat.NodesAbove(lo, h)
+				var groupings []lattice.Node
 				candIdx := make([]int, len(nodes))
 				for i, node := range nodes {
 					key := node.Key()
 					if tagged[key] {
-						tagUp(subLat, node, tagged)
+						tagUp(lat, node, tagged)
 						candIdx[i] = -1
 						continue
 					}
 					// Subset pruning: a refuted (size-1)-projection
 					// refutes the node.
-					if size > 1 && projectionRefuted(mask, node, refuted) {
+					if size > 1 && projectionRefuted(mask, node, dims, refuted) {
 						if size == mAttrs {
 							res.Stats.PrunedBySubsets++
 						}
@@ -169,10 +121,10 @@ subsets:
 						candIdx[i] = -1
 						continue
 					}
-					candIdx[i] = len(candidates)
-					candidates = append(candidates, node)
+					candIdx[i] = len(groupings)
+					groupings = append(groupings, grouping(node, mask, drop))
 				}
-				outs, err := subEval.evalAll(candidates, &res.Stats)
+				outs, err := e.evalAll(groupings, &res.Stats)
 				if err != nil {
 					return err
 				}
@@ -185,8 +137,8 @@ subsets:
 						if size == mAttrs {
 							res.Minimal = append(res.Minimal, o.minimal(node))
 						}
-						tagUp(subLat, node, tagged)
-					case o.evaluated && (everyFailureRefutes || nodeVerdict(o) == obs.VerdictOverBudget):
+						tagUp(lat, node, tagged)
+					case o.evaluated && (everyFailureRefutes || o.class == obs.VerdictOverBudget):
 						ref[node.Key()] = true
 					}
 				}
@@ -201,42 +153,32 @@ subsets:
 	return nil
 }
 
-// subsetOf extracts the attributes and dims selected by mask, keeping
-// attribute order.
-func subsetOf(qis []string, dims []int, mask uint32) ([]string, []int) {
-	var attrs []string
-	var sub []int
-	for i := range qis {
-		if mask&(1<<uint(i)) != 0 {
-			attrs = append(attrs, qis[i])
-			sub = append(sub, dims[i])
+// grouping returns the node a subset node is judged as: node with every
+// attribute outside mask at its drop level instead of its top.
+func grouping(node lattice.Node, mask uint32, drop []int) lattice.Node {
+	out := node.Clone()
+	for i := range out {
+		if mask&(1<<uint(i)) == 0 {
+			out[i] = drop[i]
 		}
 	}
-	return attrs, sub
+	return out
 }
 
 // projectionRefuted reports whether any (|S|-1)-subset projection of
-// node is refuted.
-func projectionRefuted(mask uint32, node lattice.Node, refuted map[uint32]map[string]bool) bool {
-	// Positions of set bits, ascending: coordinate j of node belongs to
-	// attribute bits[j].
-	var bits []uint
-	for i := uint(0); i < 32; i++ {
-		if mask&(1<<i) != 0 {
-			bits = append(bits, i)
+// node is refuted: node with one of mask's attributes pinned at its
+// top.
+func projectionRefuted(mask uint32, node lattice.Node, dims []int, refuted map[uint32]map[string]bool) bool {
+	proj := node.Clone()
+	for i := range node {
+		if mask&(1<<uint(i)) == 0 {
+			continue
 		}
-	}
-	for drop := range bits {
-		subMask := mask &^ (1 << bits[drop])
-		proj := make(lattice.Node, 0, len(bits)-1)
-		for j := range bits {
-			if j != drop {
-				proj = append(proj, node[j])
-			}
-		}
-		if refuted[subMask][proj.Key()] {
+		proj[i] = dims[i]
+		if refuted[mask&^(1<<uint(i))][proj.Key()] {
 			return true
 		}
+		proj[i] = node[i]
 	}
 	return false
 }

@@ -14,13 +14,14 @@ import (
 // rollupStore keeps the pre-suppression group statistics of every
 // lattice node one search has evaluated, so later nodes derive their
 // statistics by merging an already-evaluated descendant's groups
-// (table.GroupStats.Rollup) instead of re-scanning rows. Storing the
-// statistics *before* suppression is what makes the roll-up exact at
-// every node: generalization is a function of the source rows alone,
-// so a node's pre-suppression groups are always a pure merge of any
-// descendant's pre-suppression groups, regardless of which tuples
-// suppression would remove at either node (suppression then drops
-// whole sub-k groups, which SuppressBelow replays on the statistics).
+// (table.GroupStats.Rollup) instead of re-scanning rows, and each
+// node's judgement, so no walk of the search judges a node twice.
+// Storing the statistics *before* suppression is what makes the roll-up
+// exact at every node: generalization is a function of the source rows
+// alone, so a node's pre-suppression groups are always a pure merge of
+// any descendant's pre-suppression groups, regardless of which tuples
+// suppression would remove at either node (suppression then drops whole
+// sub-k groups, which SuppressBelow replays on the statistics).
 //
 // The store is safe for concurrent use by the evaluator's worker pool:
 // entries are created under the mutex, computed once by their creator,
@@ -45,6 +46,12 @@ type rollupEntry struct {
 	completed bool
 	stats     *table.GroupStats
 	err       error
+	// verdict is the node's judgement, set with judged under the store
+	// mutex once a reduction consumed the node's evaluation; an entry
+	// that only serves as a roll-up source (the lattice bottom until a
+	// walk judges it, a seeded entry) has none.
+	judged  bool
+	verdict judgement
 }
 
 func newRollupStore() *rollupStore {
@@ -76,14 +83,34 @@ func (s *rollupStore) finish(e *rollupEntry, stats *table.GroupStats, err error)
 }
 
 // seed pre-populates the store with an externally derived node's
-// statistics (Incognito projects the full-QI base statistics onto each
-// subset to seed the subset lattice's bottom without a row scan). A
-// node already present is left untouched.
+// statistics (the incremental repair seeds the lattice bottom with its
+// maintained base statistics, so it never scans rows). A node already
+// present is left untouched.
 func (s *rollupStore) seed(node lattice.Node, stats *table.GroupStats) {
 	e, created := s.acquire(node)
 	if created {
 		s.finish(e, stats, nil)
 	}
+}
+
+// judge records the node's judgement in its entry, which evaluating
+// the node created.
+func (s *rollupStore) judge(node lattice.Node, j judgement) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[node.Key()]; ok {
+		e.judged, e.verdict = true, j
+	}
+}
+
+// judged returns the node's judgement, if a reduction recorded one.
+func (s *rollupStore) judged(node lattice.Node) (judgement, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[node.Key()]; ok && e.judged {
+		return e.verdict, true
+	}
+	return judgement{}, false
 }
 
 // lookup returns the statistics of a node whose computation completed

@@ -73,9 +73,10 @@ func TestRollupSourceDeterministic(t *testing.T) {
 }
 
 // TestOneRowPassPerSearch pins the search's row budget: the lattice
-// bottom's statistics are the only row scan a search starts — bounds,
-// the loss baseline and Incognito's subset projections are read off
-// them — for every strategy at workers 1 and 4, on the oracle fixtures
+// bottom's statistics are the only row scan a search starts — bounds
+// and the loss baseline are read off them, and every other node,
+// Incognito's subset nodes included, rolls up from them — for every
+// strategy at workers 1 and 4, on the oracle fixtures
 // and on the release job. On a search no node satisfies, nothing is
 // materialized, so no column is built at all: level maps come from the
 // per-value hierarchy walks, even where a gathered table's dictionary

@@ -38,9 +38,8 @@ const (
 // strategies holds what tells the strategies apart: the name the CLI,
 // the service and the psk_strategy pprof label spell, the lattice walk
 // that appends to Result.Minimal, and the most quasi-identifiers it
-// accepts (0 = no limit). Incognito walks all 2^m − 1 nonempty QI
-// subsets, projecting the base statistics onto each, so it is capped
-// at 16.
+// accepts (0 = no limit). Incognito walks the sublattice of each of the
+// 2^m − 1 nonempty QI subsets, so it is capped at 16.
 var strategies = [numStrategies]struct {
 	name   string
 	walk   func(e *evaluator, lat *lattice.Lattice, res *Result) error
@@ -160,9 +159,11 @@ func (r *Result) found(m MinimalNode) {
 // concurrently; the result is identical to the serial search.
 //
 // The lattice bottom's statistics are the only row scan Run starts,
-// apart from materializing the node it releases: the bounds, the loss
-// baseline and Incognito's subset projections are read off them, and
-// every other node's statistics roll up from them.
+// apart from materializing the node it releases: the bounds and the
+// loss baseline are read off them, and every other node's statistics
+// roll up from them, Incognito's subset nodes included. The one
+// evaluator's roll-up store keeps each node's judgement too, so the
+// walk and the frontier pass judge every node at most once.
 func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 	if s >= numStrategies {
 		return Result{}, fmt.Errorf("search: unknown strategy %d", uint8(s))

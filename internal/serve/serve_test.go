@@ -530,8 +530,8 @@ func wideIncognito(n, rows int) JobRequest {
 
 // TestIncognitoBounded: an Incognito job over more than 16
 // quasi-identifiers is a 400 at submit, and a 12-QI job under a 1-ms
-// deadline stops at the deadline while it is still projecting subset
-// statistics, not after all 4094 projections.
+// deadline stops at the deadline partway through its subset passes, not
+// after 4094 roll-ups.
 func TestIncognitoBounded(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	status, _, payload := doJSON(t, "POST", ts.URL+"/v1/jobs", wideIncognito(17, 20))
@@ -548,7 +548,7 @@ func TestIncognitoBounded(t *testing.T) {
 	}
 	for _, ph := range payload["report"].(map[string]any)["phases"].([]any) {
 		if ph := ph.(map[string]any); ph["phase"] == "rollup" && ph["count"].(float64) >= 1<<12-2 {
-			t.Errorf("%v roll-ups: all subset projections were built past the deadline", ph["count"])
+			t.Errorf("%v roll-ups: the subset passes ran on past the deadline", ph["count"])
 		}
 	}
 }

@@ -250,11 +250,6 @@ func (c *stringColumn) codes32(dst []int32, lo, hi int) []int32 {
 	return append(dst, c.codes[lo:hi]...)
 }
 
-// Cardinality reports the number of distinct values in the dictionary.
-// For a column whose dictionary is shared with a parent (Gather), this
-// may exceed the number of distinct values actually present in rows.
-func (c *stringColumn) Cardinality() int { return len(c.dict) }
-
 func (c *stringColumn) memBytes() int64 {
 	n := int64(len(c.codes))*4 + c.packed.memBytes()
 	if c.dictBorrowed {

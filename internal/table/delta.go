@@ -204,9 +204,6 @@ func (d *StatsDelta) Stats() *GroupStats {
 // kept or shared past it.
 func (d *StatsDelta) View() *GroupStats { return d.stats }
 
-// NumChanged reports the number of groups touched since the last Reset.
-func (d *StatsDelta) NumChanged() int { return len(d.changed) }
-
 // Changed returns the indices (into Stats().Groups, ascending) of the
 // groups touched since the last Reset.
 func (d *StatsDelta) Changed() []int {

@@ -149,8 +149,8 @@ func TestStatsDeltaChangedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumChanged() != 0 {
-		t.Fatalf("fresh delta reports %d changed groups", d.NumChanged())
+	if len(d.Changed()) != 0 {
+		t.Fatalf("fresh delta reports %d changed groups", len(d.Changed()))
 	}
 	g1, err := d.Append([]int{d.stats.Groups[3].Codes[0], d.stats.Groups[3].Codes[1]}, []int{0}, 999)
 	if err != nil {
@@ -170,8 +170,8 @@ func TestStatsDeltaChangedGroups(t *testing.T) {
 		t.Fatalf("Changed() = %v, want %v", d.Changed(), want)
 	}
 	d.Reset()
-	if d.NumChanged() != 0 {
-		t.Fatalf("Reset left %d changed groups", d.NumChanged())
+	if len(d.Changed()) != 0 {
+		t.Fatalf("Reset left %d changed groups", len(d.Changed()))
 	}
 }
 

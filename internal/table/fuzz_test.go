@@ -136,7 +136,7 @@ func sameTable(t *testing.T, what string, want, got *Table) {
 	if got.NumRows() != want.NumRows() {
 		t.Fatalf("%s: %d rows, want %d", what, got.NumRows(), want.NumRows())
 	}
-	for c := 0; c < want.NumCols(); c++ {
+	for c := 0; c < want.Schema().Len(); c++ {
 		w, g := want.ColumnAt(c), got.ColumnAt(c)
 		for r := 0; r < want.NumRows(); r++ {
 			if a, b := w.Value(r).Str(), g.Value(r).Str(); a != b {
@@ -150,15 +150,15 @@ func sameTable(t *testing.T, what string, want, got *Table) {
 }
 
 // FuzzRollup is the differential target of the statistics scan and of
-// the group merge (regroup) that Rollup, Project and the shard merge
-// share. Each input decodes into a table (rollupCase) and, under
-// reflect.DeepEqual:
+// the group merge (regroup) that Rollup and the shard merge share. Each
+// input decodes into a table (rollupCase) and, under reflect.DeepEqual:
 //   - GroupStats at 1 worker equals groupStatsRef, the row-at-a-time
 //     reference, on that table;
 //   - Rollup through BuildCodeMap maps onto the coarsened table equals
 //     the reference on that table;
-//   - Project onto the drawn key subset equals the reference keyed by
-//     that subset;
+//   - Rollup that maps every key column outside the drawn subset to a
+//     single code equals the reference keyed by that subset: group
+//     order, kept codes, sizes, representative rows and histograms;
 //   - GroupStats at 4 workers (shard merge) equals 1 worker;
 //   - Totals of the scan and of the roll-up equal a row-at-a-time count
 //     (compared as printed, where a nil and an empty histogram agree).
@@ -209,18 +209,50 @@ func FuzzRollup(f *testing.F) {
 			t.Fatalf("a roll-up's Totals diverge from its source's\nrolled:    %s\nreference: %s", got, totals)
 		}
 
+		// Mapping each key column outside c.keep to a single code takes
+		// it out of the grouping, as a node at an attribute's drop level
+		// does: the roll-up is the reference grouping by the kept columns
+		// alone, in the same group order.
 		kept := make([]string, len(c.keep))
 		for i, k := range c.keep {
 			kept[i] = c.qis[k]
 		}
-		proj, err := base.Project(c.keep)
+		dropMaps := make([]*CodeMap, len(c.qis))
+		for i, q := range c.qis {
+			if slices.Contains(c.keep, i) {
+				continue
+			}
+			one, err := c.tbl.MapColumn(q, func(Value) (string, error) { return "*", nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, _ := c.tbl.Column(q)
+			to, _ := one.Column(q)
+			if dropMaps[i], err = BuildCodeMap(from, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dropped, err := base.Rollup(dropMaps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err := c.tbl.groupStatsRef(kept, c.conf); err != nil {
+		want, err := c.tbl.groupStatsRef(kept, c.conf)
+		if err != nil {
 			t.Fatal(err)
-		} else if !reflect.DeepEqual(proj, want) {
-			t.Fatalf("Project(%v) diverges from reference stats keyed by %v\nprojected: %+v\ndirect:    %+v", c.keep, kept, proj, want)
+		}
+		if dropped.NumRows != want.NumRows || dropped.NumConf != want.NumConf || len(dropped.Groups) != len(want.Groups) {
+			t.Fatalf("Rollup dropping all but %v: %d rows, %d conf, %d groups; reference keyed by %v: %d, %d, %d",
+				c.keep, dropped.NumRows, dropped.NumConf, len(dropped.Groups), kept, want.NumRows, want.NumConf, len(want.Groups))
+		}
+		for g := range want.Groups {
+			d, w := dropped.Groups[g], want.Groups[g]
+			codes := make([]int, len(c.keep))
+			for j, k := range c.keep {
+				codes[j] = d.Codes[k]
+			}
+			if !slices.Equal(codes, w.Codes) || d.Size != w.Size || d.Rep != w.Rep || !reflect.DeepEqual(d.Hists, w.Hists) {
+				t.Fatalf("Rollup dropping all but %v: group %d kept codes %v, %+v; reference keyed by %v: %+v", c.keep, g, codes, d, kept, w)
+			}
 		}
 
 		sharded, err := c.tbl.GroupStats(c.qis, c.conf, 4)
@@ -235,7 +267,8 @@ func FuzzRollup(f *testing.F) {
 
 // rollupCase is what a FuzzRollup input decodes into: a table, its
 // coarsening (each key column mapped to coarser labels or kept), the
-// key and confidential columns, and a projection onto a key subset.
+// key and confidential columns, and the key subset a roll-up keeps
+// while it drops the other key columns.
 type rollupCase struct {
 	tbl, coarse *Table
 	qis, conf   []string
@@ -247,7 +280,7 @@ type rollupCase struct {
 // column a kind byte (bit 0: Int instead of String; bits 1-2: the Int
 // range), a cardinality and a coarsening fanout (0 keeps the column);
 // per confidential column a kind byte (mod 3: String, Float, Int; then
-// the Int range) and a cardinality; a projection byte (bit i keeps key
+// the Int range) and a cardinality; a subset byte (bit i keeps key
 // column i, bit 7 reverses their order); and a seed. Then one byte per
 // cell picks the cell's value; once the input runs out the seeded
 // generator supplies the bytes.
@@ -323,16 +356,16 @@ func decodeRollupCase(t *testing.T, data []byte) rollupCase {
 		}
 		fields = append(fields, Field{Name: g.name, Type: g.typ})
 	}
-	proj := next()
+	subset := next()
 	for q := 0; q < numQI; q++ {
-		if proj&(1<<q) != 0 {
+		if subset&(1<<q) != 0 {
 			c.keep = append(c.keep, q)
 		}
 	}
 	if len(c.keep) == 0 {
 		c.keep = []int{0}
 	}
-	if proj&0x80 != 0 {
+	if subset&0x80 != 0 {
 		slices.Reverse(c.keep)
 	}
 	rng = rand.New(rand.NewSource(int64(next())))
@@ -402,7 +435,7 @@ func FuzzGather(f *testing.F) {
 			return
 		}
 		sameTable(t, "reference", want, got)
-		for c := 0; c < tbl.NumCols(); c++ {
+		for c := 0; c < tbl.Schema().Len(); c++ {
 			src := tbl.ColumnAt(c)
 			for i, r := range rows {
 				if a, b := src.Value(r).Str(), got.ColumnAt(c).Value(i).Str(); a != b {

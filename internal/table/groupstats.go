@@ -61,9 +61,9 @@ func (h CodeHist) MaxCount() int {
 // the stats were computed at), its size, and one confidential-code
 // histogram per confidential attribute. Rep is the index of the
 // group's representative row — the first row that joined it — in the
-// table the statistics were originally scanned from; merges (Rollup,
-// Project, shard merging) keep the earliest constituent's Rep, which
-// by first-appearance ordering is still the merged group's first row.
+// table the statistics were originally scanned from; merges (Rollup and
+// the shard merge) keep the earliest constituent's Rep, which by
+// first-appearance ordering is still the merged group's first row.
 // It lets diagnostics recover a group's key values from one row lookup
 // without re-grouping the table.
 type GroupStat struct {
@@ -173,7 +173,9 @@ func (s *GroupStats) Totals() []CodeHist {
 // computing GroupStats directly on the generalized table, including
 // group order: ancestor groups inherit the first-appearance order of
 // their earliest constituent, which is the first-appearance order of
-// their rows.
+// their rows. A map that sends every code of a column to one code
+// takes the column out of the grouping: the groups, their order, sizes
+// and histograms are those of grouping by the other columns alone.
 func (s *GroupStats) Rollup(maps []*CodeMap) (*GroupStats, error) {
 	if len(maps) != s.NumQI {
 		return nil, fmt.Errorf("table: rollup got %d code maps for %d key columns", len(maps), s.NumQI)
@@ -190,11 +192,11 @@ func (s *GroupStats) Rollup(maps []*CodeMap) (*GroupStats, error) {
 	})
 }
 
-// regroup is the one group-merge loop behind Rollup, Project and the
-// shard merge of GroupStats. codes writes each source group's key into
-// dst (numQI wide); sources whose keys collide merge into one target,
-// which takes the first source's key and Rep and the sum of the sizes,
-// in first-appearance order.
+// regroup is the one group-merge loop behind Rollup and the shard merge
+// of GroupStats. codes writes each source group's key into dst (numQI
+// wide); sources whose keys collide merge into one target, which takes
+// the first source's key and Rep and the sum of the sizes, in
+// first-appearance order.
 //
 // Keys resolve as a row scan's do. The translated keys go into arena
 // scratch, are packed with the plan their observed code ranges admit
@@ -436,40 +438,6 @@ func (a *statsArena) cutHists(groups, numConf int) []CodeHist {
 type accSpan struct {
 	lo, hi int
 	wide   bool
-}
-
-// Project returns the statistics of grouping by only the kept key
-// columns (indices into the receiver's key columns, in the order the
-// projection should keep them): groups whose kept codes coincide are
-// merged — sizes added, histograms summed. Because the receiver's
-// groups are in first-appearance order of their rows and a projected
-// key first appears with the first row that carries it, the result is
-// byte-identical to computing GroupStats directly with the kept
-// columns as the key. This is the roll-up *across* QI subsets that
-// Incognito's frequency sets rely on, complementing Rollup's roll-up
-// along one subset's lattice.
-func (s *GroupStats) Project(keep []int) (*GroupStats, error) {
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("table: projection onto no key columns")
-	}
-	identity := len(keep) == s.NumQI
-	for ki, i := range keep {
-		if i < 0 || i >= s.NumQI {
-			return nil, fmt.Errorf("table: projection index %d outside %d key columns", i, s.NumQI)
-		}
-		identity = identity && i == ki
-	}
-	if identity {
-		// Keeping every column in place groups nothing further; the
-		// receiver is immutable, so it can be shared as-is.
-		return s, nil
-	}
-	return regroup(s.Groups, s.NumRows, len(keep), s.NumConf, func(g *GroupStat, dst []int) error {
-		for ki, i := range keep {
-			dst[ki] = g.Codes[i]
-		}
-		return nil
-	})
 }
 
 // GroupStats computes the roll-up aggregates of the table in one

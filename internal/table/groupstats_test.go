@@ -379,85 +379,3 @@ func TestGroupStatsTotals(t *testing.T) {
 		}
 	}
 }
-
-// TestGroupStatsProject: projecting statistics onto a subset of the
-// key columns must be byte-identical to computing them directly with
-// that subset as the key — the roll-up across QI subsets Incognito
-// seeds its frequency sets with. The cardinalities give targets of a
-// few sources and of many.
-func TestGroupStatsProject(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	conf := []string{"S1", "S2"}
-	tbl := randomMicrodata(t, rng, 400)
-	full, err := tbl.GroupStats([]string{"A", "B", "C"}, conf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		keep []int
-		qis  []string
-	}{
-		{[]int{0, 1}, []string{"A", "B"}},
-		{[]int{0, 2}, []string{"A", "C"}},
-		{[]int{1, 2}, []string{"B", "C"}},
-		{[]int{0}, []string{"A"}},
-		{[]int{2}, []string{"C"}},
-	}
-	// nil confidential columns are the k-only statistics of P <= 1.
-	for _, cs := range [][]string{conf, nil} {
-		from, err := tbl.GroupStats([]string{"A", "B", "C"}, cs, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cases {
-			got, err := from.Project(c.keep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := tbl.GroupStats(c.qis, cs, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("conf %v: Project(%v) diverges from direct GroupStats(%v)", cs, c.keep, c.qis)
-			}
-		}
-	}
-
-	// Projections chain: dropping columns one at a time matches dropping
-	// them at once (how Incognito derives small subsets from larger ones).
-	ab, err := full.Project([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := ab.Project([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := full.Project([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b1, b2) {
-		t.Error("chained projection diverges from one-step projection")
-	}
-
-	// Identity projections share the receiver outright.
-	if id, err := full.Project([]int{0, 1, 2}); err != nil || id != full {
-		t.Errorf("identity projection = (%p, %v), want the receiver", id, err)
-	}
-	// Reordering columns is not the identity and must regroup.
-	if re, err := full.Project([]int{2, 0, 1}); err != nil || re == full {
-		t.Errorf("reordering projection returned the receiver (err %v)", err)
-	}
-
-	if _, err := full.Project(nil); err == nil {
-		t.Error("empty projection accepted")
-	}
-	if _, err := full.Project([]int{3}); err == nil {
-		t.Error("out-of-range projection index accepted")
-	}
-	if _, err := full.Project([]int{-1}); err == nil {
-		t.Error("negative projection index accepted")
-	}
-}

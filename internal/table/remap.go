@@ -94,6 +94,12 @@ func (r *Remap) MemBytes() int64 {
 	return r.target.memBytes() + int64(len(r.dst))*4 + int64(len(r.codes))*8 + int64(len(r.errs))*16
 }
 
+// Single reports whether the remap sends every value of its column to
+// one label: fn succeeded on every value and produced at most one
+// distinct label, so a column translated through it puts all rows in
+// one group.
+func (r *Remap) Single() bool { return r.errs == nil && len(r.target.dict) <= 1 }
+
 // sourceCode returns the source code of the i-th visited value.
 func (r *Remap) sourceCode(i int) int {
 	if r.codes != nil {

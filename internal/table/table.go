@@ -20,9 +20,6 @@ func (t *Table) Schema() Schema { return t.schema }
 // NumRows reports the number of rows.
 func (t *Table) NumRows() int { return t.nrows }
 
-// NumCols reports the number of columns.
-func (t *Table) NumCols() int { return len(t.cols) }
-
 // Column returns the column with the given name.
 func (t *Table) Column(name string) (Column, error) {
 	i := t.schema.Index(name)
@@ -231,65 +228,4 @@ func (t *Table) Format(maxRows int) string {
 		fmt.Fprintf(&b, "... (%d rows total)\n", t.nrows)
 	}
 	return b.String()
-}
-
-// Drop returns a new table without the named columns. Dropping the
-// identifier attributes (Name, SSN, ...) is the first masking step the
-// paper prescribes. Unknown names are an error; dropping every column
-// is rejected.
-func (t *Table) Drop(names ...string) (*Table, error) {
-	doomed := make(map[string]bool, len(names))
-	for _, n := range names {
-		if !t.schema.Has(n) {
-			return nil, fmt.Errorf("table: %w: %q", ErrNoColumn, n)
-		}
-		doomed[n] = true
-	}
-	var keep []string
-	for _, f := range t.schema.Fields {
-		if !doomed[f.Name] {
-			keep = append(keep, f.Name)
-		}
-	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("table: %w: dropping every column", ErrEmptySchema)
-	}
-	return t.Select(keep...)
-}
-
-// Rename returns a new table with one column renamed. Data is shared.
-func (t *Table) Rename(from, to string) (*Table, error) {
-	idx := t.schema.Index(from)
-	if idx < 0 {
-		return nil, fmt.Errorf("table: %w: %q", ErrNoColumn, from)
-	}
-	fields := make([]Field, len(t.schema.Fields))
-	copy(fields, t.schema.Fields)
-	fields[idx].Name = to
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{schema: schema, cols: t.cols, nrows: t.nrows}, nil
-}
-
-// Concat appends the rows of o to t. Schemas must be equal.
-func (t *Table) Concat(o *Table) (*Table, error) {
-	if !t.schema.Equal(o.schema) {
-		return nil, fmt.Errorf("table: concat schema mismatch: %s vs %s", t.schema, o.schema)
-	}
-	b, err := NewBuilder(t.schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, src := range []*Table{t, o} {
-		for r := 0; r < src.nrows; r++ {
-			row, err := src.Row(r)
-			if err != nil {
-				return nil, err
-			}
-			b.Append(row...)
-		}
-	}
-	return b.Build()
 }

@@ -97,8 +97,8 @@ func TestBuilderEmptySchema(t *testing.T) {
 
 func TestTableAccessors(t *testing.T) {
 	tbl := patientTable(t)
-	if tbl.NumRows() != 6 || tbl.NumCols() != 4 {
-		t.Fatalf("dims = %dx%d, want 6x4", tbl.NumRows(), tbl.NumCols())
+	if tbl.NumRows() != 6 || tbl.Schema().Len() != 4 {
+		t.Fatalf("dims = %dx%d, want 6x4", tbl.NumRows(), tbl.Schema().Len())
 	}
 	v, err := tbl.Value(3, "Illness")
 	if err != nil || v.Str() != "Diabetes" {
@@ -125,8 +125,8 @@ func TestSelectSharesData(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	if sel.NumCols() != 2 || sel.NumRows() != 6 {
-		t.Fatalf("Select dims wrong: %dx%d", sel.NumRows(), sel.NumCols())
+	if sel.Schema().Len() != 2 || sel.NumRows() != 6 {
+		t.Fatalf("Select dims wrong: %dx%d", sel.NumRows(), sel.Schema().Len())
 	}
 	v, _ := sel.Value(2, "Illness")
 	if v.Str() != "HIV" {
@@ -165,8 +165,8 @@ func TestFilterEmptyResult(t *testing.T) {
 	if none.NumRows() != 0 {
 		t.Errorf("empty filter rows = %d", none.NumRows())
 	}
-	if none.NumCols() != 4 {
-		t.Errorf("empty filter cols = %d", none.NumCols())
+	if none.Schema().Len() != 4 {
+		t.Errorf("empty filter cols = %d", none.Schema().Len())
 	}
 }
 
@@ -490,68 +490,5 @@ func TestParseType(t *testing.T) {
 	}
 	if Type(9).String() == "" {
 		t.Error("unknown type string empty")
-	}
-}
-
-func TestDrop(t *testing.T) {
-	tbl := patientTable(t)
-	out, err := tbl.Drop("Age", "Sex")
-	if err != nil {
-		t.Fatalf("Drop: %v", err)
-	}
-	if out.NumCols() != 2 || out.Schema().Has("Age") || !out.Schema().Has("Illness") {
-		t.Errorf("dropped schema = %v", out.Schema())
-	}
-	if out.NumRows() != 6 {
-		t.Errorf("rows = %d", out.NumRows())
-	}
-	if _, err := tbl.Drop("Missing"); !errors.Is(err, ErrNoColumn) {
-		t.Errorf("unknown column err = %v", err)
-	}
-	if _, err := tbl.Drop("Age", "ZipCode", "Sex", "Illness"); !errors.Is(err, ErrEmptySchema) {
-		t.Errorf("drop-all err = %v", err)
-	}
-}
-
-func TestRename(t *testing.T) {
-	tbl := patientTable(t)
-	out, err := tbl.Rename("Illness", "Diagnosis")
-	if err != nil {
-		t.Fatalf("Rename: %v", err)
-	}
-	v, err := out.Value(0, "Diagnosis")
-	if err != nil || v.Str() != "Colon Cancer" {
-		t.Errorf("renamed value = %v, %v", v, err)
-	}
-	// Original table untouched.
-	if !tbl.Schema().Has("Illness") {
-		t.Error("Rename mutated the source schema")
-	}
-	if _, err := tbl.Rename("Missing", "X"); !errors.Is(err, ErrNoColumn) {
-		t.Errorf("unknown column err = %v", err)
-	}
-	// Renaming onto an existing name is a schema violation.
-	if _, err := tbl.Rename("Illness", "Age"); err == nil {
-		t.Error("duplicate rename accepted")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	tbl := patientTable(t)
-	both, err := tbl.Concat(tbl)
-	if err != nil {
-		t.Fatalf("Concat: %v", err)
-	}
-	if both.NumRows() != 12 {
-		t.Errorf("rows = %d", both.NumRows())
-	}
-	a, _ := both.Value(0, "Illness")
-	b, _ := both.Value(6, "Illness")
-	if !a.Equal(b) {
-		t.Error("second copy mismatched")
-	}
-	other, _ := tbl.Select("Age", "Sex")
-	if _, err := tbl.Concat(other); err == nil {
-		t.Error("schema mismatch accepted")
 	}
 }

@@ -62,18 +62,13 @@ type evaluator struct {
 	lim *limiter
 }
 
-// newEvaluator builds the engine for one search, with the search's own
-// generalization cache and limiter. The evaluator computes statistics
-// at once but judges nodes only after bind.
+// newEvaluator builds the engine for one search over im, with the
+// search's own generalization cache and limiter; m's quasi-identifiers
+// must match cfg.QIs. The evaluator computes statistics at once but
+// judges nodes only after bind.
 func newEvaluator(im *table.Table, m *generalize.Masker, cfg Config) *evaluator {
-	return newLimitedEvaluator(im, m, m.NewCache(im, cfg.Recorder), cfg, cfg.newLimiter())
-}
-
-// newLimitedEvaluator is newEvaluator with an explicit cache and
-// limiter, for a search over a table of its own (the incremental
-// repair). m's quasi-identifiers must match cfg.QIs; the cache must be
-// built over im with the hierarchies cfg names.
-func newLimitedEvaluator(im *table.Table, m *generalize.Masker, cache *generalize.Cache, cfg Config, lim *limiter) *evaluator {
+	cache := m.NewCache(im, cfg.Recorder)
+	lim := cfg.newLimiter()
 	lim.attachMem(cache.Bytes)
 	return &evaluator{
 		im: im, m: m, cache: cache, qis: cfg.QIs, cfg: cfg,
@@ -109,6 +104,9 @@ type judgement struct {
 // plus the work it cost.
 type outcome struct {
 	judgement
+	// entry is the node's store entry, nil when its statistics failed;
+	// the reduction files the judgement on it.
+	entry *rollupEntry
 	// evaluated distinguishes real results from nodes skipped by early
 	// cancellation (only ever nodes ordered after the first hit) or by a
 	// tripped limiter.
@@ -127,21 +125,27 @@ func (o outcome) minimal(node lattice.Node) MinimalNode {
 }
 
 // evalNode runs the property check at one node on group statistics:
-// the node's pre-suppression stats come from the roll-up store (rows are
-// scanned at most once per search, at the lattice bottom), suppression
-// is replayed on the statistics, and the policy verdict runs on
-// histograms. The bounds are reused across nodes per Theorems 1 and 2.
-// No table is built here: Run materializes the one node it releases
-// after the walk (release).
-func (e *evaluator) evalNode(node lattice.Node) outcome {
+// the node's pre-suppression stats are its store entry's, or computed
+// and stored when entry is nil (rows are scanned at most once per
+// search, at the lattice bottom), suppression is replayed on the
+// statistics, and the policy verdict runs on histograms. The bounds are
+// reused across nodes per Theorems 1 and 2. No table is built here: Run
+// materializes the one node it releases after the walk (release).
+func (e *evaluator) evalNode(node lattice.Node, entry *rollupEntry) outcome {
 	var o outcome
 	o.evaluated = true
 
-	s, err := e.statsFor(node)
-	if err != nil {
-		o.err, o.class = err, obs.VerdictError
-		return o
+	if entry != nil {
+		e.rec.RollupReuse()
+	} else {
+		var err error
+		if entry, err = e.statsFor(node); err != nil {
+			o.err, o.class = err, obs.VerdictError
+			return o
+		}
 	}
+	o.entry = entry
+	s := entry.stats
 
 	o.stats.NodesEvaluated++
 
@@ -226,12 +230,12 @@ func (e *evaluator) materialize(node lattice.Node, pre *table.GroupStats) (*tabl
 // apply failure) produce neither, keeping the trace event count equal
 // to Stats.NodesEvaluated. With both sinks nil the wrapper is a tail
 // call — no clock reads.
-func (e *evaluator) evalTimed(node lattice.Node, worker int) outcome {
+func (e *evaluator) evalTimed(node lattice.Node, entry *rollupEntry, worker int) outcome {
 	if e.rec == nil && e.tracer == nil {
-		return e.evalNode(node)
+		return e.evalNode(node, entry)
 	}
 	start := time.Now()
-	o := e.evalNode(node)
+	o := e.evalNode(node, entry)
 	d := time.Since(start)
 	if o.stats.NodesEvaluated == 0 {
 		return o
@@ -256,10 +260,10 @@ func (e *evaluator) evalTimed(node lattice.Node, worker int) outcome {
 // evaluation (a buggy custom Policy, hostile data tripping an internal
 // invariant) becomes an error outcome for that node instead of killing
 // the process, and the reduction surfaces it exactly like any other
-// node error. The recover here pairs with statsFor's, which must
-// additionally publish the node's roll-up entry so no other worker
-// blocks on it forever.
-func (e *evaluator) evalSafe(node lattice.Node, worker int) (o outcome) {
+// node error. A panic leaves nothing half-built: statsFor stores a
+// node only once its statistics are complete, and no other worker
+// waits on a node, since a batch holds each node once.
+func (e *evaluator) evalSafe(node lattice.Node, entry *rollupEntry, worker int) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.rec.PanicRecovered()
@@ -267,12 +271,14 @@ func (e *evaluator) evalSafe(node lattice.Node, worker int) (o outcome) {
 				err: fmt.Errorf("search: node %v: panic recovered: %v", node, r)}
 		}
 	}()
-	return e.evalTimed(node, worker)
+	return e.evalTimed(node, entry, worker)
 }
 
-// run evaluates the nodes, serially or on the worker pool. A node the
-// search already judged is not evaluated again: the store's judgement
-// answers it as a revisit. With cancelEarly, nodes ordered after an
+// run evaluates the nodes, serially or on the worker pool. It looks
+// each node up in the store once: a node the search already judged is
+// not evaluated again, its stored judgement answers it as a revisit,
+// and any other node's entry (or nil) goes to its evaluation, through
+// the node's outcome slot. With cancelEarly, nodes ordered after an
 // already-observed hit (or error) are skipped: the reduction only ever
 // consumes outcomes up to the first hit in node order, and every node
 // before it is guaranteed to be evaluated, so cancellation can never
@@ -294,11 +300,13 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 	outs := make([]outcome, n)
 	var pending []int // indices of the nodes to evaluate
 	for i, node := range nodes {
-		if j, ok := e.rollups.judged(node); ok {
-			outs[i] = outcome{judgement: j, evaluated: true, revisit: true}
-		} else {
-			pending = append(pending, i)
+		entry := e.rollups.get(node)
+		if entry != nil && entry.judged {
+			outs[i] = outcome{judgement: entry.verdict, entry: entry, evaluated: true, revisit: true}
+			continue
 		}
+		outs[i].entry = entry
+		pending = append(pending, i)
 	}
 	cut := n
 	if limit := e.lim.allowance(len(pending)); limit < len(pending) {
@@ -313,7 +321,7 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 				if !e.lim.checkpoint() {
 					break
 				}
-				outs[i] = e.evalSafe(nodes[i], 0)
+				outs[i] = e.evalSafe(nodes[i], outs[i].entry, 0)
 				if cancelEarly && (outs[i].ok || outs[i].err != nil) {
 					break
 				}
@@ -341,7 +349,7 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 					if cancelEarly && int64(i) > atomic.LoadInt64(&barrier) {
 						continue
 					}
-					o := e.evalSafe(nodes[i], worker)
+					o := e.evalSafe(nodes[i], outs[i].entry, worker)
 					outs[i] = o
 					if cancelEarly && (o.ok || o.err != nil) {
 						for {
@@ -377,18 +385,18 @@ func (e *evaluator) labeled(worker int, fn func()) {
 	), func(context.Context) { fn() })
 }
 
-// consume folds the outcome of nodes[i] into the batch's stats, in the
-// reductions' node order, and returns the node budget it spends: a
-// fresh evaluation merges its stats delta, spends one node and leaves
-// its judgement in the store, so no later batch judges the node again;
-// a revisit does none of that.
-func (e *evaluator) consume(node lattice.Node, o outcome, stats *Stats) int {
+// consume folds an outcome into the batch's stats, in the reductions'
+// node order, and returns the node budget it spends: a fresh evaluation
+// merges its stats delta, spends one node and files its judgement on
+// its store entry, so no later batch judges the node again; a revisit
+// does none of that.
+func consume(o outcome, stats *Stats) int {
 	if o.revisit {
 		return 0
 	}
 	stats.Merge(o.stats)
 	if o.err == nil {
-		e.rollups.judge(node, o.judgement)
+		o.entry.judged, o.entry.verdict = true, o.judgement
 	}
 	return 1
 }
@@ -410,7 +418,7 @@ func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, 
 		if !o.evaluated {
 			continue
 		}
-		consumed += e.consume(nodes[i], o, stats)
+		consumed += consume(o, stats)
 		if o.err != nil {
 			e.lim.charge(consumed)
 			return -1, outcome{}, o.err
@@ -443,7 +451,7 @@ func (e *evaluator) evalAll(nodes []lattice.Node, stats *Stats) ([]outcome, erro
 		if !outs[i].evaluated {
 			continue
 		}
-		consumed += e.consume(nodes[i], outs[i], stats)
+		consumed += consume(outs[i], stats)
 		if outs[i].err != nil {
 			e.lim.charge(consumed)
 			return nil, outs[i].err

@@ -16,15 +16,13 @@ func exhaustive(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	if err != nil {
 		return err
 	}
-	suppressed := make(map[string]int)
 	for i, o := range outs {
 		if o.ok {
 			res.Satisfying = append(res.Satisfying, nodes[i])
-			suppressed[nodes[i].Key()] = o.suppressed
 		}
 	}
 	for _, n := range lattice.Minimal(res.Satisfying) {
-		res.Minimal = append(res.Minimal, MinimalNode{Node: n, Suppressed: suppressed[n.Key()]})
+		res.Minimal = append(res.Minimal, MinimalNode{Node: n, Suppressed: e.rollups.get(n).verdict.suppressed})
 	}
 	return nil
 }

@@ -157,11 +157,7 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, base *loss.Baseline, stat
 			if !o.ok {
 				continue
 			}
-			pre := e.rollups.lookup(node)
-			if pre == nil {
-				return nil, fmt.Errorf("search: frontier node %v has no statistics", node)
-			}
-			post := pre.SuppressBelow(e.cfg.K)
+			post := o.entry.stats.SuppressBelow(e.cfg.K)
 			rep, err := loss.MeasureStats(loss.StatsInput{
 				Stats: post, Rows: rows, Baseline: base,
 				Node: node, Lattice: lat, K: e.cfg.K,

@@ -479,12 +479,9 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 	defer span.End()
 	cfg := s.cfg
 	cfg.strategy = "incremental-repair"
-	lim := cfg.newLimiter()
-	tbl := s.led.Table()
-	eval := newLimitedEvaluator(tbl, s.m, s.m.NewCache(tbl, cfg.Recorder), cfg, lim).bind(bounds)
+	eval := newEvaluator(s.led.Table(), s.m, cfg).bind(bounds)
 	lat := s.m.Lattice()
-	bottom := lat.Bottom()
-	eval.rollups.seed(bottom, s.base.Stats())
+	eval.rollups.put(lat.Bottom(), s.base.Stats())
 	res := Result{Stats: stats}
 	for h := s.pub.Height() + 1; h <= lat.Height(); h++ {
 		var cand []lattice.Node
@@ -510,16 +507,16 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 			s.base.Reset()
 			s.pubStats.Reset()
 			res.found(MinimalNode{Node: cand[i].Clone(), Suppressed: o.suppressed})
-			res.StopReason = lim.stopReason()
+			res.StopReason = eval.lim.stopReason()
 			span.End()
 			res.Report = s.rec.Snapshot()
 			return res, nil
 		}
-		if lim.tripped() {
+		if eval.lim.tripped() {
 			// Partial: the incumbent stays (known violating) and the
 			// changed-group set stays unconsumed; the next Republish
 			// re-verdicts and resumes the repair.
-			res.StopReason = lim.stopReason()
+			res.StopReason = eval.lim.stopReason()
 			span.End()
 			res.Report = s.rec.Snapshot()
 			return res, nil

@@ -117,8 +117,8 @@ func TestMaterializeChecksStatistics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bad := *good
-			bad.Groups = slices.Clone(good.Groups)
+			bad := *good.stats
+			bad.Groups = slices.Clone(good.stats.Groups)
 			var moved []int
 			for i := range bad.Groups {
 				if bad.Groups[i].Size > cfg.K && len(moved) < 2 {
@@ -132,12 +132,13 @@ func TestMaterializeChecksStatistics(t *testing.T) {
 			bad.Groups[moved[1]].Size--
 
 			e := newEvaluator(im, m, cfg)
-			e.rollups.seed(clean.Node, &bad)
+			e.rollups.put(clean.Node, &bad)
 			lat := m.Lattice()
-			base, err := e.statsFor(lat.Bottom())
+			bottom, err := e.statsFor(lat.Bottom())
 			if err != nil {
 				t.Fatal(err)
 			}
+			base := bottom.stats
 			bounds, err := conditionBounds(cfg, base.NumRows, base.Totals)
 			if err != nil {
 				t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"psk/internal/lattice"
 	"psk/internal/obs"
@@ -23,33 +22,29 @@ import (
 // suppression would remove at either node (suppression then drops whole
 // sub-k groups, which SuppressBelow replays on the statistics).
 //
-// The store is safe for concurrent use by the evaluator's worker pool:
-// entries are created under the mutex, computed once by their creator,
-// and published by closing done. Waiting on another node's entry can
-// never deadlock — a creator only ever waits on the lattice bottom's
-// entry, whose computation waits on nothing.
+// The store holds complete entries only: put stores a node once its
+// statistics are computed, and the mutex guards the map alone. The
+// engine's batches make that enough:
+//   - a batch never holds a node twice, and batches run one after
+//     another, so no two workers ever compute the same node;
+//   - the bottom is stored before any walk (Run computes it first, and
+//     the incremental repair puts its maintained base statistics), so
+//     every other node has a stored descendant to roll up from.
+//
+// So a roll-up reads only complete entries, and only the goroutine that
+// reduces the batches touches a judgement, between batches.
 type rollupStore struct {
 	mu      sync.Mutex
 	entries map[string]*rollupEntry
-	// rowScans counts how many node evaluations fell back to scanning
-	// rows; for a nested hierarchy set it stays at 1 (the lattice
-	// bottom), which TestRollupStoreScansOnce pins.
-	rowScans atomic.Int64
 }
 
+// rollupEntry is one stored node: its pre-suppression statistics and,
+// once a reduction consumed the node's evaluation, its judgement. An
+// entry that only serves as a roll-up source (the lattice bottom until
+// a walk judges it, speculative work past a hit) has none.
 type rollupEntry struct {
-	node lattice.Node
-	done chan struct{}
-	// completed is set under the store mutex when stats/err are final;
-	// nearestDescendant only considers completed entries, so it never
-	// blocks on an in-flight computation.
-	completed bool
-	stats     *table.GroupStats
-	err       error
-	// verdict is the node's judgement, set with judged under the store
-	// mutex once a reduction consumed the node's evaluation; an entry
-	// that only serves as a roll-up source (the lattice bottom until a
-	// walk judges it, a seeded entry) has none.
+	node    lattice.Node
+	stats   *table.GroupStats
 	judged  bool
 	verdict judgement
 }
@@ -58,84 +53,34 @@ func newRollupStore() *rollupStore {
 	return &rollupStore{entries: make(map[string]*rollupEntry)}
 }
 
-// acquire returns the entry for the node, creating it if absent. The
-// caller that observes created == true owns the computation and must
-// call finish exactly once; everyone else waits on done.
-func (s *rollupStore) acquire(node lattice.Node) (e *rollupEntry, created bool) {
-	key := node.Key()
+// get returns the node's entry, or nil when the node is not stored. It
+// is not a node evaluation, so no roll-up counter moves.
+func (s *rollupStore) get(node lattice.Node) *rollupEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		return e, false
-	}
-	e = &rollupEntry{node: node.Clone(), done: make(chan struct{})}
+	return s.entries[node.Key()]
+}
+
+// put stores the node's complete statistics and returns its entry.
+func (s *rollupStore) put(node lattice.Node, stats *table.GroupStats) *rollupEntry {
+	key, e := node.Key(), &rollupEntry{node: node.Clone(), stats: stats}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.entries[key] = e
-	return e, true
+	return e
 }
 
-// finish publishes the entry's result.
-func (s *rollupStore) finish(e *rollupEntry, stats *table.GroupStats, err error) {
-	s.mu.Lock()
-	e.stats, e.err = stats, err
-	e.completed = true
-	s.mu.Unlock()
-	close(e.done)
-}
-
-// seed pre-populates the store with an externally derived node's
-// statistics (the incremental repair seeds the lattice bottom with its
-// maintained base statistics, so it never scans rows). A node already
-// present is left untouched.
-func (s *rollupStore) seed(node lattice.Node, stats *table.GroupStats) {
-	e, created := s.acquire(node)
-	if created {
-		s.finish(e, stats, nil)
-	}
-}
-
-// judge records the node's judgement in its entry, which evaluating
-// the node created.
-func (s *rollupStore) judge(node lattice.Node, j judgement) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[node.Key()]; ok {
-		e.judged, e.verdict = true, j
-	}
-}
-
-// judged returns the node's judgement, if a reduction recorded one.
-func (s *rollupStore) judged(node lattice.Node) (judgement, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[node.Key()]; ok && e.judged {
-		return e.verdict, true
-	}
-	return judgement{}, false
-}
-
-// lookup returns the statistics of a node whose computation completed
-// without error, nil otherwise. It is not a node evaluation, so no
-// roll-up counter moves.
-func (s *rollupStore) lookup(node lattice.Node) *table.GroupStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[node.Key()]; ok && e.completed && e.err == nil {
-		return e.stats
-	}
-	return nil
-}
-
-// nearestDescendant returns the completed entry whose node the given
-// node generalizes, preferring the greatest lattice height, then the
-// fewest groups (both make the cheapest merge), then the
-// lexicographically smallest node, so the choice never depends on map
-// order; nil when no strict descendant has completed without error.
+// nearestDescendant returns the stored entry whose node the given node
+// strictly generalizes and whose merge costs least: the fewest groups,
+// then the greatest lattice height, then the lexicographically smallest
+// node, so the choice never depends on map order; nil when no strict
+// descendant is stored.
 func (s *rollupStore) nearestDescendant(node lattice.Node) *rollupEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *rollupEntry
 	for _, e := range s.entries {
-		if !e.completed || e.err != nil || !node.StrictGeneralizationOf(e.node) {
+		if !node.StrictGeneralizationOf(e.node) {
 			continue
 		}
 		if best == nil || e.closerThan(best) {
@@ -145,72 +90,29 @@ func (s *rollupStore) nearestDescendant(node lattice.Node) *rollupEntry {
 	return best
 }
 
-// closerThan orders roll-up sources for nearestDescendant.
+// closerThan orders roll-up sources for nearestDescendant. A merge
+// costs what its source holds, so fewer groups come first. Generalizing
+// only merges groups, so when all of a node's immediate predecessors
+// are stored the fewest-groups source is one of them, and ties go to
+// the higher node.
 func (e *rollupEntry) closerThan(o *rollupEntry) bool {
-	if h, hOther := e.node.Height(), o.node.Height(); h != hOther {
-		return h > hOther
-	}
 	if g, gOther := e.stats.NumGroups(), o.stats.NumGroups(); g != gOther {
 		return g < gOther
+	}
+	if h, hOther := e.node.Height(), o.node.Height(); h != hOther {
+		return h > hOther
 	}
 	return slices.Compare(e.node, o.node) < 0
 }
 
-// buildStats computes the node's pre-suppression statistics from rows:
-// the sharded, parallel group-by over the node's generalized table.
-func (e *evaluator) buildStats(node lattice.Node) (*table.GroupStats, error) {
-	g, err := e.cache.ApplyQIs(e.qis, node)
-	if err != nil {
-		return nil, err
-	}
-	w := e.cfg.Workers
-	if w < 1 {
-		w = 1
-	}
-	return g.GroupStats(e.qis, e.conf, w)
-}
-
-// statsFor returns the node's pre-suppression group statistics,
-// rolling up from the nearest already-evaluated descendant when one
-// exists. The first node with no completed descendant seeds the store
-// with the lattice bottom's statistics (the one base-level row scan of
-// the search); every other node is then an ancestor of something in
-// the store, so it merges groups instead of scanning rows.
-func (e *evaluator) statsFor(node lattice.Node) (*table.GroupStats, error) {
-	entry, created := e.rollups.acquire(node)
-	if !created {
-		e.rec.RollupReuse()
-		<-entry.done
-		return entry.stats, entry.err
-	}
-	// The creator owns the computation and must publish the entry even
-	// if the computation panics — otherwise every worker waiting on
-	// entry.done would block forever and the pool could never drain. The
-	// panic is re-raised after publishing; evalSafe turns it into this
-	// node's error outcome, while the waiters see the recorded error.
-	finished := false
-	defer func() {
-		if !finished {
-			err := fmt.Errorf("search: rollup stats for node %v: computation panicked", node)
-			e.rollups.finish(entry, nil, err)
-		}
-	}()
-	stats, err := e.computeStats(node)
-	finished = true
-	e.rollups.finish(entry, stats, err)
-	return stats, err
-}
-
-func (e *evaluator) computeStats(node lattice.Node) (*table.GroupStats, error) {
-	src := e.rollups.nearestDescendant(node)
-	if src == nil && node.Height() > 0 {
-		// Seed the bottom so this and all later nodes can roll up.
-		bottom := make(lattice.Node, len(node))
-		if bs, err := e.statsFor(bottom); err == nil && bs != nil {
-			src = &rollupEntry{node: bottom, stats: bs}
-		}
-	}
-	if src != nil {
+// statsFor computes the node's pre-suppression group statistics and
+// stores them. Every node but the lattice bottom has a stored
+// descendant once Run stored the bottom, so it merges that
+// descendant's groups instead of scanning rows; the bottom's row scan,
+// the sharded, parallel group-by over its table, is the one base-level
+// scan of the search.
+func (e *evaluator) statsFor(node lattice.Node) (*rollupEntry, error) {
+	if src := e.rollups.nearestDescendant(node); src != nil {
 		rollStart := e.rec.Start()
 		maps, err := e.levelMaps(src.node, node)
 		var rolled *table.GroupStats
@@ -220,19 +122,25 @@ func (e *evaluator) computeStats(node lattice.Node) (*table.GroupStats, error) {
 		e.rec.PhaseEnd(obs.PhaseRollup, rollStart)
 		if err == nil {
 			e.rec.RollupMerge()
-			return rolled, nil
+			return e.rollups.put(node, rolled), nil
 		}
 		// A roll-up can only fail when a hierarchy is not a nested
 		// refinement (level maps are then not functional). A row scan of
 		// the node's generalized table still defines its statistics, so
 		// fall back to one below rather than failing the search.
 	}
-	e.rollups.rowScans.Add(1)
 	e.rec.RollupRowScan()
 	scanStart := e.rec.Start()
-	stats, err := e.buildStats(node)
+	g, err := e.cache.ApplyQIs(e.qis, node)
+	var stats *table.GroupStats
+	if err == nil {
+		stats, err = g.GroupStats(e.qis, e.conf, max(e.cfg.Workers, 1))
+	}
 	e.rec.PhaseEnd(obs.PhaseGroupBy, scanStart)
-	return stats, err
+	if err != nil {
+		return nil, err
+	}
+	return e.rollups.put(node, stats), nil
 }
 
 // levelMaps assembles the per-QI code translations from one node's

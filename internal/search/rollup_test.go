@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"psk/internal/hierarchy"
+	"psk/internal/lattice"
+	"psk/internal/loss"
 	"psk/internal/obs"
 	"psk/internal/table"
 )
@@ -19,38 +21,106 @@ func TestRollupStoreScansOnce(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 4)
 	cfg.P = 2
+	cfg.Recorder = obs.NewRecorder()
 	m, err := cfg.validate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := newEvaluator(tbl, m, cfg).bind(rowScanBounds(t, tbl, cfg))
 	nodes := m.Lattice().AllNodes()
+	scanCount := func() int64 { return cfg.Recorder.Snapshot().Rollup.RowScans }
 	for _, node := range nodes {
-		if o := e.evalNode(node); o.err != nil {
+		if o := e.evalNode(node, e.rollups.get(node)); o.err != nil {
 			t.Fatal(o.err)
 		}
 	}
 	if len(e.rollups.entries) != len(nodes) {
 		t.Errorf("store holds %d entries, want %d", len(e.rollups.entries), len(nodes))
 	}
-	if scans := e.rollups.rowScans.Load(); scans != 1 {
+	if scans := scanCount(); scans != 1 {
 		t.Errorf("row-scanning fallback ran %d times, want 1 (lattice bottom only)", scans)
 	}
 	// Re-evaluating is served entirely from the store.
 	for _, node := range nodes {
-		if o := e.evalNode(node); o.err != nil {
+		if o := e.evalNode(node, e.rollups.get(node)); o.err != nil {
 			t.Fatal(o.err)
 		}
 	}
-	if len(e.rollups.entries) != len(nodes) || e.rollups.rowScans.Load() != 1 {
+	if len(e.rollups.entries) != len(nodes) || scanCount() != 1 {
 		t.Error("re-evaluation grew the store or re-scanned rows")
+	}
+}
+
+// TestStoreComputesEachEntryOnce pins the invariant the store's plain
+// put rests on: a batch holds each node once and batches run one after
+// another, so no node's statistics are computed twice, at any worker
+// count. Every merge or row scan stores one entry, so after the walk
+// and the frontier pass on one evaluator their count equals the
+// store's.
+func TestStoreComputesEachEntryOnce(t *testing.T) {
+	im, cfg := adultSample(t, 3000)
+	cfg.Frontier.Enabled = true
+	m, err := cfg.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := m.Lattice()
+	for s := range numStrategies {
+		for _, w := range []int{1, 4, 8} {
+			cfg.Workers = w
+			cfg.Recorder = obs.NewRecorder()
+			e := newEvaluator(im, m, cfg)
+			bottom, err := e.statsFor(lat.Bottom())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds, err := conditionBounds(cfg, bottom.stats.NumRows, bottom.stats.Totals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.bind(bounds)
+			var res Result
+			if err := strategies[s].walk(e, lat, &res); err != nil {
+				t.Fatalf("%s w=%d: %v", s, w, err)
+			}
+			baseline, err := loss.BaselineFromStats(bottom.stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := attachFrontier(e, lat, baseline, &res.Stats, &res.Frontier, nil); err != nil {
+				t.Fatalf("%s w=%d: %v", s, w, err)
+			}
+			rollup := cfg.Recorder.Snapshot().Rollup
+			if computed, stored := rollup.Merges+rollup.RowScans, len(e.rollups.entries); computed != int64(stored) {
+				t.Errorf("%s w=%d: %d merges and row scans for %d store entries", s, w, computed, stored)
+			}
+		}
+	}
+}
+
+// TestRollupSourceFewestGroups: a merge costs what its source holds, so
+// a node rolls up from the stored descendant with the fewest groups,
+// even where a larger one stands higher in the lattice.
+func TestRollupSourceFewestGroups(t *testing.T) {
+	withGroups := func(n int) *table.GroupStats { return &table.GroupStats{Groups: make([]table.GroupStat, n)} }
+	s := newRollupStore()
+	s.put(lattice.Node{0, 0, 0, 0}, withGroups(2636))
+	s.put(lattice.Node{2, 0, 0, 0}, withGroups(5))
+	s.put(lattice.Node{1, 1, 1, 0}, withGroups(30))
+	var got lattice.Node
+	if src := s.nearestDescendant(lattice.Node{2, 1, 1, 0}); src != nil {
+		got = src.node
+	}
+	if want := (lattice.Node{2, 0, 0, 0}); !got.Equal(want) {
+		t.Fatalf("source %v, want %v", got, want)
 	}
 }
 
 // TestRollupSourceDeterministic: a serial search picks the same roll-up
 // source for every node on every run, so repeated runs report identical
 // cache and level-map counters (the store is a map, so an unordered tie
-// between equally high descendants would make them wander).
+// between descendants with equally few groups at one height would make
+// them wander).
 func TestRollupSourceDeterministic(t *testing.T) {
 	src, cfg := adultSample(t, 30000)
 	im, err := src.Sample(1000, 2006)

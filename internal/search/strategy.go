@@ -183,10 +183,11 @@ func Run(im *table.Table, cfg Config, s Strategy) (Result, error) {
 
 	eval := newEvaluator(im, m, cfg)
 	lat := m.Lattice()
-	base, err := eval.statsFor(lat.Bottom())
+	bottom, err := eval.statsFor(lat.Bottom())
 	if err != nil {
 		return Result{}, err
 	}
+	base := bottom.stats
 	bounds, err := conditionBounds(cfg, base.NumRows, base.Totals)
 	if err != nil {
 		return Result{}, err
@@ -246,10 +247,11 @@ func (e *evaluator) release(lat *lattice.Lattice, baseline *loss.Baseline, res *
 		return nil
 	}
 	node := res.Minimal[0].Node
-	pre := e.rollups.lookup(node)
-	if pre == nil {
+	entry := e.rollups.get(node)
+	if entry == nil {
 		return fmt.Errorf("search: found node %v has no statistics", node)
 	}
+	pre := entry.stats
 	masked, err := e.materialize(node, pre)
 	if err != nil {
 		return err

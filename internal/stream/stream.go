@@ -34,9 +34,6 @@ type Batch struct {
 	Retire []int `json:"retire,omitempty"`
 }
 
-// Empty reports whether the batch changes nothing.
-func (b Batch) Empty() bool { return len(b.Append) == 0 && len(b.Retire) == 0 }
-
 // Validate checks the batch against the consumer's column names:
 // declared columns must match exactly, every appended row must have one
 // cell per column, and retire ids must be non-negative (liveness is the

@@ -98,12 +98,3 @@ func TestWriteBatchCapsSize(t *testing.T) {
 		t.Fatal("oversized batch encoded")
 	}
 }
-
-func TestEmpty(t *testing.T) {
-	if !(Batch{Columns: []string{"a"}}).Empty() {
-		t.Fatal("columns-only batch should be empty")
-	}
-	if (Batch{Retire: []int{1}}).Empty() {
-		t.Fatal("retire batch reported empty")
-	}
-}

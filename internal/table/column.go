@@ -30,16 +30,6 @@ type Column interface {
 	Code(i int) int
 }
 
-// CodeReader is an optional Column capability: bulk access to the
-// dictionary codes of a row range. Hot loops (group-by kernels, code
-// remapping) read codes a block at a time through it instead of paying
-// a dynamic dispatch per row; frozen string columns serve it straight
-// from their bit-packed stream.
-type CodeReader interface {
-	// Codes appends the codes of rows [lo, hi) to dst and returns it.
-	Codes(dst []uint32, lo, hi int) []uint32
-}
-
 // codeRanger is an optional Column capability: columns that know an
 // inclusive [lo, hi] range containing every code report it, which lets
 // GroupBy and NumGroups pack multi-column keys into a single uint64
@@ -231,18 +221,10 @@ func (c *stringColumn) Code(i int) int {
 	return int(c.codes[i])
 }
 
-// Codes implements CodeReader.
-func (c *stringColumn) Codes(dst []uint32, lo, hi int) []uint32 {
-	if c.frozen {
-		return c.packed.appendRange(dst, lo, hi)
-	}
-	for _, code := range c.codes[lo:hi] {
-		dst = append(dst, uint32(code))
-	}
-	return dst
-}
-
-// codes32 is Codes into int32 scratch, for the internal kernels.
+// codes32 appends the codes of rows [lo, hi) to dst. The scan
+// kernels read codes a block at a time through it instead of paying a
+// dynamic dispatch per row; a frozen column serves it straight from its
+// bit-packed stream.
 func (c *stringColumn) codes32(dst []int32, lo, hi int) []int32 {
 	if c.frozen {
 		return c.packed.appendRange32(dst, lo, hi)

@@ -5,7 +5,7 @@ package table
 // the table is built (or a derived column is assembled) the codes are
 // packed to ceil(log2(cardinality)) bits each, so a million-row column
 // over a 74-value dictionary costs 7 bits per row instead of 32. Hot
-// loops read codes back in blocks through appendRange — one bounds
+// loops read codes back in blocks through appendRange32 — one bounds
 // check and one or two word loads per code, no per-row interface call.
 
 // packWidth is the widest per-code bit width that is stored packed.
@@ -152,28 +152,8 @@ func (p *packedCodes) bits(off, n uint) uint64 {
 	return v
 }
 
-// appendRange appends the codes of rows [lo, hi) to dst.
-func (p *packedCodes) appendRange(dst []uint32, lo, hi int) []uint32 {
-	if p.raw != nil {
-		return append(dst, p.raw[lo:hi]...)
-	}
-	w := uint(p.width)
-	mask := uint32(1)<<w - 1
-	off := uint(lo) * w
-	for i := lo; i < hi; i++ {
-		word, shift := off>>6, off&63
-		v := p.words[word] >> shift
-		if shift+w > 64 {
-			v |= p.words[word+1] << (64 - shift)
-		}
-		dst = append(dst, uint32(v)&mask)
-		off += w
-	}
-	return dst
-}
-
-// appendRange32 is appendRange into an int32 slice — the internal
-// group-by kernels keep codes as int32 scratch.
+// appendRange32 appends the codes of rows [lo, hi) to dst, an int32
+// slice: the group-by kernels keep codes as int32 scratch.
 func (p *packedCodes) appendRange32(dst []int32, lo, hi int) []int32 {
 	if p.raw != nil {
 		for _, v := range p.raw[lo:hi] {

@@ -65,13 +65,13 @@ func TestPackedUnpackedColumnsAgree(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo)
-			got := frozen.Codes(nil, lo, hi)
+			got := frozen.codes32(nil, lo, hi)
 			if len(got) != hi-lo {
-				t.Fatalf("card %d: Codes [%d,%d) returned %d codes", card, lo, hi, len(got))
+				t.Fatalf("card %d: codes32 [%d,%d) returned %d codes", card, lo, hi, len(got))
 			}
 			for j, code := range got {
 				if int(code) != codes[lo+j] {
-					t.Fatalf("card %d: Codes [%d,%d)[%d] = %d, want %d", card, lo, hi, j, code, codes[lo+j])
+					t.Fatalf("card %d: codes32 [%d,%d)[%d] = %d, want %d", card, lo, hi, j, code, codes[lo+j])
 				}
 			}
 		}

@@ -181,24 +181,3 @@ func rowKey(row []Value) string {
 	}
 	return s
 }
-
-// Property: SortBy output is ordered and a permutation of the input.
-func TestSortByProperty(t *testing.T) {
-	f := func(rt randomTable) bool {
-		sorted, err := rt.tbl.SortBy("N", "A")
-		if err != nil || sorted.NumRows() != rt.tbl.NumRows() {
-			return false
-		}
-		for r := 1; r < sorted.NumRows(); r++ {
-			a, _ := sorted.Value(r-1, "N")
-			b, _ := sorted.Value(r, "N")
-			if a.Compare(b) > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

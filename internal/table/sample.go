@@ -29,30 +29,3 @@ func (t *Table) Shuffle(seed int64) *Table {
 	out, _ := t.Gather(perm)
 	return out
 }
-
-// SortBy returns a new table with rows ordered by the named columns
-// ascending. The sort is stable.
-func (t *Table) SortBy(names ...string) (*Table, error) {
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		c, err := t.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	rows := make([]int, t.nrows)
-	for i := range rows {
-		rows[i] = i
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, c := range cols {
-			cmp := c.Value(rows[a]).Compare(c.Value(rows[b]))
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return t.Gather(rows)
-}

@@ -397,22 +397,6 @@ func TestSampleDeterministic(t *testing.T) {
 	}
 }
 
-func TestSortBy(t *testing.T) {
-	tbl := patientTable(t)
-	sorted, err := tbl.SortBy("Age", "Illness")
-	if err != nil {
-		t.Fatalf("SortBy: %v", err)
-	}
-	prev := int64(-1)
-	for r := 0; r < sorted.NumRows(); r++ {
-		v, _ := sorted.Value(r, "Age")
-		if v.Int() < prev {
-			t.Errorf("not sorted at row %d", r)
-		}
-		prev = v.Int()
-	}
-}
-
 func TestHeadAndClone(t *testing.T) {
 	tbl := patientTable(t)
 	h := tbl.Head(2)

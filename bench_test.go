@@ -333,7 +333,7 @@ func BenchmarkMondrianVsFullDomain(b *testing.B) {
 	b.Run("Mondrian", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := search.Mondrian(im, search.MondrianConfig{
-				QIs: dataset.QIs(), K: 5, P: 1, Strict: true,
+				QIs: dataset.QIs(), K: 5, P: 1,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -96,7 +96,7 @@ func RunMethods(n, k int, source *table.Table, seed int64) (MethodsResult, error
 		}
 	}
 
-	mr, err := search.Mondrian(im, search.MondrianConfig{QIs: dataset.QIs(), K: k, P: 1, Strict: true})
+	mr, err := search.Mondrian(im, search.MondrianConfig{QIs: dataset.QIs(), K: k, P: 1})
 	if err != nil {
 		return MethodsResult{}, err
 	}

@@ -111,7 +111,6 @@ func RunUtility(n int, ks []int, p int, source *table.Table, seed int64) (Utilit
 			Confidential: dataset.Confidential(),
 			K:            k,
 			P:            p,
-			Strict:       true,
 		})
 		if err != nil {
 			return UtilityResult{}, err

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -149,14 +150,22 @@ func (s *Server) WaitScraped(timeout time.Duration) bool {
 	}
 }
 
-// Close shuts the listener down. In-flight handlers finish on their
-// own time; no new connections are accepted. A NewHandler server has
-// no listener; Close is then a no-op.
+// Close shuts the listener down: no new connections are accepted, and
+// requests in flight get up to a second to finish before their
+// connections are closed. The scrape that released WaitScraped is one
+// of them — its handler has not returned yet — so an abrupt close would
+// drop the final report it was serving. A NewHandler server has no
+// listener; Close is then a no-op.
 func (s *Server) Close() error {
 	if s.srv == nil {
 		return nil
 	}
-	return s.srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := s.srv.Shutdown(ctx); err != nil {
+		return s.srv.Close()
+	}
+	return nil
 }
 
 func (s *Server) state() string {

@@ -41,7 +41,7 @@ func allMinimal(e *evaluator, lat *lattice.Lattice, res *Result) error {
 			candIdx[i] = len(candidates)
 			candidates = append(candidates, node)
 		}
-		outs, err := e.evalAll(candidates, &res.Stats)
+		outs, _, err := e.eval(candidates, false, &res.Stats)
 		if err != nil {
 			return err
 		}

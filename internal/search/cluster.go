@@ -212,33 +212,9 @@ func GreedyCluster(t *table.Table, cfg ClusterConfig) (ClusterResult, error) {
 		dispersed++
 	}
 
-	// Recode (shared with Mondrian's labeling).
-	labels := make([][]string, len(cfg.QIs))
-	for i := range labels {
-		labels[i] = make([]string, t.NumRows())
-	}
-	sizes := make([]int, 0, len(clusters))
-	for _, cluster := range clusters {
-		sizes = append(sizes, len(cluster))
-		for qi, col := range qiCols {
-			label := rangeLabel(col, cluster)
-			for _, r := range cluster {
-				labels[qi][r] = label
-			}
-		}
-	}
-	masked := t
-	for qi, attr := range cfg.QIs {
-		row := 0
-		lbl := labels[qi]
-		masked, err = masked.MapColumn(attr, func(table.Value) (string, error) {
-			s := lbl[row]
-			row++
-			return s, nil
-		})
-		if err != nil {
-			return ClusterResult{}, err
-		}
+	masked, sizes, err := recode(t, cfg.QIs, qiCols, clusters)
+	if err != nil {
+		return ClusterResult{}, err
 	}
 	sort.Ints(sizes)
 	return ClusterResult{Masked: masked, Clusters: len(clusters), GroupSizes: sizes, Dispersed: dispersed}, nil

@@ -101,7 +101,8 @@ type Config struct {
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // workerCount clamps the configured pool to the number of nodes on
-// hand; n <= 1 or Workers <= 1 selects the serial path.
+// hand. At one worker (Workers <= 1, or n <= 1) the engine runs its one
+// worker body on the calling goroutine instead of starting a pool.
 func (c Config) workerCount(n int) int {
 	w := c.Workers
 	if w < 1 {

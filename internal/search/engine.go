@@ -18,10 +18,10 @@ import (
 
 // evaluator is the shared node-evaluation engine behind every lattice
 // search strategy: it runs the per-node property check (the node's
-// statistics, suppression within budget, the policy) either serially
-// or on a bounded worker pool, and reduces per-node outcomes in
-// deterministic node order so that found nodes and stats never depend
-// on goroutine scheduling.
+// statistics, suppression within budget, the policy) on a bounded
+// worker pool, the calling goroutine when the pool has one worker, and
+// reduces per-node outcomes in deterministic node order so that found
+// nodes and stats never depend on goroutine scheduling.
 //
 // All shared state is immutable during evaluation: the source table and
 // hierarchies are read-only, the necessary-condition bounds were hoisted
@@ -107,9 +107,9 @@ type outcome struct {
 	// entry is the node's store entry, nil when its statistics failed;
 	// the reduction files the judgement on it.
 	entry *rollupEntry
-	// evaluated distinguishes real results from nodes skipped by early
-	// cancellation (only ever nodes ordered after the first hit) or by a
-	// tripped limiter.
+	// evaluated distinguishes real results from nodes skipped by a
+	// first-hit batch stopping early (only ever nodes ordered after the
+	// first hit) or by a tripped limiter.
 	evaluated bool
 	// revisit marks a node the search had already judged: run answered
 	// it from the store, so it costs no work, moves no counter, emits no
@@ -173,33 +173,35 @@ func (e *evaluator) evalNode(node lattice.Node, entry *rollupEntry) outcome {
 		o.err, o.class = err, obs.VerdictError
 		return o
 	}
-	o.res = res
-	verdict(&o)
+	o.res, o.ok = res, res.Satisfied
+	o.class = verdict(res, &o.stats)
 	if o.ok {
 		o.suppressed = violating
 	}
 	return o
 }
 
-// verdict folds the outcome's policy result into its stats counters
-// and its verdict class. The counter mapping mirrors Algorithm 3:
-// bounds rejections are prunes that skipped the detailed scan;
-// everything else — satisfied or a real violation — paid for one.
-func verdict(o *outcome) {
-	switch o.res.Reason {
+// verdict counts a policy result in stats and returns its verdict
+// class; Incremental.Republish counts its re-verdicts through it too.
+// The counter mapping mirrors Algorithm 3: bounds rejections are prunes
+// that skipped the detailed scan; everything else — satisfied or a real
+// violation — paid for one.
+func verdict(res core.Result, stats *Stats) obs.Verdict {
+	class := obs.VerdictViolated
+	switch res.Reason {
 	case core.FailedCondition1:
-		o.stats.PrunedCondition1++
-		o.class = obs.VerdictPrunedCondition1
+		stats.PrunedCondition1++
+		class = obs.VerdictPrunedCondition1
 	case core.FailedCondition2:
-		o.stats.PrunedCondition2++
-		o.class = obs.VerdictPrunedCondition2
+		stats.PrunedCondition2++
+		class = obs.VerdictPrunedCondition2
 	default:
-		o.stats.GroupScans++
-		o.class = obs.VerdictViolated
+		stats.GroupScans++
 	}
-	if o.res.Satisfied {
-		o.ok, o.class = true, obs.VerdictSatisfied
+	if res.Satisfied {
+		return obs.VerdictSatisfied
 	}
+	return class
 }
 
 // materialize builds the masked table of a node the statistics proved
@@ -224,45 +226,18 @@ func (e *evaluator) materialize(node lattice.Node, pre *table.GroupStats) (*tabl
 	return mm, nil
 }
 
-// evalTimed wraps evalNode with the per-node telemetry: one verdict +
-// latency sample on the recorder, busy time on the worker's row, and
-// one trace event. Nodes that error before counting as evaluated (an
-// apply failure) produce neither, keeping the trace event count equal
-// to Stats.NodesEvaluated. With both sinks nil the wrapper is a tail
-// call — no clock reads.
-func (e *evaluator) evalTimed(node lattice.Node, entry *rollupEntry, worker int) outcome {
-	if e.rec == nil && e.tracer == nil {
-		return e.evalNode(node, entry)
-	}
-	start := time.Now()
-	o := e.evalNode(node, entry)
-	d := time.Since(start)
-	if o.stats.NodesEvaluated == 0 {
-		return o
-	}
-	v := o.class
-	e.rec.NodeEvaluated(v, d)
-	e.rec.WorkerBusy(worker, d)
-	e.rec.AddSuppressedRows(int64(o.stats.SuppressedRows))
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Event{
-			Node:       append([]int(nil), node...),
-			Height:     node.Height(),
-			Verdict:    v.String(),
-			DurationNs: d.Nanoseconds(),
-			Worker:     worker,
-		})
-	}
-	return o
-}
-
-// evalSafe wraps evalTimed with panic recovery: a panicking node
-// evaluation (a buggy custom Policy, hostile data tripping an internal
-// invariant) becomes an error outcome for that node instead of killing
-// the process, and the reduction surfaces it exactly like any other
-// node error. A panic leaves nothing half-built: statsFor stores a
-// node only once its statistics are complete, and no other worker
-// waits on a node, since a batch holds each node once.
+// evalSafe runs evalNode with panic recovery and the per-node
+// telemetry. A panicking node evaluation (a buggy custom Policy,
+// hostile data tripping an internal invariant) becomes an error outcome
+// for that node instead of killing the process, and the reduction
+// surfaces it exactly like any other node error. A panic leaves nothing
+// half-built: statsFor stores a node only once its statistics are
+// complete, and no other worker waits on a node, since a batch holds
+// each node once. The telemetry is one verdict + latency sample on the
+// recorder, busy time on the worker's row, and one trace event. Nodes
+// that error before counting as evaluated (an apply failure, a panic)
+// produce neither, keeping the trace event count equal to
+// Stats.NodesEvaluated. With both sinks nil no clock is read.
 func (e *evaluator) evalSafe(node lattice.Node, entry *rollupEntry, worker int) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -271,33 +246,57 @@ func (e *evaluator) evalSafe(node lattice.Node, entry *rollupEntry, worker int) 
 				err: fmt.Errorf("search: node %v: panic recovered: %v", node, r)}
 		}
 	}()
-	return e.evalTimed(node, entry, worker)
+	if e.rec == nil && e.tracer == nil {
+		return e.evalNode(node, entry)
+	}
+	start := time.Now()
+	o = e.evalNode(node, entry)
+	d := time.Since(start)
+	if o.stats.NodesEvaluated == 0 {
+		return o
+	}
+	e.rec.NodeEvaluated(o.class, d)
+	e.rec.WorkerBusy(worker, d)
+	e.rec.AddSuppressedRows(int64(o.stats.SuppressedRows))
+	if e.tracer != nil {
+		e.tracer.Emit(obs.Event{
+			Node:       append([]int(nil), node...),
+			Height:     node.Height(),
+			Verdict:    o.class.String(),
+			DurationNs: d.Nanoseconds(),
+			Worker:     worker,
+		})
+	}
+	return o
 }
 
-// run evaluates the nodes, serially or on the worker pool. It looks
-// each node up in the store once: a node the search already judged is
-// not evaluated again, its stored judgement answers it as a revisit,
-// and any other node's entry (or nil) goes to its evaluation, through
-// the node's outcome slot. With cancelEarly, nodes ordered after an
-// already-observed hit (or error) are skipped: the reduction only ever
-// consumes outcomes up to the first hit in node order, and every node
-// before it is guaranteed to be evaluated, so cancellation can never
-// change the reduced result — it only avoids wasted work. (The walks
-// that cancel early, Samarati's probes and the incremental repair,
-// never revisit a node, so no revisit is a hit to cancel on.)
+// run evaluates the nodes of one batch. It looks each node up in the
+// store once: a node the search already judged is not evaluated again,
+// its stored judgement answers it as a revisit, and any other node's
+// entry (or nil) goes to its evaluation, through the node's outcome
+// slot.
+//
+// One worker body claims the pending nodes in node order and evaluates
+// them, on the calling goroutine for one worker and on w goroutines
+// otherwise. In a first-hit batch a worker returns once its claimed
+// node lies past the lowest hit (or error) observed so far, before the
+// limiter's checkpoint: the reduction consumes outcomes only up to the
+// first hit in node order, and every node before it is still
+// evaluated, so stopping changes cost, never results. (Samarati's
+// probes and the incremental repair, the walks that pass first, never
+// revisit a node, so no revisit is a hit to stop on.)
 //
 // The limiter bounds the batch two ways. The node budget truncates it
 // up front to the prefix nodes[:cut] that holds as many unjudged nodes
 // as the budget has left — a property of node order and of the
-// judgements earlier batches reduced, so serial and parallel runs
-// evaluate the same prefix. The time-dependent limits (context,
-// deadline, cache bytes) gate each claim via checkpoint; once tripped,
-// no further node starts, leaving arbitrary gaps the reductions
-// already tolerate. run returns cut so the reduction can tell budget
-// truncation from completion.
-func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int) {
-	n := len(nodes)
-	outs := make([]outcome, n)
+// judgements earlier batches reduced, so every worker count evaluates
+// the same prefix. The time-dependent limits (context, deadline, cache
+// bytes) gate each claim via checkpoint; once tripped, no further node
+// starts, leaving arbitrary gaps the reduction already tolerates. run
+// returns cut so the reduction can tell budget truncation from
+// completion.
+func (e *evaluator) run(nodes []lattice.Node, first bool) ([]outcome, int) {
+	outs := make([]outcome, len(nodes))
 	var pending []int // indices of the nodes to evaluate
 	for i, node := range nodes {
 		entry := e.rollups.get(node)
@@ -308,59 +307,46 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 		outs[i].entry = entry
 		pending = append(pending, i)
 	}
-	cut := n
+	cut := len(nodes)
 	if limit := e.lim.allowance(len(pending)); limit < len(pending) {
 		cut, pending = pending[limit], pending[:limit]
 		clear(outs[cut:])
 	}
-	w := e.cfg.workerCount(len(pending))
-	e.rec.SetPoolSize(w)
-	if w <= 1 {
-		e.labeled(0, func() {
-			for _, i := range pending {
-				if !e.lim.checkpoint() {
-					break
+	var next, barrier atomic.Int64 // barrier: lowest index seen to hit or fail hard
+	barrier.Store(int64(cut))
+	work := func(worker int) {
+		e.labeled(worker, func() {
+			for {
+				j := int(next.Add(1)) - 1
+				if j >= len(pending) {
+					return
 				}
-				outs[i] = e.evalSafe(nodes[i], outs[i].entry, 0)
-				if cancelEarly && (outs[i].ok || outs[i].err != nil) {
-					break
+				i := pending[j]
+				if (first && int64(i) > barrier.Load()) || !e.lim.checkpoint() {
+					return
+				}
+				o := e.evalSafe(nodes[i], outs[i].entry, worker)
+				outs[i] = o
+				if first && (o.ok || o.err != nil) {
+					for cur := barrier.Load(); int64(i) < cur && !barrier.CompareAndSwap(cur, int64(i)); {
+						cur = barrier.Load()
+					}
 				}
 			}
 		})
+	}
+	w := e.cfg.workerCount(len(pending))
+	e.rec.SetPoolSize(w)
+	if w <= 1 {
+		work(0)
 		return outs, cut
 	}
-	var next int64
-	barrier := int64(cut) // lowest index seen to hit or fail hard
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			e.labeled(worker, func() {
-				for {
-					j := int(atomic.AddInt64(&next, 1)) - 1
-					if j >= len(pending) {
-						return
-					}
-					if !e.lim.checkpoint() {
-						return
-					}
-					i := pending[j]
-					if cancelEarly && int64(i) > atomic.LoadInt64(&barrier) {
-						continue
-					}
-					o := e.evalSafe(nodes[i], outs[i].entry, worker)
-					outs[i] = o
-					if cancelEarly && (o.ok || o.err != nil) {
-						for {
-							cur := atomic.LoadInt64(&barrier)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&barrier, cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			})
+			work(worker)
 		}(g)
 	}
 	wg.Wait()
@@ -385,88 +371,57 @@ func (e *evaluator) labeled(worker int, fn func()) {
 	), func(context.Context) { fn() })
 }
 
-// consume folds an outcome into the batch's stats, in the reductions'
-// node order, and returns the node budget it spends: a fresh evaluation
-// merges its stats delta, spends one node and files its judgement on
-// its store entry, so no later batch judges the node again; a revisit
-// does none of that.
-func consume(o outcome, stats *Stats) int {
-	if o.revisit {
-		return 0
-	}
-	stats.Merge(o.stats)
-	if o.err == nil {
-		o.entry.judged, o.entry.verdict = true, o.judgement
-	}
-	return 1
-}
-
-// firstHit returns the index and outcome of the first satisfying node
-// in node order, or index -1. Stats are merged exactly as the serial
-// scan would: deltas accumulate in node order up to and including the
-// first hit (or error); speculative work past it is discarded, and its
-// judgements with it, so totals are identical at every worker count.
-// The node budget is charged with the same consumed count, making
-// budget spend equally scheduling-independent; a truncated batch that
-// found no hit trips StopNodeBudget (a hit inside the prefix means the
-// truncation never mattered).
-func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, error) {
-	outs, cut := e.run(nodes, true)
-	consumed := 0
+// eval evaluates a batch and reduces its outcomes in node order, on the
+// calling goroutine, so results, stats totals and budget spend are
+// identical at every worker count. It returns the outcomes and the
+// index of the first satisfying node in node order, or -1; the
+// best-so-far gauge notes that node here, so the gauge is
+// scheduling-independent too. A fresh evaluation merges its stats
+// delta, spends one node of the budget and files its judgement on its
+// store entry, so no later batch judges the node again; a revisit does
+// none of that.
+//
+// With first, the reduction stops at the first hit (or error):
+// speculative work past it is discarded, and its judgements with it.
+// Without, it reduces every node. An error returns the first one in
+// node order. Nodes a tripped limiter skipped stay !evaluated in outs;
+// callers treat them as non-satisfying, which keeps partial results
+// valid (everything reported satisfying really was evaluated). A batch
+// the node budget truncated trips StopNodeBudget, unless it was a
+// first-hit batch whose hit lies inside the prefix: then the truncation
+// never mattered.
+func (e *evaluator) eval(nodes []lattice.Node, first bool, stats *Stats) ([]outcome, int, error) {
+	outs, cut := e.run(nodes, first)
+	hit, consumed := -1, 0
 	for i := range outs {
-		o := outs[i]
+		o := &outs[i]
 		if !o.evaluated {
 			continue
 		}
-		consumed += consume(o, stats)
+		if !o.revisit {
+			stats.Merge(o.stats)
+			consumed++
+			if o.err == nil {
+				o.entry.judged, o.entry.verdict = true, o.judgement
+			}
+		}
 		if o.err != nil {
 			e.lim.charge(consumed)
-			return -1, outcome{}, o.err
+			return nil, -1, o.err
 		}
-		if o.ok {
-			e.lim.charge(consumed)
+		if o.ok && hit < 0 {
+			hit = i
 			if e.rec != nil {
 				e.rec.NoteBest(nodes[i].String(), nodes[i].Height())
 			}
-			return i, o, nil
+			if first {
+				break
+			}
 		}
 	}
 	e.lim.charge(consumed)
-	if cut < len(nodes) && !e.lim.tripped() {
+	if cut < len(nodes) && (hit < 0 || !first) && !e.lim.tripped() {
 		e.lim.trip(StopNodeBudget)
 	}
-	return -1, outcome{}, nil
-}
-
-// evalAll evaluates every node and merges all stats deltas in node
-// order, returning the outcomes (or the first error in node order).
-// Nodes a tripped limiter skipped stay !evaluated in the returned
-// slice; callers treat them as non-satisfying, which keeps partial
-// results valid (everything reported satisfying really was evaluated).
-func (e *evaluator) evalAll(nodes []lattice.Node, stats *Stats) ([]outcome, error) {
-	outs, cut := e.run(nodes, false)
-	consumed := 0
-	noted := false
-	for i := range outs {
-		if !outs[i].evaluated {
-			continue
-		}
-		consumed += consume(outs[i], stats)
-		if outs[i].err != nil {
-			e.lim.charge(consumed)
-			return nil, outs[i].err
-		}
-		// Best-so-far gauge: the first satisfying node in reduction order
-		// (levels ascend, so it is a lowest-height hit). Noted here, on the
-		// single-threaded reduction, so the gauge is scheduling-independent.
-		if outs[i].ok && !noted && e.rec != nil {
-			e.rec.NoteBest(nodes[i].String(), nodes[i].Height())
-			noted = true
-		}
-	}
-	e.lim.charge(consumed)
-	if cut < len(nodes) && !e.lim.tripped() {
-		e.lim.trip(StopNodeBudget)
-	}
-	return outs, nil
+	return outs, hit, nil
 }

@@ -12,7 +12,7 @@ import "psk/internal/lattice"
 // cfg.Workers > 1 the whole lattice is evaluated concurrently.
 func exhaustive(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	nodes := lat.AllNodes()
-	outs, err := e.evalAll(nodes, &res.Stats)
+	outs, _, err := e.eval(nodes, false, &res.Stats)
 	if err != nil {
 		return err
 	}

@@ -148,7 +148,7 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, base *loss.Baseline, stat
 	var entries []FrontierEntry
 	for h := 0; h <= lat.Height(); h++ {
 		nodes := lat.NodesAtHeight(h)
-		outs, err := e.evalAll(nodes, stats)
+		outs, _, err := e.eval(nodes, false, stats)
 		if err != nil {
 			return nil, err
 		}

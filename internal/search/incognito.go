@@ -17,7 +17,7 @@ import "psk/internal/lattice"
 func bottomUp(e *evaluator, lat *lattice.Lattice, res *Result) error {
 	for h := 0; h <= lat.Height(); h++ {
 		nodes := lat.NodesAtHeight(h)
-		outs, err := e.evalAll(nodes, &res.Stats)
+		outs, _, err := e.eval(nodes, false, &res.Stats)
 		if err != nil {
 			return err
 		}

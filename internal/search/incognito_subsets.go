@@ -124,7 +124,7 @@ subsets:
 					candIdx[i] = len(groupings)
 					groupings = append(groupings, grouping(node, mask, drop))
 				}
-				outs, err := e.evalAll(groupings, &res.Stats)
+				outs, _, err := e.eval(groupings, false, &res.Stats)
 				if err != nil {
 					return err
 				}

@@ -405,22 +405,15 @@ func (s *Incremental) Republish() (Result, error) {
 	post := stats.SuppressBelow(s.cfg.K)
 	changed := s.changedSurvivors(stats)
 	policy := core.Observe(s.cfg.effectivePolicy(bounds), s.cfg.Recorder)
-	verdict, local, err := core.RecheckGroups(policy, core.StatsView{Stats: post, Conf: s.conf}, changed)
+	r, local, err := core.RecheckGroups(policy, core.StatsView{Stats: post, Conf: s.conf}, changed)
 	if err != nil {
 		return Result{}, err
 	}
 	if local {
 		s.rec.GroupsRecheck(int64(len(changed)))
 	}
-	switch verdict.Reason {
-	case core.FailedCondition1:
-		res.Stats.PrunedCondition1++
-	case core.FailedCondition2:
-		res.Stats.PrunedCondition2++
-	default:
-		res.Stats.GroupScans++
-	}
-	if !verdict.Satisfied {
+	verdict(r, &res.Stats)
+	if !r.Satisfied {
 		return s.repair(bounds, res.Stats)
 	}
 	s.base.Reset()
@@ -479,9 +472,9 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 	defer span.End()
 	cfg := s.cfg
 	cfg.strategy = "incremental-repair"
-	eval := newEvaluator(s.led.Table(), s.m, cfg).bind(bounds)
+	e := newEvaluator(s.led.Table(), s.m, cfg).bind(bounds)
 	lat := s.m.Lattice()
-	eval.rollups.put(lat.Bottom(), s.base.Stats())
+	e.rollups.put(lat.Bottom(), s.base.Stats())
 	res := Result{Stats: stats}
 	for h := s.pub.Height() + 1; h <= lat.Height(); h++ {
 		var cand []lattice.Node
@@ -496,7 +489,7 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 		// The ascent's in-scope node set grows level by level; add each
 		// level so the /progress fraction stays meaningful mid-repair.
 		s.rec.AddLatticeNodes(int64(len(cand)))
-		i, o, err := eval.firstHit(cand, &res.Stats)
+		outs, i, err := e.eval(cand, true, &res.Stats)
 		if err != nil {
 			return Result{}, err
 		}
@@ -506,17 +499,17 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 			}
 			s.base.Reset()
 			s.pubStats.Reset()
-			res.found(MinimalNode{Node: cand[i].Clone(), Suppressed: o.suppressed})
-			res.StopReason = eval.lim.stopReason()
+			res.found(MinimalNode{Node: cand[i].Clone(), Suppressed: outs[i].suppressed})
+			res.StopReason = e.lim.stopReason()
 			span.End()
 			res.Report = s.rec.Snapshot()
 			return res, nil
 		}
-		if eval.lim.tripped() {
+		if e.lim.tripped() {
 			// Partial: the incumbent stays (known violating) and the
 			// changed-group set stays unconsumed; the next Republish
 			// re-verdicts and resumes the repair.
-			res.StopReason = eval.lim.stopReason()
+			res.StopReason = e.lim.stopReason()
 			span.End()
 			res.Report = s.rec.Snapshot()
 			return res, nil

@@ -41,9 +41,6 @@ type MondrianConfig struct {
 	// P is the sensitivity constraint (1 = none; requires Confidential
 	// when >= 2).
 	P int
-	// Strict selects strict partitioning (median split with no
-	// overlap); the relaxed variant is not implemented.
-	Strict bool
 }
 
 // Mondrian partitions the table and returns the recoded masked
@@ -92,25 +89,35 @@ func Mondrian(t *table.Table, cfg MondrianConfig) (MondrianResult, error) {
 	}
 	var leaves [][]int
 	partition(t, cols, confCols, cfg, all, &leaves)
+	masked, sizes, err := recode(t, cfg.QIs, cols, leaves)
+	if err != nil {
+		return MondrianResult{}, err
+	}
+	return MondrianResult{Masked: masked, Partitions: len(leaves), GroupSizes: sizes}, nil
+}
 
-	// Recode: per leaf, per QI, compute the value range label.
-	labels := make([][]string, len(cfg.QIs)) // per QI, per row
+// recode relabels every QI cell (qis, read through cols) with its
+// group's value range (rangeLabel) and returns the recoded table and
+// the group sizes in group order. The groups partition t's rows: they
+// are Mondrian's leaves and GreedyCluster's clusters.
+func recode(t *table.Table, qis []string, cols []table.Column, groups [][]int) (*table.Table, []int, error) {
+	labels := make([][]string, len(qis)) // per QI, per row
 	for i := range labels {
 		labels[i] = make([]string, t.NumRows())
 	}
-	sizes := make([]int, 0, len(leaves))
-	for _, leaf := range leaves {
-		sizes = append(sizes, len(leaf))
+	sizes := make([]int, 0, len(groups))
+	for _, g := range groups {
+		sizes = append(sizes, len(g))
 		for qi, col := range cols {
-			label := rangeLabel(col, leaf)
-			for _, r := range leaf {
+			label := rangeLabel(col, g)
+			for _, r := range g {
 				labels[qi][r] = label
 			}
 		}
 	}
 	masked := t
 	var err error
-	for qi, attr := range cfg.QIs {
+	for qi, attr := range qis {
 		row := 0
 		lbl := labels[qi]
 		masked, err = masked.MapColumn(attr, func(table.Value) (string, error) {
@@ -119,10 +126,10 @@ func Mondrian(t *table.Table, cfg MondrianConfig) (MondrianResult, error) {
 			return s, nil
 		})
 		if err != nil {
-			return MondrianResult{}, err
+			return nil, nil, err
 		}
 	}
-	return MondrianResult{Masked: masked, Partitions: len(leaves), GroupSizes: sizes}, nil
+	return masked, sizes, nil
 }
 
 // partition recursively splits rows; leaves are appended to out.

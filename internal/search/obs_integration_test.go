@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"psk/internal/obs"
+	"psk/internal/table"
 )
 
 // The telemetry layer promises to be a pure observer: attaching a
@@ -90,61 +91,69 @@ func TestTelemetryDeterministicCounters(t *testing.T) {
 	}
 }
 
-// TestTraceCountMatchesNodesEvaluated: on the serial path, one JSONL
-// event is emitted per evaluated node — no more, no fewer — and the
-// trace parses back with a verdict breakdown matching the report's.
+// TestTraceCountMatchesNodesEvaluated: at one worker, every strategy
+// emits one JSONL event per evaluated node — no more, no fewer; a
+// Samarati probe evaluates nothing past its hit — and the trace parses
+// back with a verdict breakdown matching the report's.
 func TestTraceCountMatchesNodesEvaluated(t *testing.T) {
 	tbl := figure3Table(t)
-	for _, ts := range []int{0, 4, 10} {
-		cfg := kOnlyConfig(t, ts)
-		cfg.P = 2
-		cfg.Recorder = obs.NewRecorder()
-		var buf bytes.Buffer
-		cfg.Tracer = obs.NewTracer(&buf)
+	for _, ts := range []int{0, 2, 4, 10} {
+		for s := range numStrategies {
+			traceCountMatches(t, tbl, s, ts)
+		}
+	}
+}
 
-		res, err := AllMinimal(tbl, cfg)
-		if err != nil {
-			t.Fatal(err)
+func traceCountMatches(t *testing.T, tbl *table.Table, s Strategy, ts int) {
+	t.Helper()
+	cfg := kOnlyConfig(t, ts)
+	cfg.P = 2
+	cfg.Recorder = obs.NewRecorder()
+	var buf bytes.Buffer
+	cfg.Tracer = obs.NewTracer(&buf)
+
+	res, err := Run(tbl, cfg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatalf("%s TS=%d: trace does not parse: %v", s, ts, err)
+	}
+	if len(events) != res.Stats.NodesEvaluated {
+		t.Errorf("%s TS=%d: %d trace events, %d nodes evaluated", s, ts, len(events), res.Stats.NodesEvaluated)
+	}
+	if got := cfg.Tracer.Events(); got != int64(len(events)) {
+		t.Errorf("%s TS=%d: Events() = %d, parsed %d", s, ts, got, len(events))
+	}
+	byVerdict := map[string]int64{}
+	for _, ev := range events {
+		byVerdict[ev.Verdict]++
+		if ev.Worker != 0 {
+			t.Errorf("%s TS=%d: serial trace event on worker %d", s, ts, ev.Worker)
 		}
-		if err := cfg.Tracer.Flush(); err != nil {
-			t.Fatal(err)
+		if ev.DurationNs < 0 {
+			t.Errorf("%s TS=%d: negative duration %d", s, ts, ev.DurationNs)
 		}
-		events, err := obs.ReadEvents(&buf)
-		if err != nil {
-			t.Fatalf("TS=%d: trace does not parse: %v", ts, err)
+	}
+	rep := res.Report
+	want := map[string]int64{
+		obs.VerdictSatisfied.String():        rep.Nodes.Satisfied,
+		obs.VerdictViolated.String():         rep.Nodes.Violated,
+		obs.VerdictPrunedCondition1.String(): rep.Nodes.PrunedCondition1,
+		obs.VerdictPrunedCondition2.String(): rep.Nodes.PrunedCondition2,
+		obs.VerdictOverBudget.String():       rep.Nodes.OverBudget,
+		obs.VerdictError.String():            rep.Nodes.Errors,
+	}
+	for v, n := range want {
+		if n == 0 {
+			delete(want, v)
 		}
-		if len(events) != res.Stats.NodesEvaluated {
-			t.Errorf("TS=%d: %d trace events, %d nodes evaluated", ts, len(events), res.Stats.NodesEvaluated)
-		}
-		if got := cfg.Tracer.Events(); got != int64(len(events)) {
-			t.Errorf("TS=%d: Events() = %d, parsed %d", ts, got, len(events))
-		}
-		byVerdict := map[string]int64{}
-		for _, ev := range events {
-			byVerdict[ev.Verdict]++
-			if ev.Worker != 0 {
-				t.Errorf("TS=%d: serial trace event on worker %d", ts, ev.Worker)
-			}
-			if ev.DurationNs < 0 {
-				t.Errorf("TS=%d: negative duration %d", ts, ev.DurationNs)
-			}
-		}
-		rep := res.Report
-		want := map[string]int64{
-			obs.VerdictSatisfied.String():        rep.Nodes.Satisfied,
-			obs.VerdictViolated.String():         rep.Nodes.Violated,
-			obs.VerdictPrunedCondition1.String(): rep.Nodes.PrunedCondition1,
-			obs.VerdictPrunedCondition2.String(): rep.Nodes.PrunedCondition2,
-			obs.VerdictOverBudget.String():       rep.Nodes.OverBudget,
-			obs.VerdictError.String():            rep.Nodes.Errors,
-		}
-		for v, n := range want {
-			if n == 0 {
-				delete(want, v)
-			}
-		}
-		if !reflect.DeepEqual(byVerdict, want) {
-			t.Errorf("TS=%d: trace verdicts %v, report %v", ts, byVerdict, want)
-		}
+	}
+	if !reflect.DeepEqual(byVerdict, want) {
+		t.Errorf("%s TS=%d: trace verdicts %v, report %v", s, ts, byVerdict, want)
 	}
 }

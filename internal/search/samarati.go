@@ -75,18 +75,15 @@ func samarati(e *evaluator, lat *lattice.Lattice, res *Result) error {
 }
 
 // firstAtHeight probes every node at one height (lexicographic order)
-// through the evaluation engine and returns the first satisfying result
-// in node order, or nil. Workers > 1 evaluates the height's nodes
-// concurrently with deterministic reduction.
+// as one first-hit batch of the evaluation engine and returns the first
+// satisfying result in node order, or nil. Workers > 1 evaluates the
+// height's nodes concurrently with deterministic reduction.
 func (e *evaluator) firstAtHeight(lat *lattice.Lattice, h int, stats *Stats) (*MinimalNode, error) {
 	nodes := lat.NodesAtHeight(h)
-	i, o, err := e.firstHit(nodes, stats)
-	if err != nil {
+	outs, i, err := e.eval(nodes, true, stats)
+	if err != nil || i < 0 {
 		return nil, err
 	}
-	if i < 0 {
-		return nil, nil
-	}
-	m := o.minimal(nodes[i])
+	m := outs[i].minimal(nodes[i])
 	return &m, nil
 }

@@ -402,7 +402,7 @@ func TestConditionsDoNotChangeOutcome(t *testing.T) {
 func TestMondrianBasic(t *testing.T) {
 	tbl := figure3Table(t)
 	res, err := Mondrian(tbl, MondrianConfig{
-		QIs: []string{"Sex", "ZipCode"}, K: 3, P: 1, Strict: true,
+		QIs: []string{"Sex", "ZipCode"}, K: 3, P: 1,
 	})
 	if err != nil {
 		t.Fatalf("Mondrian: %v", err)
@@ -434,7 +434,7 @@ func TestMondrianPSensitive(t *testing.T) {
 	tbl := figure3Table(t)
 	res, err := Mondrian(tbl, MondrianConfig{
 		QIs: []string{"Sex", "ZipCode"}, Confidential: []string{"Illness"},
-		K: 3, P: 2, Strict: true,
+		K: 3, P: 2,
 	})
 	if err != nil {
 		t.Fatalf("Mondrian: %v", err)
@@ -460,7 +460,7 @@ func TestMondrianSplitsWhenPossible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mondrian(tbl, MondrianConfig{QIs: []string{"Age"}, K: 2, P: 1, Strict: true})
+	res, err := Mondrian(tbl, MondrianConfig{QIs: []string{"Age"}, K: 2, P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,13 +39,6 @@ type codeRanger interface {
 	CodeRange() (lo, hi int, ok bool)
 }
 
-// memSizer is an optional Column capability: an estimate of the heap
-// bytes the column retains. Used by cache telemetry to attribute
-// memory to freshly built generalized columns.
-type memSizer interface {
-	memBytes() int64
-}
-
 // freezer is an optional Column capability: seal the column into its
 // immutable read-optimized form (bit-packed codes). Builder.Build and
 // the column-assembly paths call it; appending to a frozen column
@@ -144,16 +137,6 @@ func setLen(c Column, rows int) {
 	}
 }
 
-// MemBytes estimates the heap memory held by a column: backing slices
-// plus dictionary storage, ignoring fixed struct overhead. Columns
-// without an estimate report 0.
-func MemBytes(c Column) int64 {
-	if s, ok := c.(memSizer); ok {
-		return s.memBytes()
-	}
-	return 0
-}
-
 // NewColumn returns an empty column of the given type.
 func NewColumn(t Type) Column {
 	switch t {
@@ -191,12 +174,6 @@ type stringColumn struct {
 	// absent from the dictionary clones both before writing, so no
 	// sharer ever observes another's mutation.
 	dictShared atomic.Bool
-
-	// dictBorrowed marks this column a Gather borrower: memBytes
-	// attributes dict/index to the original owner and skips them here,
-	// so a shared dictionary is counted once across telemetry. Set only
-	// during construction, cleared by the copy-on-write in intern.
-	dictBorrowed bool
 }
 
 func newStringColumn() *stringColumn {
@@ -234,11 +211,6 @@ func (c *stringColumn) codes32(dst []int32, lo, hi int) []int32 {
 
 func (c *stringColumn) memBytes() int64 {
 	n := int64(len(c.codes))*4 + c.packed.memBytes()
-	if c.dictBorrowed {
-		// A borrowed dictionary is attributed to the column it was
-		// gathered from, so shared dictionaries are counted once.
-		return n
-	}
 	for _, s := range c.dict {
 		// string bytes + header, counted twice: once in dict, once as
 		// an index key.
@@ -288,7 +260,6 @@ func (c *stringColumn) intern(s string) int32 {
 		}
 		c.index = index
 		c.dictShared.Store(false)
-		c.dictBorrowed = false
 	}
 	code = int32(len(c.dict))
 	c.dict = append(c.dict, s)
@@ -327,7 +298,7 @@ func (c *stringColumn) Gather(rows []int) Column {
 	// code beyond its own dictionary. Marking the lender is an atomic
 	// store because concurrent searches Gather shared cached columns.
 	c.dictShared.Store(true)
-	out := &stringColumn{dict: c.dict, index: c.index, dictBorrowed: true, frozen: true}
+	out := &stringColumn{dict: c.dict, index: c.index, frozen: true}
 	out.dictShared.Store(true)
 	k := newCodePacker(len(rows), len(c.dict))
 	if c.frozen {
@@ -431,8 +402,6 @@ func (d *intDict) id(v int64) int32 {
 	return d.byVal[v]
 }
 
-func (c *intColumn) memBytes() int64 { return int64(len(c.vals)) * 8 }
-
 func (c *intColumn) Type() Type        { return Int }
 func (c *intColumn) Len() int          { return len(c.vals) }
 func (c *intColumn) Value(i int) Value { return IV(c.vals[i]) }
@@ -516,10 +485,6 @@ type floatColumn struct {
 }
 
 func newFloatColumn() *floatColumn { return &floatColumn{nanCode: -1} }
-
-func (c *floatColumn) memBytes() int64 {
-	return int64(len(c.vals))*8 + int64(len(c.dict))*8 + int64(len(c.codes))*4
-}
 
 func (c *floatColumn) Type() Type        { return Float }
 func (c *floatColumn) Len() int          { return len(c.vals) }

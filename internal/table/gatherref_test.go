@@ -27,7 +27,7 @@ func (t *Table) gatherRef(rows []int) (*Table, error) {
 // time, then packs them with freeze.
 func (c *stringColumn) gatherCodesRef(rows []int) Column {
 	c.dictShared.Store(true)
-	out := &stringColumn{dict: c.dict, index: c.index, dictBorrowed: true}
+	out := &stringColumn{dict: c.dict, index: c.index}
 	out.dictShared.Store(true)
 	out.codes = make([]int32, 0, len(rows))
 	if c.frozen {

@@ -239,29 +239,6 @@ func TestGatherLenderCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestGatherMemBytesCountsDictOnce: a borrowed dictionary is attributed
-// to the column it was gathered from, so cache telemetry doesn't count
-// the same dictionary once per borrower.
-func TestGatherMemBytesCountsDictOnce(t *testing.T) {
-	src := buildStringColumn(t, []int{0, 1, 2}, 3)
-	src.freeze()
-	lenderBytes := src.memBytes()
-	out := src.Gather([]int{0, 2}).(*stringColumn)
-	if got := out.memBytes(); got != out.packed.memBytes() {
-		t.Errorf("borrower memBytes = %d, want packed codes only (%d)", got, out.packed.memBytes())
-	}
-	if got := src.memBytes(); got != lenderBytes {
-		t.Errorf("lender memBytes changed across Gather: %d != %d", got, lenderBytes)
-	}
-	// Once the borrower copies-on-write it owns its dictionary and
-	// counts it again (append unfreezes, so the code bytes are the
-	// plain int32 slice).
-	out.append("novel")
-	if got := out.memBytes(); got <= int64(len(out.codes))*4 {
-		t.Errorf("post-COW borrower memBytes = %d, dict no longer counted", got)
-	}
-}
-
 // randomScanMicrodata builds an n-row table spanning every column type
 // the scan kernels specialize: string/int QIs (the int with negative
 // values) and string/int/float confidential attributes.

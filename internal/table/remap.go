@@ -111,8 +111,7 @@ func (r *Remap) sourceCode(i int) int {
 // Column translates the source rows through the remap into the string
 // column MapColumn would install for fn: per row two array lookups and a
 // packed write, no string built or hashed and no unpacked code array.
-// The column borrows the remap's dictionary, as Gather borrows one, so
-// its size (MemBytes) is its packed codes alone.
+// The column shares the remap's dictionary, as Gather shares one.
 func (r *Remap) Column() (Column, error) {
 	n := r.src.Len()
 	k := newCodePacker(n, len(r.target.dict))
@@ -157,7 +156,7 @@ func (r *Remap) Column() (Column, error) {
 			k.put(r.dst[code])
 		}
 	}
-	out := &stringColumn{dict: r.target.dict, index: r.target.index, frozen: true, packed: k.p, dictBorrowed: true}
+	out := &stringColumn{dict: r.target.dict, index: r.target.index, frozen: true, packed: k.p}
 	out.dictShared.Store(true)
 	return out, nil
 }

@@ -376,7 +376,7 @@ func AttributeDisclosures(t *Table, qis, confidential []string, p int) (int, err
 // algorithm under k-anonymity and optional p-sensitivity constraints.
 func Mondrian(t *Table, qis, confidential []string, k, p int) (*Table, error) {
 	r, err := search.Mondrian(t, search.MondrianConfig{
-		QIs: qis, Confidential: confidential, K: k, P: p, Strict: true,
+		QIs: qis, Confidential: confidential, K: k, P: p,
 	})
 	if err != nil {
 		return nil, err

@@ -101,10 +101,13 @@ serve-smoke:
 # equal the batch run and Theorems 1-2 must hold at every satisfying
 # node, the two
 # implementations of Definition 2 must agree on every generated table,
-# the incremental session must survive hostile delta files with exact
-# live-row accounting and, after every batch it absorbs whole or in
-# part, confidential totals and Condition 1–2 bounds equal to a fresh
-# scan of the live rows, and the service must answer any job body with a
+# the incremental session, under nested hierarchies and under one that
+# is not, must survive hostile delta files with exact live-row
+# accounting, after every batch it absorbs whole or in part
+# confidential totals and Condition 1–2 bounds equal to a fresh scan
+# of the live rows, and after every batch it absorbs whole a published
+# node a fresh scan of the live rows satisfies with the suppression
+# the republish reported, and the service must answer any job body with a
 # prepared job or an input error (400), never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTable$$' -fuzztime $(FUZZTIME) ./internal/dataset

@@ -15,23 +15,25 @@ import (
 // published generalization valid across append/retire row batches at a
 // cost proportional to the delta, not the table. Three layers stack:
 //
-//   - table.Ledger + table.StatsDelta maintain the base (bottom-node)
-//     group statistics under row churn, and a second StatsDelta
-//     maintains the published node's statistics through a per-session
-//     code translation (pubMap), so each batch costs O(rows in batch).
-//     Beside them the session keeps each confidential attribute's
-//     whole-table histogram, which the Condition 1–2 bounds read.
+//   - Under row churn the session maintains only what a republish
+//     reads: the table.Ledger of rows, each confidential attribute's
+//     whole-table histogram (what the Condition 1–2 bounds read), and a
+//     table.StatsDelta of the published node's statistics, fed through
+//     a per-session code translation (pubMap), so each batch costs
+//     O(rows in batch).
 //   - Republish re-verdicts only the groups the batch touched
 //     (core.RecheckGroups), so an unchanged verdict costs O(changed
 //     groups), never O(rows), and reads its bounds off the maintained
-//     histograms, never the base statistics.
+//     histograms.
 //   - When the incumbent node stops satisfying, repair climbs the
 //     lattice from it — evaluating only its ancestors, height by
-//     height, through the ordinary engine seeded with the maintained
-//     base statistics — and only falls back to a cold batch search when
-//     no ancestor satisfies (the paper's monotonicity premise makes
-//     that fallback rare: generalizing more re-satisfies k-anonymity
-//     and p-sensitivity unless the dataset itself became infeasible).
+//     height, through the ordinary engine on a snapshot of the live
+//     rows — and only falls back to a cold batch search when no
+//     ancestor satisfies (the paper's monotonicity premise makes that
+//     fallback rare: generalizing more re-satisfies k-anonymity and
+//     p-sensitivity unless the dataset itself became infeasible). Repair
+//     and adoption read the live rows afresh, O(live rows), a cost only
+//     a batch that breaks the published node pays.
 //
 // Equivalence bar (DESIGN.md §14): every verdict the session returns is
 // identical to evaluating the published node on a fresh scan of the
@@ -74,25 +76,23 @@ type Incremental struct {
 	// mutates: the streaming API accepts untrusted deltas, and a QI
 	// value the hierarchy cannot generalize at every lattice level would
 	// otherwise surface — and poison the session — only at the next
-	// republish.
+	// republish. translate generalizes new values through qiHier too.
 	qiIdx  []int
 	qiHier []hierarchy.Hierarchy
 	qiDims []int
 
-	// base maintains the bottom-node statistics (the statistics a fresh
-	// GroupStats scan of the live rows would produce, up to group order,
-	// representatives and zero-size tombstones — none of which verdicts
-	// read). It seeds the repair engine's roll-up store, so repair never
-	// rescans rows either.
-	base *table.StatsDelta
-
 	// totals holds each confidential attribute's histogram over the live
 	// rows, what Conditions 1–2 read. Every node's statistics sum to the
-	// same totals, so one copy moves with each row the base absorbs.
+	// same totals, so one copy moves with each row Apply absorbs.
 	totals []table.CodeHist
 
-	// keyBuf, confBuf and pubBuf hold the codes of the row Apply is
-	// absorbing: base QI codes, confidential codes and published-node QI
+	// base is the bottom-node statistics of the live rows in the
+	// ledger's codes, which adopt rolls up: the open-time scan, or
+	// liveBase's, kept until the next Apply moves the rows.
+	base *table.GroupStats
+
+	// keyBuf, confBuf and pubBuf hold the codes of the row being
+	// absorbed: base QI codes, confidential codes and published-node QI
 	// codes. StatsDelta copies the key codes it keeps.
 	keyBuf, confBuf, pubBuf []int
 
@@ -114,11 +114,10 @@ type Incremental struct {
 // OpenIncremental starts a streaming session: the table is deep-copied
 // into a ledger, its base statistics are scanned once and their
 // confidential totals summed, and every later batch is absorbed in
-// O(batch) time. The fallback strategy serves the
-// initial publication and any republish the repair ascent cannot
-// settle. Repair derives every ancestor's statistics from the
-// maintained base statistics by roll-up, so the ledger — retired rows
-// included — is never rescanned.
+// O(batch) time. The fallback strategy serves the initial publication
+// and any republish the repair ascent cannot settle. The base scan
+// serves the initial publication's adoption; a repair, or a cold
+// republish after a batch, reads the live rows again.
 func OpenIncremental(im *table.Table, cfg Config, fallback Strategy) (*Incremental, error) {
 	m, err := cfg.validate()
 	if err != nil {
@@ -164,9 +163,7 @@ func OpenIncremental(im *table.Table, cfg Config, fallback Strategy) (*Increment
 		return nil, err
 	}
 	s.totals = bs.Totals()
-	if s.base, err = table.NewStatsDelta(bs); err != nil {
-		return nil, err
-	}
+	s.base = bs
 	s.keyBuf = make([]int, len(cfg.QIs))
 	s.confBuf = make([]int, len(s.conf))
 	s.pubBuf = make([]int, len(cfg.QIs))
@@ -195,15 +192,16 @@ func (s *Incremental) Published() lattice.Node {
 // Apply absorbs one delta batch: retires first (ids must name live rows
 // that existed before this batch), then appends (textual cells in
 // schema order; each appended row's id is its position in NumRows
-// order). The ledger, both maintained statistics and the confidential
-// totals move together; on error the batch stops at the failing row —
-// rows before it are fully absorbed, the failing row not at all — and
-// an error that can leave the layers disagreeing poisons the session
-// permanently.
+// order). The ledger, the confidential totals and the published node's
+// statistics move together; on error the batch stops at the failing
+// row — rows before it are fully absorbed, the failing row not at all —
+// and an error that can leave the layers disagreeing poisons the
+// session permanently.
 func (s *Incremental) Apply(appends [][]string, retires []int) error {
 	if s.err != nil {
 		return s.err
 	}
+	s.base = nil
 	keyCodes, confCodes := s.keyBuf, s.confBuf
 	for _, id := range retires {
 		if err := s.led.Retire(id); err != nil {
@@ -212,9 +210,6 @@ func (s *Incremental) Apply(appends [][]string, retires []int) error {
 		// Retired rows stay addressable, so codes can be read after the
 		// flag flips; a failure past this point poisons the session.
 		s.rowCodes(id, keyCodes, confCodes)
-		if _, err := s.base.Retire(keyCodes, confCodes); err != nil {
-			return s.poison(err)
-		}
 		for a, c := range confCodes {
 			h, err := s.totals[a].Sub(c)
 			if err != nil {
@@ -223,7 +218,7 @@ func (s *Incremental) Apply(appends [][]string, retires []int) error {
 			s.totals[a] = h
 		}
 		if s.pubStats != nil {
-			pubCodes, err := s.translateKnown(keyCodes)
+			pubCodes, err := s.translate(keyCodes, id)
 			if err != nil {
 				return s.poison(err)
 			}
@@ -241,14 +236,11 @@ func (s *Incremental) Apply(appends [][]string, retires []int) error {
 			return err
 		}
 		s.rowCodes(id, keyCodes, confCodes)
-		if _, err := s.base.Append(keyCodes, confCodes, id); err != nil {
-			return s.poison(err)
-		}
 		for a, c := range confCodes {
 			s.totals[a] = s.totals[a].Add(c)
 		}
 		if s.pubStats != nil {
-			pubCodes, err := s.translateNew(keyCodes, id)
+			pubCodes, err := s.translate(keyCodes, id)
 			if err != nil {
 				return s.poison(err)
 			}
@@ -298,11 +290,11 @@ func (s *Incremental) poison(err error) error {
 	return s.err
 }
 
-// translateKnown maps base QI codes to published-node codes, in pubBuf,
-// for a row the statistics have already absorbed; every code is
-// necessarily in the translation (adoption seeds it from all groups ever
-// seen, and appends extend it), so a miss is an internal error.
-func (s *Incremental) translateKnown(keyCodes []int) ([]int, error) {
+// translate maps a row's base QI codes to published-node codes, in
+// pubBuf, extending the translation when the row carries a value it has
+// not seen: the value's generalized label at the published level is
+// interned, so values that generalize alike share a pub code.
+func (s *Incremental) translate(keyCodes []int, rowID int) ([]int, error) {
 	out := s.pubBuf
 	for i, c := range keyCodes {
 		pm := s.pubMaps[i]
@@ -312,45 +304,16 @@ func (s *Incremental) translateKnown(keyCodes []int) ([]int, error) {
 		}
 		pub, ok := pm.byBase[c]
 		if !ok {
-			return nil, fmt.Errorf("search: QI %s base code %d missing from the published-node translation", s.cfg.QIs[i], c)
+			label, err := s.qiHier[i].Generalize(s.qiCols[i].Value(rowID).Str(), pm.level)
+			if err != nil {
+				return nil, fmt.Errorf("search: QI %s: %w", s.cfg.QIs[i], err)
+			}
+			if pub, ok = pm.labels[label]; !ok {
+				pub = len(pm.labels)
+				pm.labels[label] = pub
+			}
+			pm.byBase[c] = pub
 		}
-		out[i] = pub
-	}
-	return out, nil
-}
-
-// translateNew maps base QI codes to published-node codes, in pubBuf,
-// for a freshly appended row, extending the translation when the row
-// introduced a new value: the value's generalized label at the
-// published level is interned, so values that generalize alike share a
-// pub code.
-func (s *Incremental) translateNew(keyCodes []int, rowID int) ([]int, error) {
-	out := s.pubBuf
-	for i, c := range keyCodes {
-		pm := s.pubMaps[i]
-		if pm.level == 0 {
-			out[i] = c
-			continue
-		}
-		if pub, ok := pm.byBase[c]; ok {
-			out[i] = pub
-			continue
-		}
-		attr := s.cfg.QIs[i]
-		h, err := s.cfg.Hierarchies.Get(attr)
-		if err != nil {
-			return nil, err
-		}
-		label, err := h.Generalize(s.qiCols[i].Value(rowID).Str(), pm.level)
-		if err != nil {
-			return nil, fmt.Errorf("search: QI %s: %w", attr, err)
-		}
-		pub, ok := pm.labels[label]
-		if !ok {
-			pub = len(pm.labels)
-			pm.labels[label] = pub
-		}
-		pm.byBase[c] = pub
 		out[i] = pub
 	}
 	return out, nil
@@ -392,9 +355,7 @@ func (s *Incremental) Republish() (Result, error) {
 	}
 	var res Result
 	res.Stats.NodesEvaluated = 1
-	// Nothing built from the statistics here outlives the call, so they
-	// are read without marking their histograms shared: the next Apply
-	// copies none of them again.
+	// Nothing built from the statistics here outlives the call.
 	stats := s.pubStats.View()
 	violating := stats.TuplesBelow(s.cfg.K)
 	if violating > s.cfg.MaxSuppress {
@@ -416,7 +377,6 @@ func (s *Incremental) Republish() (Result, error) {
 	if !r.Satisfied {
 		return s.repair(bounds, res.Stats)
 	}
-	s.base.Reset()
 	s.pubStats.Reset()
 	res.found(MinimalNode{Node: s.pub.Clone(), Suppressed: violating})
 	res.Report = s.rec.Snapshot()
@@ -451,30 +411,36 @@ func (s *Incremental) changedSurvivors(stats *table.GroupStats) []int {
 
 // currentBounds refreshes the necessary-condition bounds from the
 // maintained confidential totals and the live row count, as Run reads
-// them off its base scan. It reads no group statistics, so it leaves
-// the base histograms owned: the next Apply copies none of them again.
+// them off its base scan.
 func (s *Incremental) currentBounds() (core.Bounds, error) {
 	return conditionBounds(s.cfg, s.led.NumLive(), func() []table.CodeHist { return s.totals })
 }
 
 // repair climbs the lattice from the violating incumbent: strict
 // ancestors are evaluated height by height through the ordinary engine
-// — seeded with the maintained base statistics, so every candidate's
-// statistics come from roll-up merges, never a row scan — and the first
-// satisfying ancestor (in node order, deterministically) becomes the
-// new published node. A tripped budget returns a partial not-found
-// result with the deltas left unconsumed, so the next Republish
-// retries; an exhausted ascent (no ancestor satisfies) falls back to
-// the cold strategy, which searches branches the ascent cannot reach.
+// on a snapshot of the live rows — its bottom scanned first, as Run
+// does, so candidates roll up from it and a row-scan fallback reads
+// live rows only — and the first satisfying ancestor (in node order,
+// deterministically) becomes the new published node. A tripped budget
+// returns a partial not-found result with the deltas left unconsumed,
+// so the next Republish retries; an exhausted ascent (no ancestor
+// satisfies) falls back to the cold strategy, which searches branches
+// the ascent cannot reach.
 func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 	s.rec.RepairAscent()
 	span := s.rec.StartSpan(obs.PhaseRepair, nil)
 	defer span.End()
+	snap, err := s.led.Snapshot()
+	if err != nil {
+		return Result{}, err
+	}
 	cfg := s.cfg
 	cfg.strategy = "incremental-repair"
-	e := newEvaluator(s.led.Table(), s.m, cfg).bind(bounds)
+	e := newEvaluator(snap, s.m, cfg).bind(bounds)
 	lat := s.m.Lattice()
-	e.rollups.put(lat.Bottom(), s.base.Stats())
+	if _, err := e.statsFor(lat.Bottom()); err != nil {
+		return Result{}, err
+	}
 	res := Result{Stats: stats}
 	for h := s.pub.Height() + 1; h <= lat.Height(); h++ {
 		var cand []lattice.Node
@@ -497,8 +463,6 @@ func (s *Incremental) repair(bounds core.Bounds, stats Stats) (Result, error) {
 			if err := s.adopt(cand[i]); err != nil {
 				return Result{}, s.poison(err)
 			}
-			s.base.Reset()
-			s.pubStats.Reset()
 			res.found(MinimalNode{Node: cand[i].Clone(), Suppressed: outs[i].suppressed})
 			res.StopReason = e.lim.stopReason()
 			span.End()
@@ -536,70 +500,78 @@ func (s *Incremental) coldPublish() (Result, error) {
 	}
 	if !res.Found {
 		s.clearPublished()
-		s.base.Reset()
 		return res, nil
 	}
 	if err := s.adopt(res.Node); err != nil {
 		return Result{}, s.poison(err)
 	}
-	s.base.Reset()
-	s.pubStats.Reset()
 	return res, nil
 }
 
 // adopt installs a node as the published one: the base-to-published
-// code translation is rebuilt by generalizing one representative value
-// per distinct base code (group representatives keep their data even
-// when retired), the maintained base statistics are rolled up through
-// it, and the result becomes the maintained published-node statistics.
-// O(groups) — no row is touched.
+// code translation is rebuilt by passing each live base group's codes
+// and representative row through translate, the live base statistics
+// are rolled up through it, and the result becomes the maintained
+// published-node statistics. O(groups), once the live base is at hand.
 func (s *Incremental) adopt(node lattice.Node) error {
-	bs := s.base.Stats()
-	maps := make([]*table.CodeMap, len(s.cfg.QIs))
-	pubMaps := make([]*pubMap, len(s.cfg.QIs))
-	for i, attr := range s.cfg.QIs {
-		pm := &pubMap{level: node[i]}
-		pubMaps[i] = pm
-		if pm.level == 0 {
-			continue // identity; maps[i] == nil is the identity roll-up
+	bs, err := s.liveBase()
+	if err != nil {
+		return err
+	}
+	s.pubMaps = make([]*pubMap, len(node))
+	for i, lvl := range node {
+		s.pubMaps[i] = &pubMap{level: lvl, byBase: make(map[int]int), labels: make(map[string]int)}
+	}
+	for gi := range bs.Groups {
+		if _, err := s.translate(bs.Groups[gi].Codes, bs.Groups[gi].Rep); err != nil {
+			return fmt.Errorf("search: adopt %v: %w", node, err)
 		}
-		pm.byBase = make(map[int]int)
-		pm.labels = make(map[string]int)
-		h, err := s.cfg.Hierarchies.Get(attr)
-		if err != nil {
-			return err
+	}
+	maps := make([]*table.CodeMap, len(node))
+	for i, pm := range s.pubMaps {
+		if pm.level > 0 { // nil is the identity roll-up
+			maps[i] = table.NewSparseCodeMap(pm.byBase)
 		}
-		for gi := range bs.Groups {
-			g := &bs.Groups[gi]
-			c := g.Codes[i]
-			if _, ok := pm.byBase[c]; ok {
-				continue
-			}
-			label, err := h.Generalize(s.qiCols[i].Value(g.Rep).Str(), pm.level)
-			if err != nil {
-				return fmt.Errorf("search: adopt %v: QI %s: %w", node, attr, err)
-			}
-			pub, ok := pm.labels[label]
-			if !ok {
-				pub = len(pm.labels)
-				pm.labels[label] = pub
-			}
-			pm.byBase[c] = pub
-		}
-		maps[i] = table.NewSparseCodeMap(pm.byBase)
 	}
 	rolled, err := bs.Rollup(maps)
 	if err != nil {
 		return fmt.Errorf("search: adopt %v: %w", node, err)
 	}
-	pubStats, err := table.NewStatsDelta(rolled)
-	if err != nil {
+	if s.pubStats, err = table.NewStatsDelta(rolled); err != nil {
 		return fmt.Errorf("search: adopt %v: %w", node, err)
 	}
 	s.pub = node.Clone()
-	s.pubStats = pubStats
-	s.pubMaps = pubMaps
 	return nil
+}
+
+// liveBase returns the bottom-node statistics of the live rows, kept
+// until the next Apply. It scans the ledger and subtracts the retired
+// rows, rather than scanning a snapshot, so the codes stay the
+// ledger's: a snapshot re-interns Float columns, and Apply translates
+// ledger codes. Groups the retired rows emptied are dropped.
+func (s *Incremental) liveBase() (*table.GroupStats, error) {
+	if s.base != nil {
+		return s.base, nil
+	}
+	all, err := s.led.Table().GroupStats(s.cfg.QIs, s.conf, max(s.cfg.Workers, 1))
+	if err != nil {
+		return nil, err
+	}
+	d, err := table.NewStatsDelta(all)
+	if err != nil {
+		return nil, err
+	}
+	for id := range s.led.NumRows() {
+		if s.led.Live(id) {
+			continue
+		}
+		s.rowCodes(id, s.keyBuf, s.confBuf)
+		if _, err := d.Retire(s.keyBuf, s.confBuf); err != nil {
+			return nil, err
+		}
+	}
+	s.base = d.View().SuppressBelow(1)
+	return s.base, nil
 }
 
 func (s *Incremental) clearPublished() {

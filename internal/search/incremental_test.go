@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"psk/internal/core"
+	"psk/internal/hierarchy"
 	"psk/internal/lattice"
 	"psk/internal/obs"
 	"psk/internal/table"
@@ -272,7 +273,7 @@ func TestIncrementalStreamMatchesFreshScan(t *testing.T) {
 				if violating != res.Suppressed {
 					t.Fatalf("batch %d: suppressed %d, fresh scan says %d", batch, res.Suppressed, violating)
 				}
-				ps := s.pubStats.Stats()
+				ps := s.pubStats.View()
 				if ps.NumRows != fresh.NumRows {
 					t.Fatalf("batch %d: maintained NumRows %d, fresh %d", batch, ps.NumRows, fresh.NumRows)
 				}
@@ -564,6 +565,113 @@ func TestIncrementalRepairAscends(t *testing.T) {
 	}
 	if rec.Snapshot().Incremental.GroupsRecheck == 0 {
 		t.Fatal("post-repair republish did not use the fast path")
+	}
+}
+
+// TestIncrementalRepairSeesLiveRowsOnly: crossHierarchy is not nested,
+// so rolling a Z-level-1 node up to level 2 fails and the engine falls
+// back to a row scan of its evaluator's table. A repair must scan the
+// live rows there, never the ledger's retired ones. Retire-only batches
+// run against a pinned five-row session and against random ones; after
+// every republish a found node must materialize and satisfy on a fresh
+// scan of the live rows with the suppression it reported, and a
+// republish that finds nothing must agree with a batch search.
+func TestIncrementalRepairSeesLiveRowsOnly(t *testing.T) {
+	open := func(rows [][]string, k, ts, workers int) *Incremental {
+		t.Helper()
+		tbl, err := table.FromText(table.MustSchema(
+			table.Field{Name: "Z", Type: table.String},
+			table.Field{Name: "Sex", Type: table.String},
+			table.Field{Name: "Illness", Type: table.String},
+		), rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenIncremental(tbl, Config{
+			QIs:           []string{"Z", "Sex"},
+			Confidential:  []string{"Illness"},
+			Hierarchies:   hierarchy.MustSet(crossHierarchy{"Z"}, hierarchy.NewFlat("Sex")),
+			K:             k,
+			P:             2,
+			MaxSuppress:   ts,
+			UseConditions: true,
+			Workers:       workers,
+			Recorder:      obs.NewRecorder(),
+		}, StrategySamarati)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	republish := func(s *Incremental, what string) Result {
+		t.Helper()
+		res, err := s.Republish()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !res.Found {
+			snap, err := s.led.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold, err := Run(snap, s.cfg, StrategySamarati); err != nil || cold.Found {
+				t.Fatalf("%s: incremental found nothing, batch found %v (err %v)", what, cold.Node, err)
+			}
+			return res
+		}
+		if _, _, err := s.Materialize(); err != nil {
+			t.Fatalf("%s: published %v: %v", what, res.Node, err)
+		}
+		violating, satisfied, _ := freshNodeStats(t, s, res.Node)
+		if !satisfied || violating != res.Suppressed {
+			t.Fatalf("%s: published %v suppressing %d; a fresh scan of the %d live rows has %d sub-k tuples, satisfied %v",
+				what, res.Node, res.Suppressed, s.NumLive(), violating, satisfied)
+		}
+		return res
+	}
+
+	// Pinned: <1,0> publishes; retiring "12" and "21" leaves "22" alone.
+	// The ascent judges <1,1> and <2,0> from the bottom, then rolls <2,1>
+	// up from <1,1>, whose map to Z level 2 fails. On the ledger's rows
+	// the "2" group still holds "21" and <2,1> satisfies; on the live
+	// rows no node does.
+	s := open([][]string{{"22", "M", "c"}, {"11", "M", "b"}, {"11", "M", "a"}, {"12", "M", "b"}, {"21", "M", "b"}}, 2, 0, 1)
+	if res := republish(s, "pinned initial"); !res.Found || !res.Node.Equal(lattice.Node{1, 0}) {
+		t.Fatalf("pinned initial publish: found %v node %v, want <1,0>", res.Found, res.Node)
+	}
+	if err := s.Apply(nil, []int{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	republish(s, "pinned repair")
+	if got := s.rec.Snapshot().Incremental.RepairAscents; got != 1 {
+		t.Fatalf("pinned case made %d repair ascents, want 1", got)
+	}
+
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([][]string, 30+rng.Intn(60))
+		for i := range rows {
+			rows[i] = []string{
+				fmt.Sprintf("%d%d", 1+rng.Intn(3), 1+rng.Intn(3)),
+				[]string{"M", "F"}[rng.Intn(2)],
+				fmt.Sprintf("d%d", rng.Intn(3)),
+			}
+		}
+		s := open(rows, 2+rng.Intn(3), rng.Intn(3), 1+3*int(seed%2))
+		republish(s, fmt.Sprintf("seed %d initial", seed))
+		for batch := 0; batch < 10 && s.NumLive() > 0; batch++ {
+			var live []int
+			for id := range s.NumRows() {
+				if s.led.Live(id) {
+					live = append(live, id)
+				}
+			}
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			if err := s.Apply(nil, live[:min(1+rng.Intn(12), len(live))]); err != nil {
+				t.Fatal(err)
+			}
+			republish(s, fmt.Sprintf("seed %d batch %d", seed, batch))
+		}
 	}
 }
 

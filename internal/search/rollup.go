@@ -27,9 +27,9 @@ import (
 // engine's batches make that enough:
 //   - a batch never holds a node twice, and batches run one after
 //     another, so no two workers ever compute the same node;
-//   - the bottom is stored before any walk (Run computes it first, and
-//     the incremental repair puts its maintained base statistics), so
-//     every other node has a stored descendant to roll up from.
+//   - the bottom is stored before any walk (Run and the incremental
+//     repair both compute it first), so every other node has a stored
+//     descendant to roll up from.
 //
 // So a roll-up reads only complete entries, and only the goroutine that
 // reduces the batches touches a judgement, between batches.

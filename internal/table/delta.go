@@ -140,11 +140,8 @@ func truncateColumn(c Column, n int) {
 //     the roll-up merge keep working unchanged.
 //   - Histograms possibly shared with other statistics (SuppressBelow,
 //     Rollup and the shard merge all share histograms structurally) are
-//     copied before the first mutation. Stats marks every histogram
-//     shared, because the returned pointer may be rolled up or seeded
-//     elsewhere; the delta then copies again before its next write.
-//     View, for a read that keeps nothing past the next mutation, marks
-//     none.
+//     copied before the first mutation, so the statistics the delta
+//     wraps are never written through.
 //
 // A group whose size returns to zero is kept as a tombstone: its key
 // stays claimed, so a later re-append finds it again. Tombstones are
@@ -162,8 +159,8 @@ type StatsDelta struct {
 
 // NewStatsDelta wraps existing statistics for in-place maintenance.
 // The statistics are taken over: the caller must not mutate them (or
-// scan-derived twins of them) behind the delta's back, though reading
-// through Stats stays valid at any time.
+// scan-derived twins of them) behind the delta's back, and reads them
+// through View.
 func NewStatsDelta(s *GroupStats) (*StatsDelta, error) {
 	if s == nil {
 		return nil, fmt.Errorf("table: stats delta over nil statistics")
@@ -185,26 +182,14 @@ func NewStatsDelta(s *GroupStats) (*StatsDelta, error) {
 	return d, nil
 }
 
-// Stats returns the maintained statistics. Because the caller may share
-// the returned groups onward (roll them up, seed a store with them),
-// every histogram is treated as shared from here on: the delta copies
-// any histogram again before its next mutation of it.
-func (d *StatsDelta) Stats() *GroupStats {
-	for i := range d.owned {
-		d.owned[i] = false
-	}
-	return d.stats
-}
-
-// View returns the maintained statistics for reading only. Unlike
-// Stats it leaves every histogram the delta owns owned, so the next
-// mutation copies none of them; in exchange the statistics, and
-// anything that shares their groups or histograms (a SuppressBelow view,
-// say), are valid only until the next Append or Retire, and must not be
-// kept or shared past it.
+// View returns the maintained statistics for reading only: they, and
+// anything that shares their groups or histograms (a SuppressBelow
+// view, say), are valid only until the next Append or Retire, which
+// writes the delta's own histograms in place, and must not be kept or
+// shared past it.
 func (d *StatsDelta) View() *GroupStats { return d.stats }
 
-// Changed returns the indices (into Stats().Groups, ascending) of the
+// Changed returns the indices (into View().Groups, ascending) of the
 // groups touched since the last Reset.
 func (d *StatsDelta) Changed() []int {
 	out := make([]int, 0, len(d.changed))
